@@ -49,7 +49,6 @@ def main():
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=50)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     channel = load_channel(Path(args.channel).read_text())
@@ -62,29 +61,23 @@ def main():
           f"semidet={report.is_semi_deterministic}")
 
     inner, log = inner_region(
-        channel,
-        SamplerConfig(seed=args.seed, num_samples=args.samples),
-        threads=args.threads,
+        channel, SamplerConfig(seed=args.seed, num_samples=args.samples)
     )
     (out_dir / "inner.log").write_text("\n".join(log) + "\n")
     export(out_dir, "inner", inner)
 
     outer, caveat = outer_region_estimate(
-        channel,
-        SearchConfig(seed=args.seed, num_samples=args.samples),
-        threads=args.threads,
+        channel, SearchConfig(seed=args.seed, num_samples=args.samples)
     )
     export(out_dir, "outer", outer, extra={"caveat": caveat})
 
     cfg = SearchConfig(seed=args.seed, num_samples=args.samples)
     if report.is_z and report.is_degraded:
-        region, _ = capacity_degraded_z(channel, cfg, threads=args.threads)
+        region, _ = capacity_degraded_z(channel, cfg)
         export(out_dir, "capacity", region, extra={"class": "degraded-z"})
     elif report.is_semi_deterministic:
         try:
-            region, hi, _ = capacity_semidet_hi(
-                channel, cfg, threads=args.threads
-            )
+            region, hi, _ = capacity_semidet_hi(channel, cfg)
             export(out_dir, "capacity", region,
                    extra={"class": "semidet-hi", "report": hi.to_dict()})
         except HiRegimeFalsified as exc:

@@ -10,7 +10,6 @@ connecting the general inner bound to the five-bound reduced region via
 a copy-factor specialization.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,27 +17,28 @@ import numpy as np
 from .channel import ChannelSpec, classify
 from .errors import (
     CardinalityMismatch,
-    EmptyList,
     HiRegimeFalsified,
-    NegativeEntry,
     NotDegraded,
     NotSemiDeterministic,
     NotZChannel,
     NumericsError,
-    ShapeMismatch,
-    SumNotOne,
 )
 from .inner import InnerFactorization
 from .outer import (
+    InputLaw,
     SearchConfig,
     V12Joint,
     _corner_joints,
+    _distinct,
     ascent_refine,
-    default_v12_card,
-    fan_directions,
+    fan_ascents,
+    input_corners,
+    lift_rows,
     marginal_entropies,
     polygon_from_bounds,
-    support_of_caps,
+    sample_pool,
+    v12_cards,
+    wire_v12,
 )
 from .pmf import ConditionalFactor, JointPMF, conditional_table, marginalize
 from .polytope import Region2D, hull_union, region_from_vertices, regions_close
@@ -46,98 +46,20 @@ from .polytope import Region2D, hull_union, region_from_vertices, regions_close
 VIOLATION_TOL = 1e-9
 DROP_CONSISTENCY_TOL = 1e-8
 
-SUM_TOL = 1e-9
-NEG_TOL = 1e-12
-
 CONDITION_A = "I(Y2;X1|X3) >= I(Y1;X1,X3)"
 CONDITION_B = "I(Y1;V12|X1,X3) >= I(Y2;V12|X1,X3)"
 
 
-def _validated_pmf(cards, pmf) -> np.ndarray:
-    pmf = np.asarray(pmf, dtype=float)
-    if pmf.shape != cards:
-        raise ShapeMismatch(f"pmf shape {pmf.shape} does not match {cards}")
-    if pmf.size and float(pmf.min()) < -NEG_TOL:
-        raise NegativeEntry(f"pmf entry {float(pmf.min())!r} is negative")
-    pmf = np.clip(pmf, 0.0, None)
-    total = float(pmf.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise SumNotOne(f"pmf sums to {total!r}")
-    return pmf / total
-
-
-@dataclass(frozen=True)
-class InputJoint:
+class InputJoint(InputLaw):
     """Joint p(x1, x2, x3) over the physical channel inputs."""
 
-    cards: tuple[int, int, int]
-    pmf: np.ndarray
-
-    def __post_init__(self):
-        cards = tuple(int(c) for c in self.cards)
-        if len(cards) != 3 or any(c < 1 for c in cards):
-            raise ShapeMismatch("need three positive cardinalities")
-        object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "pmf", _validated_pmf(cards, self.pmf))
-
-    @classmethod
-    def uniform(cls, cards) -> "InputJoint":
-        cards = tuple(int(c) for c in cards)
-        return cls(cards, np.full(cards, 1.0 / int(np.prod(cards))))
-
-    @classmethod
-    def random(cls, cards, rng: np.random.Generator, alpha: float = 1.0):
-        cards = tuple(int(c) for c in cards)
-        size = int(np.prod(cards))
-        return cls(cards, rng.dirichlet(np.full(size, float(alpha))).reshape(cards))
-
-    def lifted(self, channel: ChannelSpec) -> np.ndarray:
-        """Joint tensor over (x1, x2, x3, y1, y2)."""
-        ch_cards = tuple(channel.card(n) for n in ("x1", "x2", "x3"))
-        if self.cards != ch_cards:
-            raise CardinalityMismatch(
-                f"input cards {self.cards} do not match channel {ch_cards}"
-            )
-        return self.pmf[..., None, None] * channel.transition
+    arity = 3
 
 
-@dataclass(frozen=True)
-class V12V2Joint:
+class V12V2Joint(InputLaw):
     """Joint p(x1, v12, v2, x2, x3) with both reduced-region auxiliaries."""
 
-    cards: tuple[int, int, int, int, int]
-    pmf: np.ndarray
-
-    def __post_init__(self):
-        cards = tuple(int(c) for c in self.cards)
-        if len(cards) != 5 or any(c < 1 for c in cards):
-            raise ShapeMismatch("need five positive cardinalities")
-        object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "pmf", _validated_pmf(cards, self.pmf))
-
-    @classmethod
-    def uniform(cls, cards) -> "V12V2Joint":
-        cards = tuple(int(c) for c in cards)
-        return cls(cards, np.full(cards, 1.0 / int(np.prod(cards))))
-
-    @classmethod
-    def random(cls, cards, rng: np.random.Generator, alpha: float = 1.0):
-        cards = tuple(int(c) for c in cards)
-        size = int(np.prod(cards))
-        return cls(cards, rng.dirichlet(np.full(size, float(alpha))).reshape(cards))
-
-    def lifted(self, channel: ChannelSpec) -> np.ndarray:
-        """Joint tensor over (x1, v12, v2, x2, x3, y1, y2)."""
-        ch_cards = tuple(channel.card(n) for n in ("x1", "x2", "x3"))
-        if (self.cards[0], self.cards[3], self.cards[4]) != ch_cards:
-            raise CardinalityMismatch(
-                f"input cards {self.cards} do not match channel {ch_cards}"
-            )
-        return np.einsum(
-            self.pmf, [0, 1, 2, 3, 4],
-            channel.transition, [0, 3, 4, 5, 6],
-            [0, 1, 2, 3, 4, 5, 6],
-        )
+    arity = 5
 
 
 def with_constant_v12(d: InputJoint, card_v12: int) -> V12Joint:
@@ -315,7 +237,9 @@ def semidet_hi_polygon(d: V12Joint, channel: ChannelSpec) -> Region2D:
     return polygon_from_bounds([b[0]], [b[1]], [b[2]])
 
 
-def _closed(region: Region2D) -> Region2D:
+def _reduced_polygon(a, b, delta, n, k) -> Region2D:
+    """Five-bound reduced polygon of its information terms."""
+    region = polygon_from_bounds([a], [b, b + delta - n], [delta + k - n, a + b - n])
     # binning penalties can empty the raw polygon; zero rates stay achievable
     if region.empty:
         return region_from_vertices([(0.0, 0.0)])
@@ -324,19 +248,13 @@ def _closed(region: Region2D) -> Region2D:
 
 def reduced_region(d: V12V2Joint, channel: ChannelSpec) -> Region2D:
     """Five-bound achievable polygon over p(x1, v12, v2, x2, x3)."""
-    a, b, delta, n, k2 = _reduced_terms_v2(d.lifted(channel))
-    return _closed(polygon_from_bounds(
-        [a], [b, b + delta - n], [delta + k2 - n, a + b - n]
-    ))
+    return _reduced_polygon(*_reduced_terms_v2(d.lifted(channel)))
 
 
 def reduced_region_semidet(d: V12Joint, channel: ChannelSpec) -> Region2D:
     """Reduced polygon with the second auxiliary fixed to the y2 output."""
     _require_semidet(channel)
-    a, h2, delta, m, h3 = _reduced_terms_y2(d.lifted(channel))
-    return _closed(polygon_from_bounds(
-        [a], [h2, h2 + delta - m], [delta + h3 - m, a + h2 - m]
-    ))
+    return _reduced_polygon(*_reduced_terms_y2(d.lifted(channel)))
 
 
 def y2_output_map(channel: ChannelSpec) -> np.ndarray:
@@ -492,35 +410,25 @@ def report_from_dict(data: dict) -> HiRegimeReport:
 def _falsifier_probes(cards: tuple[int, int, int, int]) -> list[np.ndarray]:
     """Degenerate joints that make premise violations hand-checkable."""
     cx1, cv12, cx2, cx3 = cards
-    margins = []
-    for card in (cx1, cx2, cx3):
-        point = np.zeros(card)
-        point[0] = 1.0
-        margins.append((np.full(card, 1.0 / card), point))
-    rules = (
-        lambda x1, x2: 0,
-        lambda x1, x2: x1,
-        lambda x1, x2: x2,
-        lambda x1, x2: x1 * cx2 + x2,
+    wired = [
+        d for base in input_corners((cx1, cx2, cx3)) for d in wire_v12(base, cv12)
+    ]
+    return _distinct(wired + [np.full(cards, 1.0 / int(np.prod(cards)))])
+
+
+def _falsified(cfg, cards, probes, flat, gap_a, gap_b) -> HiRegimeReport:
+    """Falsified report with witness ``flat`` and its premise gaps."""
+    return HiRegimeReport(
+        status="falsified",
+        samples=cfg.num_samples,
+        probes=probes,
+        seed=cfg.seed,
+        card_v12=cards[1],
+        margin=float(max(gap_a, gap_b)),
+        condition=CONDITION_A if gap_a >= gap_b else CONDITION_B,
+        witness_cards=cards,
+        witness_pmf=tuple(float(v) for v in flat),
     )
-    probes, seen = [], set()
-    for m1 in margins[0]:
-        for m2 in margins[1]:
-            for m3 in margins[2]:
-                base = np.einsum(m1, [0], m2, [1], m3, [2], [0, 1, 2])
-                for rule in rules:
-                    d = np.zeros(cards)
-                    for x1 in range(cx1):
-                        for x2 in range(cx2):
-                            d[x1, rule(x1, x2) % cv12, x2, :] = base[x1, x2, :]
-                    key = d.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        probes.append(d)
-    uniform = np.full(cards, 1.0 / int(np.prod(cards)))
-    if uniform.tobytes() not in seen:
-        probes.append(uniform)
-    return probes
 
 
 def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport:
@@ -530,49 +438,20 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     no-violation report is evidence from the declared search effort, not
     proof of class membership.
     """
-    cv12 = cfg.card_v12 or default_v12_card(channel)
-    cards = (channel.card("x1"), cv12, channel.card("x2"), channel.card("x3"))
-    probes = _falsifier_probes(cards) if cfg.include_corners else []
-    pool = list(probes)
-    for i in range(cfg.num_samples):
-        rng = np.random.default_rng([cfg.seed, i])
-        pool.append(V12Joint.random(cards, rng).pmf)
-    if not pool:
-        raise EmptyList("no distributions to evaluate")
-
-    t = channel.transition
-
-    def lift_flat(flat: np.ndarray) -> np.ndarray:
-        dd = flat.reshape((-1,) + cards)
-        return np.einsum(
-            dd, [6, 0, 1, 2, 3], t, [0, 2, 3, 4, 5], [6, 0, 1, 2, 3, 4, 5]
-        )
-
-    flats = np.stack([p.reshape(-1) for p in pool], axis=0)
-    gap_a, gap_b = violation_gaps(lift_flat(flats))
+    cards = v12_cards(channel, cfg)
+    corners = _falsifier_probes(cards)
+    probes = len(corners) if cfg.include_corners else 0
+    flats = sample_pool(V12Joint, cards, cfg, corners)
+    gap_a, gap_b = violation_gaps(lift_rows(flats, cards, channel))
     worst = np.maximum(gap_a, gap_b)
-
-    def falsified(flat: np.ndarray, ga: float, gb: float) -> HiRegimeReport:
-        condition = CONDITION_A if ga >= gb else CONDITION_B
-        return HiRegimeReport(
-            status="falsified",
-            samples=cfg.num_samples,
-            probes=len(probes),
-            seed=cfg.seed,
-            card_v12=cv12,
-            margin=float(max(ga, gb)),
-            condition=condition,
-            witness_cards=cards,
-            witness_pmf=tuple(float(v) for v in flat),
-        )
 
     for i in range(flats.shape[0]):
         if worst[i] > VIOLATION_TOL:
-            return falsified(flats[i], float(gap_a[i]), float(gap_b[i]))
+            return _falsified(cfg, cards, probes, flats[i], gap_a[i], gap_b[i])
 
     # no direct hit: push the most promising candidates uphill
     def evaluate(rows: np.ndarray) -> np.ndarray:
-        ga, gb = violation_gaps(lift_flat(rows))
+        ga, gb = violation_gaps(lift_rows(rows, cards, channel))
         return np.maximum(ga, gb)
 
     best_margin = float(np.max(worst))
@@ -583,15 +462,15 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
         )
         best_margin = max(best_margin, value)
         if value > VIOLATION_TOL:
-            ga, gb = violation_gaps(lift_flat(refined[None, :]))
-            return falsified(refined, float(ga[0]), float(gb[0]))
+            ga, gb = violation_gaps(lift_rows(refined[None, :], cards, channel))
+            return _falsified(cfg, cards, probes, refined, ga[0], gb[0])
 
     return HiRegimeReport(
         status="no-violation-found",
         samples=cfg.num_samples,
-        probes=len(probes),
+        probes=probes,
         seed=cfg.seed,
-        card_v12=cv12,
+        card_v12=cards[1],
         margin=best_margin,
     )
 
@@ -599,55 +478,14 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
 # ---------------------------------------------------------------------------
 # sampled capacity regions
 
-def _input_corners(cards: tuple[int, int, int]) -> list[np.ndarray]:
-    margins = []
-    for card in cards:
-        point = np.zeros(card)
-        point[0] = 1.0
-        margins.append((np.full(card, 1.0 / card), point))
-    corners, seen = [], set()
-    for m1 in margins[0]:
-        for m2 in margins[1]:
-            for m3 in margins[2]:
-                d = np.einsum(m1, [0], m2, [1], m3, [2], [0, 1, 2])
-                key = d.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    corners.append(d)
-    return corners
-
-
-def _refined_flats(flats, caps_of, cfg: SearchConfig, threads: int):
-    """Coordinate-ascent improvements of the support in each fan direction."""
-    r1, r2, s = caps_of(flats)
-    directions = fan_directions(cfg.fan)
-
-    def refine_direction(k: int) -> list[np.ndarray]:
-        lam = directions[k]
-        supports = support_of_caps(r1, r2, s, lam)
-        order = np.argsort(-supports, kind="stable")[: cfg.refine_starts]
-
-        def evaluate(rows: np.ndarray) -> np.ndarray:
-            return support_of_caps(*caps_of(rows), lam)
-
-        found = []
-        for idx in order:
-            base = float(supports[int(idx)])
-            value, refined = ascent_refine(
-                flats[int(idx)], evaluate, cfg.refine_step, cfg.refine_sweeps
-            )
-            if value > base + 1e-12:
-                found.append(refined)
-        return found
-
-    if cfg.refine_starts == 0 or cfg.refine_sweeps == 0:
-        return []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as tp:
-            per_direction = list(tp.map(refine_direction, range(cfg.fan)))
-    else:
-        per_direction = [refine_direction(k) for k in range(cfg.fan)]
-    return [flat for found in per_direction for flat in found]
+def _refined_flats(flats, caps_of, cfg: SearchConfig) -> list[np.ndarray]:
+    """Ascent end points, over the whole fan, that improved on their start."""
+    return [
+        row
+        for _, ascents in fan_ascents(flats, caps_of, cfg)
+        for start, reached, row in ascents
+        if reached > start + 1e-12
+    ]
 
 
 def capacity_degraded_z(
@@ -657,27 +495,17 @@ def capacity_degraded_z(
 
     Returns the polygon union and every input distribution whose polygon
     entered it, so callers can replay the same sample set elsewhere.
+    ``threads`` is accepted and ignored.
     """
     _require_degraded_z(channel)
-    cards = tuple(channel.card(n) for n in ("x1", "x2", "x3"))
-    pool = _input_corners(cards) if cfg.include_corners else []
-    for i in range(cfg.num_samples):
-        rng = np.random.default_rng([cfg.seed, i])
-        pool.append(InputJoint.random(cards, rng).pmf)
-    if not pool:
-        raise EmptyList("no input distributions to evaluate")
-
-    t = channel.transition
+    cards = channel.cards[:3]
 
     def caps_of(rows: np.ndarray):
-        dd = rows.reshape((-1,) + cards)
-        j = dd[..., None, None] * t
-        b = degraded_z_bounds(j)
+        b = degraded_z_bounds(lift_rows(rows, cards, channel))
         return b[..., 0], b[..., 1], b[..., 2]
 
-    flats = np.stack([p.reshape(-1) for p in pool], axis=0)
-    all_flats = [flats[i] for i in range(flats.shape[0])]
-    all_flats.extend(_refined_flats(flats, caps_of, cfg, threads))
+    flats = sample_pool(InputJoint, cards, cfg, input_corners(cards))
+    all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
 
     stacked = np.stack(all_flats, axis=0)
     r1, r2, s = caps_of(stacked)
@@ -704,7 +532,8 @@ def capacity_semidet_hi(
     forced.  Every evaluated distribution is re-screened against the
     premise, and the region formula is checked against the full five-bound
     reduced polygon at each of them (the two extra bounds must be
-    redundant wherever the premise holds).
+    redundant wherever the premise holds).  ``threads`` is accepted and
+    ignored.
     """
     _require_semidet(channel)
     report = hi_regime_falsify(channel, cfg)
@@ -715,47 +544,23 @@ def capacity_semidet_hi(
             report,
         )
 
-    cv12 = cfg.card_v12 or default_v12_card(channel)
-    cards = (channel.card("x1"), cv12, channel.card("x2"), channel.card("x3"))
-    pool = _corner_joints(cards) if cfg.include_corners else []
-    for i in range(cfg.num_samples):
-        rng = np.random.default_rng([cfg.seed, i])
-        pool.append(V12Joint.random(cards, rng).pmf)
-    if not pool:
-        raise EmptyList("no distributions to evaluate")
-
-    t = channel.transition
-
-    def lift_rows(rows: np.ndarray) -> np.ndarray:
-        dd = rows.reshape((-1,) + cards)
-        return np.einsum(
-            dd, [6, 0, 1, 2, 3], t, [0, 2, 3, 4, 5], [6, 0, 1, 2, 3, 4, 5]
-        )
+    cards = v12_cards(channel, cfg)
 
     def caps_of(rows: np.ndarray):
-        b = semidet_hi_bounds(lift_rows(rows))
+        b = semidet_hi_bounds(lift_rows(rows, cards, channel))
         return b[..., 0], b[..., 1], b[..., 2]
 
-    flats = np.stack([p.reshape(-1) for p in pool], axis=0)
-    all_flats = [flats[i] for i in range(flats.shape[0])]
-    all_flats.extend(_refined_flats(flats, caps_of, cfg, threads))
+    flats = sample_pool(V12Joint, cards, cfg, _corner_joints(cards))
+    all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
 
     stacked = np.stack(all_flats, axis=0)
-    lifted = lift_rows(stacked)
+    lifted = lift_rows(stacked, cards, channel)
     gap_a, gap_b = violation_gaps(lifted)
     worst = np.maximum(gap_a, gap_b)
     if not force and float(np.max(worst)) > VIOLATION_TOL:
         i = int(np.argmax(worst > VIOLATION_TOL))
-        late = HiRegimeReport(
-            status="falsified",
-            samples=cfg.num_samples,
-            probes=report.probes,
-            seed=cfg.seed,
-            card_v12=cv12,
-            margin=float(worst[i]),
-            condition=CONDITION_A if gap_a[i] >= gap_b[i] else CONDITION_B,
-            witness_cards=cards,
-            witness_pmf=tuple(float(v) for v in stacked[i]),
+        late = _falsified(
+            cfg, cards, report.probes, stacked[i], gap_a[i], gap_b[i]
         )
         raise HiRegimeFalsified(
             "high-interference premise falsified during region sampling: "
@@ -764,16 +569,12 @@ def capacity_semidet_hi(
         )
 
     caps = semidet_hi_bounds(lifted)
-    a_r, h2_r, delta_r, m_r, h3_r = _reduced_terms_y2(lifted)
+    terms = _reduced_terms_y2(lifted)
     polygons = []
     for i in range(stacked.shape[0]):
         poly = polygon_from_bounds([caps[i, 0]], [caps[i, 1]], [caps[i, 2]])
         if worst[i] <= VIOLATION_TOL:
-            full = _closed(polygon_from_bounds(
-                [a_r[i]],
-                [h2_r[i], h2_r[i] + delta_r[i] - m_r[i]],
-                [delta_r[i] + h3_r[i] - m_r[i], a_r[i] + h2_r[i] - m_r[i]],
-            ))
+            full = _reduced_polygon(*(t[i] for t in terms))
             if not regions_close(poly, full, tol=DROP_CONSISTENCY_TOL):
                 raise NumericsError(
                     "dropping the premise-redundant bounds changed the "

@@ -19,18 +19,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    NegativeEntry,
-    ParseError,
-    RowSumError,
-    ShapeMismatch,
-)
-from .pmf import ConditionalFactor
+from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
+from .pmf import SUM_TOL, ConditionalFactor, _clean_tensor
 
 AXES = ("x1", "x2", "x3", "y1", "y2")
-SUM_TOL = 1e-9
-NEG_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -44,15 +36,11 @@ class ChannelSpec:
         cards = tuple(int(c) for c in self.cards)
         if len(cards) != 5 or any(c < 1 for c in cards):
             raise ShapeMismatch(f"need five cardinalities >= 1, got {cards}")
-        t = np.asarray(self.transition, dtype=np.float64)
+        t = _clean_tensor(self.transition, "transition")
         if t.shape != cards:
             raise ShapeMismatch(
                 f"transition shape {t.shape} does not match cardinalities {cards}"
             )
-        low = float(t.min()) if t.size else 0.0
-        if low < -NEG_TOL:
-            raise NegativeEntry(f"transition has negative entry {low!r}")
-        t = np.clip(t, 0.0, None)
         sums = t.sum(axis=(3, 4))
         gap = np.abs(sums - 1.0)
         if float(gap.max()) > SUM_TOL:
@@ -120,7 +108,7 @@ def load_channel(text: str) -> ChannelSpec:
 
     The document is JSON with integer fields "x1","x2","x3","y1","y2" and
     a flat array "p" of length x1*x2*x3*y1*y2, row-major over
-    (x1,x2,x3,y1,y2).
+    (x1,x2,x3,y1,y2), of finite numbers.
     """
     try:
         doc = json.loads(text)
@@ -146,6 +134,8 @@ def load_channel(text: str) -> ChannelSpec:
         tensor = np.asarray(flat, dtype=np.float64).reshape(cards)
     except ValueError as exc:
         raise ParseError(f'field "p" holds non-numeric data: {exc}') from exc
+    if not np.isfinite(tensor).all():
+        raise ParseError('field "p" holds NaN, an infinity or null')
     return ChannelSpec(cards, tensor)
 
 

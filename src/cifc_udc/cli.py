@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand is deterministic given its flags: fixed seeds drive all
-sampling, worker count never changes results, and output files are byte
-stable. Exit status is 0 on success, 1 on domain errors (out-of-class
-channel, infeasible system), 2 on usage or parse problems.
+sampling, and output files are byte stable.  ``--threads`` is accepted and
+ignored; every command runs single-threaded.  Exit status is 0 on success,
+1 on domain errors (out-of-class channel, infeasible system), 2 on usage
+or parse problems, including non-finite numbers in a channel file.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def _cmd_inner(args) -> int:
         num_samples=opts["samples"],
         **{k: opts[k] for k in opts if k.startswith("card_")},
     )
-    region, log = inner_region(channel, cfg, threads=opts["threads"])
+    region, log = inner_region(channel, cfg)
     doc = {
         "region": region_to_dict(region),
         "log": list(log),
@@ -322,7 +323,7 @@ def _cmd_outer(args) -> int:
         card_v12=opts["card_v12"],
         fan=opts["fan"],
     )
-    region, caveat = outer_region_estimate(channel, cfg, threads=opts["threads"])
+    region, caveat = outer_region_estimate(channel, cfg)
     doc = {"region": region_to_dict(region), "caveat": caveat}
     _emit(doc, opts["out"])
     return 0
@@ -337,9 +338,7 @@ def _cmd_capacity(args) -> int:
         card_v12=opts["card_v12"],
     )
     if args.klass == "degraded-z":
-        region, evaluated = capacity_degraded_z(
-            channel, cfg, threads=opts["threads"]
-        )
+        region, evaluated = capacity_degraded_z(channel, cfg)
         doc = {
             "region": region_to_dict(region),
             "class": "degraded-z",
@@ -350,9 +349,7 @@ def _cmd_capacity(args) -> int:
             },
         }
     else:
-        region, report, evaluated = capacity_semidet_hi(
-            channel, cfg, threads=opts["threads"]
-        )
+        region, report, evaluated = capacity_semidet_hi(channel, cfg)
         doc = {
             "region": region_to_dict(region),
             "class": "semidet-hi",

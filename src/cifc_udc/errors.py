@@ -18,7 +18,7 @@ class DuplicateLabel(CifcError):
 
 
 class NegativeEntry(CifcError):
-    """A probability entry is negative beyond tolerance."""
+    """A probability entry is negative beyond tolerance, or non-finite."""
 
 
 class SumNotOne(CifcError):

@@ -6,7 +6,6 @@ achievable (R1, R2) pairs form a polytope in rate-split space; projecting it
 to the plane and unioning over factorizations gives the inner bound estimate.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -505,29 +504,19 @@ def inner_region(
 
     Inadmissible samples contribute nothing but are logged.  The result
     only grows as samples are added and never loses the silent point.
+    ``threads`` is accepted and ignored: the samples run in the calling
+    thread.
     """
-    samples = sample_factorizations(channel, cfg)
-
-    def one(f: InnerFactorization):
-        c = inner_constants(assemble_joint(f, channel))
-        if not admissible(c):
-            return c, None
-        return c, region_for_distribution(c)
-
-    if threads > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, samples))
-    else:
-        results = [one(f) for f in samples]
-
     lines = []
     regions = []
-    for index, (c, region) in enumerate(results):
-        if region is None:
+    for index, f in enumerate(sample_factorizations(channel, cfg)):
+        c = inner_constants(assemble_joint(f, channel))
+        if not admissible(c):
             lines.append(_sample_record(index, False, c, 0))
-        else:
-            lines.append(_sample_record(index, True, c, len(region.vertices)))
-            regions.append(region)
+            continue
+        region = region_for_distribution(c)
+        lines.append(_sample_record(index, True, c, len(region.vertices)))
+        regions.append(region)
     if regions:
         union = hull_union(regions)
     else:

@@ -5,47 +5,50 @@ bounds; the channel-level outer estimate maximizes the support function of
 those polygons over sampled joints along a fan of directions and intersects
 the resulting halfplanes.  Under-sampling can only make the estimate
 smaller, never larger, so the caveat record travels with every result.
+
+The sampled-search path lives here too, shared with the capacity classes:
+the input-law type, its lift through the channel, the seeded pool and the
+per-direction coordinate ascent.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .channel import ChannelSpec
-from .errors import (
-    CardinalityMismatch,
-    EmptyList,
-    NegativeEntry,
-    ShapeMismatch,
-    SumNotOne,
-)
+from .errors import CardinalityMismatch, EmptyList, ShapeMismatch, SumNotOne
+from .pmf import SUM_TOL, _clean_tensor
 from .polytope import LinearSystem, Region2D, polygon_extract
-
-SUM_TOL = 1e-9
-NEG_TOL = 1e-12
 
 # semantic axes of the lifted joint tensor
 _X1, _V12, _X2, _X3, _Y1, _Y2 = range(6)
 
 
 @dataclass(frozen=True)
-class V12Joint:
-    """Input-side joint p(x1, v12, x2, x3) with the converse auxiliary."""
+class InputLaw:
+    """Input-side law p(x1, [aux...], x2, x3) of a sampled search.
 
-    cards: tuple[int, int, int, int]
+    The first axis is x1 and the last two are x2 and x3; any axes between
+    them are auxiliaries.  Subclasses fix the number of axes in ``arity``.
+    """
+
+    arity: ClassVar[int | None] = None
+
+    cards: tuple[int, ...]
     pmf: np.ndarray
 
     def __post_init__(self):
         cards = tuple(int(c) for c in self.cards)
-        if len(cards) != 4 or any(c < 1 for c in cards):
-            raise ShapeMismatch("need four positive cardinalities")
-        pmf = np.asarray(self.pmf, dtype=float)
+        if self.arity is None:
+            if len(cards) < 3 or any(c < 1 for c in cards):
+                raise ShapeMismatch("need at least three positive cardinalities")
+        elif len(cards) != self.arity or any(c < 1 for c in cards):
+            raise ShapeMismatch(f"need {self.arity} positive cardinalities")
+        pmf = _clean_tensor(self.pmf, "pmf")
         if pmf.shape != cards:
             raise ShapeMismatch(f"pmf shape {pmf.shape} does not match {cards}")
-        if pmf.size and float(pmf.min()) < -NEG_TOL:
-            raise NegativeEntry(f"pmf entry {float(pmf.min())!r} is negative")
-        pmf = np.clip(pmf, 0.0, None)
         total = float(pmf.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise SumNotOne(f"pmf sums to {total!r}")
@@ -53,29 +56,45 @@ class V12Joint:
         object.__setattr__(self, "pmf", pmf / total)
 
     @classmethod
-    def uniform(cls, cards) -> "V12Joint":
+    def uniform(cls, cards):
         cards = tuple(int(c) for c in cards)
-        size = int(np.prod(cards))
-        return cls(cards, np.full(cards, 1.0 / size))
+        return cls(cards, np.full(cards, 1.0 / int(np.prod(cards))))
 
     @classmethod
-    def random(cls, cards, rng: np.random.Generator, alpha: float = 1.0) -> "V12Joint":
+    def random(cls, cards, rng: np.random.Generator, alpha: float = 1.0):
         cards = tuple(int(c) for c in cards)
         size = int(np.prod(cards))
         return cls(cards, rng.dirichlet(np.full(size, float(alpha))).reshape(cards))
 
     def lifted(self, channel: ChannelSpec) -> np.ndarray:
-        """Joint tensor over (x1, v12, x2, x3, y1, y2)."""
-        ch_cards = tuple(channel.card(n) for n in ("x1", "x2", "x3"))
-        if (self.cards[0], self.cards[2], self.cards[3]) != ch_cards:
-            raise CardinalityMismatch(
-                f"input cards {self.cards} do not match channel {ch_cards}"
-            )
-        return np.einsum(
-            self.pmf, [0, 1, 2, 3],
-            channel.transition, [0, 2, 3, 4, 5],
-            [0, 1, 2, 3, 4, 5],
+        """Joint tensor over the law's axes followed by (y1, y2)."""
+        return lift_rows(self.pmf[None], self.cards, channel)[0]
+
+
+class V12Joint(InputLaw):
+    """Input-side joint p(x1, v12, x2, x3) with the converse auxiliary."""
+
+    arity = 4
+
+
+def lift_rows(rows: np.ndarray, cards, channel: ChannelSpec) -> np.ndarray:
+    """Lift a batch of input laws through the channel.
+
+    ``rows`` holds one law over ``cards`` per leading index, flat or
+    shaped.  The result has axes (batch, *cards, y1, y2); each cell is the
+    single product p(x1, [aux...], x2, x3) * p(y1, y2 | x1, x2, x3).
+    """
+    cards = tuple(cards)
+    if (cards[0], cards[-2], cards[-1]) != channel.cards[:3]:
+        raise CardinalityMismatch(
+            f"input cards {cards} do not match channel {channel.cards[:3]}"
         )
+    n = len(cards)
+    return np.einsum(
+        np.reshape(rows, (-1,) + cards), [n + 2, *range(n)],
+        channel.transition, [0, n - 2, n - 1, n, n + 1],
+        [n + 2, *range(n + 2)],
+    )
 
 
 def default_v12_card(channel: ChannelSpec) -> int:
@@ -257,26 +276,118 @@ class SearchConfig:
             raise ValueError("refine_step must sit in (0, 1)")
 
 
+def v12_cards(channel: ChannelSpec, cfg: SearchConfig) -> tuple[int, int, int, int]:
+    """(|X1|, |V12|, |X2|, |X3|) of a search; card_v12 = 0 means |X1||X2|."""
+    cx1, cx2, cx3 = channel.cards[:3]
+    return (cx1, cfg.card_v12 or default_v12_card(channel), cx2, cx3)
+
+
+def _distinct(tensors) -> list[np.ndarray]:
+    """First occurrence of each tensor, compared bytewise."""
+    out, seen = [], set()
+    for t in tensors:
+        key = t.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(t)
+    return out
+
+
+def input_corners(cards: tuple[int, int, int]) -> list[np.ndarray]:
+    """Distinct product laws over (x1, x2, x3) whose three factors are
+    each uniform or a point mass at symbol 0; the all-uniform law first."""
+    margins = []
+    for card in cards:
+        point = np.zeros(card)
+        point[0] = 1.0
+        margins.append((np.full(card, 1.0 / card), point))
+    return _distinct(
+        np.einsum(m1, [0], m2, [1], m3, [2], [0, 1, 2])
+        for m1, m2, m3 in itertools.product(*margins)
+    )
+
+
+def wire_v12(base: np.ndarray, card_v12: int) -> list[np.ndarray]:
+    """Embed p(x1, x2, x3) as p(x1, v12, x2, x3) four ways: v12 = 0, x1,
+    x2 and x1*|X2| + x2, each taken mod |V12|."""
+    cx1, cx2, cx3 = base.shape
+    rules = (
+        lambda x1, x2: 0,
+        lambda x1, x2: x1,
+        lambda x1, x2: x2,
+        lambda x1, x2: x1 * cx2 + x2,
+    )
+    out = []
+    for rule in rules:
+        d = np.zeros((cx1, card_v12, cx2, cx3))
+        for x1 in range(cx1):
+            for x2 in range(cx2):
+                d[x1, rule(x1, x2) % card_v12, x2, :] = base[x1, x2, :]
+        out.append(d)
+    return out
+
+
 def _corner_joints(cards: tuple[int, int, int, int]) -> list[np.ndarray]:
     """Structured starting joints: independent inputs, v12 wired four ways."""
     cx1, cv12, cx2, cx3 = cards
-    u1 = np.full(cx1, 1.0 / cx1)
-    u2 = np.full(cx2, 1.0 / cx2)
-    u3 = np.full(cx3, 1.0 / cx3)
-    base = np.einsum(u1, [0], u2, [2], u3, [3], [0, 2, 3])
-    out = [np.full(cards, 1.0 / int(np.prod(cards)))]
+    base = input_corners((cx1, cx2, cx3))[0]
+    return [np.full(cards, 1.0 / int(np.prod(cards)))] + wire_v12(base, cv12)
 
-    def with_v12(rule):
-        d = np.zeros(cards)
-        for x1 in range(cx1):
-            for x2 in range(cx2):
-                d[x1, rule(x1, x2) % cv12, x2, :] = base[x1, x2, :]
-        return d
 
-    out.append(with_v12(lambda x1, x2: 0))
-    out.append(with_v12(lambda x1, x2: x1))
-    out.append(with_v12(lambda x1, x2: x2))
-    out.append(with_v12(lambda x1, x2: x1 * cx2 + x2))
+def sample_pool(
+    law: type[InputLaw],
+    cards: tuple[int, ...],
+    cfg: SearchConfig,
+    corners,
+    extra: tuple[InputLaw, ...] = (),
+) -> np.ndarray:
+    """The laws a search evaluates, one flat law per row.
+
+    The corners come first when ``cfg.include_corners`` is set, then
+    ``cfg.num_samples`` Dirichlet draws of ``law`` seeded by
+    (cfg.seed, i), then the extra laws.
+    """
+    for d in extra:
+        if d.cards != cards:
+            raise CardinalityMismatch(
+                f"extra distribution cards {d.cards} do not match {cards}"
+            )
+    pool = list(corners) if cfg.include_corners else []
+    for i in range(cfg.num_samples):
+        rng = np.random.default_rng([cfg.seed, i])
+        pool.append(law.random(cards, rng).pmf)
+    pool.extend(d.pmf for d in extra)
+    if not pool:
+        raise EmptyList("no input distributions to evaluate")
+    return np.stack([p.reshape(-1) for p in pool], axis=0)
+
+
+def fan_ascents(flats: np.ndarray, caps_of, cfg: SearchConfig) -> list:
+    """Coordinate ascents of the support along each fan direction.
+
+    ``caps_of`` maps a batch of flat laws to (R1 cap, R2 cap, sum cap).
+    For each direction of ``fan_directions(cfg.fan)`` returns the best
+    support over ``flats`` and, for each of the ``cfg.refine_starts`` best
+    rows, the (start, reached, row) of its ascent: the support it started
+    from, the support it reached and the law that reached it.  No ascent
+    runs when ``cfg.refine_starts`` or ``cfg.refine_sweeps`` is zero.
+    """
+    r1, r2, s = caps_of(flats)
+    out = []
+    for lam in fan_directions(cfg.fan):
+        supports = support_of_caps(r1, r2, s, lam)
+        ascents = []
+        if cfg.refine_starts and cfg.refine_sweeps:
+            def evaluate(rows: np.ndarray) -> np.ndarray:
+                return support_of_caps(*caps_of(rows), lam)
+
+            order = np.argsort(-supports, kind="stable")[: cfg.refine_starts]
+            for idx in order:
+                reached, row = ascent_refine(
+                    flats[int(idx)], evaluate, cfg.refine_step, cfg.refine_sweeps
+                )
+                ascents.append((float(supports[int(idx)]), reached, row))
+        out.append((float(np.max(supports)), ascents))
     return out
 
 
@@ -290,65 +401,22 @@ def outer_region_estimate(
 
     Contains the converse polygon of every joint it evaluated; the caveat
     record documents the sampling effort because the true bound may demand
-    joints the search never saw.
+    joints the search never saw.  ``threads`` is accepted and ignored: the
+    search runs in the calling thread.
     """
-    cv12 = cfg.card_v12 or default_v12_card(channel)
-    cards = (
-        channel.card("x1"), cv12, channel.card("x2"), channel.card("x3")
+    cards = v12_cards(channel, cfg)
+    flats = sample_pool(
+        V12Joint, cards, cfg, _corner_joints(cards), extra_distributions
     )
-    for d in extra_distributions:
-        if d.cards != cards:
-            raise CardinalityMismatch(
-                f"extra distribution cards {d.cards} do not match {cards}"
-            )
-    pool: list[np.ndarray] = []
-    if cfg.include_corners:
-        pool.extend(_corner_joints(cards))
-    for i in range(cfg.num_samples):
-        rng = np.random.default_rng([cfg.seed, i])
-        pool.append(V12Joint.random(cards, rng).pmf)
-    pool.extend(d.pmf for d in extra_distributions)
-    if not pool:
-        raise EmptyList("no input distributions to evaluate")
 
-    t = channel.transition
-
-    def lift_flat(flat: np.ndarray) -> np.ndarray:
-        d = flat.reshape((-1,) + cards)
-        return np.einsum(
-            d, [6, 0, 1, 2, 3], t, [0, 2, 3, 4, 5], [6, 0, 1, 2, 3, 4, 5]
-        )
-
-    flats = np.stack([p.reshape(-1) for p in pool], axis=0)
-    bounds = five_bounds(lift_flat(flats))
-    r1, r2, s = _caps(bounds)
+    def caps_of(rows: np.ndarray):
+        return _caps(five_bounds(lift_rows(rows, cards, channel)))
 
     directions = fan_directions(cfg.fan)
-
-    def refine_direction(k: int) -> float:
-        lam = directions[k]
-        supports = support_of_caps(r1, r2, s, lam)
-        best = float(np.max(supports))
-        if cfg.refine_starts == 0 or cfg.refine_sweeps == 0:
-            return best
-        order = np.argsort(-supports, kind="stable")[: cfg.refine_starts]
-
-        def evaluate(rows: np.ndarray) -> np.ndarray:
-            bb = five_bounds(lift_flat(rows))
-            return support_of_caps(*_caps(bb), lam)
-
-        for idx in order:
-            value, _ = ascent_refine(
-                flats[int(idx)], evaluate, cfg.refine_step, cfg.refine_sweeps
-            )
-            best = max(best, value)
-        return best
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as tp:
-            heights = list(tp.map(refine_direction, range(cfg.fan)))
-    else:
-        heights = [refine_direction(k) for k in range(cfg.fan)]
+    heights = [
+        max([best] + [reached for _, reached, _ in ascents])
+        for best, ascents in fan_ascents(flats, caps_of, cfg)
+    ]
 
     inequalities = [
         ({"R1": float(d[0]), "R2": float(d[1])}, float(h))
@@ -367,7 +435,7 @@ def outer_region_estimate(
         "samples": int(cfg.num_samples),
         "extra_distributions": len(extra_distributions),
         "seed": int(cfg.seed),
-        "card_v12": int(cv12),
+        "card_v12": int(cards[1]),
         "fan": int(cfg.fan),
     }
     return region, caveat

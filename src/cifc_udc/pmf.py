@@ -58,9 +58,12 @@ def _check_labels(pairs: Sequence[tuple[str, int]], kind: str) -> None:
 
 
 def _clean_tensor(table: np.ndarray, what: str) -> np.ndarray:
-    """Clip tiny negatives to zero; anything worse is an error."""
+    """Clip tiny negatives to zero; NaN, infinities and larger negatives
+    are errors."""
     table = np.asarray(table, dtype=np.float64)
-    low = table.min() if table.size else 0.0
+    if not np.isfinite(table).all():
+        raise NegativeEntry(f"{what} has a non-finite entry")
+    low = float(table.min()) if table.size else 0.0
     if low < -NEG_TOL:
         raise NegativeEntry(f"{what} has negative entry {low!r}")
     return np.clip(table, 0.0, None)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cifc_udc import errors
+from cifc_udc import cli, errors
 from cifc_udc.channel import (
     ChannelSpec,
     classify,
@@ -14,6 +14,8 @@ from cifc_udc.channel import (
     pin_x3,
 )
 from cifc_udc.oracle import oracle_is_degraded
+from cifc_udc.outer import InputLaw
+from cifc_udc.pmf import ConditionalFactor, JointPMF
 
 
 def clean_orthogonal():
@@ -78,6 +80,50 @@ def test_negative_entry_rejected():
     doc["p"][1] = 1.5
     with pytest.raises(errors.NegativeEntry):
         load_channel(json.dumps(doc))
+
+
+def _pair(bad):
+    return np.array([bad, 0.5])
+
+
+def _load_through_cli(bad, tmp_path):
+    doc = doc_for(clean_orthogonal())
+    doc["p"][0] = bad  # json writes NaN / Infinity / -Infinity
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["classify", str(path)]) == 2
+    load_channel(path.read_text())
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "ChannelSpec": (
+        lambda bad, tmp: ChannelSpec(
+            (1, 1, 1, 2, 1), _pair(bad).reshape(1, 1, 1, 2, 1)
+        ),
+        errors.NegativeEntry,
+    ),
+    "load_channel": (_load_through_cli, errors.ParseError),
+    "JointPMF": (
+        lambda bad, tmp: JointPMF((("a", 2),), _pair(bad)),
+        errors.NegativeEntry,
+    ),
+    "ConditionalFactor": (
+        lambda bad, tmp: ConditionalFactor((("a", 2),), (), _pair(bad)),
+        errors.NegativeEntry,
+    ),
+    "InputLaw": (
+        lambda bad, tmp: InputLaw((2, 1, 1), _pair(bad).reshape(2, 1, 1)),
+        errors.NegativeEntry,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+def test_non_finite_input_rejected(entry, bad, tmp_path):
+    build, error = NON_FINITE_ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        build(bad, tmp_path)
 
 
 def test_dump_round_trip():
