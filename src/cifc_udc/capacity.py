@@ -30,10 +30,10 @@ from .outer import (
     V12Joint,
     _corner_joints,
     _distinct,
-    ascent_refine,
     fan_ascents,
     input_corners,
     lift_rows,
+    lockstep_ascent,
     marginal_entropies,
     polygon_from_bounds,
     sample_pool,
@@ -449,22 +449,22 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
         if worst[i] > VIOLATION_TOL:
             return _falsified(cfg, cards, probes, flats[i], gap_a[i], gap_b[i])
 
-    # no direct hit: push the most promising candidates uphill
-    def evaluate(rows: np.ndarray) -> np.ndarray:
+    # no direct hit: push the most promising candidates uphill together and
+    # take the first, in start order, that crosses the tolerance
+    def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         ga, gb = violation_gaps(lift_rows(rows, cards, channel))
         return np.maximum(ga, gb)
 
-    best_margin = float(np.max(worst))
     order = np.argsort(-worst, kind="stable")[: cfg.refine_starts]
-    for idx in order:
-        value, refined = ascent_refine(
-            flats[int(idx)], evaluate, cfg.refine_step, cfg.refine_sweeps
-        )
-        best_margin = max(best_margin, value)
-        if value > VIOLATION_TOL:
-            ga, gb = violation_gaps(lift_rows(refined[None, :], cards, channel))
-            return _falsified(cfg, cards, probes, refined, ga[0], gb[0])
+    values, refined = lockstep_ascent(
+        flats[order], evaluate, cfg.refine_step, cfg.refine_sweeps
+    )
+    hits = np.flatnonzero(values > VIOLATION_TOL)
+    if hits.size:
+        ga, gb = violation_gaps(lift_rows(refined[hits[:1]], cards, channel))
+        return _falsified(cfg, cards, probes, refined[hits[0]], ga[0], gb[0])
 
+    best_margin = float(max([np.max(worst), *values]))
     return HiRegimeReport(
         status="no-violation-found",
         samples=cfg.num_samples,

@@ -103,6 +103,13 @@ class ClassReport:
     hi_regime: object | None = None
 
 
+def _integral(value) -> bool:
+    """An integral JSON number: 2 or 2.0, never true, 1.9 or "2"."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
 def load_channel(text: str) -> ChannelSpec:
     """Parse a channel document.
 
@@ -117,12 +124,13 @@ def load_channel(text: str) -> ChannelSpec:
     if not isinstance(doc, dict):
         raise ParseError("channel document must be a JSON object")
     try:
-        cards = tuple(int(doc[name]) for name in AXES)
+        cards = tuple(doc[name] for name in AXES)
         flat = doc["p"]
     except KeyError as exc:
         raise ParseError(f"channel document lacks field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"channel cardinalities must be integers: {exc}") from exc
+    if not all(_integral(c) for c in cards):
+        raise ParseError(f"channel cardinalities must be integers: {cards}")
+    cards = tuple(int(c) for c in cards)
     if not isinstance(flat, list):
         raise ParseError('channel field "p" must be a flat array of numbers')
     expected = int(np.prod(cards))

@@ -185,10 +185,11 @@ def _caps(bounds: np.ndarray):
 
 
 def support_of_caps(r1, r2, s, direction) -> np.ndarray:
-    """max lam . (R1,R2) over {0<=R1<=r1, 0<=R2<=r2, R1+R2<=s}."""
+    """max lam . (R1,R2) over {0<=R1<=r1, 0<=R2<=r2, R1+R2<=s}; ``direction``
+    is one (lam1, lam2) or an array of them broadcasting against the caps."""
     r1 = np.minimum(np.asarray(r1, dtype=float), s)
     r2 = np.minimum(np.asarray(r2, dtype=float), s)
-    la, lb = float(direction[0]), float(direction[1])
+    la, lb = np.moveaxis(np.asarray(direction, dtype=float), -1, 0)
     x_at_top = np.minimum(r1, s - r2)
     y_at_right = np.minimum(r2, s - r1)
     candidates = (
@@ -218,34 +219,60 @@ def fan_directions(count: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+# cap on the walks x n x n candidate entries of a lockstep block (peak memory)
+_BLOCK_CELLS = 4096
+
+
+def lockstep_ascent(
+    starts: np.ndarray,
+    evaluate,
+    step: float = 0.05,
+    sweeps: int = 50,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy coordinate ascents, one per row of ``starts``, in lockstep.
+
+    ``evaluate(rows, owner)`` scores candidates; ``owner[i]`` is the walk
+    of row i.  Each sweep bumps every entry of a live walk by its own step,
+    projects onto the simplex and keeps the walk's best candidate (first on
+    ties) if it gains over 1e-12, else halves the step.  A walk ends at a
+    step below 1e-3 or after ``sweeps`` sweeps.  Returns (values, points).
+    """
+    x = np.array(starts, dtype=float)
+    walks, n = x.shape
+    values = np.empty(walks)
+    block = max(1, _BLOCK_CELLS // (n * n))
+    for lo in range(0, walks, block):
+        live = np.arange(lo, min(lo + block, walks))
+        values[live] = evaluate(x[live], live)
+        steps = np.full(live.size, float(step))
+        for _ in range(sweeps):
+            if not live.size:
+                break
+            bumped = x[live, None, :] + steps[:, None, None] * np.eye(n)
+            candidates = project_to_simplex(bumped.reshape(-1, n))
+            scores = evaluate(candidates, np.repeat(live, n)).reshape(-1, n)
+            best = np.argmax(scores, axis=1)
+            top = scores[np.arange(live.size), best]
+            up = top > values[live] + 1e-12
+            x[live[up]] = candidates.reshape(-1, n, n)[up, best[up]]
+            values[live[up]] = top[up]
+            steps[~up] *= 0.5
+            live, steps = live[steps >= 1e-3], steps[steps >= 1e-3]
+    return values, x
+
+
 def ascent_refine(
     start: np.ndarray,
     evaluate,
     step: float = 0.05,
     sweeps: int = 50,
 ) -> tuple[float, np.ndarray]:
-    """Greedy coordinate ascent on a pmf vector.
-
-    Each sweep bumps every entry by the current step, projects the
-    candidates back onto the simplex, and keeps the best improvement; a
-    stalled sweep halves the step, and the walk ends once the step is
-    below 1e-3.
-    """
-    x = np.asarray(start, dtype=float).reshape(-1).copy()
-    n = x.size
-    current = float(evaluate(x[None, :])[0])
-    for _ in range(sweeps):
-        candidates = project_to_simplex(x[None, :] + step * np.eye(n))
-        values = evaluate(candidates)
-        best = int(np.argmax(values))
-        if values[best] > current + 1e-12:
-            x = candidates[best]
-            current = float(values[best])
-        else:
-            step *= 0.5
-            if step < 1e-3:
-                break
-    return current, x
+    """One greedy coordinate ascent of a pmf vector: ``lockstep_ascent``
+    with a single walk, where ``evaluate(rows)`` scores a batch of rows."""
+    values, rows = lockstep_ascent(
+        np.reshape(start, (1, -1)), lambda rows, owner: evaluate(rows), step, sweeps
+    )
+    return float(values[0]), rows[0]
 
 
 @dataclass(frozen=True)
@@ -370,25 +397,28 @@ def fan_ascents(flats: np.ndarray, caps_of, cfg: SearchConfig) -> list:
     support over ``flats`` and, for each of the ``cfg.refine_starts`` best
     rows, the (start, reached, row) of its ascent: the support it started
     from, the support it reached and the law that reached it.  No ascent
-    runs when ``cfg.refine_starts`` or ``cfg.refine_sweeps`` is zero.
+    runs when ``cfg.refine_starts`` or ``cfg.refine_sweeps`` is zero.  All
+    ascents of the fan run together in one ``lockstep_ascent``.
     """
-    r1, r2, s = caps_of(flats)
-    out = []
-    for lam in fan_directions(cfg.fan):
-        supports = support_of_caps(r1, r2, s, lam)
-        ascents = []
-        if cfg.refine_starts and cfg.refine_sweeps:
-            def evaluate(rows: np.ndarray) -> np.ndarray:
-                return support_of_caps(*caps_of(rows), lam)
+    directions = fan_directions(cfg.fan)
+    supports = support_of_caps(*caps_of(flats), directions[:, None, :])
+    count = cfg.refine_starts if cfg.refine_sweeps else 0
+    order = np.argsort(-supports, axis=1, kind="stable")[:, :count]
+    lam = np.repeat(directions, order.shape[1], axis=0)
 
-            order = np.argsort(-supports, kind="stable")[: cfg.refine_starts]
-            for idx in order:
-                reached, row = ascent_refine(
-                    flats[int(idx)], evaluate, cfg.refine_step, cfg.refine_sweeps
-                )
-                ascents.append((float(supports[int(idx)]), reached, row))
-        out.append((float(np.max(supports)), ascents))
-    return out
+    def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return support_of_caps(*caps_of(rows), lam[owner])
+
+    reached, rows = lockstep_ascent(
+        flats[order.reshape(-1)], evaluate, cfg.refine_step, cfg.refine_sweeps
+    )
+    reached = reached.reshape(order.shape)
+    rows = rows.reshape(order.shape + flats.shape[1:])
+    return [
+        (float(np.max(sup)), [(float(sup[i]), float(v), row)
+                              for i, v, row in zip(idx, got, ends)])
+        for sup, idx, got, ends in zip(supports, order, reached, rows)
+    ]
 
 
 def outer_region_estimate(

@@ -739,4 +739,6 @@ def region_from_dict(doc: Mapping) -> Region2D:
         raise ShapeMismatch(f"malformed region document: {exc}") from exc
     if any(len(row) != 3 for row in planes):
         raise ShapeMismatch("halfplane rows must have three entries")
+    if not (np.isfinite(planes).all() and np.isfinite(verts).all()):
+        raise ShapeMismatch("region document holds NaN or an infinity")
     return Region2D(planes, verts, empty=empty)

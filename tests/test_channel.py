@@ -16,6 +16,7 @@ from cifc_udc.channel import (
 from cifc_udc.oracle import oracle_is_degraded
 from cifc_udc.outer import InputLaw
 from cifc_udc.pmf import ConditionalFactor, JointPMF
+from cifc_udc.polytope import region_from_dict
 
 
 def clean_orthogonal():
@@ -124,6 +125,47 @@ def test_non_finite_input_rejected(entry, bad, tmp_path):
     build, error = NON_FINITE_ENTRY_POINTS[entry]
     with pytest.raises(error):
         build(bad, tmp_path)
+
+
+def _region_doc(bad, where):
+    doc = {
+        "halfplanes": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+        "empty": False,
+    }
+    doc[where][1][2 if where == "halfplanes" else 0] = bad
+    return doc
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["halfplanes", "vertices"])
+def test_non_finite_region_document_rejected(where, bad, tmp_path):
+    with pytest.raises(errors.ShapeMismatch):
+        region_from_dict(_region_doc(bad, where))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_region_doc(1.0, where)))
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(_region_doc(bad, where)))
+    assert cli.main(["compare", str(good), str(good)]) == 0
+    assert cli.main(["compare", str(path), str(good)]) == 1
+
+
+@pytest.mark.parametrize("card", [1.9, True, "2", None, [2]])
+def test_non_integral_cardinality_rejected(card, tmp_path):
+    doc = doc_for(clean_orthogonal())
+    doc["x1"] = card
+    with pytest.raises(errors.ParseError):
+        load_channel(json.dumps(doc))
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["classify", str(path)]) == 2
+
+
+def test_integral_float_cardinality_accepted():
+    ch = clean_orthogonal()
+    doc = doc_for(ch)
+    doc["x1"] = float(doc["x1"])
+    assert load_channel(json.dumps(doc)).cards == ch.cards
 
 
 def test_dump_round_trip():
