@@ -1,0 +1,91 @@
+"""SHA-256 digests of everything a fixed set of CLI runs prints and writes.
+
+    python scripts/output_digests.py SRC_DIR
+
+Runs each command below as ``python -m cifc_udc`` with
+``PYTHONPATH=SRC_DIR/src`` at seeds 3 and 11 and prints one line per
+stdout, stderr, exit code and written file: ``seed label item sha256``.
+Run it on two source trees and diff the printouts to check that a change
+leaves every output byte as it was.
+
+The commands are every command of the benchmark workloads, as
+``perfbench/workloads.py`` builds them, plus larger and failing searches:
+outer on clean.json at 100 samples and a fan of 64, outer on degraded_z and
+hi_in_class, capacity semidet-hi on hi_falsified (exit 1), and outer on the
+benchmark's seeded (3,3,2,3,3) channel at a larger auxiliary alphabet.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import WHY, large_channel, prepare  # noqa: E402
+
+SEEDS = (3, 11)
+
+
+def extra_commands(src: Path, seed: int, workdir: Path) -> list:
+    """(label, argv) of the runs the benchmark workloads leave out."""
+    large = workdir / "large.json"
+    large.write_text(json.dumps(large_channel(seed)), encoding="utf-8")
+    channel = lambda name: str(src / "channels" / name)
+    runs = [
+        ("outer-clean-100", ["outer", channel("clean.json"),
+                             "--samples", "100", "--fan", "64"]),
+        ("outer-degraded_z", ["outer", channel("degraded_z.json"),
+                              "--samples", "20", "--fan", "16"]),
+        ("outer-hi_in_class", ["outer", channel("hi_in_class.json"),
+                               "--samples", "20", "--fan", "16"]),
+        ("capacity-hi_falsified", ["capacity", channel("hi_falsified.json"),
+                                   "--class", "semidet-hi", "--samples", "20"]),
+        ("outer-large-v12-4", ["outer", str(large), "--card-v12", "4",
+                               "--fan", "8", "--samples", "20"]),
+    ]
+    return [
+        (label, argv + ["--seed", str(seed), "--out", str(workdir / f"{label}.json")])
+        for label, argv in runs
+    ]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        sys.stderr.write(__doc__)
+        return 2
+    src = Path(argv[0]).resolve()
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            workdir = Path(tmp) / str(seed)
+            runs = [
+                (command.label.replace(" ", "-"), command.argv)
+                for name in WHY
+                for command in prepare(name, seed, src, workdir / name)
+            ]
+            runs += extra_commands(src, seed, workdir)
+            for label, args in runs:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "cifc_udc", *args],
+                    capture_output=True, env=env, cwd=workdir,
+                )
+                print(seed, label, "stdout", sha(proc.stdout))
+                print(seed, label, "stderr", sha(proc.stderr))
+                print(seed, label, "exit", sha(str(proc.returncode).encode()))
+            for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+                name = path.relative_to(workdir).as_posix()
+                print(seed, name, "file", sha(path.read_bytes()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,7 +10,7 @@ connecting the general inner bound to the five-bound reduced region via
 a copy-factor specialization.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,16 +25,17 @@ from .errors import (
 )
 from .inner import InnerFactorization
 from .outer import (
+    Information,
     InputLaw,
     SearchConfig,
     V12Joint,
     _corner_joints,
     _distinct,
+    clip_information,
     fan_ascents,
     input_corners,
     lift_rows,
     lockstep_ascent,
-    marginal_entropies,
     polygon_from_bounds,
     sample_pool,
     v12_cards,
@@ -78,21 +79,12 @@ def degraded_z_bounds(j: np.ndarray) -> np.ndarray:
 
     Tensor axes: (x1, x2, x3, y1, y2).
     """
-    groups = (
-        (0, 2),            # 0: x1 x3
-        (3,),              # 1: y1
-        (0, 2, 3),         # 2: x1 x3 y1
-        (0, 1, 2),         # 3: x1 x2 x3
-        (0, 2, 4),         # 4: x1 x3 y2
-        (0, 1, 2, 4),      # 5: x1 x2 x3 y2
-        (2,),              # 6: x3
-        (2, 4),            # 7: x3 y2
-    )
-    h = marginal_entropies(j, groups, ndim=5)
-    a = h[..., 0] + h[..., 1] - h[..., 2]
-    b = h[..., 3] + h[..., 4] - h[..., 0] - h[..., 5]
-    c = h[..., 3] + h[..., 7] - h[..., 6] - h[..., 5]
-    return np.clip(np.stack([a, b, c], axis=-1), 0.0, None)
+    info = Information(j, "x1 x2 x3 y1 y2")
+    return clip_information(np.stack([
+        info.mi("x1 x3", "y1"),
+        info.mi("x2", "y2", "x1 x3"),
+        info.mi("x1 x2", "y2", "x3"),
+    ], axis=-1))
 
 
 def semidet_hi_bounds(j: np.ndarray) -> np.ndarray:
@@ -100,19 +92,13 @@ def semidet_hi_bounds(j: np.ndarray) -> np.ndarray:
 
     Tensor axes: (x1, v12, x2, x3, y1, y2).
     """
-    groups = (
-        (0, 1, 3),         # 0: x1 v12 x3
-        (4,),              # 1: y1
-        (0, 1, 3, 4),      # 2: x1 v12 x3 y1
-        (0, 3, 5),         # 3: x1 x3 y2
-        (0, 3),            # 4: x1 x3
-        (0, 1, 3, 5),      # 5: x1 v12 x3 y2
-    )
-    h = marginal_entropies(j, groups, ndim=6)
-    a = h[..., 0] + h[..., 1] - h[..., 2]
-    h2 = h[..., 3] - h[..., 4]
-    hv = h[..., 5] - h[..., 0]
-    return np.clip(np.stack([a, h2, a + hv], axis=-1), 0.0, None)
+    info = Information(j, "x1 v12 x2 x3 y1 y2")
+    a = info.mi("x1 v12 x3", "y1")
+    return clip_information(np.stack([
+        a,
+        info.cond("y2", "x1 x3"),
+        a + info.cond("y2", "x1 v12 x3"),
+    ], axis=-1))
 
 
 def _reduced_terms_v2(j: np.ndarray):
@@ -121,27 +107,14 @@ def _reduced_terms_v2(j: np.ndarray):
     Tensor axes: (x1, v12, v2, x2, x3, y1, y2).
     Returns (a, b, delta, n, k2) each clipped at zero.
     """
-    groups = (
-        (0, 1, 4),         # 0: x1 v12 x3
-        (5,),              # 1: y1
-        (0, 1, 4, 5),      # 2: x1 v12 x3 y1
-        (0, 4),            # 3: x1 x3
-        (0, 4, 5),         # 4: x1 x3 y1
-        (0, 2, 4),         # 5: x1 v2 x3
-        (0, 4, 6),         # 6: x1 x3 y2
-        (0, 2, 4, 6),      # 7: x1 v2 x3 y2
-        (0, 1, 2, 4),      # 8: x1 v12 v2 x3
-        (4,),              # 9: x3
-        (4, 6),            # 10: x3 y2
-    )
-    h = marginal_entropies(j, groups, ndim=7)
-    a = h[..., 0] + h[..., 1] - h[..., 2]
-    delta = h[..., 0] + h[..., 4] - h[..., 3] - h[..., 2]
-    b = h[..., 5] + h[..., 6] - h[..., 3] - h[..., 7]
-    n = h[..., 0] + h[..., 5] - h[..., 3] - h[..., 8]
-    k2 = h[..., 5] + h[..., 10] - h[..., 9] - h[..., 7]
-    clip = lambda v: np.clip(v, 0.0, None)
-    return clip(a), clip(b), clip(delta), clip(n), clip(k2)
+    info = Information(j, "x1 v12 v2 x2 x3 y1 y2")
+    return tuple(clip_information(np.stack([
+        info.mi("x1 v12 x3", "y1"),
+        info.mi("v2", "y2", "x1 x3"),
+        info.mi("v12", "y1", "x1 x3"),
+        info.mi("v12", "v2", "x1 x3"),
+        info.mi("x1 v2", "y2", "x3"),
+    ])))
 
 
 def _reduced_terms_y2(j: np.ndarray):
@@ -150,25 +123,14 @@ def _reduced_terms_y2(j: np.ndarray):
     Tensor axes: (x1, v12, x2, x3, y1, y2).
     Returns (a, h2, delta, m, h3) each clipped at zero.
     """
-    groups = (
-        (0, 1, 3),         # 0: x1 v12 x3
-        (4,),              # 1: y1
-        (0, 1, 3, 4),      # 2: x1 v12 x3 y1
-        (0, 3),            # 3: x1 x3
-        (0, 3, 4),         # 4: x1 x3 y1
-        (0, 3, 5),         # 5: x1 x3 y2
-        (0, 1, 3, 5),      # 6: x1 v12 x3 y2
-        (3,),              # 7: x3
-        (3, 5),            # 8: x3 y2
-    )
-    h = marginal_entropies(j, groups, ndim=6)
-    a = h[..., 0] + h[..., 1] - h[..., 2]
-    delta = h[..., 0] + h[..., 4] - h[..., 3] - h[..., 2]
-    m = h[..., 0] + h[..., 5] - h[..., 3] - h[..., 6]
-    h2 = h[..., 5] - h[..., 3]
-    h3 = h[..., 8] - h[..., 7]
-    clip = lambda v: np.clip(v, 0.0, None)
-    return clip(a), clip(h2), clip(delta), clip(m), clip(h3)
+    info = Information(j, "x1 v12 x2 x3 y1 y2")
+    return tuple(clip_information(np.stack([
+        info.mi("x1 v12 x3", "y1"),
+        info.cond("y2", "x1 x3"),
+        info.mi("v12", "y1", "x1 x3"),
+        info.mi("v12", "y2", "x1 x3"),
+        info.cond("y2", "x3"),
+    ])))
 
 
 def violation_gaps(j: np.ndarray):
@@ -178,23 +140,10 @@ def violation_gaps(j: np.ndarray):
     gap_a = I(Y1;X1,X3) - I(Y2;X1|X3) and
     gap_b = I(Y2;V12|X1,X3) - I(Y1;V12|X1,X3).
     """
-    groups = (
-        (0, 3),            # 0: x1 x3
-        (3, 5),            # 1: x3 y2
-        (3,),              # 2: x3
-        (0, 3, 5),         # 3: x1 x3 y2
-        (4,),              # 4: y1
-        (0, 3, 4),         # 5: x1 x3 y1
-        (0, 1, 3),         # 6: x1 v12 x3
-        (0, 1, 3, 4),      # 7: x1 v12 x3 y1
-        (0, 1, 3, 5),      # 8: x1 v12 x3 y2
-    )
-    h = marginal_entropies(j, groups, ndim=6)
-    i_y2_x1 = h[..., 0] + h[..., 1] - h[..., 2] - h[..., 3]
-    i_y1_x1x3 = h[..., 0] + h[..., 4] - h[..., 5]
-    i_y1_v12 = h[..., 6] + h[..., 5] - h[..., 0] - h[..., 7]
-    i_y2_v12 = h[..., 6] + h[..., 3] - h[..., 0] - h[..., 8]
-    return i_y1_x1x3 - i_y2_x1, i_y2_v12 - i_y1_v12
+    info = Information(j, "x1 v12 x2 x3 y1 y2")
+    gap_a = info.mi("x1 x3", "y1") - info.mi("x1", "y2", "x3")
+    gap_b = info.mi("v12", "y2", "x1 x3") - info.mi("v12", "y1", "x1 x3")
+    return gap_a, gap_b
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +319,11 @@ class HiRegimeReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "samples": self.samples,
-            "probes": self.probes,
-            "seed": self.seed,
-            "card_v12": self.card_v12,
-            "margin": self.margin,
-            "condition": self.condition,
-            "witness_cards": (
-                None if self.witness_cards is None else list(self.witness_cards)
-            ),
-            "witness_pmf": (
-                None if self.witness_pmf is None else list(self.witness_pmf)
-            ),
-        }
+        doc = asdict(self)
+        for key in ("witness_cards", "witness_pmf"):
+            if doc[key] is not None:
+                doc[key] = list(doc[key])
+        return doc
 
 
 def report_from_dict(data: dict) -> HiRegimeReport:
@@ -501,8 +440,7 @@ def capacity_degraded_z(
     cards = channel.cards[:3]
 
     def caps_of(rows: np.ndarray):
-        b = degraded_z_bounds(lift_rows(rows, cards, channel))
-        return b[..., 0], b[..., 1], b[..., 2]
+        return np.moveaxis(degraded_z_bounds(lift_rows(rows, cards, channel)), -1, 0)
 
     flats = sample_pool(InputJoint, cards, cfg, input_corners(cards))
     all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
@@ -547,8 +485,7 @@ def capacity_semidet_hi(
     cards = v12_cards(channel, cfg)
 
     def caps_of(rows: np.ndarray):
-        b = semidet_hi_bounds(lift_rows(rows, cards, channel))
-        return b[..., 0], b[..., 1], b[..., 2]
+        return np.moveaxis(semidet_hi_bounds(lift_rows(rows, cards, channel)), -1, 0)
 
     flats = sample_pool(V12Joint, cards, cfg, _corner_joints(cards))
     all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)

@@ -179,6 +179,14 @@ def _resolve(args, table) -> dict:
     return resolved
 
 
+def _config(kind, **fields):
+    """``kind(**fields)``; a value the config rejects is a usage error."""
+    try:
+        return kind(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_channel_file(path: str):
     with open(path, encoding="utf-8") as handle:
         return load_channel(handle.read())
@@ -278,7 +286,8 @@ def _cmd_classify(args) -> int:
         + ("true" if report.is_semi_deterministic else "false"),
     ]
     if opts["hi_check"]:
-        cfg = SearchConfig(
+        cfg = _config(
+            SearchConfig,
             seed=opts["seed"],
             num_samples=opts["samples"],
             card_v12=opts["card_v12"],
@@ -295,7 +304,8 @@ def _cmd_classify(args) -> int:
 def _cmd_inner(args) -> int:
     opts = _resolve(args, _OPTION_TABLES["inner"])
     channel = _load_channel_file(args.channel)
-    cfg = SamplerConfig(
+    cfg = _config(
+        SamplerConfig,
         seed=opts["seed"],
         num_samples=opts["samples"],
         **{k: opts[k] for k in opts if k.startswith("card_")},
@@ -317,7 +327,8 @@ def _cmd_inner(args) -> int:
 def _cmd_outer(args) -> int:
     opts = _resolve(args, _OPTION_TABLES["outer"])
     channel = _load_channel_file(args.channel)
-    cfg = SearchConfig(
+    cfg = _config(
+        SearchConfig,
         seed=opts["seed"],
         num_samples=opts["samples"],
         card_v12=opts["card_v12"],
@@ -332,7 +343,8 @@ def _cmd_outer(args) -> int:
 def _cmd_capacity(args) -> int:
     opts = _resolve(args, _OPTION_TABLES["capacity"])
     channel = _load_channel_file(args.channel)
-    cfg = SearchConfig(
+    cfg = _config(
+        SearchConfig,
         seed=opts["seed"],
         num_samples=opts["samples"],
         card_v12=opts["card_v12"],

@@ -130,10 +130,11 @@ class HiRegimeFalsified(CifcError):
         self.report = report
 
 
-# ---------------------------------------------------------------- oracles
+# ------------------------------------------------------------ size guards
 
 class TooLarge(CifcError):
-    """A brute-force oracle was asked to exceed its size guard."""
+    """A computation would exceed its size guard: a brute-force oracle's
+    enumeration limit, or the cell budget of the inner bound's joint."""
 
 
 class GridTooLarge(TooLarge):

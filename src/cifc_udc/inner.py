@@ -6,6 +6,7 @@ achievable (R1, R2) pairs form a polytope in rate-split space; projecting it
 to the plane and unioning over factorizations gives the inner bound estimate.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import (
     InadmissibleConstants,
     InvalidFactor,
     MissingVariable,
+    TooLarge,
 )
 from .pmf import (
     ConditionalFactor,
@@ -33,6 +35,8 @@ from .polytope import (
 )
 
 ADMISSIBLE_TOL = 1e-9
+# most cells the 13-variable joint may hold: 2**24 float64 cells are 128 MiB
+JOINT_CELL_LIMIT = 2**24
 
 AUX_LABELS = ("u1p", "u1", "v1", "u2p", "u2", "v12", "v2", "yh2")
 
@@ -468,10 +472,18 @@ def sample_factorizations(
     Every entry whose output-estimate factor is not already constant is
     followed by a copy with that factor forced constant, so distributions
     rejected by the admissibility gate still contribute their base region.
+    Raises ``TooLarge``, before building anything, when the joint would
+    hold more than ``JOINT_CELL_LIMIT`` cells.
     """
     cards = dict(cfg.aux_cards())
     for label in ("x1", "x2", "x3", "y2"):
         cards[label] = channel.card(label)
+    cells = math.prod(cards.values()) * channel.card("y1")
+    if cells > JOINT_CELL_LIMIT:
+        raise TooLarge(
+            f"the inner joint would hold {cells} cells, over the budget of "
+            f"{JOINT_CELL_LIMIT}"
+        )
     base: list[InnerFactorization] = []
     if cfg.include_deterministic_corners:
         base.extend(_corner_catalog(cards)[: cfg.corner_cap])

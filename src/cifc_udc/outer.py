@@ -11,6 +11,7 @@ the input-law type, its lift through the channel, the seeded pool and the
 per-direction coordinate ascent.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import ClassVar
@@ -18,13 +19,15 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import ChannelSpec
-from .errors import CardinalityMismatch, EmptyList, ShapeMismatch, SumNotOne
-from .pmf import SUM_TOL, _clean_tensor
+from .errors import (
+    CardinalityMismatch,
+    EmptyList,
+    NumericsError,
+    ShapeMismatch,
+    SumNotOne,
+)
+from .pmf import MI_GUARD, SUM_TOL, _clean_tensor
 from .polytope import LinearSystem, Region2D, polygon_extract
-
-# semantic axes of the lifted joint tensor
-_X1, _V12, _X2, _X3, _Y1, _Y2 = range(6)
-
 
 @dataclass(frozen=True)
 class InputLaw:
@@ -120,7 +123,55 @@ def marginal_entropies(j: np.ndarray, groups, ndim: int = 6) -> np.ndarray:
         flat = m.reshape(m.shape[0], -1) if batched else m.reshape(-1)
         safe = np.where(flat > 0, flat, 1.0)
         out.append(-np.sum(flat * np.log2(safe), axis=-1))
-    return np.stack(out, axis=-1)
+    return np.array(out).T  # as np.stack(out, axis=-1), in a fifth of the time
+
+
+@functools.lru_cache(maxsize=256)
+def _axis_set(names: tuple[str, ...], group: str) -> frozenset:
+    """Positions in ``names`` of the space-separated labels in ``group``."""
+    return frozenset(names.index(name) for name in group.split())
+
+
+class Information:
+    """Entropies in bits of the marginals of one joint tensor whose axes
+    ``labels`` names, space-separated; one extra leading axis is a batch.
+    Each marginal entropy is computed once, by ``marginal_entropies``."""
+
+    def __init__(self, j: np.ndarray, labels: str):
+        self.j, self.names, self._h = j, tuple(labels.split()), {}
+
+    def h(self, *groups: str) -> list[np.ndarray]:
+        """H(G) for each group G of space-separated labels."""
+        keys = [_axis_set(self.names, g) for g in groups]
+        new = [k for k in dict.fromkeys(keys) if k not in self._h]
+        if new:
+            values = marginal_entropies(self.j, new, len(self.names))
+            self._h.update(zip(new, values.T))  # one row per group
+        return [self._h[k] for k in keys]
+
+    def cond(self, a: str, given: str) -> np.ndarray:
+        """H(A|C) = H(AC) - H(C)."""
+        h_ac, h_c = self.h(f"{a} {given}", given)
+        return h_ac - h_c
+
+    def mi(self, a: str, b: str, given: str = "") -> np.ndarray:
+        """I(A;B|C) = H(AC) + H(BC) - H(C) - H(ABC), without H(C) if C is empty."""
+        if not given:
+            h_a, h_b, h_ab = self.h(a, b, f"{a} {b}")
+            return h_a + h_b - h_ab
+        h_ac, h_bc, h_c, h_abc = self.h(
+            f"{a} {given}", f"{b} {given}", given, f"{a} {b} {given}"
+        )
+        return h_ac + h_bc - h_c - h_abc
+
+
+def clip_information(values) -> np.ndarray:
+    """Information terms clipped at 0.  A term below ``MI_GUARD`` is a bug,
+    not roundoff, and raises ``NumericsError``."""
+    low = float(np.min(values, initial=0.0))
+    if low < MI_GUARD:
+        raise NumericsError(f"an information term came out {low!r}")
+    return np.clip(values, 0.0, None)
 
 
 def five_bounds(j: np.ndarray) -> np.ndarray:
@@ -128,32 +179,19 @@ def five_bounds(j: np.ndarray) -> np.ndarray:
 
     Order: two R1 caps, the R2 cap, two sum caps.
     """
-    groups = (
-        (_X1, _X2, _X3),                 # 0
-        (_Y1,),                          # 1
-        (_X1, _X2, _X3, _Y1),            # 2
-        (_X1, _V12, _X3),                # 3
-        (_X1, _V12, _X3, _Y1),           # 4
-        (_X1, _X3),                      # 5
-        (_X1, _X2, _X3, _Y2),            # 6
-        (_X1, _X3, _Y2),                 # 7
-        (_X3,),                          # 8
-        (_X3, _Y1, _Y2),                 # 9
-        (_X1, _X2, _X3, _Y1, _Y2),       # 10
-        (_X1, _V12, _X2, _X3),           # 11
-        (_X1, _V12, _X3, _Y2),           # 12
-        (_X1, _V12, _X2, _X3, _Y2),      # 13
+    info = Information(j, "x1 v12 x2 x3 y1 y2")
+    bounds = [
+        info.mi("x1 x2 x3", "y1"),
+        info.mi("x1 v12 x3", "y1"),
+        info.mi("x2", "y2", "x1 x3"),
+        info.mi("x1 x2", "y1 y2", "x3"),
+    ]
+    # I(X2;Y2|X1,V12,X3) + I(X1,V12,X3;Y1) as one flat sum: mi + mi rounds differently
+    h_xv, h_vy2, h_v, h_xvy2, h_y1, h_vy1 = info.h(
+        "x1 v12 x2 x3", "x1 v12 x3 y2", "x1 v12 x3", "x1 v12 x2 x3 y2", "y1", "x1 v12 x3 y1"
     )
-    h = marginal_entropies(j, groups)
-    b1 = h[..., 0] + h[..., 1] - h[..., 2]
-    b2 = h[..., 3] + h[..., 1] - h[..., 4]
-    b3 = h[..., 0] + h[..., 7] - h[..., 5] - h[..., 6]
-    b4 = h[..., 0] + h[..., 9] - h[..., 8] - h[..., 10]
-    b5 = (
-        h[..., 11] + h[..., 12] - h[..., 3] - h[..., 13]
-        + h[..., 3] + h[..., 1] - h[..., 4]
-    )
-    return np.clip(np.stack([b1, b2, b3, b4, b5], axis=-1), 0.0, None)
+    bounds.append(h_xv + h_vy2 - h_v - h_xvy2 + h_v + h_y1 - h_vy1)
+    return clip_information(np.stack(bounds, axis=-1))
 
 
 def polygon_from_bounds(r1_bounds, r2_bounds, sum_bounds) -> Region2D:

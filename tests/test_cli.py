@@ -246,3 +246,28 @@ class TestConfigFile:
 def test_fixture_files_load(name):
     proc = run_cli("classify", channel(name))
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("outer", "clean.json", "--card-v12", -1),
+    ("outer", "clean.json", "--fan", 1),
+    ("outer", "clean.json", "--samples", -2),
+    ("inner", "clean.json", "--card-u1", 0),
+    ("capacity", "degraded_z.json", "--class", "degraded-z", "--seed", -1),
+    ("classify", "clean.json", "--hi-check", "--samples", -1),
+])
+def test_bad_search_settings_are_usage_errors(argv):
+    command, name, *rest = argv
+    proc = run_cli(command, channel(name), *rest)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("UsageError:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_inner_joint_over_the_cell_budget():
+    proc = run_cli(
+        "inner", channel("clean.json"), "--card-u1", 1000, "--card-u2", 1000
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("TooLarge:")
+    assert "Traceback" not in proc.stderr

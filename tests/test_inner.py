@@ -9,7 +9,9 @@ from cifc_udc.errors import (
     InadmissibleConstants,
     InvalidFactor,
     MissingVariable,
+    TooLarge,
 )
+from cifc_udc import inner
 from cifc_udc.inner import (
     AUX_LABELS,
     CONSTANT_NAMES,
@@ -469,3 +471,20 @@ def test_cooperation_monotonicity():
     full, _ = inner_region(ch, cfg)
     small, _ = inner_region(pinned, cfg)
     assert region_contains(full, small, tol=1e-7)
+
+
+def test_joint_cell_budget_is_checked_before_any_table(monkeypatch):
+    ch = ChannelSpec.from_outputs((2, 2, 2, 2, 2), lambda x1, x2, x3: (x1, x2))
+
+    def never(*args):
+        raise AssertionError("a factor table was built")
+
+    monkeypatch.setattr(inner, "_corner_catalog", never)
+    monkeypatch.setattr(inner, "_random_factorization", never)
+    # 2**5 channel cells times 2**7 * 2**12 auxiliary cells: at the budget
+    at_budget = SamplerConfig(include_deterministic_corners=False, card_u1=2**12)
+    assert sample_factorizations(ch, at_budget) == ()
+    for cfg in (SamplerConfig(card_u1=2**12 + 1),
+                SamplerConfig(card_u1=1000, card_u2=1000)):
+        with pytest.raises(TooLarge):
+            sample_factorizations(ch, cfg)

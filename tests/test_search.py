@@ -1,8 +1,9 @@
 """The shared sampled-search path against the formulas it replaced.
 
 Each reference below is the per-class code the searches used before they
-shared ``InputLaw``, ``lift_rows``, ``sample_pool``, the corner helpers
-and the lockstep ascent; the shared path must reproduce it bit for bit.
+shared ``InputLaw``, ``lift_rows``, ``sample_pool``, the corner helpers,
+the lockstep ascent and the ``Information`` evaluators; the shared path
+must reproduce it bit for bit.
 """
 
 from pathlib import Path
@@ -17,6 +18,8 @@ from cifc_udc.capacity import (
     InputJoint,
     V12V2Joint,
     _falsified,
+    _reduced_terms_v2,
+    _reduced_terms_y2,
     _falsifier_probes,
     degraded_z_bounds,
     hi_regime_falsify,
@@ -24,13 +27,15 @@ from cifc_udc.capacity import (
     violation_gaps,
 )
 from cifc_udc.channel import ChannelSpec, load_channel
-from cifc_udc.errors import CardinalityMismatch, EmptyList
+from cifc_udc.errors import CardinalityMismatch, EmptyList, NumericsError
 from cifc_udc.outer import (
+    Information,
     InputLaw,
     SearchConfig,
     V12Joint,
     _caps,
     _corner_joints,
+    clip_information,
     fan_ascents,
     fan_directions,
     five_bounds,
@@ -466,3 +471,252 @@ def test_one_walk_per_block_matches_the_default_block(monkeypatch):
         assert_same_fan(fan_ascents(pool, caps_of, cfg), fans[name])
     for case, make in FALSIFIER_CASES.items():
         assert_same_report(hi_regime_falsify(make(), cfg), reports[case])
+
+
+# ------------------------------------------------------- information terms
+# references: the hand-indexed entropy tables the evaluators used before
+# they named each bound as a mutual information through ``Information``
+
+_X1, _V12, _X2, _X3, _Y1, _Y2 = range(6)
+
+
+def ref_five_bounds(j):
+    groups = (
+        (_X1, _X2, _X3),                 # 0
+        (_Y1,),                          # 1
+        (_X1, _X2, _X3, _Y1),            # 2
+        (_X1, _V12, _X3),                # 3
+        (_X1, _V12, _X3, _Y1),           # 4
+        (_X1, _X3),                      # 5
+        (_X1, _X2, _X3, _Y2),            # 6
+        (_X1, _X3, _Y2),                 # 7
+        (_X3,),                          # 8
+        (_X3, _Y1, _Y2),                 # 9
+        (_X1, _X2, _X3, _Y1, _Y2),       # 10
+        (_X1, _V12, _X2, _X3),           # 11
+        (_X1, _V12, _X3, _Y2),           # 12
+        (_X1, _V12, _X2, _X3, _Y2),      # 13
+    )
+    h = outer.marginal_entropies(j, groups)
+    b1 = h[..., 0] + h[..., 1] - h[..., 2]
+    b2 = h[..., 3] + h[..., 1] - h[..., 4]
+    b3 = h[..., 0] + h[..., 7] - h[..., 5] - h[..., 6]
+    b4 = h[..., 0] + h[..., 9] - h[..., 8] - h[..., 10]
+    b5 = (
+        h[..., 11] + h[..., 12] - h[..., 3] - h[..., 13]
+        + h[..., 3] + h[..., 1] - h[..., 4]
+    )
+    return np.clip(np.stack([b1, b2, b3, b4, b5], axis=-1), 0.0, None)
+
+
+def ref_degraded_z_bounds(j):
+    groups = (
+        (0, 2),            # 0: x1 x3
+        (3,),              # 1: y1
+        (0, 2, 3),         # 2: x1 x3 y1
+        (0, 1, 2),         # 3: x1 x2 x3
+        (0, 2, 4),         # 4: x1 x3 y2
+        (0, 1, 2, 4),      # 5: x1 x2 x3 y2
+        (2,),              # 6: x3
+        (2, 4),            # 7: x3 y2
+    )
+    h = outer.marginal_entropies(j, groups, ndim=5)
+    a = h[..., 0] + h[..., 1] - h[..., 2]
+    b = h[..., 3] + h[..., 4] - h[..., 0] - h[..., 5]
+    c = h[..., 3] + h[..., 7] - h[..., 6] - h[..., 5]
+    return np.clip(np.stack([a, b, c], axis=-1), 0.0, None)
+
+
+def ref_semidet_hi_bounds(j):
+    groups = (
+        (0, 1, 3),         # 0: x1 v12 x3
+        (4,),              # 1: y1
+        (0, 1, 3, 4),      # 2: x1 v12 x3 y1
+        (0, 3, 5),         # 3: x1 x3 y2
+        (0, 3),            # 4: x1 x3
+        (0, 1, 3, 5),      # 5: x1 v12 x3 y2
+    )
+    h = outer.marginal_entropies(j, groups, ndim=6)
+    a = h[..., 0] + h[..., 1] - h[..., 2]
+    h2 = h[..., 3] - h[..., 4]
+    hv = h[..., 5] - h[..., 0]
+    return np.clip(np.stack([a, h2, a + hv], axis=-1), 0.0, None)
+
+
+def ref_reduced_terms_v2(j):
+    groups = (
+        (0, 1, 4),         # 0: x1 v12 x3
+        (5,),              # 1: y1
+        (0, 1, 4, 5),      # 2: x1 v12 x3 y1
+        (0, 4),            # 3: x1 x3
+        (0, 4, 5),         # 4: x1 x3 y1
+        (0, 2, 4),         # 5: x1 v2 x3
+        (0, 4, 6),         # 6: x1 x3 y2
+        (0, 2, 4, 6),      # 7: x1 v2 x3 y2
+        (0, 1, 2, 4),      # 8: x1 v12 v2 x3
+        (4,),              # 9: x3
+        (4, 6),            # 10: x3 y2
+    )
+    h = outer.marginal_entropies(j, groups, ndim=7)
+    a = h[..., 0] + h[..., 1] - h[..., 2]
+    delta = h[..., 0] + h[..., 4] - h[..., 3] - h[..., 2]
+    b = h[..., 5] + h[..., 6] - h[..., 3] - h[..., 7]
+    n = h[..., 0] + h[..., 5] - h[..., 3] - h[..., 8]
+    k2 = h[..., 5] + h[..., 10] - h[..., 9] - h[..., 7]
+    clip = lambda v: np.clip(v, 0.0, None)
+    return clip(a), clip(b), clip(delta), clip(n), clip(k2)
+
+
+def ref_reduced_terms_y2(j):
+    groups = (
+        (0, 1, 3),         # 0: x1 v12 x3
+        (4,),              # 1: y1
+        (0, 1, 3, 4),      # 2: x1 v12 x3 y1
+        (0, 3),            # 3: x1 x3
+        (0, 3, 4),         # 4: x1 x3 y1
+        (0, 3, 5),         # 5: x1 x3 y2
+        (0, 1, 3, 5),      # 6: x1 v12 x3 y2
+        (3,),              # 7: x3
+        (3, 5),            # 8: x3 y2
+    )
+    h = outer.marginal_entropies(j, groups, ndim=6)
+    a = h[..., 0] + h[..., 1] - h[..., 2]
+    delta = h[..., 0] + h[..., 4] - h[..., 3] - h[..., 2]
+    m = h[..., 0] + h[..., 5] - h[..., 3] - h[..., 6]
+    h2 = h[..., 5] - h[..., 3]
+    h3 = h[..., 8] - h[..., 7]
+    clip = lambda v: np.clip(v, 0.0, None)
+    return clip(a), clip(h2), clip(delta), clip(m), clip(h3)
+
+
+def ref_violation_gaps(j):
+    groups = (
+        (0, 3),            # 0: x1 x3
+        (3, 5),            # 1: x3 y2
+        (3,),              # 2: x3
+        (0, 3, 5),         # 3: x1 x3 y2
+        (4,),              # 4: y1
+        (0, 3, 4),         # 5: x1 x3 y1
+        (0, 1, 3),         # 6: x1 v12 x3
+        (0, 1, 3, 4),      # 7: x1 v12 x3 y1
+        (0, 1, 3, 5),      # 8: x1 v12 x3 y2
+    )
+    h = outer.marginal_entropies(j, groups, ndim=6)
+    i_y2_x1 = h[..., 0] + h[..., 1] - h[..., 2] - h[..., 3]
+    i_y1_x1x3 = h[..., 0] + h[..., 4] - h[..., 5]
+    i_y1_v12 = h[..., 6] + h[..., 5] - h[..., 0] - h[..., 7]
+    i_y2_v12 = h[..., 6] + h[..., 3] - h[..., 0] - h[..., 8]
+    return i_y1_x1x3 - i_y2_x1, i_y2_v12 - i_y1_v12
+
+
+# evaluator, its hand-indexed reference, and the axis count of its tensor
+EVALUATORS = {
+    "five_bounds": (five_bounds, ref_five_bounds, 6),
+    "degraded_z_bounds": (degraded_z_bounds, ref_degraded_z_bounds, 5),
+    "semidet_hi_bounds": (semidet_hi_bounds, ref_semidet_hi_bounds, 6),
+    "_reduced_terms_v2": (_reduced_terms_v2, ref_reduced_terms_v2, 7),
+    "_reduced_terms_y2": (_reduced_terms_y2, ref_reduced_terms_y2, 6),
+    "violation_gaps": (violation_gaps, ref_violation_gaps, 6),
+}
+
+
+def assert_same_terms(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    else:
+        assert np.array_equal(got, want)
+
+
+def fixture_lifts(ndim):
+    """Batched lifts of seeded pools, corners first, on every fixture."""
+    for path in sorted(CHANNELS.glob("*.json")):
+        ch = load_channel(path.read_text())
+        cx1, cx2, cx3 = ch.cards[:3]
+        if ndim == 5:
+            cards = (cx1, cx2, cx3)
+            corners = input_corners(cards)
+        elif ndim == 6:
+            cards = (cx1, 3, cx2, cx3)
+            corners = _corner_joints(cards)
+        else:
+            cards = (cx1, 2, 3, cx2, cx3)
+            corners = [np.full(cards, 1.0 / int(np.prod(cards)))]
+        cfg = SearchConfig(seed=7, num_samples=6)
+        yield lift_rows(sample_pool(InputLaw, cards, cfg, corners), cards, ch)
+
+
+def random_tensors(ndim, seed):
+    """Seeded joint tensors with about a third of their cells zero."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 4, size=ndim))
+    batch = rng.dirichlet(np.ones(int(np.prod(shape))), size=4)
+    batch[rng.random(batch.shape) < 0.35] = 0.0
+    batch[:, 0] += 1e-3  # no row is all zero
+    batch /= batch.sum(axis=1, keepdims=True)
+    return batch.reshape((4,) + shape)
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_information_evaluators_match_the_hand_indexed_tables(name):
+    evaluate, reference, ndim = EVALUATORS[name]
+    stacks = list(fixture_lifts(ndim))
+    stacks += [random_tensors(ndim, seed) for seed in range(6)]
+    for stack in stacks:
+        assert_same_terms(evaluate(stack), reference(stack))
+        for j in stack:
+            assert_same_terms(evaluate(j), reference(j))
+
+
+def test_information_names_its_axes():
+    j = random_tensors(6, seed=9)[0]
+    info = Information(j, "x1 v12 x2 x3 y1 y2")
+    (h_y1,) = info.h("y1")
+    assert np.array_equal(h_y1, outer.marginal_entropies(j, [(4,)])[0])
+    # group order and spacing do not matter; each marginal is computed once
+    assert info.h("x3 x1", " x1  x3 ") == info.h("x1 x3", "x1 x3")
+    assert np.array_equal(info.cond("y2", "x1 x3"), info.h("x1 x3 y2")[0]
+                          - info.h("x1 x3")[0])
+    assert np.array_equal(info.mi("x1", "y1"), info.h("x1")[0] + info.h("y1")[0]
+                          - info.h("x1 y1")[0])
+
+
+def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
+    seen = []
+    kernel = outer.marginal_entropies
+
+    def counted(j, groups, ndim=6):
+        seen.extend(groups)
+        return kernel(j, groups, ndim)
+
+    monkeypatch.setattr(outer, "marginal_entropies", counted)
+    five_bounds(random_tensors(6, seed=4))
+    assert len(seen) == len(set(seen)) == 14
+
+
+# ------------------------------------------------------------ guard
+
+@pytest.mark.parametrize("name", sorted(set(EVALUATORS) - {"violation_gaps"}))
+def test_negative_information_raises(name):
+    evaluate, _, ndim = EVALUATORS[name]
+    # no pmf: at total mass 2 every unconditional information is -2 bits
+    j = np.full((2,) * ndim, 2.0 / 2**ndim)
+    with pytest.raises(NumericsError):
+        evaluate(j)
+    with pytest.raises(NumericsError):
+        evaluate(np.stack([j / 2, j]))
+
+
+def test_violation_gaps_stay_unclipped():
+    j = np.full((2,) * 6, 2.0 / 2**6)
+    gap_a, gap_b = violation_gaps(j)
+    assert gap_a == pytest.approx(-2.0) and gap_b == pytest.approx(0.0)
+
+
+def test_clip_information_band():
+    got = clip_information(np.array([-1e-12, -1e-9, 0.0, 0.25]))
+    assert np.array_equal(got, [0.0, 0.0, 0.0, 0.25])
+    assert clip_information(np.empty(0)).size == 0
+    with pytest.raises(NumericsError):
+        clip_information(np.array([0.5, -1.1e-9]))
