@@ -13,6 +13,9 @@ The commands are every command of the benchmark workloads, as
 outer on clean.json at 100 samples and a fan of 64, outer on degraded_z and
 hi_in_class, capacity semidet-hi on hi_falsified (exit 1), and outer on the
 benchmark's seeded (3,3,2,3,3) channel at a larger auxiliary alphabet.
+Then ``fm`` projects four seeded systems (two with an equality) onto
+(t0, t1) and onto (t1, t0), and ``compare`` checks the clean.json inner
+region of the benchmark run against the 100-sample outer region.
 """
 
 import hashlib
@@ -22,6 +25,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
@@ -48,10 +53,42 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
         ("outer-large-v12-4", ["outer", str(large), "--card-v12", "4",
                                "--fan", "8", "--samples", "20"]),
     ]
-    return [
+    runs = [
         (label, argv + ["--seed", str(seed), "--out", str(workdir / f"{label}.json")])
         for label, argv in runs
     ]
+    for index in range(4):
+        system = workdir / f"system-{index}.json"
+        system.write_text(json.dumps(fm_system(seed, index)), encoding="utf-8")
+        for keep in ("t0,t1", "t1,t0"):
+            label = f"fm-{index}-{keep.replace(',', '-')}"
+            runs.append((label, ["fm", str(system), "--keep", keep,
+                                 "--out", str(workdir / f"{label}.json")]))
+    runs.append(("compare-clean", [
+        "compare", str(workdir / "inner-fixtures" / "inner-clean.json"),
+        str(workdir / "outer-clean-100.json"), "--tol", "1e-6",
+    ]))
+    return runs
+
+
+def fm_system(seed: int, index: int) -> dict:
+    """A seeded bounded system in the ``fm`` file format: six random
+    integer rows with slack around an interior point, a cap on each of the
+    four nonnegative variables, and one equality through that point when
+    ``index`` is odd."""
+    rng = np.random.default_rng([seed, index])
+    names = [f"t{i}" for i in range(4)]
+    coefs = rng.integers(-3, 4, size=(6, 4)).astype(float)
+    anchor = rng.uniform(0.0, 1.0, 4)
+    bounds = coefs @ anchor + rng.uniform(0.05, 2.0, 6)
+    rows = [[*row, bound] for row, bound in zip(coefs.tolist(), bounds.tolist())]
+    rows += [[float(i == j) for j in range(4)] + [cap]
+             for i, cap in enumerate(rng.uniform(1.2, 3.0, 4).tolist())]
+    doc = {"variables": names, "inequalities": rows, "nonnegative": names}
+    if index % 2:
+        row = [1.0] + rng.integers(-2, 3, size=3).astype(float).tolist()
+        doc["equalities"] = [row + [float(np.dot(row, anchor))]]
+    return doc
 
 
 def sha(data: bytes) -> str:

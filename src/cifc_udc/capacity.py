@@ -31,6 +31,7 @@ from .outer import (
     V12Joint,
     _corner_joints,
     _distinct,
+    check_ascent_budget,
     clip_information,
     fan_ascents,
     input_corners,
@@ -438,6 +439,7 @@ def capacity_degraded_z(
     """
     _require_degraded_z(channel)
     cards = channel.cards[:3]
+    check_ascent_budget(cards, channel)
 
     def caps_of(rows: np.ndarray):
         return np.moveaxis(degraded_z_bounds(lift_rows(rows, cards, channel)), -1, 0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .capacity import capacity_degraded_z, capacity_semidet_hi, hi_regime_falsify
@@ -228,12 +229,14 @@ def _load_system_file(path: str) -> LinearSystem:
                     f"{path}: every {key} row needs {width} numbers"
                 )
             try:
-                coefs = {v: float(c) for v, c in zip(variables, row[:-1])}
-                out.append((coefs, float(row[-1])))
+                numbers = [float(c) for c in row]
             except (TypeError, ValueError) as exc:
                 raise ParseError(
                     f"{path}: non-numeric entry in a {key} row"
                 ) from exc
+            if not all(math.isfinite(c) for c in numbers):
+                raise ParseError(f"{path}: NaN or an infinity in a {key} row")
+            out.append((dict(zip(variables, numbers)), numbers[-1]))
         return out
 
     nonneg = doc.get("nonnegative", ())
@@ -378,6 +381,8 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_compare(args) -> int:
     opts = _resolve(args, _OPTION_TABLES["compare"])
+    if not (math.isfinite(opts["tol"]) and opts["tol"] >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, not {opts['tol']!r}")
     region_a = _load_region_file(args.region_a)
     region_b = _load_region_file(args.region_b)
     a_in_b = region_contains(region_b, region_a, tol=opts["tol"])

@@ -259,7 +259,11 @@ def case_system(
     pinned: tuple[str, ...] = (),
     dropped: tuple[str, ...] = (),
 ) -> LinearSystem:
-    """Constraint system for one drop case of the rate-split region."""
+    """Constraint system for one drop case of the rate-split region.
+
+    The ``pinned`` sub-rates are zero, so they are left out of the
+    system's variables and of every row.
+    """
     named = _named_rows(c)
     inequalities = [named[k] for k in named if k not in dropped]
     # binning floors
@@ -270,12 +274,16 @@ def case_system(
         ({"R1": 1.0, "R11": -1.0, "R1p": -1.0, "R1B": -1.0}, 0.0),
         ({"R2": 1.0, "R22": -1.0, "R2p": -1.0}, 0.0),
     ]
-    equalities.extend(({v: 1.0}, 0.0) for v in pinned)
+    free = tuple(v for v in RATE_VARIABLES if v not in pinned)
+    unpin = lambda rows: [
+        ({v: a for v, a in row.items() if v not in pinned}, bound)
+        for row, bound in rows
+    ]
     return LinearSystem.from_rows(
-        RATE_VARIABLES,
-        inequalities=inequalities,
-        equalities=equalities,
-        nonnegative=RATE_VARIABLES,
+        free,
+        inequalities=unpin(inequalities),
+        equalities=unpin(equalities),
+        nonnegative=free,
     )
 
 

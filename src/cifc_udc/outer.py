@@ -13,6 +13,7 @@ per-direction coordinate ascent.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -25,7 +26,9 @@ from .errors import (
     NumericsError,
     ShapeMismatch,
     SumNotOne,
+    TooLarge,
 )
+from .inner import JOINT_CELL_LIMIT
 from .pmf import MI_GUARD, SUM_TOL, _clean_tensor
 from .polytope import LinearSystem, Region2D, polygon_extract
 
@@ -341,10 +344,26 @@ class SearchConfig:
             raise ValueError("refine_step must sit in (0, 1)")
 
 
+def check_ascent_budget(cards, channel: ChannelSpec) -> None:
+    """Raise ``TooLarge`` when one ascent walk over laws on ``cards`` would
+    lift n candidates of n * |Y1||Y2| cells, n the product of ``cards``,
+    to more than ``inner.JOINT_CELL_LIMIT`` cells in all."""
+    n = math.prod(cards)
+    cells = n * n * channel.card("y1") * channel.card("y2")
+    if cells > JOINT_CELL_LIMIT:
+        raise TooLarge(
+            f"an ascent walk over {n} input cells would lift {cells} cells, "
+            f"over the budget of {JOINT_CELL_LIMIT}"
+        )
+
+
 def v12_cards(channel: ChannelSpec, cfg: SearchConfig) -> tuple[int, int, int, int]:
-    """(|X1|, |V12|, |X2|, |X3|) of a search; card_v12 = 0 means |X1||X2|."""
+    """(|X1|, |V12|, |X2|, |X3|) of a search; card_v12 = 0 means |X1||X2|.
+    Raises ``TooLarge`` through ``check_ascent_budget``."""
     cx1, cx2, cx3 = channel.cards[:3]
-    return (cx1, cfg.card_v12 or default_v12_card(channel), cx2, cx3)
+    cards = (cx1, cfg.card_v12 or default_v12_card(channel), cx2, cx3)
+    check_ascent_budget(cards, channel)
+    return cards
 
 
 def _distinct(tensors) -> list[np.ndarray]:

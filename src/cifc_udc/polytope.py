@@ -38,47 +38,91 @@ BOX_LIMIT = 1e4     # working box for clipping; far above any desk-scale rate
 UNBOUNDED_AT = 1e3  # a vertex out here means the system had no cap rows
 
 
-def _normalize_rows(coefs: np.ndarray, bounds: np.ndarray):
-    """Snap, scale to max-abs 1, split off trivial rows.
+def _tidy(coefs: np.ndarray, bounds: np.ndarray, equalities: bool = False):
+    """The row normal form: snap, scale to max-abs 1, drop trivial rows.
 
-    Returns (kept coefs, kept bounds, infeasible flag).
+    A trivial inequality row 0 <= b with b < 0, or equality row 0 = v with
+    v != 0, flags the rows as contradictory.  Inequalities are also pruned:
+    rows are grouped by their coefficient vectors rounded to the row
+    tolerance and only the smallest bound of each group survives.
+    Returns (coefs, bounds, contradictory flag, indices of the surviving
+    input rows, in input order).
     """
-    if coefs.size == 0:
-        return coefs.reshape(0, coefs.shape[1] if coefs.ndim == 2 else 0), bounds[:0], False
     coefs = np.where(np.abs(coefs) < SNAP, 0.0, coefs)
-    scale = np.max(np.abs(coefs), axis=1)
-    nontrivial = scale > 0.0
-    infeasible = bool(np.any(bounds[~nontrivial] < -ROW_TOL))
-    coefs = coefs[nontrivial]
-    bounds = bounds[nontrivial]
-    scale = scale[nontrivial]
-    coefs = coefs / scale[:, None]
-    bounds = bounds / scale
-    return coefs, bounds, infeasible
+    scale = np.max(np.abs(coefs), axis=1, initial=0.0)
+    trivial = bounds[scale == 0.0]
+    bad = bool(np.any(np.abs(trivial) > ROW_TOL if equalities else trivial < -ROW_TOL))
+    keep = np.flatnonzero(scale > 0.0)
+    coefs, bounds = coefs[keep] / scale[keep, None], bounds[keep] / scale[keep]
+    if not equalities and keep.size > 1:
+        keys = np.round(coefs / ROW_TOL).astype(np.int64)
+        # sort by coefficient key, ties by bound: first of each group is tightest
+        order = np.lexsort((bounds,) + tuple(keys[:, c] for c in range(keys.shape[1] - 1, -1, -1)))
+        ks = keys[order]
+        first = np.ones(keep.size, dtype=bool)
+        first[1:] = np.any(ks[1:] != ks[:-1], axis=1)
+        idx = np.sort(order[first])
+        keep, coefs, bounds = keep[idx], coefs[idx], bounds[idx]
+    return coefs, bounds, bad, keep
 
 
-def _prune_rows(coefs: np.ndarray, bounds: np.ndarray):
-    """Drop duplicate rows and rows dominated by an equal-coefficient row.
+def _substitute(ic, ib, ec, ev, k: int):
+    """Substitute variable ``k`` out of every row through one equality.
 
-    Rows are grouped by their coefficient vectors rounded to the row
-    tolerance; within a group only the smallest bound survives.
+    The equality with the largest coefficient on ``k`` (the first of
+    equals) gives var = val - rest.x; it is spent, and column ``k`` of
+    every remaining row is zeroed.
     """
-    idx = _prune_indices(coefs, bounds)
-    return coefs[idx], bounds[idx]
+    hits = np.abs(ec[:, k]) > SNAP
+    pick = int(np.argmax(np.where(hits, np.abs(ec[:, k]), 0.0)))
+    c = ec[pick, k]
+    rest = ec[pick] / c
+    val = ev[pick] / c
+    rest[k] = 0.0
+    others = np.arange(ec.shape[0]) != pick
+    icol, ecol = ic[:, k], ec[others, k]
+    ic, ib = ic - np.outer(icol, rest), ib - icol * val
+    ec, ev = ec[others] - np.outer(ecol, rest), ev[others] - ecol * val
+    ic[:, k] = 0.0
+    ec[:, k] = 0.0
+    return ic, ib, ec, ev
 
 
-def _prune_indices(coefs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Indices of the surviving rows after duplicate/dominance pruning."""
-    m = coefs.shape[0]
-    if m <= 1:
-        return np.arange(m)
-    keys = np.round(coefs / ROW_TOL).astype(np.int64)
-    # sort by coefficient key, ties by bound: first of each group is tightest
-    order = np.lexsort((bounds,) + tuple(keys[:, c] for c in range(keys.shape[1] - 1, -1, -1)))
-    ks = keys[order]
-    first = np.ones(m, dtype=bool)
-    first[1:] = np.any(ks[1:] != ks[:-1], axis=1)
-    return np.sort(order[first])
+def _combine(coefs, bounds, k: int, ancestors=None, limit: int = 0):
+    """One Fourier-Motzkin step on variable ``k``.
+
+    Rows without ``k`` pass through; every upper bound is then paired
+    with every lower bound (upper rows outer, lower rows inner) so that
+    ``k`` cancels, and column ``k`` is zeroed.  ``ancestors`` is an
+    optional boolean matrix (rows x original rows); a pair whose merged
+    ancestors number more than ``limit`` is provably redundant and is
+    left out (Imbert's acceleration theorem).  Returns (coefs, bounds,
+    ancestors).
+    """
+    col = coefs[:, k]
+    pos, neg = col > SNAP, col < -SNAP
+    zero = ~pos & ~neg
+    a_p = col[pos][:, None]
+    a_n = -col[neg][None, :]
+    rows = a_n[..., None] * coefs[pos][:, None, :] + a_p[..., None] * coefs[neg][None, :, :]
+    bnds = a_n * bounds[pos][:, None] + a_p * bounds[neg][None, :]
+    rows, bnds = rows.reshape(-1, coefs.shape[1]), bnds.reshape(-1)
+    if ancestors is not None:
+        union = ancestors[pos][:, None, :] | ancestors[neg][None, :, :]
+        union = union.reshape(len(bnds), ancestors.shape[1])
+        fit = union.sum(axis=1) <= limit
+        rows, bnds = rows[fit], bnds[fit]
+        ancestors = np.concatenate([ancestors[zero], union[fit]])
+    coefs = np.concatenate([coefs[zero], rows])
+    coefs[:, k] = 0.0
+    return coefs, np.concatenate([bounds[zero], bnds]), ancestors
+
+
+def _nonnegative_rows(coefs, bounds, columns):
+    """Append a -x <= 0 row for each of the listed ``columns``."""
+    extra = np.zeros((len(columns), coefs.shape[1]))
+    extra[np.arange(len(columns)), columns] = -1.0
+    return np.vstack([coefs, extra]), np.concatenate([bounds, np.zeros(len(columns))])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -89,7 +133,8 @@ class LinearSystem:
     constraint is materialized as a row only when the variable is
     eliminated or plotted.  ``feasible`` is cleared when a contradictory
     constant row (0 <= b, b < 0) is detected; an infeasible system keeps
-    its variables but carries no rows.
+    its variables but carries no rows.  NaN or infinite coefficients or
+    bounds raise ``ShapeMismatch``.
     """
 
     variables: tuple[str, ...]
@@ -111,23 +156,15 @@ class LinearSystem:
         ev = np.asarray(self.eq_values, dtype=np.float64).reshape(-1)
         if ic.shape[0] != ib.shape[0] or ec.shape[0] != ev.shape[0]:
             raise ShapeMismatch("coefficient rows and bounds disagree in count")
+        if not all(np.isfinite(a).all() for a in (ic, ib, ec, ev)):
+            raise ShapeMismatch("a coefficient or bound is NaN or an infinity")
         bad = frozenset(self.nonnegative) - set(variables)
         if bad:
             raise UnknownVariable(f"nonnegative set mentions unknown {sorted(bad)}")
 
-        ic, ib, bad_row = _normalize_rows(ic, ib)
-        feasible = bool(self.feasible) and not bad_row
-        # an equality row 0 = v with v != 0 is also a contradiction
-        ec = np.where(np.abs(ec) < SNAP, 0.0, ec)
-        escale = np.max(np.abs(ec), axis=1) if ec.size else np.zeros(0)
-        zero_eq = escale == 0.0
-        if np.any(np.abs(ev[zero_eq]) > ROW_TOL):
-            feasible = False
-        ec, ev = ec[~zero_eq], ev[~zero_eq]
-        if ec.shape[0]:
-            s = np.max(np.abs(ec), axis=1)
-            ec, ev = ec / s[:, None], ev / s
-        ic, ib = _prune_rows(ic, ib)
+        ic, ib, bad_row, _ = _tidy(ic, ib)
+        ec, ev, bad_eq, _ = _tidy(ec, ev, equalities=True)
+        feasible = bool(self.feasible) and not bad_row and not bad_eq
         if not feasible:
             ic, ib = ic[:0], ib[:0]
             ec, ev = ec[:0], ev[:0]
@@ -176,20 +213,6 @@ class LinearSystem:
             raise UnknownVariable(f"no variable {var!r} in {self.variables}") from None
 
 
-def _drop_column(system: LinearSystem, var: str, ic, ib, ec, ev) -> LinearSystem:
-    k = system.index_of(var)
-    variables = system.variables[:k] + system.variables[k + 1 :]
-    return LinearSystem(
-        variables,
-        np.delete(ic, k, axis=1),
-        ib,
-        np.delete(ec, k, axis=1),
-        ev,
-        system.nonnegative - {var},
-        system.feasible,
-    )
-
-
 def fm_eliminate(system: LinearSystem, var: str) -> LinearSystem:
     """Project the feasible set onto the remaining variables.
 
@@ -199,62 +222,24 @@ def fm_eliminate(system: LinearSystem, var: str) -> LinearSystem:
     elimination.
     """
     k = system.index_of(var)
-    if not system.feasible:
-        return _drop_column(
-            system, var, system.ineq_coefs, system.ineq_bounds,
-            system.eq_coefs, system.eq_values,
-        )
-
-    n = len(system.variables)
-    ic, ib = system.ineq_coefs.copy(), system.ineq_bounds.copy()
+    ic, ib = system.ineq_coefs, system.ineq_bounds
     ec, ev = system.eq_coefs, system.eq_values
-    if var in system.nonnegative:
-        extra = np.zeros((1, n))
-        extra[0, k] = -1.0
-        ic = np.vstack([ic, extra])
-        ib = np.concatenate([ib, [0.0]])
-
-    eq_hits = np.abs(ec[:, k]) > SNAP if ec.size else np.zeros(0, dtype=bool)
-    if eq_hits.any():
-        # var = val - rest.x, taken from the best-conditioned equality
-        pick = int(np.argmax(np.where(eq_hits, np.abs(ec[:, k]), 0.0)))
-        c = ec[pick, k]
-        rest = ec[pick] / c
-        val = ev[pick] / c
-        rest[k] = 0.0
-        if ic.size:
-            col = ic[:, k].copy()
-            ic = ic - np.outer(col, rest)
-            ib = ib - col * val
-        others = np.delete(np.arange(ec.shape[0]), pick)
-        oc, ov = ec[others].copy(), ev[others].copy()
-        if oc.size:
-            ocol = oc[:, k].copy()
-            oc = oc - np.outer(ocol, rest)
-            ov = ov - ocol * val
-        return _drop_column(system, var, ic, ib, oc, ov)
-
-    col = ic[:, k] if ic.size else np.zeros(0)
-    pos = col > SNAP
-    neg = col < -SNAP
-    zero = ~pos & ~neg
-    new_coefs = [ic[zero]]
-    new_bounds = [ib[zero]]
-    if pos.any() and neg.any():
-        pc, pb = ic[pos], ib[pos]
-        nc, nb = ic[neg], ib[neg]
-        # pair every upper bound with every lower bound; the var cancels
-        a_p = pc[:, k]
-        a_n = -nc[:, k]
-        combo = a_n[None, :, None] * pc[:, None, :] + a_p[:, None, None] * nc[None, :, :]
-        combo_b = a_n[None, :] * pb[:, None] + a_p[:, None] * nb[None, :]
-        new_coefs.append(combo.reshape(-1, n))
-        new_bounds.append(combo_b.reshape(-1))
-    parts = [c for c in new_coefs if c.size]
-    ic2 = np.vstack(parts) if parts else np.zeros((0, n))
-    bparts = [b for b in new_bounds if b.size]
-    ib2 = np.concatenate(bparts) if bparts else np.zeros(0)
-    return _drop_column(system, var, ic2, ib2, ec, ev)
+    if system.feasible:
+        if var in system.nonnegative:
+            ic, ib = _nonnegative_rows(ic, ib, [k])
+        if np.any(np.abs(ec[:, k]) > SNAP):
+            ic, ib, ec, ev = _substitute(ic, ib, ec, ev, k)
+        else:
+            ic, ib, _ = _combine(ic, ib, k)
+    return LinearSystem(
+        system.variables[:k] + system.variables[k + 1 :],
+        np.delete(ic, k, axis=1),
+        ib,
+        np.delete(ec, k, axis=1),
+        ev,
+        system.nonnegative - {var},
+        system.feasible,
+    )
 
 
 def project_to_plane(
@@ -267,126 +252,62 @@ def project_to_plane(
     eliminated variables plus one is provably redundant and is dropped
     before it can feed the quadratic blowup.  ``order`` pins the
     elimination sequence (mostly for order-independence tests); variables
-    already removed by equality substitution are skipped.
+    already removed by equality substitution are skipped.  The result is
+    over (``r1``, ``r2``).
     """
-    system.index_of(r1)
-    system.index_of(r2)
-    current = system
-    pinned = None
-    if order is not None:
-        expect = set(current.variables) - {r1, r2}
-        if set(order) != expect:
-            raise UnknownVariable(
-                f"order {order} does not cover exactly {sorted(expect)}"
-            )
-        pinned = list(order)
+    keep = [system.index_of(r1), system.index_of(r2)]
+    doomed = [k for k, v in enumerate(system.variables) if v not in (r1, r2)]
+    if order is not None and set(order) != {system.variables[k] for k in doomed}:
+        raise UnknownVariable(
+            f"order {order} does not cover exactly "
+            f"{sorted(system.variables[k] for k in doomed)}"
+        )
+    nonnegative = {system.index_of(v) for v in system.nonnegative}
+    ic, ib = system.ineq_coefs, system.ineq_bounds
+    ec, ev = system.eq_coefs, system.eq_values
+    feasible = system.feasible
 
-    # substitution phase: every equality touching a doomed variable
-    changed = True
-    while changed:
-        changed = False
-        for var in current.variables:
-            if var in (r1, r2) or not current.eq_coefs.size:
-                continue
-            j = current.index_of(var)
-            if np.any(np.abs(current.eq_coefs[:, j]) > SNAP):
-                current = fm_eliminate(current, var)
-                changed = True
-                break
-    doomed = [v for v in current.variables if v not in (r1, r2)]
-    if not doomed or not current.feasible:
-        for var in doomed:
-            current = fm_eliminate(current, var)
-        return current
+    # substitution phase: the first doomed variable an equality touches
+    while feasible:
+        hits = [k for k in doomed if np.any(np.abs(ec[:, k]) > SNAP)]
+        if not hits:
+            break
+        k = hits[0]
+        doomed.remove(k)
+        if k in nonnegative:
+            ic, ib = _nonnegative_rows(ic, ib, [k])
+        ic, ib, ec, ev = _substitute(ic, ib, ec, ev, k)
+        ic, ib, bad_row, _ = _tidy(ic, ib)
+        ec, ev, bad_eq, _ = _tidy(ec, ev, equalities=True)
+        feasible = not bad_row and not bad_eq
 
-    n = len(current.variables)
-    ic = current.ineq_coefs.copy()
-    ib = current.ineq_bounds.copy()
-    extra = []
-    for var in doomed:
-        if var in current.nonnegative:
-            row = np.zeros(n)
-            row[current.index_of(var)] = -1.0
-            extra.append(row)
-    if extra:
-        ic = np.vstack([ic, np.array(extra)]) if ic.size else np.array(extra)
-        ib = np.concatenate([ib, np.zeros(len(extra))])
-    ancestors = [frozenset({i}) for i in range(ic.shape[0])]
-    cols = {v: current.index_of(v) for v in current.variables}
-    remaining = list(doomed)
-    feasible = True
-    steps = 0
-    while remaining and feasible:
-        if pinned is not None:
-            while pinned and pinned[0] not in remaining:
-                pinned.pop(0)
-            var = pinned.pop(0)
-        else:
-            # cheapest variable first, as in plain elimination
-            best, best_cost = None, None
-            for candidate in remaining:
-                col = ic[:, cols[candidate]] if ic.size else np.zeros(0)
-                n_pos = int(np.sum(col > SNAP))
-                n_neg = int(np.sum(col < -SNAP))
-                cost = n_pos * n_neg - (n_pos + n_neg)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = candidate, cost
-            var = best
-        remaining.remove(var)
-        steps += 1
-        k = cols[var]
-        col = ic[:, k] if ic.size else np.zeros(0)
-        pos = np.flatnonzero(col > SNAP)
-        neg = np.flatnonzero(col < -SNAP)
-        zero = np.flatnonzero(~(col > SNAP) & ~(col < -SNAP))
-        rows = [ic[zero]]
-        bnds = [ib[zero]]
-        anc = [ancestors[i] for i in zero]
-        limit = steps + 1
-        if pos.size and neg.size:
-            new_rows, new_bnds = [], []
-            for i in pos:
-                a_p = ic[i, k]
-                anc_i = ancestors[i]
-                for j in neg:
-                    union = anc_i | ancestors[j]
-                    if len(union) > limit:
-                        continue  # redundant by the acceleration bound
-                    a_n = -ic[j, k]
-                    new_rows.append(a_n * ic[i] + a_p * ic[j])
-                    new_bnds.append(a_n * ib[i] + a_p * ib[j])
-                    anc.append(union)
-            if new_rows:
-                rows.append(np.array(new_rows))
-                bnds.append(np.array(new_bnds))
-        parts = [r for r in rows if r.size]
-        ic = np.vstack(parts) if parts else np.zeros((0, n))
-        ib = np.concatenate([b for b in bnds if b.size]) if parts else np.zeros(0)
-        ic[:, k] = 0.0
-        # normalize, drop trivial rows, sniff contradictions, dedupe
-        if ic.shape[0]:
-            ic = np.where(np.abs(ic) < SNAP, 0.0, ic)
-            scale = np.max(np.abs(ic), axis=1)
-            nontrivial = scale > 0.0
-            if np.any(ib[~nontrivial] < -ROW_TOL):
-                feasible = False
-                break
-            ic, ib = ic[nontrivial] / scale[nontrivial, None], ib[nontrivial] / scale[nontrivial]
-            anc = [a for a, keep_it in zip(anc, nontrivial) if keep_it]
-            idx = _prune_indices(ic, ib)
-            ic, ib = ic[idx], ib[idx]
-            anc = [anc[i] for i in idx]
-        ancestors = anc
+    if feasible and doomed:
+        ic, ib = _nonnegative_rows(ic, ib, [k for k in doomed if k in nonnegative])
+        ancestors = np.eye(ic.shape[0], dtype=bool)
+        pinned = None if order is None else [system.index_of(v) for v in order]
+        steps = 0
+        while doomed and feasible:
+            if pinned is not None:
+                k = next(k for k in pinned if k in doomed)
+            else:
+                # cheapest variable first: fewest new rows
+                pos = np.sum(ic[:, doomed] > SNAP, axis=0)
+                neg = np.sum(ic[:, doomed] < -SNAP, axis=0)
+                k = doomed[int(np.argmin(pos * neg - (pos + neg)))]
+            doomed.remove(k)
+            steps += 1
+            ic, ib, ancestors = _combine(ic, ib, k, ancestors, steps + 1)
+            ic, ib, bad_row, rows = _tidy(ic, ib)
+            ancestors = ancestors[rows]
+            feasible = not bad_row
 
-    keep_idx = [cols[r1], cols[r2]]
-    eqs = current.eq_coefs[:, keep_idx] if current.eq_coefs.size else np.zeros((0, 2))
     return LinearSystem(
         (r1, r2),
-        ic[:, keep_idx] if ic.size else np.zeros((0, 2)),
+        ic[:, keep],
         ib,
-        eqs,
-        current.eq_values,
-        current.nonnegative & {r1, r2},
+        ec[:, keep],
+        ev,
+        system.nonnegative & {r1, r2},
         feasible,
     )
 
@@ -707,19 +628,13 @@ def materialized_rows(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     """All inequality rows with the nonnegativity set written out explicitly.
 
     Used when handing a system to code that has no notion of the
-    ``nonnegative`` shorthand (the brute-force oracle, mainly).
+    ``nonnegative`` shorthand (the brute-force oracle, mainly).  An
+    infeasible system is the single contradictory row 0.x <= -1.
     """
-    n = len(system.variables)
-    rows = [system.ineq_coefs] if system.ineq_coefs.size else []
-    bounds = [system.ineq_bounds] if system.ineq_bounds.size else []
-    for var in sorted(system.nonnegative):
-        row = np.zeros((1, n))
-        row[0, system.index_of(var)] = -1.0
-        rows.append(row)
-        bounds.append(np.zeros(1))
-    if not rows:
-        return np.zeros((0, n)), np.zeros(0)
-    return np.vstack(rows), np.concatenate(bounds)
+    if not system.feasible:
+        return np.zeros((1, len(system.variables))), np.array([-1.0])
+    columns = [system.index_of(v) for v in sorted(system.nonnegative)]
+    return _nonnegative_rows(system.ineq_coefs, system.ineq_bounds, columns)
 
 
 def region_to_dict(region: Region2D) -> dict:

@@ -170,6 +170,19 @@ class TestCompare:
             "b_contains_a=false",
         ]
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_is_a_usage_error(self, tmp_path, tol):
+        from cifc_udc.polytope import region_to_dict
+
+        square = tmp_path / "square.json"
+        square.write_text(json.dumps(
+            region_to_dict(region_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]))
+        ))
+        proc = run_cli("compare", square, square, "--tol", tol)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("UsageError:")
+        assert proc.stdout == ""
+
 
 class TestFm:
     def make_system(self, tmp_path):
@@ -193,6 +206,16 @@ class TestFm:
         got = region_from_dict(doc["region"])
         want = region_from_vertices([(0, 0), (3, 0), (3, 1), (0, 1)])
         assert regions_close(got, want, tol=1e-9)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_parse_errors(self, tmp_path, bad):
+        path = tmp_path / "system.json"
+        for rows in ([[1, 0, f"__{bad}__"]], [[f"__{bad}__", 0, 1]]):
+            text = json.dumps({"variables": ["R1", "R2"], "inequalities": rows})
+            path.write_text(text.replace(f'"__{bad}__"', bad))
+            proc = run_cli("fm", path, "--keep", "R1,R2")
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("ParseError:")
 
     def test_keep_validation(self, tmp_path):
         proc = run_cli("fm", self.make_system(tmp_path), "--keep", "R1")
@@ -268,6 +291,13 @@ def test_inner_joint_over_the_cell_budget():
     proc = run_cli(
         "inner", channel("clean.json"), "--card-u1", 1000, "--card-u2", 1000
     )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("TooLarge:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_outer_ascent_over_the_cell_budget():
+    proc = run_cli("outer", channel("clean.json"), "--card-v12", 512)
     assert proc.returncode == 1
     assert proc.stderr.startswith("TooLarge:")
     assert "Traceback" not in proc.stderr

@@ -10,7 +10,9 @@ from cifc_udc.errors import (
     NegativeEntry,
     ShapeMismatch,
     SumNotOne,
+    TooLarge,
 )
+from cifc_udc import capacity, outer
 from cifc_udc.outer import (
     SearchConfig,
     V12Joint,
@@ -310,3 +312,16 @@ class TestOuterEstimate:
             SearchConfig(fan=1)
         with pytest.raises(ValueError):
             SearchConfig(refine_step=0.0)
+
+    def test_ascent_over_the_cell_budget_fails_before_lifting(self, monkeypatch):
+        # n = 2 * 512 * 2 * 2 input cells: one walk would lift n * n * 4 cells
+        def no_lift(*args):
+            raise AssertionError("lifted a pool over the budget")
+
+        monkeypatch.setattr(outer, "lift_rows", no_lift)
+        monkeypatch.setattr(capacity, "lift_rows", no_lift)
+        cfg = SearchConfig(card_v12=512)
+        with pytest.raises(TooLarge):
+            outer_region_estimate(clean_channel(), cfg)
+        with pytest.raises(TooLarge):
+            capacity.hi_regime_falsify(clean_channel(), cfg)

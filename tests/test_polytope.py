@@ -1,10 +1,23 @@
 """Unit tests for linear systems, elimination, and 2D region handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import _fm_reference as reference
 from _systems import random_bounded_system
 from cifc_udc import errors
+from cifc_udc.channel import load_channel
+from cifc_udc.inner import (
+    DROP_CASES,
+    SamplerConfig,
+    admissible,
+    assemble_joint,
+    case_system,
+    inner_constants,
+    sample_factorizations,
+)
 from cifc_udc.oracle import oracle_projected_vertices
 from cifc_udc.polytope import (
     LinearSystem,
@@ -81,6 +94,27 @@ def test_infeasible_constant_row_detected():
     assert not sys2.feasible
 
 
+def test_infeasible_system_materializes_a_contradiction():
+    sys_ = LinearSystem.from_rows(
+        ("x", "y"), [({"x": 0}, -1.0), ({"x": 1}, 2.0)], nonnegative=("x", "y")
+    )
+    coefs, bounds = materialized_rows(sys_)
+    assert np.array_equal(coefs, np.zeros((1, 2)))
+    assert np.array_equal(bounds, [-1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(bad):
+    with pytest.raises(errors.ShapeMismatch):
+        LinearSystem.from_rows(("x",), [({"x": bad}, 1.0)])
+    with pytest.raises(errors.ShapeMismatch):
+        LinearSystem.from_rows(("x",), [({"x": 1.0}, bad)])
+    with pytest.raises(errors.ShapeMismatch):
+        LinearSystem.from_rows(("x", "y"), [], [({"x": 1.0, "y": bad}, 0.0)])
+    with pytest.raises(errors.ShapeMismatch):
+        LinearSystem.from_rows(("x", "y"), [], [({"x": 1.0}, bad)])
+
+
 def test_unknown_variable_errors():
     sys_ = LinearSystem.from_rows(("x",), [({"x": 1}, 1.0)])
     with pytest.raises(errors.UnknownVariable):
@@ -149,6 +183,75 @@ def test_projection_matches_vertex_enumeration():
             continue
         oracle_region = region_from_vertices(pts)
         assert regions_close(region, oracle_region, tol=1e-7)
+
+
+def _as_reference(sys_):
+    return reference.LinearSystem(
+        sys_.variables, sys_.ineq_coefs, sys_.ineq_bounds, sys_.eq_coefs,
+        sys_.eq_values, sys_.nonnegative, sys_.feasible,
+    )
+
+
+def _assert_same_system(got, want):
+    assert got.variables == want.variables
+    assert got.feasible == want.feasible
+    assert got.nonnegative == want.nonnegative
+    for field in ("ineq_coefs", "ineq_bounds", "eq_coefs", "eq_values"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("with_equality", [False, True])
+def test_elimination_matches_reference_code(with_equality):
+    """The shared tidy/substitute/combine engine reproduces the two old
+    elimination loops array for array."""
+    rng = np.random.default_rng([404, with_equality])
+    for _ in range(150):
+        sys_ = random_bounded_system(rng, with_equality=with_equality)
+        old = _as_reference(sys_)
+        _assert_same_system(sys_, old)
+        for var in sys_.variables:
+            _assert_same_system(
+                fm_eliminate(sys_, var), reference.fm_eliminate(old, var)
+            )
+        doomed = list(sys_.variables[2:])
+        for order in (None, doomed, doomed[::-1]):
+            _assert_same_system(
+                project_to_plane(sys_, "t0", "t1", order=order),
+                reference.project_to_plane(old, "t0", "t1", order=order),
+            )
+
+
+FIXTURES = sorted((Path(__file__).resolve().parents[1] / "channels").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_pinning_by_leaving_out_matches_pinning_by_equality(path):
+    """A drop case that leaves its pinned rates out of the system gives the
+    same region as the full system with a v = 0 equality per pinned rate."""
+    channel = load_channel(path.read_text(encoding="utf-8"))
+    cfg = SamplerConfig(seed=8, num_samples=2)
+    for f in sample_factorizations(channel, cfg):
+        c = inner_constants(assemble_joint(f, channel))
+        if not admissible(c):
+            continue
+        for pinned, dropped in DROP_CASES:
+            full = case_system(c, (), dropped)
+            pins = np.zeros((len(pinned), len(full.variables)))
+            for row, var in zip(pins, pinned):
+                row[full.index_of(var)] = 1.0
+            by_equality = LinearSystem(
+                full.variables, full.ineq_coefs, full.ineq_bounds,
+                np.vstack([full.eq_coefs, pins]),
+                np.concatenate([full.eq_values, np.zeros(len(pinned))]),
+                full.nonnegative,
+            )
+            left_out = case_system(c, pinned, dropped)
+            assert not set(pinned) & set(left_out.variables)
+            want = polygon_extract(project_to_plane(by_equality, "R1", "R2"), "R1", "R2")
+            got = polygon_extract(project_to_plane(left_out, "R1", "R2"), "R1", "R2")
+            assert got.empty == want.empty
+            assert got.halfplanes == want.halfplanes
+            assert np.array_equal(got.vertices, want.vertices)
 
 
 # ----------------------------------------------------------- polygon_extract
