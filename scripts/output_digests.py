@@ -1,12 +1,19 @@
 """SHA-256 digests of everything a fixed set of CLI runs prints and writes.
 
     python scripts/output_digests.py SRC_DIR
+    python scripts/output_digests.py --drift OLD_DIR NEW_DIR
 
 Runs each command below as ``python -m cifc_udc`` with
 ``PYTHONPATH=SRC_DIR/src`` at seeds 3 and 11 and prints one line per
 stdout, stderr, exit code and written file: ``seed label item sha256``.
 Run it on two source trees and diff the printouts to check that a change
 leaves every output byte as it was.
+
+``--drift`` runs the commands on both trees and prints one line for each
+output whose bytes differ: ``seed label item drift``, where drift is the
+largest absolute difference between the numbers the two outputs hold in
+the same places (JSON, CSV and log tokens alike), or ``layout`` when the
+text around the numbers differs.  The last line is the largest drift.
 
 The commands are every command of the benchmark workloads, as
 ``perfbench/workloads.py`` builds them, plus larger and failing searches:
@@ -21,6 +28,7 @@ region of the benchmark run against the 100-sample outer region.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -95,32 +103,67 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        sys.stderr.write(__doc__)
-        return 2
-    src = Path(argv[0]).resolve()
+def outputs(src: Path, tmp: Path) -> dict:
+    """Every output of the command set run from ``src``, in print order:
+    (seed, label, item) -> bytes."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    out = {}
+    for seed in SEEDS:
+        workdir = tmp / str(seed)
+        runs = [
+            (command.label.replace(" ", "-"), command.argv)
+            for name in WHY
+            for command in prepare(name, seed, src, workdir / name)
+        ]
+        runs += extra_commands(src, seed, workdir)
+        for label, args in runs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cifc_udc", *args],
+                capture_output=True, env=env, cwd=workdir,
+            )
+            out[seed, label, "stdout"] = proc.stdout
+            out[seed, label, "stderr"] = proc.stderr
+            out[seed, label, "exit"] = str(proc.returncode).encode()
+        for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+            out[seed, path.relative_to(workdir).as_posix(), "file"] = path.read_bytes()
+    return out
+
+
+NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
+)
+
+
+def drift(old: bytes, new: bytes) -> float | None:
+    """Largest absolute difference between the numbers of two texts, or
+    None when the text around the numbers differs."""
+    texts = old.decode(), new.decode()
+    if NUMBER.split(texts[0]) != NUMBER.split(texts[1]):
+        return None
+    pairs = zip(*(map(float, NUMBER.findall(t)) for t in texts))
+    return max((abs(a - b) for a, b in pairs), default=0.0)
+
+
+def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            workdir = Path(tmp) / str(seed)
-            runs = [
-                (command.label.replace(" ", "-"), command.argv)
-                for name in WHY
-                for command in prepare(name, seed, src, workdir / name)
-            ]
-            runs += extra_commands(src, seed, workdir)
-            for label, args in runs:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "cifc_udc", *args],
-                    capture_output=True, env=env, cwd=workdir,
-                )
-                print(seed, label, "stdout", sha(proc.stdout))
-                print(seed, label, "stderr", sha(proc.stderr))
-                print(seed, label, "exit", sha(str(proc.returncode).encode()))
-            for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
-                name = path.relative_to(workdir).as_posix()
-                print(seed, name, "file", sha(path.read_bytes()))
+        if len(argv) == 1:
+            for key, data in outputs(Path(argv[0]).resolve(), Path(tmp)).items():
+                print(*key, sha(data))
+            return 0
+        if len(argv) != 3 or argv[0] != "--drift":
+            sys.stderr.write(__doc__)
+            return 2
+        old = outputs(Path(argv[1]).resolve(), Path(tmp) / "old")
+        new = outputs(Path(argv[2]).resolve(), Path(tmp) / "new")
+    largest = 0.0
+    for key in dict.fromkeys([*old, *new]):
+        if old.get(key) == new.get(key):
+            continue
+        moved = drift(old[key], new[key]) if key in old and key in new else None
+        print(*key, "layout" if moved is None else repr(moved))
+        if moved is not None:
+            largest = max(largest, moved)
+    print("largest", repr(largest))
     return 0
 
 

@@ -401,6 +401,8 @@ def _cmd_fm(args) -> int:
     keep = [part.strip() for part in opts["keep"].split(",") if part.strip()]
     if len(keep) != 2:
         raise UsageError("--keep needs exactly two labels, e.g. R1,R2")
+    if keep[0] == keep[1]:
+        raise UsageError(f"--keep names {keep[0]!r} twice")
     system = _load_system_file(args.system)
     for label in keep:
         if label not in system.variables:

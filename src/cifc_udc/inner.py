@@ -19,12 +19,8 @@ from .errors import (
     MissingVariable,
     TooLarge,
 )
-from .pmf import (
-    ConditionalFactor,
-    JointPMF,
-    conditional_mutual_information,
-    joint_from_factors,
-)
+from .outer import Information, clip_information
+from .pmf import JOINT_CELL_LIMIT, ConditionalFactor, JointPMF, joint_from_factors
 from .polytope import (
     LinearSystem,
     Region2D,
@@ -35,8 +31,6 @@ from .polytope import (
 )
 
 ADMISSIBLE_TOL = 1e-9
-# most cells the 13-variable joint may hold: 2**24 float64 cells are 128 MiB
-JOINT_CELL_LIMIT = 2**24
 
 AUX_LABELS = ("u1p", "u1", "v1", "u2p", "u2", "v12", "v2", "yh2")
 
@@ -173,25 +167,26 @@ def inner_constants(joint: JointPMF) -> InnerConstants:
     missing = [l for l in JOINT_LABELS if l not in joint.labels]
     if missing:
         raise MissingVariable(f"joint lacks variables {missing}")
-    cmi = lambda a, b, g: conditional_mutual_information(joint, a, b, g)
-    return InnerConstants(
-        A=cmi(["v1"], ["u2"], ["u1p", "u1", "u2p"]),
-        B=cmi(["y1", "v1", "v12"], ["yh2"], ["u1p", "u1", "u2p", "u2", "x3"]),
-        C=cmi(["y2"], ["yh2"], ["u1p", "u1", "u2p", "u2", "x3"]),
-        D=cmi(["y1"], ["u1p", "u1", "v1", "u2p", "u2", "v12", "x3"], []),
-        E=cmi(["y1"], ["v1", "u2p", "u2", "v12", "x3"], ["u1p", "u1"]),
-        F=cmi(["y1"], ["v1", "v12", "x3"], ["u1p", "u1", "u2p", "u2"]),
-        G=cmi(["y1", "yh2"], ["v1", "v12"], ["u1p", "u1", "u2p", "u2", "x3"]),
-        H=cmi(["y1"], ["u2p", "u2", "v12", "x3"], ["u1p", "u1", "v1"]),
-        I=cmi(["y1"], ["v12", "x3"], ["u1p", "u1", "v1", "u2p", "u2"]),
-        J=cmi(["y1", "yh2"], ["v12"], ["u1p", "u1", "v1", "u2p", "u2", "x3"]),
-        K=cmi(["y2"], ["u1", "u2", "v2"], ["u1p", "u2p", "x3"]),
-        L=cmi(["y2"], ["u2", "v2"], ["u1p", "u1", "u2p", "x3"]),
-        M=cmi(["y2"], ["v2"], ["u1p", "u1", "u2p", "u2", "x3"]),
-        N1=cmi(["v1"], ["v2"], ["u1p", "u1", "u2p", "u2"]),
-        N2=cmi(["v1", "v12"], ["v2"], ["u1p", "u1", "u2p", "u2"]),
-        P=cmi(["y1"], ["x3"], ["u1p", "u1", "v1", "u2p", "u2", "v12"]),
-    )
+    info = Information(joint.probs, " ".join(joint.labels))
+    values = clip_information([
+        info.mi("v1", "u2", "u1p u1 u2p"),
+        info.mi("y1 v1 v12", "yh2", "u1p u1 u2p u2 x3"),
+        info.mi("y2", "yh2", "u1p u1 u2p u2 x3"),
+        info.mi("y1", "u1p u1 v1 u2p u2 v12 x3"),
+        info.mi("y1", "v1 u2p u2 v12 x3", "u1p u1"),
+        info.mi("y1", "v1 v12 x3", "u1p u1 u2p u2"),
+        info.mi("y1 yh2", "v1 v12", "u1p u1 u2p u2 x3"),
+        info.mi("y1", "u2p u2 v12 x3", "u1p u1 v1"),
+        info.mi("y1", "v12 x3", "u1p u1 v1 u2p u2"),
+        info.mi("y1 yh2", "v12", "u1p u1 v1 u2p u2 x3"),
+        info.mi("y2", "u1 u2 v2", "u1p u2p x3"),
+        info.mi("y2", "u2 v2", "u1p u1 u2p x3"),
+        info.mi("y2", "v2", "u1p u1 u2p u2 x3"),
+        info.mi("v1", "v2", "u1p u1 u2p u2"),
+        info.mi("v1 v12", "v2", "u1p u1 u2p u2"),
+        info.mi("y1", "x3", "u1p u1 v1 u2p u2 v12"),
+    ])
+    return InnerConstants(*map(float, values))
 
 
 def admissible(c: InnerConstants) -> bool:

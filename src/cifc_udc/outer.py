@@ -28,8 +28,7 @@ from .errors import (
     SumNotOne,
     TooLarge,
 )
-from .inner import JOINT_CELL_LIMIT
-from .pmf import MI_GUARD, SUM_TOL, _clean_tensor
+from .pmf import JOINT_CELL_LIMIT, MI_GUARD, SUM_TOL, _clean_tensor
 from .polytope import LinearSystem, Region2D, polygon_extract
 
 @dataclass(frozen=True)
@@ -119,8 +118,10 @@ def marginal_entropies(j: np.ndarray, groups, ndim: int = 6) -> np.ndarray:
     batched = j.ndim == ndim + 1
     out = []
     for keep in groups:
+        # a dropped axis of extent 1 needs no sum
         axes = tuple(
-            a + (1 if batched else 0) for a in range(ndim) if a not in keep
+            a + batched for a in range(ndim)
+            if a not in keep and j.shape[a + batched] > 1
         )
         m = j.sum(axis=axes) if axes else j
         flat = m.reshape(m.shape[0], -1) if batched else m.reshape(-1)
@@ -138,18 +139,35 @@ def _axis_set(names: tuple[str, ...], group: str) -> frozenset:
 class Information:
     """Entropies in bits of the marginals of one joint tensor whose axes
     ``labels`` names, space-separated; one extra leading axis is a batch.
-    Each marginal entropy is computed once, by ``marginal_entropies``."""
+
+    The marginals summed so far are held, keyed by axis set, with the
+    tensor itself as the root.  New groups are summed largest first, each
+    from the held marginal of fewest cells whose axes contain it (the
+    first held on ties), and each marginal entropy is computed once, by
+    ``marginal_entropies``."""
 
     def __init__(self, j: np.ndarray, labels: str):
-        self.j, self.names, self._h = j, tuple(labels.split()), {}
+        self.names = tuple(labels.split())
+        self._batch = j.ndim - len(self.names)
+        # every dropped axis stays, at extent 1
+        self._marginals = {frozenset(range(len(self.names))): j}
+        self._h = {}
 
     def h(self, *groups: str) -> list[np.ndarray]:
         """H(G) for each group G of space-separated labels."""
         keys = [_axis_set(self.names, g) for g in groups]
         new = [k for k in dict.fromkeys(keys) if k not in self._h]
-        if new:
-            values = marginal_entropies(self.j, new, len(self.names))
-            self._h.update(zip(new, values.T))  # one row per group
+        for keep in sorted(new, key=len, reverse=True):
+            m = self._marginals.get(keep)
+            if m is None:
+                source = min(
+                    (s for s in self._marginals if keep <= s),
+                    key=lambda s: self._marginals[s].size,
+                )
+                axes = tuple(a + self._batch for a in sorted(source - keep))
+                m = self._marginals[source].sum(axis=axes, keepdims=True)
+                self._marginals[keep] = m
+            (self._h[keep],) = marginal_entropies(m, [keep], len(self.names)).T
         return [self._h[k] for k in keys]
 
     def cond(self, a: str, given: str) -> np.ndarray:
@@ -183,18 +201,18 @@ def five_bounds(j: np.ndarray) -> np.ndarray:
     Order: two R1 caps, the R2 cap, two sum caps.
     """
     info = Information(j, "x1 v12 x2 x3 y1 y2")
+    # the sum caps first: they ask for the widest marginals, which then
+    # serve every later term without another pass over the full tensor
+    sum_caps = [
+        info.mi("x1 x2", "y1 y2", "x3"),
+        info.mi("x2", "y2", "x1 v12 x3") + info.mi("x1 v12 x3", "y1"),
+    ]
     bounds = [
         info.mi("x1 x2 x3", "y1"),
         info.mi("x1 v12 x3", "y1"),
         info.mi("x2", "y2", "x1 x3"),
-        info.mi("x1 x2", "y1 y2", "x3"),
     ]
-    # I(X2;Y2|X1,V12,X3) + I(X1,V12,X3;Y1) as one flat sum: mi + mi rounds differently
-    h_xv, h_vy2, h_v, h_xvy2, h_y1, h_vy1 = info.h(
-        "x1 v12 x2 x3", "x1 v12 x3 y2", "x1 v12 x3", "x1 v12 x2 x3 y2", "y1", "x1 v12 x3 y1"
-    )
-    bounds.append(h_xv + h_vy2 - h_v - h_xvy2 + h_v + h_y1 - h_vy1)
-    return clip_information(np.stack(bounds, axis=-1))
+    return clip_information(np.stack(bounds + sum_caps, axis=-1))
 
 
 def polygon_from_bounds(r1_bounds, r2_bounds, sum_bounds) -> Region2D:
@@ -347,7 +365,7 @@ class SearchConfig:
 def check_ascent_budget(cards, channel: ChannelSpec) -> None:
     """Raise ``TooLarge`` when one ascent walk over laws on ``cards`` would
     lift n candidates of n * |Y1||Y2| cells, n the product of ``cards``,
-    to more than ``inner.JOINT_CELL_LIMIT`` cells in all."""
+    to more than ``pmf.JOINT_CELL_LIMIT`` cells in all."""
     n = math.prod(cards)
     cells = n * n * channel.card("y1") * channel.card("y2")
     if cells > JOINT_CELL_LIMIT:

@@ -43,6 +43,8 @@ SUM_TOL = 1e-9
 MASS_SKIP = 1e-15
 # an information measure below this is a bug, not roundoff
 MI_GUARD = -1e-9
+# most cells a joint tensor may hold: 2**24 float64 cells are 128 MiB
+JOINT_CELL_LIMIT = 2**24
 
 
 def _check_labels(pairs: Sequence[tuple[str, int]], kind: str) -> None:

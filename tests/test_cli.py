@@ -218,10 +218,10 @@ class TestFm:
             assert proc.stderr.startswith("ParseError:")
 
     def test_keep_validation(self, tmp_path):
-        proc = run_cli("fm", self.make_system(tmp_path), "--keep", "R1")
-        assert proc.returncode == 2
-        proc = run_cli("fm", self.make_system(tmp_path), "--keep", "R1,bogus")
-        assert proc.returncode == 2
+        for keep in ("R1", "R1,bogus", "R1,R1", "R2, R2"):
+            proc = run_cli("fm", self.make_system(tmp_path), "--keep", keep)
+            assert proc.returncode == 2, keep
+            assert proc.stderr.startswith("UsageError:"), keep
 
 
 class TestUsage:

@@ -1,9 +1,11 @@
 """Inner-bound pipeline: factorizations, constants, drop-case regions, sampling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cifc_udc.channel import ChannelSpec
+from cifc_udc.channel import ChannelSpec, load_channel
 from cifc_udc.errors import (
     CardinalityMismatch,
     InadmissibleConstants,
@@ -36,7 +38,12 @@ from cifc_udc.oracle import (
     oracle_conditional_mi,
     oracle_projected_vertices,
 )
-from cifc_udc.pmf import ConditionalFactor, entropy, mutual_information
+from cifc_udc.pmf import (
+    ConditionalFactor,
+    conditional_mutual_information,
+    entropy,
+    mutual_information,
+)
 from cifc_udc.polytope import (
     hull_union,
     materialized_rows,
@@ -208,6 +215,72 @@ def test_constants_match_definition_oracle():
         for name, (a, b, g) in groups.items():
             ref = oracle_conditional_mi(joint.variables, joint.probs, a, b, g)
             assert getattr(c, name) == pytest.approx(ref, abs=1e-12), name
+
+
+CHANNELS = Path(__file__).resolve().parents[1] / "channels"
+
+# each constant as (A, B, C) of I(A;B|C), in the field order
+PMF_GROUPS = {
+    "A": (["v1"], ["u2"], ["u1p", "u1", "u2p"]),
+    "B": (["y1", "v1", "v12"], ["yh2"], ["u1p", "u1", "u2p", "u2", "x3"]),
+    "C": (["y2"], ["yh2"], ["u1p", "u1", "u2p", "u2", "x3"]),
+    "D": (["y1"], ["u1p", "u1", "v1", "u2p", "u2", "v12", "x3"], []),
+    "E": (["y1"], ["v1", "u2p", "u2", "v12", "x3"], ["u1p", "u1"]),
+    "F": (["y1"], ["v1", "v12", "x3"], ["u1p", "u1", "u2p", "u2"]),
+    "G": (["y1", "yh2"], ["v1", "v12"], ["u1p", "u1", "u2p", "u2", "x3"]),
+    "H": (["y1"], ["u2p", "u2", "v12", "x3"], ["u1p", "u1", "v1"]),
+    "I": (["y1"], ["v12", "x3"], ["u1p", "u1", "v1", "u2p", "u2"]),
+    "J": (["y1", "yh2"], ["v12"], ["u1p", "u1", "v1", "u2p", "u2", "x3"]),
+    "K": (["y2"], ["u1", "u2", "v2"], ["u1p", "u2p", "x3"]),
+    "L": (["y2"], ["u2", "v2"], ["u1p", "u1", "u2p", "x3"]),
+    "M": (["y2"], ["v2"], ["u1p", "u1", "u2p", "u2", "x3"]),
+    "N1": (["v1"], ["v2"], ["u1p", "u1", "u2p", "u2"]),
+    "N2": (["v1", "v12"], ["v2"], ["u1p", "u1", "u2p", "u2"]),
+    "P": (["y1"], ["x3"], ["u1p", "u1", "v1", "u2p", "u2", "v12"]),
+}
+
+
+def pmf_constants(joint):
+    """The constants through the ``pmf`` measures, the reference path."""
+    return InnerConstants(**{
+        name: conditional_mutual_information(joint, a, b, g)
+        for name, (a, b, g) in PMF_GROUPS.items()
+    })
+
+
+def assert_close_constants(got, want):
+    for name in CONSTANT_NAMES:
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CHANNELS.glob("*.json")))
+def test_inner_constants_match_the_pmf_measures(name):
+    ch = load_channel((CHANNELS / f"{name}.json").read_text())
+    for f in sample_factorizations(ch, SamplerConfig(seed=5, num_samples=4)):
+        joint = assemble_joint(f, ch)
+        got, want = inner_constants(joint), pmf_constants(joint)
+        assert_close_constants(got, want)
+        assert admissible(got) == admissible(want)
+
+
+def test_inner_region_matches_the_pmf_path(monkeypatch):
+    cfg = SamplerConfig(seed=5, num_samples=6)
+    channels = [load_channel((CHANNELS / f"{name}.json").read_text())
+                for name in ("clean", "degraded_z", "semidet")]
+    got = [inner_region(ch, cfg) for ch in channels]
+    monkeypatch.setattr(inner, "inner_constants", pmf_constants)
+    for (region, lines), ch in zip(got, channels):
+        want_region, want_lines = inner_region(ch, cfg)
+        assert region.empty == want_region.empty
+        assert region.vertices.shape == want_region.vertices.shape
+        assert np.max(np.abs(region.vertices - want_region.vertices)) <= 1e-12
+        assert len(lines) == len(want_lines)
+        for line, want_line in zip(lines, want_lines):
+            fields = [kv.split("=") for kv in line.split()]
+            want_fields = [kv.split("=") for kv in want_line.split()]
+            assert [k for k, _ in fields] == [k for k, _ in want_fields]
+            for (key, value), (_, want_value) in zip(fields, want_fields):
+                assert abs(float(value) - float(want_value)) <= 1e-12, key
 
 
 def test_constant_orderings_random():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifc_udc.channel import ChannelSpec
 from cifc_udc.errors import (
@@ -289,6 +291,25 @@ class TestOuterEstimate:
         )
         assert region_contains(with_extra, poly, tol=1e-7)
         assert caveat["extra_distributions"] == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3))
+    def test_extra_distributions_never_shrink_the_estimate(self, seed, count):
+        # without ascents: an extra law can displace an ascent start, and
+        # the ascent it displaces may have reached farther
+        rng = np.random.default_rng(seed)
+        cards = tuple(int(c) for c in rng.integers(1, 3, size=5))
+        rows = rng.dirichlet(np.full(cards[3] * cards[4], 0.5), size=cards[:3])
+        ch = ChannelSpec(cards, rows.reshape(cards))
+        cfg = SearchConfig(seed=seed, num_samples=3, fan=8, refine_starts=0)
+        extras = tuple(
+            V12Joint.random(outer.v12_cards(ch, cfg), rng) for _ in range(count)
+        )
+        base, _ = outer_region_estimate(ch, cfg)
+        more, _ = outer_region_estimate(ch, cfg, extra_distributions=extras)
+        assert region_contains(more, base, tol=1e-9)
+        for d in extras:
+            assert region_contains(more, outer_polygon(d, ch), tol=1e-9)
 
     def test_extra_distribution_card_mismatch(self):
         with pytest.raises(CardinalityMismatch):
