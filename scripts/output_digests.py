@@ -14,6 +14,8 @@ output whose bytes differ: ``seed label item drift``, where drift is the
 largest absolute difference between the numbers the two outputs hold in
 the same places (JSON, CSV and log tokens alike), or ``layout`` when the
 text around the numbers differs.  The last line is the largest drift.
+It exits 1 when any output differs and 0 when every byte matches, so its
+exit status alone says whether a change kept every output byte.
 
 The commands are every command of the benchmark workloads, as
 ``perfbench/workloads.py`` builds them, plus larger and failing searches:
@@ -155,16 +157,15 @@ def main(argv) -> int:
             return 2
         old = outputs(Path(argv[1]).resolve(), Path(tmp) / "old")
         new = outputs(Path(argv[2]).resolve(), Path(tmp) / "new")
+    changed = [k for k in dict.fromkeys([*old, *new]) if old.get(k) != new.get(k)]
     largest = 0.0
-    for key in dict.fromkeys([*old, *new]):
-        if old.get(key) == new.get(key):
-            continue
+    for key in changed:
         moved = drift(old[key], new[key]) if key in old and key in new else None
         print(*key, "layout" if moved is None else repr(moved))
         if moved is not None:
             largest = max(largest, moved)
     print("largest", repr(largest))
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

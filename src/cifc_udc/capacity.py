@@ -31,6 +31,7 @@ from .outer import (
     V12Joint,
     _corner_joints,
     _distinct,
+    cap_vertices,
     check_ascent_budget,
     clip_information,
     fan_ascents,
@@ -43,7 +44,7 @@ from .outer import (
     wire_v12,
 )
 from .pmf import ConditionalFactor, JointPMF, conditional_table, marginalize
-from .polytope import Region2D, hull_union, region_from_vertices, regions_close
+from .polytope import Region2D, region_from_vertices, regions_close
 
 VIOLATION_TOL = 1e-9
 DROP_CONSISTENCY_TOL = 1e-8
@@ -429,13 +430,12 @@ def _refined_flats(flats, caps_of, cfg: SearchConfig) -> list[np.ndarray]:
 
 
 def capacity_degraded_z(
-    channel: ChannelSpec, cfg: SearchConfig, threads: int = 1
+    channel: ChannelSpec, cfg: SearchConfig
 ) -> tuple[Region2D, tuple[InputJoint, ...]]:
     """Sampled capacity region of a degraded Z-geometry channel.
 
     Returns the polygon union and every input distribution whose polygon
     entered it, so callers can replay the same sample set elsewhere.
-    ``threads`` is accepted and ignored.
     """
     _require_degraded_z(channel)
     cards = channel.cards[:3]
@@ -447,13 +447,9 @@ def capacity_degraded_z(
     flats = sample_pool(InputJoint, cards, cfg, input_corners(cards))
     all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
 
-    stacked = np.stack(all_flats, axis=0)
-    r1, r2, s = caps_of(stacked)
-    polygons = [
-        polygon_from_bounds([r1[i]], [r2[i]], [s[i]])
-        for i in range(stacked.shape[0])
-    ]
-    region = hull_union(polygons)
+    # the hull of the union is the hull of every row's corners
+    corners = cap_vertices(*caps_of(np.stack(all_flats, axis=0)))
+    region = region_from_vertices(corners.reshape(-1, 2))
     evaluated = tuple(
         InputJoint(cards, flat.reshape(cards)) for flat in all_flats
     )
@@ -464,7 +460,6 @@ def capacity_semidet_hi(
     channel: ChannelSpec,
     cfg: SearchConfig,
     force: bool = False,
-    threads: int = 1,
 ) -> tuple[Region2D, HiRegimeReport, tuple[V12Joint, ...]]:
     """Sampled capacity region of a semi-deterministic hi-regime channel.
 
@@ -472,8 +467,7 @@ def capacity_semidet_hi(
     forced.  Every evaluated distribution is re-screened against the
     premise, and the region formula is checked against the full five-bound
     reduced polygon at each of them (the two extra bounds must be
-    redundant wherever the premise holds).  ``threads`` is accepted and
-    ignored.
+    redundant wherever the premise holds).
     """
     _require_semidet(channel)
     report = hi_regime_falsify(channel, cfg)
@@ -509,17 +503,16 @@ def capacity_semidet_hi(
 
     caps = semidet_hi_bounds(lifted)
     terms = _reduced_terms_y2(lifted)
-    polygons = []
-    for i in range(stacked.shape[0]):
+    for i in np.flatnonzero(worst <= VIOLATION_TOL):
         poly = polygon_from_bounds([caps[i, 0]], [caps[i, 1]], [caps[i, 2]])
-        if worst[i] <= VIOLATION_TOL:
-            full = _reduced_polygon(*(t[i] for t in terms))
-            if not regions_close(poly, full, tol=DROP_CONSISTENCY_TOL):
-                raise NumericsError(
-                    "dropping the premise-redundant bounds changed the "
-                    f"polygon at sample {i}"
-                )
-        polygons.append(poly)
-    region = hull_union(polygons)
+        full = _reduced_polygon(*(t[i] for t in terms))
+        if not regions_close(poly, full, tol=DROP_CONSISTENCY_TOL):
+            raise NumericsError(
+                "dropping the premise-redundant bounds changed the "
+                f"polygon at sample {i}"
+            )
+    region = region_from_vertices(
+        cap_vertices(*np.moveaxis(caps, -1, 0)).reshape(-1, 2)
+    )
     evaluated = tuple(V12Joint(cards, flat.reshape(cards)) for flat in all_flats)
     return region, report, evaluated

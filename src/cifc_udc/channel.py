@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -133,7 +134,7 @@ def load_channel(text: str) -> ChannelSpec:
     cards = tuple(int(c) for c in cards)
     if not isinstance(flat, list):
         raise ParseError('channel field "p" must be a flat array of numbers')
-    expected = int(np.prod(cards))
+    expected = math.prod(cards)
     if len(flat) != expected:
         raise ShapeMismatch(
             f'field "p" has {len(flat)} entries, expected {expected}'

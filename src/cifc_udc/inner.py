@@ -75,11 +75,8 @@ class InnerFactorization:
                     f"factor for {factor.target_labels} must be "
                     f"p({','.join(targets)}|{','.join(given)})"
                 )
-        cards: dict[str, int] = {}
-        for factor in factors:
-            for label, card in factor.targets:
-                cards[label] = card
-        cards["y2"] = dict(factors[8].given)["y2"]
+        object.__setattr__(self, "factors", factors)
+        cards = self.cards
         for factor in factors:
             for label, card in factor.given:
                 if cards[label] != card:
@@ -87,7 +84,6 @@ class InnerFactorization:
                         f"{label!r} has cardinality {cards[label]} but a factor "
                         f"conditions on it with cardinality {card}"
                     )
-        object.__setattr__(self, "factors", factors)
 
     @property
     def cards(self) -> dict[str, int]:
@@ -513,14 +509,12 @@ def _sample_record(index: int, adm: bool, c: InnerConstants, vertices: int) -> s
 
 
 def inner_region(
-    channel: ChannelSpec, cfg: SamplerConfig, threads: int = 1
+    channel: ChannelSpec, cfg: SamplerConfig
 ) -> tuple[Region2D, tuple[str, ...]]:
     """Union of per-factorization regions plus a one-line-per-sample log.
 
     Inadmissible samples contribute nothing but are logged.  The result
     only grows as samples are added and never loses the silent point.
-    ``threads`` is accepted and ignored: the samples run in the calling
-    thread.
     """
     lines = []
     regions = []
@@ -535,7 +529,5 @@ def inner_region(
     if regions:
         union = hull_union(regions)
     else:
-        union = region_from_vertices([(0.0, 0.0)])
-    if union.empty:
         union = region_from_vertices([(0.0, 0.0)])
     return union, tuple(lines)

@@ -29,7 +29,13 @@ from .errors import (
     TooLarge,
 )
 from .pmf import JOINT_CELL_LIMIT, MI_GUARD, SUM_TOL, _clean_tensor
-from .polytope import LinearSystem, Region2D, polygon_extract
+from .polytope import (
+    SNAP,
+    LinearSystem,
+    Region2D,
+    polygon_extract,
+    region_from_vertices,
+)
 
 @dataclass(frozen=True)
 class InputLaw:
@@ -215,15 +221,29 @@ def five_bounds(j: np.ndarray) -> np.ndarray:
     return clip_information(np.stack(bounds + sum_caps, axis=-1))
 
 
+def cap_vertices(r1, r2, s) -> np.ndarray:
+    """Corners of {R1, R2 >= 0, R1 <= r1, R2 <= r2, R1+R2 <= s} for caps
+    that broadcast: shape (..., 5, 2), counter-clockwise from the origin.
+    A polygon with fewer than five corners repeats some of them."""
+    r1, r2, s = np.broadcast_arrays(r1, r2, s)
+    r1, r2 = np.minimum(r1, s), np.minimum(r2, s)
+    x_top = np.maximum(np.minimum(r1, s - r2), 0.0)
+    y_right = np.maximum(np.minimum(r2, s - r1), 0.0)
+    zero = np.zeros(r1.shape)
+    # laid out coordinate-major: the products and the max over corners in
+    # support_of_caps then walk contiguous memory
+    corners = np.array([[zero, r1, r1, x_top, zero], [zero, zero, y_right, r2, r2]])
+    return corners.transpose(*range(2, corners.ndim), 1, 0)
+
+
 def polygon_from_bounds(r1_bounds, r2_bounds, sum_bounds) -> Region2D:
-    """Polygon of R1 caps, R2 caps and R1+R2 caps in the first quadrant."""
-    inequalities = [({"R1": 1.0}, float(b)) for b in r1_bounds]
-    inequalities += [({"R2": 1.0}, float(b)) for b in r2_bounds]
-    inequalities += [({"R1": 1.0, "R2": 1.0}, float(b)) for b in sum_bounds]
-    system = LinearSystem.from_rows(
-        ("R1", "R2"), inequalities=inequalities, nonnegative=("R1", "R2")
-    )
-    return polygon_extract(system, "R1", "R2")
+    """Polygon of R1 caps, R2 caps and R1+R2 caps in the first quadrant:
+    the hull of the tightest caps' corners, empty when one of them lies
+    below -``SNAP``."""
+    caps = [min(map(float, b)) for b in (r1_bounds, r2_bounds, sum_bounds)]
+    if min(caps) < -SNAP:
+        return Region2D((), np.zeros((0, 2)), empty=True)
+    return region_from_vertices(cap_vertices(*caps))
 
 
 def outer_polygon(d: V12Joint, channel: ChannelSpec) -> Region2D:
@@ -244,20 +264,14 @@ def _caps(bounds: np.ndarray):
 
 
 def support_of_caps(r1, r2, s, direction) -> np.ndarray:
-    """max lam . (R1,R2) over {0<=R1<=r1, 0<=R2<=r2, R1+R2<=s}; ``direction``
-    is one (lam1, lam2) or an array of them broadcasting against the caps."""
-    r1 = np.minimum(np.asarray(r1, dtype=float), s)
-    r2 = np.minimum(np.asarray(r2, dtype=float), s)
-    la, lb = np.moveaxis(np.asarray(direction, dtype=float), -1, 0)
-    x_at_top = np.minimum(r1, s - r2)
-    y_at_right = np.minimum(r2, s - r1)
-    candidates = (
-        la * r1 + lb * np.maximum(y_at_right, 0.0),
-        la * np.maximum(x_at_top, 0.0) + lb * r2,
-        la * r1,
-        lb * r2,
-    )
-    return np.maximum.reduce([np.asarray(c) for c in candidates])
+    """max lam . (R1,R2) over the ``cap_vertices`` polygon; ``direction`` is
+    one (lam1, lam2) or an array of them broadcasting against the caps."""
+    corners = cap_vertices(r1, r2, s)
+    direction = np.asarray(direction, dtype=float)
+    la, lb = direction[..., 0, None], direction[..., 1, None]
+    # elementwise, not a matrix product: a fused multiply-add would move
+    # the last bits of heights that the ascent compares and the documents hold
+    return np.max(la * corners[..., 0] + lb * corners[..., 1], axis=-1)
 
 
 def project_to_simplex(rows: np.ndarray) -> np.ndarray:
@@ -318,20 +332,6 @@ def lockstep_ascent(
             steps[~up] *= 0.5
             live, steps = live[steps >= 1e-3], steps[steps >= 1e-3]
     return values, x
-
-
-def ascent_refine(
-    start: np.ndarray,
-    evaluate,
-    step: float = 0.05,
-    sweeps: int = 50,
-) -> tuple[float, np.ndarray]:
-    """One greedy coordinate ascent of a pmf vector: ``lockstep_ascent``
-    with a single walk, where ``evaluate(rows)`` scores a batch of rows."""
-    values, rows = lockstep_ascent(
-        np.reshape(start, (1, -1)), lambda rows, owner: evaluate(rows), step, sweeps
-    )
-    return float(values[0]), rows[0]
 
 
 @dataclass(frozen=True)
@@ -500,14 +500,12 @@ def outer_region_estimate(
     channel: ChannelSpec,
     cfg: SearchConfig,
     extra_distributions: tuple[V12Joint, ...] = (),
-    threads: int = 1,
 ) -> tuple[Region2D, dict]:
     """Convex support-function envelope of the per-distribution polygons.
 
     Contains the converse polygon of every joint it evaluated; the caveat
     record documents the sampling effort because the true bound may demand
-    joints the search never saw.  ``threads`` is accepted and ignored: the
-    search runs in the calling thread.
+    joints the search never saw.
     """
     cards = v12_cards(channel, cfg)
     flats = sample_pool(

@@ -144,7 +144,7 @@ def test_criterion_3_clean_channel_sandwich():
     assert region_contains(inner, target, tol=1e-9)
 
     outer, caveat = outer_region_estimate(
-        channel, SearchConfig(seed=1, num_samples=2000), threads=4
+        channel, SearchConfig(seed=1, num_samples=2000)
     )
     assert caveat["samples"] == 2000
     assert regions_close(outer, UNIT_SQUARE, tol=1e-3)
@@ -225,7 +225,6 @@ def test_criterion_6_capacity_sandwich():
         channel,
         SearchConfig(seed=6, num_samples=50, card_v12=card_v12),
         extra_distributions=lifted,
-        threads=4,
     )
     assert region_contains(outer, capacity, tol=1e-6)
 

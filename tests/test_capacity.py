@@ -256,7 +256,7 @@ class TestCapacityDegradedZ:
         ch = z_fixture()
         a, ea = capacity_degraded_z(ch, cfg)
         b, eb = capacity_degraded_z(ch, cfg)
-        c, ec = capacity_degraded_z(ch, cfg, threads=4)
+        c, ec = capacity_degraded_z(ch, cfg)
         assert region_to_dict(a) == region_to_dict(b) == region_to_dict(c)
         assert len(ea) == len(eb) == len(ec)
         for da, dc in zip(ea, ec):
@@ -496,7 +496,7 @@ class TestCapacitySemidetHi:
     def test_deterministic(self):
         cfg = SearchConfig(seed=4, num_samples=12, fan=9, refine_sweeps=6)
         a, ra, _ = capacity_semidet_hi(hi_fixture(), cfg)
-        b, rb, _ = capacity_semidet_hi(hi_fixture(), cfg, threads=4)
+        b, rb, _ = capacity_semidet_hi(hi_fixture(), cfg)
         assert region_to_dict(a) == region_to_dict(b)
         assert ra == rb
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifc_udc import cli, errors
 from cifc_udc.channel import (
@@ -16,7 +18,7 @@ from cifc_udc.channel import (
 from cifc_udc.oracle import oracle_is_degraded
 from cifc_udc.outer import InputLaw
 from cifc_udc.pmf import ConditionalFactor, JointPMF
-from cifc_udc.polytope import region_from_dict
+from cifc_udc.polytope import LinearSystem, region_from_dict
 
 
 def clean_orthogonal():
@@ -58,6 +60,13 @@ def test_row_sum_error_names_inputs():
 def test_missing_entry_is_shape_mismatch():
     doc = doc_for(clean_orthogonal())
     doc["p"] = doc["p"][:-1]
+    with pytest.raises(errors.ShapeMismatch):
+        load_channel(json.dumps(doc))
+
+
+def test_entry_count_past_int64_is_shape_mismatch():
+    # 2**32 * 2**32 entries wrap to 0 in int64, which an empty "p" matched
+    doc = {"x1": 2**32, "x2": 2**32, "x3": 1, "y1": 1, "y2": 1, "p": []}
     with pytest.raises(errors.ShapeMismatch):
         load_channel(json.dumps(doc))
 
@@ -148,6 +157,57 @@ def test_non_finite_region_document_rejected(where, bad, tmp_path):
     path.write_text(json.dumps(_region_doc(bad, where)))
     assert cli.main(["compare", str(good), str(good)]) == 0
     assert cli.main(["compare", str(path), str(good)]) == 1
+
+
+def _with_bad(values, at, bad):
+    """A float copy of ``values`` with flat entry ``at`` set to ``bad``."""
+    out = np.array(values, dtype=float)
+    out.reshape(-1)[at] = bad
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    st.integers(0, 2**31 - 1),
+    st.data(),
+)
+def test_non_finite_at_any_position_is_a_domain_error(bad, cards, seed, data):
+    rng = np.random.default_rng(seed)
+    cards = tuple(cards)
+    labels = tuple(zip(("x1", "x2", "x3", "y1", "y2"), cards))
+    law = rng.dirichlet(np.ones(cards[3] * cards[4]), size=cards[:3])
+    law = _with_bad(law, data.draw(st.integers(0, law.size - 1)), bad).reshape(cards)
+    doc = dict(labels)
+    doc["p"] = law.reshape(-1).tolist()  # json writes NaN / Infinity / -Infinity
+    tensor_entries = (
+        lambda: ChannelSpec(cards, law),
+        lambda: JointPMF(labels, law / np.prod(cards[:3])),
+        lambda: ConditionalFactor(labels[3:], labels[:3], law),
+        lambda: InputLaw(cards, law / np.prod(cards[:3])),
+    )
+    for build in tensor_entries:
+        with pytest.raises(errors.NegativeEntry):
+            build()
+    with pytest.raises(errors.ParseError):
+        load_channel(json.dumps(doc))
+
+    rows = _with_bad(
+        rng.uniform(-1.0, 1.0, (3, 4)), data.draw(st.integers(0, 11)), bad
+    )
+    drawn, none = (rows[:, :3], rows[:, 3]), (np.zeros((0, 3)), np.zeros(0))
+    ineq, eq = (none, drawn) if data.draw(st.booleans()) else (drawn, none)
+    with pytest.raises(errors.ShapeMismatch):
+        LinearSystem(("a", "b", "c"), *ineq, *eq, frozenset())
+
+    region = _region_doc(1.0, "halfplanes")
+    where = data.draw(st.sampled_from(["halfplanes", "vertices"]))
+    region[where] = _with_bad(
+        region[where], data.draw(st.integers(0, np.size(region[where]) - 1)), bad
+    ).tolist()
+    with pytest.raises(errors.ShapeMismatch):
+        region_from_dict(region)
 
 
 @pytest.mark.parametrize("card", [1.9, True, "2", None, [2]])

@@ -301,3 +301,14 @@ def test_outer_ascent_over_the_cell_budget():
     assert proc.returncode == 1
     assert proc.stderr.startswith("TooLarge:")
     assert "Traceback" not in proc.stderr
+
+
+def test_channel_entry_count_past_int64(tmp_path):
+    # 2**32 * 2**32 entries wrap to 0 in int64, which an empty "p" matched
+    path = tmp_path / "huge.json"
+    doc = {"x1": 2**32, "x2": 2**32, "x3": 1, "y1": 1, "y2": 1, "p": []}
+    path.write_text(json.dumps(doc))
+    proc = run_cli("classify", path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ShapeMismatch:")
+    assert "Traceback" not in proc.stderr

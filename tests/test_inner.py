@@ -510,8 +510,8 @@ def test_inner_region_dead_channel():
 def test_inner_region_threads_identical():
     ch = clean_channel()
     cfg = SamplerConfig(seed=21, num_samples=6)
-    r1, logs1 = inner_region(ch, cfg, threads=1)
-    r4, logs4 = inner_region(ch, cfg, threads=4)
+    r1, logs1 = inner_region(ch, cfg)
+    r4, logs4 = inner_region(ch, cfg)
     assert logs1 == logs4
     np.testing.assert_array_equal(r1.vertices, r4.vertices)
     np.testing.assert_array_equal(r1.halfplanes, r4.halfplanes)

@@ -18,10 +18,11 @@ from cifc_udc import capacity, outer
 from cifc_udc.outer import (
     SearchConfig,
     V12Joint,
-    ascent_refine,
+    cap_vertices,
     default_v12_card,
     fan_directions,
     five_bounds,
+    lockstep_ascent,
     outer_polygon,
     outer_region_estimate,
     polygon_from_bounds,
@@ -29,7 +30,14 @@ from cifc_udc.outer import (
     support_of_caps,
 )
 from cifc_udc.pmf import JointPMF, conditional_mutual_information
-from cifc_udc.polytope import region_contains, region_to_dict, support
+from cifc_udc.polytope import (
+    LinearSystem,
+    polygon_extract,
+    region_contains,
+    region_to_dict,
+    regions_close,
+    support,
+)
 
 
 def clean_channel():
@@ -174,6 +182,74 @@ class TestPolygonFromBounds:
         assert region_contains(a, b) and region_contains(b, a)
 
 
+def lp_cap_polygon(r1, r2, s):
+    """The cap polygon through the linear-system route."""
+    system = LinearSystem.from_rows(
+        ("R1", "R2"),
+        inequalities=[
+            ({"R1": 1.0}, r1), ({"R2": 1.0}, r2), ({"R1": 1.0, "R2": 1.0}, s),
+        ],
+        nonnegative=("R1", "R2"),
+    )
+    return polygon_extract(system, "R1", "R2")
+
+
+def draw_caps(kind, rng):
+    """(r1, r2, s) of one of the shapes the closed form must get right."""
+    r1, r2 = rng.uniform(0.0, 2.0, 2)
+    if kind == "zero":
+        caps = [r1, r2, rng.uniform(0.0, 3.0)]
+        for i in rng.choice(3, size=rng.integers(1, 4), replace=False):
+            caps[i] = 0.0
+        return tuple(caps)
+    if kind == "tie":
+        return r1, r2, r1 + r2
+    if kind == "redundant":
+        return r1, r2, r1 + r2 + rng.uniform(0.0, 1.0)
+    if kind == "below-both":
+        return r1, r2, min(r1, r2) * rng.uniform(0.0, 1.0)
+    if kind == "between":
+        return r1, r2, rng.uniform(max(r1, r2), r1 + r2)
+    caps = [r1, r2, rng.uniform(0.0, 3.0)]
+    caps[rng.integers(3)] = -1e-6 if kind == "negative-1e-6" else -1e-13
+    return tuple(caps)
+
+
+CAP_KINDS = (
+    "zero", "tie", "redundant", "below-both", "between",
+    "negative-1e-6", "negative-1e-13",
+)
+
+
+@pytest.mark.parametrize("kind", CAP_KINDS)
+def test_closed_form_cap_polygon_matches_the_lp_route(kind):
+    rng = np.random.default_rng([17, CAP_KINDS.index(kind)])
+    directions = fan_directions(9)
+    for _ in range(25):
+        caps = draw_caps(kind, rng)
+        got = polygon_from_bounds([caps[0]], [caps[1]], [caps[2]])
+        want = lp_cap_polygon(*caps)
+        assert got.empty == want.empty
+        if want.empty:
+            continue
+        assert regions_close(got, want, tol=1e-9)
+        for lam in directions:
+            assert abs(float(support_of_caps(*caps, lam)) - support(want, lam)) < 1e-9
+
+
+def test_cap_vertices_broadcast():
+    r1 = np.array([[0.5], [1.0], [0.0]])
+    r2 = np.array([0.75, 0.25])
+    got = cap_vertices(r1, r2, 1.0)
+    assert got.shape == (3, 2, 5, 2)
+    for i, j in np.ndindex(3, 2):
+        assert np.array_equal(got[i, j], cap_vertices(r1[i, 0], r2[j], 1.0))
+    assert np.array_equal(
+        cap_vertices(0.5, 0.75, 1.0),
+        [[0, 0], [0.5, 0], [0.5, 0.5], [0.25, 0.75], [0, 0.75]],
+    )
+
+
 class TestSimplexProjection:
     def test_kkt_conditions(self):
         rng = np.random.default_rng(5)
@@ -203,8 +279,12 @@ class TestAscent:
 
         start = np.full(4, 0.25)
         v0 = float(evaluate(start[None, :])[0])
-        v1, x1 = ascent_refine(start, evaluate)
-        v2, x2 = ascent_refine(start, evaluate)
+
+        def walk():
+            return lockstep_ascent(start[None], lambda rows, owner: evaluate(rows))
+
+        (v1,), (x1,) = walk()
+        (v2,), (x2,) = walk()
         assert v1 >= v0
         assert v1 == v2 and np.array_equal(x1, x2)
         assert abs(x1.sum() - 1.0) < 1e-12 and (x1 >= 0).all()
@@ -215,7 +295,9 @@ class TestAscent:
             return rows[:, 0]
 
         start = np.array([0.25, 0.75])
-        value, x = ascent_refine(start, evaluate, sweeps=0)
+        (value,), (x,) = lockstep_ascent(
+            start[None], lambda rows, owner: evaluate(rows), sweeps=0
+        )
         assert value == 0.25 and np.array_equal(x, start)
 
 
@@ -247,7 +329,7 @@ class TestOuterEstimate:
         ch = xor_channel()
         a, ca = outer_region_estimate(ch, cfg)
         b, cb = outer_region_estimate(ch, cfg)
-        c, cc = outer_region_estimate(ch, cfg, threads=4)
+        c, cc = outer_region_estimate(ch, cfg)
         sa = json.dumps(region_to_dict(a), sort_keys=True)
         assert sa == json.dumps(region_to_dict(b), sort_keys=True)
         assert sa == json.dumps(region_to_dict(c), sort_keys=True)
