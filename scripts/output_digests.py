@@ -20,7 +20,8 @@ exit status alone says whether a change kept every output byte.
 The commands are every command of the benchmark workloads, as
 ``perfbench/workloads.py`` builds them, plus larger and failing searches:
 outer on clean.json at 100 samples and a fan of 64, outer on degraded_z and
-hi_in_class, capacity semidet-hi on hi_falsified (exit 1), and outer on the
+hi_in_class, outer on clean.json with its samples and fan read from a
+config file, capacity semidet-hi on hi_falsified (exit 1), and outer on the
 benchmark's seeded (3,3,2,3,3) channel at a larger auxiliary alphabet.
 Then ``fm`` projects four seeded systems (two with an equality) onto
 (t0, t1) and onto (t1, t0), and ``compare`` checks the clean.json inner
@@ -50,6 +51,8 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
     """(label, argv) of the runs the benchmark workloads leave out."""
     large = workdir / "large.json"
     large.write_text(json.dumps(large_channel(seed)), encoding="utf-8")
+    config = workdir / "outer.cfg"
+    config.write_text("samples = 20\nfan = 16\n", encoding="utf-8")
     channel = lambda name: str(src / "channels" / name)
     runs = [
         ("outer-clean-100", ["outer", channel("clean.json"),
@@ -58,6 +61,8 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
                               "--samples", "20", "--fan", "16"]),
         ("outer-hi_in_class", ["outer", channel("hi_in_class.json"),
                                "--samples", "20", "--fan", "16"]),
+        ("outer-clean-config", ["outer", channel("clean.json"),
+                                "--config", str(config)]),
         ("capacity-hi_falsified", ["capacity", channel("hi_falsified.json"),
                                    "--class", "semidet-hi", "--samples", "20"]),
         ("outer-large-v12-4", ["outer", str(large), "--card-v12", "4",

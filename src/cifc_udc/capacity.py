@@ -25,6 +25,7 @@ from .errors import (
 )
 from .inner import InnerFactorization
 from .outer import (
+    ASCENT_GAIN,
     Information,
     InputLaw,
     SearchConfig,
@@ -96,10 +97,12 @@ def semidet_hi_bounds(j: np.ndarray) -> np.ndarray:
     """
     info = Information(j, "x1 v12 x2 x3 y1 y2")
     a = info.mi("x1 v12 x3", "y1")
+    # x1 v12 x3 y2 first, so that x1 x3 y2 sums from it, not from j
+    total = a + info.cond("y2", "x1 v12 x3")
     return clip_information(np.stack([
         a,
         info.cond("y2", "x1 x3"),
-        a + info.cond("y2", "x1 v12 x3"),
+        total,
     ], axis=-1))
 
 
@@ -425,7 +428,7 @@ def _refined_flats(flats, caps_of, cfg: SearchConfig) -> list[np.ndarray]:
         row
         for _, ascents in fan_ascents(flats, caps_of, cfg)
         for start, reached, row in ascents
-        if reached > start + 1e-12
+        if reached > start + ASCENT_GAIN
     ]
 
 

@@ -14,10 +14,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .capacity import capacity_degraded_z, capacity_semidet_hi, hi_regime_falsify
 from .channel import classify, load_channel
 from .errors import CifcError, ParseError, UsageError
-from .inner import SamplerConfig, inner_region
+from .inner import AUX_LABELS, SamplerConfig, inner_region
 from .outer import SearchConfig, outer_region_estimate
 from .polytope import (
     LinearSystem,
@@ -28,54 +30,6 @@ from .polytope import (
     region_to_dict,
 )
 
-# hard defaults per subcommand; config files and flags both resolve
-# against these tables so precedence stays in one place
-_OPTION_TABLES = {
-    "classify": {
-        "hi_check": (bool, False),
-        "samples": (int, 0),
-        "seed": (int, 0),
-        "card_v12": (int, 0),
-    },
-    "inner": {
-        "samples": (int, 0),
-        "seed": (int, 0),
-        "card_u1p": (int, 2),
-        "card_u1": (int, 2),
-        "card_v1": (int, 2),
-        "card_u2p": (int, 2),
-        "card_u2": (int, 2),
-        "card_v12": (int, 2),
-        "card_v2": (int, 2),
-        "card_yh2": (int, 2),
-        "threads": (int, 1),
-        "out": (str, None),
-    },
-    "outer": {
-        "samples": (int, 0),
-        "seed": (int, 0),
-        "card_v12": (int, 0),
-        "fan": (int, 64),
-        "threads": (int, 1),
-        "out": (str, None),
-    },
-    "capacity": {
-        "klass": (str, None),
-        "samples": (int, 0),
-        "seed": (int, 0),
-        "card_v12": (int, 0),
-        "threads": (int, 1),
-        "out": (str, None),
-    },
-    "compare": {
-        "tol": (float, 1e-9),
-    },
-    "fm": {
-        "keep": (str, None),
-        "out": (str, None),
-    },
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -85,56 +39,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, table):
-        if "samples" in table:
-            p.add_argument("--samples", type=int, default=None)
-        if "seed" in table:
-            p.add_argument("--seed", type=int, default=None)
-        if "threads" in table:
-            p.add_argument("--threads", type=int, default=None)
-        if "out" in table:
-            p.add_argument("--out", default=None)
+    def command(name, help, positionals, **options):
+        """Declare a subcommand from ``options = {dest: (type, default)}``.
+
+        Each option is the flag ``--<dest with - for _>`` and the config
+        key ``dest``; ``klass`` is the required ``--class``, a choice among
+        the names its type lists.  ``_resolve`` reads the mapping back.
+        """
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        for dest, (kind, _) in options.items():
+            if dest == "klass":
+                p.add_argument("--class", dest=dest, required=True, choices=kind)
+                continue
+            how = {"action": "store_true"} if kind is bool else {"type": kind}
+            p.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
+                           default=None, **how)
         p.add_argument("--config", default=None)
+        p.set_defaults(options=options)
 
-    p = sub.add_parser("classify", help="print structural channel flags")
-    p.add_argument("channel")
-    p.add_argument("--hi-check", dest="hi_check", action="store_true",
-                   default=None)
-    p.add_argument("--card-v12", dest="card_v12", type=int, default=None)
-    add_common(p, _OPTION_TABLES["classify"])
+    search = {"samples": (int, 0), "seed": (int, 0)}
+    output = {"threads": (int, 1), "out": (str, None)}
+    cards = {f"card_{name}": (int, 2) for name in AUX_LABELS}
 
-    p = sub.add_parser("inner", help="achievable-rate region estimate")
-    p.add_argument("channel")
-    for name in ("u1p", "u1", "v1", "u2p", "u2", "v12", "v2", "yh2"):
-        p.add_argument(f"--card-{name}", dest=f"card_{name}", type=int,
-                       default=None)
-    add_common(p, _OPTION_TABLES["inner"])
-
-    p = sub.add_parser("outer", help="converse-bound region estimate")
-    p.add_argument("channel")
-    p.add_argument("--card-v12", dest="card_v12", type=int, default=None)
-    p.add_argument("--fan", type=int, default=None)
-    add_common(p, _OPTION_TABLES["outer"])
-
-    p = sub.add_parser("capacity", help="capacity region for a solvable class")
-    p.add_argument("channel")
-    p.add_argument("--class", dest="klass", required=True,
-                   choices=("degraded-z", "semidet-hi"))
-    p.add_argument("--card-v12", dest="card_v12", type=int, default=None)
-    add_common(p, _OPTION_TABLES["capacity"])
-
-    p = sub.add_parser("compare", help="mutual containment of two regions")
-    p.add_argument("region_a")
-    p.add_argument("region_b")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("fm", help="project a linear system onto two variables")
-    p.add_argument("system")
-    p.add_argument("--keep", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-
+    command("classify", "print structural channel flags", ["channel"],
+            hi_check=(bool, False), card_v12=(int, 0), **search)
+    command("inner", "achievable-rate region estimate", ["channel"],
+            **cards, **search, **output)
+    command("outer", "converse-bound region estimate", ["channel"],
+            card_v12=(int, 0), fan=(int, 64), **search, **output)
+    command("capacity", "capacity region for a solvable class", ["channel"],
+            klass=(("degraded-z", "semidet-hi"), None), card_v12=(int, 0),
+            **search, **output)
+    command("compare", "mutual containment of two regions",
+            ["region_a", "region_b"], tol=(float, 1e-9))
+    command("fm", "project a linear system onto two variables", ["system"],
+            keep=(str, None), out=(str, None))
     return parser
 
 
@@ -153,15 +94,15 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args, table) -> dict:
+def _resolve(args) -> dict:
     """Flag value if given, else config value, else hard default."""
     config = _read_config(args.config) if args.config else {}
-    unknown = set(config) - set(table)
+    unknown = set(config) - set(args.options)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for name, (kind, default) in table.items():
-        given = getattr(args, name, None)
+    for name, (kind, default) in args.options.items():
+        given = getattr(args, name)
         if given is not None:
             resolved[name] = given
         elif name in config:
@@ -193,12 +134,16 @@ def _load_channel_file(path: str):
         return load_channel(handle.read())
 
 
-def _load_region_file(path: str):
+def _load_json_file(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
-            doc = json.loads(handle.read())
+            return json.loads(handle.read())
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _load_region_file(path: str):
+    doc = _load_json_file(path)
     if isinstance(doc, dict) and isinstance(doc.get("region"), dict):
         doc = doc["region"]
     if not isinstance(doc, dict):
@@ -208,35 +153,30 @@ def _load_region_file(path: str):
 
 def _load_system_file(path: str) -> LinearSystem:
     """Rows are coefficient lists with the bound appended."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.loads(handle.read())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    doc = _load_json_file(path)
     if not isinstance(doc, dict) or "variables" not in doc:
         raise ParseError(f"{path}: expected an object with 'variables'")
     variables = [str(v) for v in doc["variables"]]
     width = len(variables) + 1
 
-    def rows(key):
+    def rows(key) -> np.ndarray:
         body = doc.get(key, ())
         if not isinstance(body, (list, tuple)):
             raise ParseError(f"{path}: '{key}' must be a list of rows")
-        out = []
-        for row in body:
+        out = np.zeros((len(body), width))
+        for i, row in enumerate(body):
             if not isinstance(row, (list, tuple)) or len(row) != width:
                 raise ParseError(
                     f"{path}: every {key} row needs {width} numbers"
                 )
             try:
-                numbers = [float(c) for c in row]
+                out[i] = [float(c) for c in row]
             except (TypeError, ValueError) as exc:
                 raise ParseError(
                     f"{path}: non-numeric entry in a {key} row"
                 ) from exc
-            if not all(math.isfinite(c) for c in numbers):
+            if not np.isfinite(out[i]).all():
                 raise ParseError(f"{path}: NaN or an infinity in a {key} row")
-            out.append((dict(zip(variables, numbers)), numbers[-1]))
         return out
 
     nonneg = doc.get("nonnegative", ())
@@ -244,11 +184,10 @@ def _load_system_file(path: str) -> LinearSystem:
         raise ParseError(
             f"{path}: 'nonnegative' must list variable names"
         )
-    return LinearSystem.from_rows(
-        variables,
-        inequalities=rows("inequalities"),
-        equalities=rows("equalities"),
-        nonnegative=[str(v) for v in nonneg],
+    ineqs, eqs = rows("inequalities"), rows("equalities")
+    return LinearSystem(
+        variables, ineqs[:, :-1], ineqs[:, -1], eqs[:, :-1], eqs[:, -1],
+        frozenset(str(v) for v in nonneg),
     )
 
 
@@ -278,8 +217,7 @@ def _emit(doc: dict, out: str | None, log_lines=None) -> None:
             handle.write("\n".join(log_lines) + ("\n" if log_lines else ""))
 
 
-def _cmd_classify(args) -> int:
-    opts = _resolve(args, _OPTION_TABLES["classify"])
+def _cmd_classify(args, opts: dict) -> int:
     channel = _load_channel_file(args.channel)
     report = classify(channel)
     lines = [
@@ -304,8 +242,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_inner(args) -> int:
-    opts = _resolve(args, _OPTION_TABLES["inner"])
+def _cmd_inner(args, opts: dict) -> int:
     channel = _load_channel_file(args.channel)
     cfg = _config(
         SamplerConfig,
@@ -327,8 +264,7 @@ def _cmd_inner(args) -> int:
     return 0
 
 
-def _cmd_outer(args) -> int:
-    opts = _resolve(args, _OPTION_TABLES["outer"])
+def _cmd_outer(args, opts: dict) -> int:
     channel = _load_channel_file(args.channel)
     cfg = _config(
         SearchConfig,
@@ -343,8 +279,7 @@ def _cmd_outer(args) -> int:
     return 0
 
 
-def _cmd_capacity(args) -> int:
-    opts = _resolve(args, _OPTION_TABLES["capacity"])
+def _cmd_capacity(args, opts: dict) -> int:
     channel = _load_channel_file(args.channel)
     cfg = _config(
         SearchConfig,
@@ -352,35 +287,27 @@ def _cmd_capacity(args) -> int:
         num_samples=opts["samples"],
         card_v12=opts["card_v12"],
     )
-    if args.klass == "degraded-z":
+    report = None
+    if opts["klass"] == "degraded-z":
         region, evaluated = capacity_degraded_z(channel, cfg)
-        doc = {
-            "region": region_to_dict(region),
-            "class": "degraded-z",
-            "record": {
-                "samples": opts["samples"],
-                "seed": opts["seed"],
-                "evaluated": len(evaluated),
-            },
-        }
     else:
         region, report, evaluated = capacity_semidet_hi(channel, cfg)
-        doc = {
-            "region": region_to_dict(region),
-            "class": "semidet-hi",
-            "report": report.to_dict(),
-            "record": {
-                "samples": opts["samples"],
-                "seed": opts["seed"],
-                "evaluated": len(evaluated),
-            },
-        }
+    doc = {
+        "region": region_to_dict(region),
+        "class": opts["klass"],
+        "record": {
+            "samples": opts["samples"],
+            "seed": opts["seed"],
+            "evaluated": len(evaluated),
+        },
+    }
+    if report is not None:
+        doc["report"] = report.to_dict()
     _emit(doc, opts["out"])
     return 0
 
 
-def _cmd_compare(args) -> int:
-    opts = _resolve(args, _OPTION_TABLES["compare"])
+def _cmd_compare(args, opts: dict) -> int:
     if not (math.isfinite(opts["tol"]) and opts["tol"] >= 0):
         raise UsageError(f"--tol must be a finite number >= 0, not {opts['tol']!r}")
     region_a = _load_region_file(args.region_a)
@@ -394,8 +321,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_fm(args) -> int:
-    opts = _resolve(args, _OPTION_TABLES["fm"])
+def _cmd_fm(args, opts: dict) -> int:
     if not opts["keep"]:
         raise UsageError("fm requires --keep with two comma-separated labels")
     keep = [part.strip() for part in opts["keep"].split(",") if part.strip()]
@@ -432,7 +358,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _resolve(args))
     except (ParseError, UsageError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2

@@ -295,6 +295,9 @@ def fan_directions(count: int) -> np.ndarray:
 # cap on the walks x n x n candidate entries of a lockstep block (peak memory)
 _BLOCK_CELLS = 4096
 
+# a walk moves, and counts as improved, only on a gain above this
+ASCENT_GAIN = 1e-12
+
 
 def lockstep_ascent(
     starts: np.ndarray,
@@ -307,8 +310,9 @@ def lockstep_ascent(
     ``evaluate(rows, owner)`` scores candidates; ``owner[i]`` is the walk
     of row i.  Each sweep bumps every entry of a live walk by its own step,
     projects onto the simplex and keeps the walk's best candidate (first on
-    ties) if it gains over 1e-12, else halves the step.  A walk ends at a
-    step below 1e-3 or after ``sweeps`` sweeps.  Returns (values, points).
+    ties) if it gains over ``ASCENT_GAIN``, else halves the step.  A walk
+    ends at a step below 1e-3 or after ``sweeps`` sweeps.  Returns (values,
+    points).
     """
     x = np.array(starts, dtype=float)
     walks, n = x.shape
@@ -326,7 +330,7 @@ def lockstep_ascent(
             scores = evaluate(candidates, np.repeat(live, n)).reshape(-1, n)
             best = np.argmax(scores, axis=1)
             top = scores[np.arange(live.size), best]
-            up = top > values[live] + 1e-12
+            up = top > values[live] + ASCENT_GAIN
             x[live[up]] = candidates.reshape(-1, n, n)[up, best[up]]
             values[live[up]] = top[up]
             steps[~up] *= 0.5
@@ -464,21 +468,31 @@ def sample_pool(
     return np.stack([p.reshape(-1) for p in pool], axis=0)
 
 
-def fan_ascents(flats: np.ndarray, caps_of, cfg: SearchConfig) -> list:
+def fan_ascents(
+    flats: np.ndarray, caps_of, cfg: SearchConfig, extra: int = 0
+) -> list:
     """Coordinate ascents of the support along each fan direction.
 
     ``caps_of`` maps a batch of flat laws to (R1 cap, R2 cap, sum cap).
     For each direction of ``fan_directions(cfg.fan)`` returns the best
-    support over ``flats`` and, for each of the ``cfg.refine_starts`` best
-    rows, the (start, reached, row) of its ascent: the support it started
-    from, the support it reached and the law that reached it.  No ascent
-    runs when ``cfg.refine_starts`` or ``cfg.refine_sweeps`` is zero.  All
-    ascents of the fan run together in one ``lockstep_ascent``.
+    support over ``flats`` and the (start, reached, row) of each ascent:
+    the support it started from, the support it reached and the law that
+    reached it.  Ascents start from the ``cfg.refine_starts`` best rows
+    but the last ``extra``, then from the ``cfg.refine_starts`` best of
+    those ``extra`` rows.  So an extra row never displaces a start the
+    search makes without it, and every row among the ``cfg.refine_starts``
+    best of all still starts one.  No ascent runs when ``cfg.refine_starts``
+    or ``cfg.refine_sweeps`` is zero.  All ascents of the fan run together
+    in one ``lockstep_ascent``.
     """
     directions = fan_directions(cfg.fan)
     supports = support_of_caps(*caps_of(flats), directions[:, None, :])
     count = cfg.refine_starts if cfg.refine_sweeps else 0
-    order = np.argsort(-supports, axis=1, kind="stable")[:, :count]
+    cut = len(flats) - extra
+    order = np.concatenate([
+        lo + np.argsort(-supports[:, lo:hi], axis=1, kind="stable")[:, :count]
+        for lo, hi in ((0, cut), (cut, len(flats)))
+    ], axis=1)
     lam = np.repeat(directions, order.shape[1], axis=0)
 
     def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -518,7 +532,9 @@ def outer_region_estimate(
     directions = fan_directions(cfg.fan)
     heights = [
         max([best] + [reached for _, reached, _ in ascents])
-        for best, ascents in fan_ascents(flats, caps_of, cfg)
+        for best, ascents in fan_ascents(
+            flats, caps_of, cfg, extra=len(extra_distributions)
+        )
     ]
 
     inequalities = [

@@ -17,6 +17,7 @@ step to keep the quadratic growth of elimination in check.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -350,10 +351,25 @@ def _clip_all(halfplanes: Sequence[tuple]) -> list:
 
 
 def _dedupe_points(points: Sequence, tol: float = 1e-9) -> list:
-    out = []
+    """The points in order, less each one within ``tol`` in both
+    coordinates of a point kept before it.
+
+    Kept points are filed by cell of side 2 * tol, so a match lies in the
+    3 x 3 cells around a point's own even where the division rounds.
+    """
+    out, cells = [], {}
     for p in points:
-        if all(abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol for q in out):
-            out.append((float(p[0]), float(p[1])))
+        x, y = float(p[0]), float(p[1])
+        cx, cy = math.floor(x / (2 * tol)), math.floor(y / (2 * tol))
+        near = (
+            q
+            for i in (cx - 1, cx, cx + 1)
+            for j in (cy - 1, cy, cy + 1)
+            for q in cells.get((i, j), ())
+        )
+        if all(abs(x - q[0]) > tol or abs(y - q[1]) > tol for q in near):
+            out.append((x, y))
+            cells.setdefault((cx, cy), []).append((x, y))
     return out
 
 
@@ -565,13 +581,15 @@ def polygon_extract(system: LinearSystem, r1: str, r2: str) -> Region2D:
             kept.append(hp)
 
     # exact vertices: pairwise intersections of surviving boundary lines
+    # within ROW_TOL of every line; at VERTEX_TOL, two lines that cross just
+    # outside a third near a shared corner would add a vertex outside it
     candidates = []
     for i in range(len(kept)):
         for j in range(i + 1, len(kept)):
             pt = _intersect_lines(kept[i], kept[j])
             if pt is None:
                 continue
-            if all(a * pt[0] + b * pt[1] - c <= VERTEX_TOL for a, b, c in kept):
+            if all(a * pt[0] + b * pt[1] - c <= ROW_TOL for a, b, c in kept):
                 candidates.append(pt)
     verts = _dedupe_points(candidates, tol=1e-7)
     if not verts:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cifc_udc import cli
 from cifc_udc.polytope import region_from_dict, region_from_vertices, regions_close
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
@@ -260,6 +261,56 @@ class TestConfigFile:
         proc = run_cli("outer", channel("clean.json"), "--config", cfg)
         assert proc.returncode == 2
         assert "no_such_option" in proc.stderr
+
+
+    # every config key each subcommand accepts, and the positionals (and
+    # the one required flag) a parse needs
+    KEYS = {
+        "classify": (["c.json"], {"hi_check", "samples", "seed", "card_v12"}),
+        "inner": (["c.json"], {
+            "samples", "seed", "threads", "out", "card_u1p", "card_u1",
+            "card_v1", "card_u2p", "card_u2", "card_v12", "card_v2",
+            "card_yh2",
+        }),
+        "outer": (["c.json"], {
+            "samples", "seed", "card_v12", "fan", "threads", "out",
+        }),
+        "capacity": (["c.json", "--class", "degraded-z"], {
+            "klass", "samples", "seed", "card_v12", "threads", "out",
+        }),
+        "compare": (["a.json", "b.json"], {"tol"}),
+        "fm": (["s.json"], {"keep", "out"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_each_config_key_resolves_like_its_flag(self, tmp_path, command):
+        prefix, keys = self.KEYS[command]
+        parser = cli._build_parser()
+        declared = parser.parse_args([command, *prefix]).options
+        assert set(declared) == keys
+        values = {int: ("7", 7), float: ("0.25", 0.25), str: ("t0,t1", "t0,t1")}
+        cfg = tmp_path / "run.cfg"
+        for name, (kind, default) in declared.items():
+            if name == "klass":
+                # the flag is required, so the accepted key never decides
+                cfg.write_text("klass=semidet-hi\n")
+                args = parser.parse_args([command, *prefix, "--config", str(cfg)])
+                assert cli._resolve(args)["klass"] == "degraded-z"
+                continue
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                text, flag_argv, want = "true", [flag], True
+            else:
+                text, want = values[kind]
+                flag_argv = [flag, text]
+            assert want != default
+            cfg.write_text(f"{name} = {text}\n")
+            from_flag = cli._resolve(parser.parse_args([command, *prefix, *flag_argv]))
+            from_config = cli._resolve(
+                parser.parse_args([command, *prefix, "--config", str(cfg)])
+            )
+            assert from_flag[name] == from_config[name] == want
+            assert from_flag == from_config
 
 
 @pytest.mark.parametrize("name", [

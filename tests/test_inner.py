@@ -561,3 +561,33 @@ def test_joint_cell_budget_is_checked_before_any_table(monkeypatch):
                 SamplerConfig(card_u1=1000, card_u2=1000)):
         with pytest.raises(TooLarge):
             sample_factorizations(ch, cfg)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the drop cases without row f1 (decoder 2 decodes nothing) pin "
+    "R2p and R22 but let X3 carry U2p, so R1p alone takes all of "
+    "I(Y1;U1p,U1,V1,U2p,U2,V12,X3)",
+)
+def test_inner_r1_below_the_sum_cap_of_every_converse_polygon():
+    rng = np.random.default_rng([99, 34])
+    cards = tuple(int(c) for c in rng.integers(1, 3, size=5))  # (1,2,2,2,1)
+    rows = rng.dirichlet(np.full(cards[3] * cards[4], 0.5), size=cards[:3])
+    region, _ = inner_region(
+        ChannelSpec(cards, rows.reshape(cards)), SamplerConfig(num_samples=0)
+    )
+    # every converse polygon has R1 <= R1+R2 <= I(X1,X2;Y1,Y2|X3); with
+    # |X1| = 1 that is at most the largest capacity over x3 of x2 -> (y1, y2),
+    # here found on a grid of p(x2)
+    grid = np.linspace(0.0, 1.0, 10001)
+    laws = np.stack([1.0 - grid, grid], axis=1)
+
+    def entropy(m):
+        return -np.sum(m * np.log2(np.where(m > 0, m, 1.0)), axis=-1)
+
+    cap = max(
+        float(np.max(entropy(laws @ w) - laws @ entropy(w)))
+        for w in rows[0].transpose(1, 0, 2)
+    )
+    assert region.vertices[:, 0].max() <= cap + 1e-6

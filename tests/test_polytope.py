@@ -21,6 +21,7 @@ from cifc_udc.inner import (
 from cifc_udc.oracle import oracle_projected_vertices
 from cifc_udc.polytope import (
     LinearSystem,
+    _dedupe_points,
     Region2D,
     fm_eliminate,
     hull_union,
@@ -332,6 +333,26 @@ def test_vertices_satisfy_halfplanes_fuzzed():
             assert np.all(a * region.vertices[:, 0] + b * region.vertices[:, 1] <= c + 1e-7)
 
 
+
+def test_nearly_concurrent_lines_add_no_vertex_outside_a_halfplane():
+    # fan halfplanes of a thin outer estimate: the second and fourth lines
+    # cross 5e-8 outside the third, 1.6e-7 from where the second meets it
+    rows = [
+        ((1.0, 0.7974733888824039), 0.10781994355068146),
+        ((0.797473388882404, 1.0), 0.08606099314521551),
+        ((0.4815746188075287, 1.0), 0.052121637768273686),
+        ((0.22824347439014997, 1.0), 0.02490448069159935),
+        ((0.0, 1.0), 0.00039630746395592),
+    ]
+    sys_ = LinearSystem.from_rows(
+        ("R1", "R2"),
+        [({"R1": a, "R2": b}, c) for (a, b), c in rows],
+        nonnegative=("R1", "R2"),
+    )
+    region = polygon_extract(sys_, "R1", "R2")
+    assert region_contains(region, region, tol=1e-9)
+
+
 # ------------------------------------------------------- regions and support
 
 
@@ -344,6 +365,38 @@ def test_region_contains_examples():
     empty = Region2D((), np.zeros((0, 2)), empty=True)
     assert region_contains(square, empty, 1e-9)
     assert not region_contains(empty, square, 1e-9)
+
+
+def quadratic_dedupe(points, tol):
+    """The dedupe rule pointwise: drop a point within ``tol`` in both
+    coordinates of any point kept before it."""
+    out = []
+    for p in points:
+        if all(abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol for q in out):
+            out.append((float(p[0]), float(p[1])))
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+@pytest.mark.parametrize("seed", range(4))
+def test_dedupe_points_matches_the_pointwise_rule(seed, tol):
+    rng = np.random.default_rng([seed, 7])
+    base = rng.uniform(-1.0, 3.0, (30, 2))
+    base[:10] = np.round(base[:10] / (2 * tol)) * (2 * tol)  # on cell edges
+    near = [1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]  # in multiples of tol
+    parts = [base, base[:10]]  # exact repeats
+    for scale in near:
+        for sx, sy in ((1, 0), (0, -1), (-1, 1), (1, 1)):
+            parts.append(base + tol * scale * np.array([sx, sy]))
+    # chains: each link within tol of the one before, the ends apart
+    links = rng.uniform(0.6, 0.9, (30, 6, 1)) * tol * rng.choice([-1, 1], (30, 6, 2))
+    parts.extend(np.swapaxes(base[:, None, :] + np.cumsum(links, axis=1), 0, 1))
+    points = np.concatenate(parts)
+    for order in (np.arange(len(points)), rng.permutation(len(points))):
+        want = quadratic_dedupe(points[order], tol)
+        assert len(base) < len(want) < len(points)
+        assert _dedupe_points(points[order], tol) == want
+        assert _dedupe_points(points[order].tolist(), tol) == want
 
 
 def test_hull_union_examples():
