@@ -23,6 +23,9 @@ outer on clean.json at 100 samples and a fan of 64, outer on degraded_z and
 hi_in_class, outer on clean.json with its samples and fan read from a
 config file, capacity semidet-hi on hi_falsified (exit 1), and outer on the
 benchmark's seeded (3,3,2,3,3) channel at a larger auxiliary alphabet.
+Inner runs on the three fixtures the benchmark leaves out (hi_in_class,
+hi_falsified, hi_degenerate) and once on clean.json with ternary V12 and
+V2, so that drop cases the benchmark rarely reaches are covered too.
 Then ``fm`` projects four seeded systems (two with an equality) onto
 (t0, t1) and onto (t1, t0), and ``compare`` checks the clean.json inner
 region of the benchmark run against the 100-sample outer region.
@@ -67,6 +70,12 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
                                    "--class", "semidet-hi", "--samples", "20"]),
         ("outer-large-v12-4", ["outer", str(large), "--card-v12", "4",
                                "--fan", "8", "--samples", "20"]),
+        *(
+            (f"inner-{name}", ["inner", channel(f"{name}.json"), "--samples", "20"])
+            for name in ("hi_in_class", "hi_falsified", "hi_degenerate")
+        ),
+        ("inner-clean-v3", ["inner", channel("clean.json"), "--card-v12", "3",
+                            "--card-v2", "3", "--samples", "40"]),
     ]
     runs = [
         (label, argv + ["--seed", str(seed), "--out", str(workdir / f"{label}.json")])

@@ -141,7 +141,7 @@ def load_channel(text: str) -> ChannelSpec:
         )
     try:
         tensor = np.asarray(flat, dtype=np.float64).reshape(cards)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ParseError(f'field "p" holds non-numeric data: {exc}') from exc
     if not np.isfinite(tensor).all():
         raise ParseError('field "p" holds NaN, an infinity or null')

@@ -171,7 +171,7 @@ def _load_system_file(path: str) -> LinearSystem:
                 )
             try:
                 out[i] = [float(c) for c in row]
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise ParseError(
                     f"{path}: non-numeric entry in a {key} row"
                 ) from exc

@@ -6,6 +6,7 @@ achievable (R1, R2) pairs form a polytope in rate-split space; projecting it
 to the plane and unioning over factorizations gives the inner bound estimate.
 """
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -23,10 +24,11 @@ from .outer import Information, clip_information
 from .pmf import JOINT_CELL_LIMIT, ConditionalFactor, JointPMF, joint_from_factors
 from .polytope import (
     LinearSystem,
+    ParametricPlane,
     Region2D,
     hull_union,
     polygon_extract,
-    project_to_plane,
+    project_parametric,
     region_from_vertices,
 )
 
@@ -245,16 +247,9 @@ def _named_rows(c: InnerConstants) -> dict[str, tuple[dict[str, float], float]]:
     }
 
 
-def case_system(
-    c: InnerConstants,
-    pinned: tuple[str, ...] = (),
-    dropped: tuple[str, ...] = (),
-) -> LinearSystem:
-    """Constraint system for one drop case of the rate-split region.
-
-    The ``pinned`` sub-rates are zero, so they are left out of the
-    system's variables and of every row.
-    """
+def _case_rows(c: InnerConstants, pinned: tuple[str, ...], dropped: tuple[str, ...]):
+    """(inequalities, equalities) of one drop case, without the pinned
+    sub-rates."""
     named = _named_rows(c)
     inequalities = [named[k] for k in named if k not in dropped]
     # binning floors
@@ -265,15 +260,39 @@ def case_system(
         ({"R1": 1.0, "R11": -1.0, "R1p": -1.0, "R1B": -1.0}, 0.0),
         ({"R2": 1.0, "R22": -1.0, "R2p": -1.0}, 0.0),
     ]
-    free = tuple(v for v in RATE_VARIABLES if v not in pinned)
     unpin = lambda rows: [
         ({v: a for v, a in row.items() if v not in pinned}, bound)
         for row, bound in rows
     ]
-    return LinearSystem.from_rows(
+    return unpin(inequalities), unpin(equalities)
+
+
+def case_system(
+    c: InnerConstants,
+    pinned: tuple[str, ...] = (),
+    dropped: tuple[str, ...] = (),
+) -> LinearSystem:
+    """Constraint system for one drop case of the rate-split region.
+
+    The ``pinned`` sub-rates are zero, so they are left out of the
+    system's variables and of every row.
+    """
+    free = tuple(v for v in RATE_VARIABLES if v not in pinned)
+    inequalities, equalities = _case_rows(c, pinned, dropped)
+    return LinearSystem.from_rows(free, inequalities, equalities, nonnegative=free)
+
+
+@functools.cache
+def _compiled_case(pinned: tuple[str, ...], dropped: tuple[str, ...]) -> ParametricPlane:
+    """One drop case projected to (R1, R2) once per process, its bounds
+    carried as multipliers over the constants (A..P, 1)."""
+    free = tuple(v for v in RATE_VARIABLES if v not in pinned)
+    return project_parametric(
         free,
-        inequalities=unpin(inequalities),
-        equalities=unpin(equalities),
+        lambda theta: _case_rows(InnerConstants(*theta), pinned, dropped),
+        len(CONSTANT_NAMES),
+        "R1",
+        "R2",
         nonnegative=free,
     )
 
@@ -283,19 +302,20 @@ def region_for_distribution(c: InnerConstants) -> Region2D:
 
     Unions the eight drop cases; each case pins the sub-rates named in its
     drop condition to zero and removes the rows the pin makes unnecessary.
-    The silent point (0,0) is always reported achievable, even when the
-    binning floors make every split infeasible.
+    Each case is projected once per process (``_compiled_case``); a call
+    evaluates the projected bounds at ``c``, and a case the binning
+    floors make infeasible adds nothing.  The silent point (0,0) is
+    always reported achievable, even when every split is infeasible.
     """
     if not admissible(c):
         raise InadmissibleConstants(
             f"C = {c.C!r} exceeds P + B = {c.P + c.B!r}"
         )
-    regions = []
-    for pinned, dropped in DROP_CASES:
-        system = project_to_plane(case_system(c, pinned, dropped), "R1", "R2")
-        regions.append(polygon_extract(system, "R1", "R2"))
-    union = hull_union(regions)
-    if union.empty:
+    theta = [getattr(c, name) for name in CONSTANT_NAMES]
+    systems = [_compiled_case(pinned, dropped).at(theta) for pinned, dropped in DROP_CASES]
+    regions = [polygon_extract(s, "R1", "R2") for s in systems if s is not None]
+    union = hull_union(regions) if regions else None
+    if union is None or union.empty:
         return region_from_vertices([(0.0, 0.0)])
     return union
 

@@ -39,32 +39,46 @@ BOX_LIMIT = 1e4     # working box for clipping; far above any desk-scale rate
 UNBOUNDED_AT = 1e3  # a vertex out here means the system had no cap rows
 
 
+def _per_row(values: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``values``, one per row, shaped to broadcast against ``block``."""
+    return values.reshape(values.shape + (1,) * (block.ndim - 1))
+
+
+def _contradicts(trivial: np.ndarray, trivial_eq: np.ndarray) -> bool:
+    """Whether trivial rows 0 <= b and 0 = v rule out every point."""
+    return bool((trivial < -ROW_TOL).any() or (np.abs(trivial_eq) > ROW_TOL).any())
+
+
 def _tidy(coefs: np.ndarray, bounds: np.ndarray, equalities: bool = False):
     """The row normal form: snap, scale to max-abs 1, drop trivial rows.
 
-    A trivial inequality row 0 <= b with b < 0, or equality row 0 = v with
-    v != 0, flags the rows as contradictory.  Inequalities are also pruned:
-    rows are grouped by their coefficient vectors rounded to the row
-    tolerance and only the smallest bound of each group survives.
-    Returns (coefs, bounds, contradictory flag, indices of the surviving
-    input rows, in input order).
+    ``bounds`` is a vector, or a block with one row of bound multipliers
+    per row (see :func:`project_parametric`).  Inequalities are also
+    pruned: rows are grouped by their coefficient vectors rounded to the
+    row tolerance and only the smallest bound of each group survives.  A
+    multiplier block has no order, so there only rows equal in both
+    coefficients and multipliers merge.  Returns (coefs, bounds, bounds of
+    the trivial rows, indices of the surviving input rows, in input
+    order); :func:`_contradicts` reads the trivial bounds.
     """
     coefs = np.where(np.abs(coefs) < SNAP, 0.0, coefs)
     scale = np.max(np.abs(coefs), axis=1, initial=0.0)
     trivial = bounds[scale == 0.0]
-    bad = bool(np.any(np.abs(trivial) > ROW_TOL if equalities else trivial < -ROW_TOL))
     keep = np.flatnonzero(scale > 0.0)
-    coefs, bounds = coefs[keep] / scale[keep, None], bounds[keep] / scale[keep]
+    coefs, bounds = coefs[keep] / scale[keep, None], bounds[keep] / _per_row(scale[keep], bounds)
     if not equalities and keep.size > 1:
         keys = np.round(coefs / ROW_TOL).astype(np.int64)
         # sort by coefficient key, ties by bound: first of each group is tightest
-        order = np.lexsort((bounds,) + tuple(keys[:, c] for c in range(keys.shape[1] - 1, -1, -1)))
+        order = np.lexsort(tuple(bounds.reshape(keep.size, -1).T) + tuple(keys.T[::-1]))
         ks = keys[order]
         first = np.ones(keep.size, dtype=bool)
         first[1:] = np.any(ks[1:] != ks[:-1], axis=1)
+        if bounds.ndim > 1:
+            bs = bounds[order]
+            first[1:] |= np.any(bs[1:] != bs[:-1], axis=1)
         idx = np.sort(order[first])
         keep, coefs, bounds = keep[idx], coefs[idx], bounds[idx]
-    return coefs, bounds, bad, keep
+    return coefs, bounds, trivial, keep
 
 
 def _substitute(ic, ib, ec, ev, k: int):
@@ -82,8 +96,8 @@ def _substitute(ic, ib, ec, ev, k: int):
     rest[k] = 0.0
     others = np.arange(ec.shape[0]) != pick
     icol, ecol = ic[:, k], ec[others, k]
-    ic, ib = ic - np.outer(icol, rest), ib - icol * val
-    ec, ev = ec[others] - np.outer(ecol, rest), ev[others] - ecol * val
+    ic, ib = ic - np.outer(icol, rest), ib - _per_row(icol, ib) * val
+    ec, ev = ec[others] - np.outer(ecol, rest), ev[others] - _per_row(ecol, ev) * val
     ic[:, k] = 0.0
     ec[:, k] = 0.0
     return ic, ib, ec, ev
@@ -94,36 +108,57 @@ def _combine(coefs, bounds, k: int, ancestors=None, limit: int = 0):
 
     Rows without ``k`` pass through; every upper bound is then paired
     with every lower bound (upper rows outer, lower rows inner) so that
-    ``k`` cancels, and column ``k`` is zeroed.  ``ancestors`` is an
-    optional boolean matrix (rows x original rows); a pair whose merged
-    ancestors number more than ``limit`` is provably redundant and is
-    left out (Imbert's acceleration theorem).  Returns (coefs, bounds,
-    ancestors).
+    ``k`` cancels, and column ``k`` is zeroed.  ``bounds`` may be a
+    multiplier block.  ``ancestors`` is an optional boolean matrix (rows x
+    original rows); a pair whose merged ancestors number more than
+    ``limit`` is provably redundant and is left out (Imbert's acceleration
+    theorem).  Returns (coefs, bounds, ancestors).
     """
     col = coefs[:, k]
     pos, neg = col > SNAP, col < -SNAP
     zero = ~pos & ~neg
-    a_p = col[pos][:, None]
-    a_n = -col[neg][None, :]
-    rows = a_n[..., None] * coefs[pos][:, None, :] + a_p[..., None] * coefs[neg][None, :, :]
-    bnds = a_n * bounds[pos][:, None] + a_p * bounds[neg][None, :]
-    rows, bnds = rows.reshape(-1, coefs.shape[1]), bnds.reshape(-1)
+    up, low = np.flatnonzero(pos), np.flatnonzero(neg)
+    i, j = np.repeat(up, low.size), np.tile(low, up.size)
     if ancestors is not None:
-        union = ancestors[pos][:, None, :] | ancestors[neg][None, :, :]
-        union = union.reshape(len(bnds), ancestors.shape[1])
+        union = ancestors[i] | ancestors[j]
         fit = union.sum(axis=1) <= limit
-        rows, bnds = rows[fit], bnds[fit]
+        i, j = i[fit], j[fit]
         ancestors = np.concatenate([ancestors[zero], union[fit]])
-    coefs = np.concatenate([coefs[zero], rows])
+
+    def pairs(block):
+        return _per_row(-col[j], block) * block[i] + _per_row(col[i], block) * block[j]
+
+    coefs, bounds = (
+        np.concatenate([coefs[zero], pairs(coefs)]),
+        np.concatenate([bounds[zero], pairs(bounds)]),
+    )
     coefs[:, k] = 0.0
-    return coefs, np.concatenate([bounds[zero], bnds]), ancestors
+    return coefs, bounds, ancestors
 
 
 def _nonnegative_rows(coefs, bounds, columns):
     """Append a -x <= 0 row for each of the listed ``columns``."""
     extra = np.zeros((len(columns), coefs.shape[1]))
     extra[np.arange(len(columns)), columns] = -1.0
-    return np.vstack([coefs, extra]), np.concatenate([bounds, np.zeros(len(columns))])
+    zeros = np.zeros((len(columns),) + bounds.shape[1:])
+    return np.vstack([coefs, extra]), np.concatenate([bounds, zeros])
+
+
+def _row_arrays(variables: tuple, pairs: Iterable[tuple[Mapping[str, float], float]]):
+    """(coefficient matrix, bound vector) of (coefficient dict, bound) pairs."""
+    index = {v: i for i, v in enumerate(variables)}
+    coefs, vals = [], []
+    for mapping, bound in pairs:
+        row = np.zeros(len(variables))
+        for label, coef in mapping.items():
+            if label not in index:
+                raise UnknownVariable(f"row mentions unknown {label!r}")
+            row[index[label]] = coef
+        coefs.append(row)
+        vals.append(float(bound))
+    if not coefs:
+        return np.zeros((0, len(variables))), np.zeros(0)
+    return np.array(coefs), np.array(vals)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -163,9 +198,9 @@ class LinearSystem:
         if bad:
             raise UnknownVariable(f"nonnegative set mentions unknown {sorted(bad)}")
 
-        ic, ib, bad_row, _ = _tidy(ic, ib)
-        ec, ev, bad_eq, _ = _tidy(ec, ev, equalities=True)
-        feasible = bool(self.feasible) and not bad_row and not bad_eq
+        ic, ib, trivial, _ = _tidy(ic, ib)
+        ec, ev, trivial_eq, _ = _tidy(ec, ev, equalities=True)
+        feasible = bool(self.feasible) and not _contradicts(trivial, trivial_eq)
         if not feasible:
             ic, ib = ic[:0], ib[:0]
             ec, ev = ec[:0], ev[:0]
@@ -187,24 +222,8 @@ class LinearSystem:
     ) -> "LinearSystem":
         """Build from (coefficient dict, bound) pairs keyed by label."""
         variables = tuple(variables)
-        index = {v: i for i, v in enumerate(variables)}
-
-        def rows(pairs):
-            coefs, vals = [], []
-            for mapping, bound in pairs:
-                row = np.zeros(len(variables))
-                for label, coef in mapping.items():
-                    if label not in index:
-                        raise UnknownVariable(f"row mentions unknown {label!r}")
-                    row[index[label]] = coef
-                coefs.append(row)
-                vals.append(float(bound))
-            if not coefs:
-                return np.zeros((0, len(variables))), np.zeros(0)
-            return np.array(coefs), np.array(vals)
-
-        ic, ib = rows(inequalities)
-        ec, ev = rows(equalities)
+        ic, ib = _row_arrays(variables, inequalities)
+        ec, ev = _row_arrays(variables, equalities)
         return cls(variables, ic, ib, ec, ev, frozenset(nonnegative))
 
     def index_of(self, var: str) -> int:
@@ -243,15 +262,60 @@ def fm_eliminate(system: LinearSystem, var: str) -> LinearSystem:
     )
 
 
+def _eliminate(ic, ib, ec, ev, doomed: list, nonnegative: set, order=None):
+    """Remove the columns ``doomed`` from the rows.
+
+    Equalities go first: each round substitutes out the first doomed
+    column an equality touches.  Fourier-Motzkin then runs with ancestor
+    tracking: a combined row built from more original rows than
+    eliminated variables plus one is provably redundant and is dropped
+    before it can feed the quadratic blowup.  ``order`` pins the sequence
+    of the Fourier-Motzkin steps; by default the column that makes the
+    fewest new rows goes next.  A column in ``nonnegative`` contributes
+    its -x <= 0 row before it goes.  ``ib`` and ``ev`` may be multiplier
+    blocks.  Returns the rows, whose doomed columns are then zero, and
+    the bounds of the trivial inequality and equality rows met on the
+    way, which decide feasibility.
+    """
+    doomed = list(doomed)
+    trivial, trivial_eq = [ib[:0]], [ev[:0]]
+    while hits := [k for k in doomed if np.any(np.abs(ec[:, k]) > SNAP)]:
+        k = hits[0]
+        doomed.remove(k)
+        if k in nonnegative:
+            ic, ib = _nonnegative_rows(ic, ib, [k])
+        ic, ib, ec, ev = _substitute(ic, ib, ec, ev, k)
+        ic, ib, t, _ = _tidy(ic, ib)
+        ec, ev, t_eq, _ = _tidy(ec, ev, equalities=True)
+        trivial.append(t)
+        trivial_eq.append(t_eq)
+
+    ic, ib = _nonnegative_rows(ic, ib, [k for k in doomed if k in nonnegative])
+    ancestors = np.eye(ic.shape[0], dtype=bool)
+    steps = 0
+    while doomed:
+        if order is not None:
+            k = next(k for k in order if k in doomed)
+        else:
+            pos = np.sum(ic[:, doomed] > SNAP, axis=0)
+            neg = np.sum(ic[:, doomed] < -SNAP, axis=0)
+            k = doomed[int(np.argmin(pos * neg - (pos + neg)))]
+        doomed.remove(k)
+        steps += 1
+        ic, ib, ancestors = _combine(ic, ib, k, ancestors, steps + 1)
+        ic, ib, t, rows = _tidy(ic, ib)
+        ancestors = ancestors[rows]
+        trivial.append(t)
+    return ic, ib, ec, ev, np.concatenate(trivial), np.concatenate(trivial_eq)
+
+
 def project_to_plane(
     system: LinearSystem, r1: str, r2: str, order: Sequence[str] | None = None
 ) -> LinearSystem:
     """Eliminate every variable except ``r1`` and ``r2``.
 
     Equalities are substituted out first, then Fourier-Motzkin runs with
-    ancestor tracking: a combined row built from more original rows than
-    eliminated variables plus one is provably redundant and is dropped
-    before it can feed the quadratic blowup.  ``order`` pins the
+    Imbert's ancestor rule (see :func:`_eliminate`).  ``order`` pins the
     elimination sequence (mostly for order-independence tests); variables
     already removed by equality substitution are skipped.  The result is
     over (``r1``, ``r2``).
@@ -263,45 +327,16 @@ def project_to_plane(
             f"order {order} does not cover exactly "
             f"{sorted(system.variables[k] for k in doomed)}"
         )
-    nonnegative = {system.index_of(v) for v in system.nonnegative}
     ic, ib = system.ineq_coefs, system.ineq_bounds
     ec, ev = system.eq_coefs, system.eq_values
     feasible = system.feasible
-
-    # substitution phase: the first doomed variable an equality touches
-    while feasible:
-        hits = [k for k in doomed if np.any(np.abs(ec[:, k]) > SNAP)]
-        if not hits:
-            break
-        k = hits[0]
-        doomed.remove(k)
-        if k in nonnegative:
-            ic, ib = _nonnegative_rows(ic, ib, [k])
-        ic, ib, ec, ev = _substitute(ic, ib, ec, ev, k)
-        ic, ib, bad_row, _ = _tidy(ic, ib)
-        ec, ev, bad_eq, _ = _tidy(ec, ev, equalities=True)
-        feasible = not bad_row and not bad_eq
-
-    if feasible and doomed:
-        ic, ib = _nonnegative_rows(ic, ib, [k for k in doomed if k in nonnegative])
-        ancestors = np.eye(ic.shape[0], dtype=bool)
-        pinned = None if order is None else [system.index_of(v) for v in order]
-        steps = 0
-        while doomed and feasible:
-            if pinned is not None:
-                k = next(k for k in pinned if k in doomed)
-            else:
-                # cheapest variable first: fewest new rows
-                pos = np.sum(ic[:, doomed] > SNAP, axis=0)
-                neg = np.sum(ic[:, doomed] < -SNAP, axis=0)
-                k = doomed[int(np.argmin(pos * neg - (pos + neg)))]
-            doomed.remove(k)
-            steps += 1
-            ic, ib, ancestors = _combine(ic, ib, k, ancestors, steps + 1)
-            ic, ib, bad_row, rows = _tidy(ic, ib)
-            ancestors = ancestors[rows]
-            feasible = not bad_row
-
+    if feasible:
+        ic, ib, ec, ev, trivial, trivial_eq = _eliminate(
+            ic, ib, ec, ev, doomed,
+            {system.index_of(v) for v in system.nonnegative},
+            None if order is None else [system.index_of(v) for v in order],
+        )
+        feasible = not _contradicts(trivial, trivial_eq)
     return LinearSystem(
         (r1, r2),
         ic[:, keep],
@@ -311,6 +346,96 @@ def project_to_plane(
         system.nonnegative & {r1, r2},
         feasible,
     )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ParametricPlane:
+    """A system over two variables whose bounds are affine in parameters.
+
+    At parameters theta, row i reads
+    ``ineq_coefs[i] . x <= ineq_multipliers[i] . (theta, 1)``, and the
+    equalities likewise.  ``trivial`` and ``trivial_eq`` hold the
+    multipliers of rows left with no coefficients: the system is
+    empty at theta where one of them fails.  Built by
+    :func:`project_parametric`; :meth:`at` evaluates it.
+    """
+
+    variables: tuple[str, str]
+    ineq_coefs: np.ndarray
+    ineq_multipliers: np.ndarray
+    eq_coefs: np.ndarray
+    eq_multipliers: np.ndarray
+    trivial: np.ndarray
+    trivial_eq: np.ndarray
+    nonnegative: frozenset
+
+    def at(self, theta: Sequence[float]) -> LinearSystem | None:
+        """The two-variable system at parameters ``theta``, or None where
+        a trivial row fails there and the system is empty."""
+        point = np.append(np.asarray(theta, dtype=np.float64), 1.0)
+        if _contradicts(self.trivial @ point, self.trivial_eq @ point):
+            return None
+        return LinearSystem(
+            self.variables,
+            self.ineq_coefs,
+            self.ineq_multipliers @ point,
+            self.eq_coefs,
+            self.eq_multipliers @ point,
+            self.nonnegative,
+        )
+
+
+def project_parametric(
+    variables: Sequence[str],
+    rows_at,
+    size: int,
+    r1: str,
+    r2: str,
+    nonnegative: Iterable[str] = (),
+) -> ParametricPlane:
+    """Project a family of systems onto (``r1``, ``r2``) once for all
+    parameters.
+
+    ``rows_at(theta)`` gives the (inequalities, equalities) of the system
+    at a parameter vector of length ``size``, as
+    :meth:`LinearSystem.from_rows` takes them.  Its coefficients must not
+    depend on theta and its bounds must be affine in it; evaluating it at
+    the unit vectors and at zero then gives each row's multipliers over
+    (theta, 1).  The elimination is :func:`project_to_plane`'s, carried
+    out on the multipliers, so ``project_parametric(...).at(theta)`` has
+    the region of ``project_to_plane`` on the system at theta.
+    """
+    variables = tuple(variables)
+    # (inequality arrays, equality arrays) at the unit vectors, then at zero
+    samples = [
+        [_row_arrays(variables, part) for part in rows_at(point)]
+        for point in np.eye(size + 1, size)
+    ]
+
+    def multipliers(part):
+        coefs = samples[-1][part][0]
+        if any(not np.array_equal(s[part][0], coefs) for s in samples):
+            raise ShapeMismatch("the coefficients depend on the parameters")
+        at = np.column_stack([s[part][1] for s in samples])  # rows x points
+        return coefs, np.column_stack([at[:, :-1] - at[:, -1:], at[:, -1]])
+
+    (ic, im), (ec, em) = multipliers(0), multipliers(1)
+    keep = [variables.index(r1), variables.index(r2)]
+    nonnegative = frozenset(nonnegative)
+    ic, im, trivial, _ = _tidy(ic, im)
+    ec, em, trivial_eq, _ = _tidy(ec, em, equalities=True)
+    ic, im, ec, em, more, more_eq = _eliminate(
+        ic, im, ec, em,
+        [k for k in range(len(variables)) if k not in keep],
+        {variables.index(v) for v in nonnegative},
+    )
+    arrays = (
+        ic[:, keep], im, ec[:, keep], em,
+        np.concatenate([trivial, more]), np.concatenate([trivial_eq, more_eq]),
+    )
+    for array in arrays:  # a cached plane is shared by every caller
+        array.setflags(write=False)
+    return ParametricPlane((r1, r2), *arrays, nonnegative & {r1, r2})
 
 
 # ---------------------------------------------------------------- 2D geometry
@@ -668,7 +793,7 @@ def region_from_dict(doc: Mapping) -> Region2D:
         planes = tuple(tuple(float(v) for v in row) for row in doc["halfplanes"])
         verts = np.asarray(doc["vertices"], dtype=np.float64).reshape(-1, 2)
         empty = bool(doc["empty"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed region document: {exc}") from exc
     if any(len(row) != 3 for row in planes):
         raise ShapeMismatch("halfplane rows must have three entries")

@@ -363,3 +363,27 @@ def test_channel_entry_count_past_int64(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("ShapeMismatch:")
     assert "Traceback" not in proc.stderr
+
+
+HUGE = 10**400  # a JSON integer no float holds
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, error",
+    [
+        ("classify", {"x1": 1, "x2": 1, "x3": 1, "y1": 1, "y2": 2, "p": [HUGE, 0]},
+         2, "ParseError:"),
+        ("compare", {"halfplanes": [[1, 0, HUGE]], "vertices": [[0, 0]], "empty": False},
+         1, "ShapeMismatch:"),
+        ("fm", {"variables": ["R1", "R2"], "inequalities": [[1, 0, HUGE]]},
+         2, "ParseError:"),
+    ],
+)
+def test_huge_json_integers_are_domain_errors(tmp_path, command, doc, code, error):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    extra = {"classify": [], "compare": [path], "fm": ["--keep", "R1,R2"]}[command]
+    proc = run_cli(command, path, *extra)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(error)
+    assert "Traceback" not in proc.stderr

@@ -13,7 +13,7 @@ from cifc_udc.errors import (
     MissingVariable,
     TooLarge,
 )
-from cifc_udc import inner
+from cifc_udc import inner, polytope
 from cifc_udc.inner import (
     AUX_LABELS,
     CONSTANT_NAMES,
@@ -418,6 +418,90 @@ def test_constant_aux_collapse():
         region = region_for_distribution(c)
         segment = region_from_vertices([(0.0, 0.0), (cap, 0.0)])
         assert regions_close(region, segment, tol=1e-9)
+
+
+# -- compiled drop cases -----------------------------------------------------
+
+def runtime_case_regions(c):
+    """Each drop case's region by eliminating its system at ``c``."""
+    return [
+        polygon_extract(
+            project_to_plane(case_system(c, pinned, dropped), "R1", "R2"), "R1", "R2"
+        )
+        for pinned, dropped in DROP_CASES
+    ]
+
+
+def compiled_case_regions(c):
+    """Each drop case's region from its once-projected multiplier table."""
+    theta = [getattr(c, name) for name in CONSTANT_NAMES]
+    systems = [inner._compiled_case(pinned, dropped).at(theta) for pinned, dropped in DROP_CASES]
+    return [
+        region_from_vertices([]) if s is None else polygon_extract(s, "R1", "R2")
+        for s in systems
+    ]
+
+
+def assert_compiled_matches_runtime(c):
+    """Case by case, then the per-sample union; returns which cases are
+    empty."""
+    got, want = compiled_case_regions(c), runtime_case_regions(c)
+    for case, g, w in zip(DROP_CASES, got, want):
+        assert g.empty == w.empty, case
+        assert regions_close(g, w, tol=1e-9), case
+    if admissible(c):
+        union = hull_union(want)
+        if union.empty:
+            union = region_from_vertices([(0.0, 0.0)])
+        assert regions_close(region_for_distribution(c), union, tol=1e-9)
+    return [w.empty for w in want]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CHANNELS.glob("*.json")))
+def test_compiled_cases_match_elimination_on_fixture_factorizations(name):
+    ch = load_channel((CHANNELS / f"{name}.json").read_text())
+    for f in sample_factorizations(ch, SamplerConfig(seed=21, num_samples=6)):
+        assert_compiled_matches_runtime(inner_constants(assemble_joint(f, ch)))
+
+
+def test_compiled_cases_match_elimination_on_random_constants():
+    rng = np.random.default_rng([2024, 9])
+    empty = np.zeros(len(DROP_CASES), dtype=int)
+    trials = 80
+    for trial in range(trials):
+        values = dict(zip(CONSTANT_NAMES, rng.uniform(0.0, 1.0, len(CONSTANT_NAMES))))
+        if trial % 2:  # no binning floors, so a pinned bin costs nothing
+            values.update(A=0.0, N1=0.0, N2=0.0)
+        empty += assert_compiled_matches_runtime(InnerConstants(**values))
+    # every case is met both empty and not; a positive floor A empties
+    # each case that pins R2p_bin
+    assert np.all((empty > 0) & (empty < trials)), empty
+
+
+def test_a_second_inner_region_call_eliminates_nothing(monkeypatch):
+    """The drop cases are projected once per process: after the first run,
+    a run calls neither ``case_system`` nor ``project_to_plane``."""
+    ch = load_channel((CHANNELS / "clean.json").read_text())
+    cfg = SamplerConfig(seed=1, num_samples=5)
+    inner._compiled_case.cache_clear()
+    first = inner_region(ch, cfg)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((polytope, "project_to_plane"), (inner, "project_to_plane"),
+                         (inner, "case_system")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    second = inner_region(ch, cfg)
+    assert calls == []
+    assert inner._compiled_case.cache_info().misses == len(DROP_CASES)
+    assert second[1] == first[1]
+    assert np.array_equal(second[0].vertices, first[0].vertices)
 
 
 # -- sampler -----------------------------------------------------------------

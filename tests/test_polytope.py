@@ -27,6 +27,7 @@ from cifc_udc.polytope import (
     hull_union,
     materialized_rows,
     polygon_extract,
+    project_parametric,
     project_to_plane,
     region_contains,
     region_from_dict,
@@ -253,6 +254,62 @@ def test_pinning_by_leaving_out_matches_pinning_by_equality(path):
             assert got.empty == want.empty
             assert got.halfplanes == want.halfplanes
             assert np.array_equal(got.vertices, want.vertices)
+
+
+def random_family(rng, size):
+    """Rows of a random bounded system whose bounds are affine in a
+    parameter vector of length ``size``, as a function of it; one
+    equality when the draw says so.  The floor on t2 passes its cap at
+    some parameters, which leaves a contradictory trivial row."""
+    n = int(rng.integers(3, 6))
+    labels = tuple(f"t{i}" for i in range(n))
+    coefs = rng.integers(-3, 4, size=(int(rng.integers(4, 9)), n)).astype(float)
+    base = coefs @ rng.uniform(0.0, 1.0, n) + rng.uniform(-0.3, 2.0, len(coefs))
+    slopes = rng.normal(0.0, 0.5, size=(len(coefs), size))
+    caps = rng.uniform(1.2, 3.0, n)
+    eq = rng.integers(-2, 3, size=n).astype(float) if rng.random() < 0.5 else None
+
+    def rows_at(theta):
+        ineqs = [
+            (dict(zip(labels, row)), bound)
+            for row, bound in zip(coefs, base + slopes @ theta)
+        ]
+        ineqs += [({label: 1.0}, cap) for label, cap in zip(labels, caps)]
+        ineqs.append(({"t2": -1.0}, -1.0 - 2.0 * theta[-1]))  # a floor over its cap
+        eqs = [] if eq is None else [(dict(zip(labels, eq)), 0.2 + theta[0])]
+        return ineqs, eqs
+
+    return labels, rows_at
+
+
+def test_parametric_projection_matches_projection_at_each_point():
+    rng = np.random.default_rng(515)
+    outcomes = set()
+    for _ in range(25):
+        size = int(rng.integers(1, 4))
+        labels, rows_at = random_family(rng, size)
+        family = project_parametric(labels, rows_at, size, "t0", "t1", nonnegative=labels)
+        for theta in rng.uniform(-1.0, 1.0, size=(6, size)):
+            system = LinearSystem.from_rows(labels, *rows_at(theta), nonnegative=labels)
+            want = polygon_extract(project_to_plane(system, "t0", "t1"), "t0", "t1")
+            system = family.at(theta)
+            if system is None:
+                got = region_from_vertices([])
+            else:
+                got = polygon_extract(system, "t0", "t1")
+            assert got.empty == want.empty
+            assert regions_close(got, want, tol=1e-9)
+            outcomes.add((system is None, got.empty))
+    # empty by a trivial row, empty in the plane, and not empty
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_parametric_projection_needs_fixed_coefficients():
+    def rows_at(theta):
+        return [({"x": 1.0 + theta[0]}, 1.0), ({"y": 1.0, "z": 1.0}, 2.0)], []
+
+    with pytest.raises(errors.ShapeMismatch):
+        project_parametric(("x", "y", "z"), rows_at, 1, "x", "y")
 
 
 # ----------------------------------------------------------- polygon_extract
