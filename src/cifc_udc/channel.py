@@ -141,7 +141,9 @@ def load_channel(text: str) -> ChannelSpec:
         )
     try:
         tensor = np.asarray(flat, dtype=np.float64).reshape(cards)
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
+        raise ParseError('field "p" holds a number too large for a float') from exc
+    except ValueError as exc:
         raise ParseError(f'field "p" holds non-numeric data: {exc}') from exc
     if not np.isfinite(tensor).all():
         raise ParseError('field "p" holds NaN, an infinity or null')

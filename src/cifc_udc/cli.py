@@ -171,7 +171,11 @@ def _load_system_file(path: str) -> LinearSystem:
                 )
             try:
                 out[i] = [float(c) for c in row]
-            except (OverflowError, TypeError, ValueError) as exc:
+            except OverflowError as exc:
+                raise ParseError(
+                    f"{path}: a {key} row holds a number too large for a float"
+                ) from exc
+            except (TypeError, ValueError) as exc:
                 raise ParseError(
                     f"{path}: non-numeric entry in a {key} row"
                 ) from exc

@@ -27,7 +27,7 @@ from .polytope import (
     ParametricPlane,
     Region2D,
     hull_union,
-    polygon_extract,
+    polygon_points,
     project_parametric,
     region_from_vertices,
 )
@@ -300,10 +300,11 @@ def _compiled_case(pinned: tuple[str, ...], dropped: tuple[str, ...]) -> Paramet
 def region_for_distribution(c: InnerConstants) -> Region2D:
     """(R1, R2) region for one factorization's constants.
 
-    Unions the eight drop cases; each case pins the sub-rates named in its
-    drop condition to zero and removes the rows the pin makes unnecessary.
-    Each case is projected once per process (``_compiled_case``); a call
-    evaluates the projected bounds at ``c``, and a case the binning
+    The convex hull of the eight drop cases' polygons; each case pins the
+    sub-rates named in its drop condition to zero and removes the rows the
+    pin makes unnecessary.  Each case is projected once per process
+    (``_compiled_case``); a call evaluates the projected bounds at ``c``
+    and clips the box by them (``polygon_points``), and a case the binning
     floors make infeasible adds nothing.  The silent point (0,0) is
     always reported achievable, even when every split is infeasible.
     """
@@ -312,12 +313,12 @@ def region_for_distribution(c: InnerConstants) -> Region2D:
             f"C = {c.C!r} exceeds P + B = {c.P + c.B!r}"
         )
     theta = [getattr(c, name) for name in CONSTANT_NAMES]
-    systems = [_compiled_case(pinned, dropped).at(theta) for pinned, dropped in DROP_CASES]
-    regions = [polygon_extract(s, "R1", "R2") for s in systems if s is not None]
-    union = hull_union(regions) if regions else None
-    if union is None or union.empty:
-        return region_from_vertices([(0.0, 0.0)])
-    return union
+    points = []
+    for pinned, dropped in DROP_CASES:
+        system = _compiled_case(pinned, dropped).at(theta)
+        if system is not None:
+            points += polygon_points(system, "R1", "R2")[1]
+    return region_from_vertices(points or [(0.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------

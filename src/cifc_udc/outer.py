@@ -537,12 +537,8 @@ def outer_region_estimate(
         )
     ]
 
-    inequalities = [
-        ({"R1": float(d[0]), "R2": float(d[1])}, float(h))
-        for d, h in zip(directions, heights)
-    ]
-    system = LinearSystem.from_rows(
-        ("R1", "R2"), inequalities=inequalities, nonnegative=("R1", "R2")
+    system = LinearSystem(
+        ("R1", "R2"), directions, heights, np.zeros((0, 2)), (), {"R1", "R2"}
     )
     region = polygon_extract(system, "R1", "R2")
     caveat = {

@@ -3,10 +3,11 @@
 A :class:`LinearSystem` holds rows ``a . x <= b`` and ``a . x = v`` over an
 ordered tuple of variable labels, plus a set of variables pinned to be
 nonnegative.  Variables are removed one at a time with Fourier-Motzkin
-elimination until only the two plotted rates remain, at which point
-:func:`polygon_extract` turns the survivor into a :class:`Region2D`: an
-irredundant list of halfplanes together with the counter-clockwise vertex
-list of the polygon they cut out of the nonnegative quadrant.
+elimination until only the two plotted rates remain.  One clip of a
+working box by the survivor's rows (:func:`polygon_points`) gives the
+polygon they cut out of the nonnegative quadrant, and
+:func:`polygon_extract` turns it into a :class:`Region2D`: its
+counter-clockwise vertices and an irredundant list of halfplanes.
 
 All arithmetic is floating point.  Rows are normalized to max-abs
 coefficient one, coefficients below ``SNAP`` are snapped to zero, and
@@ -444,25 +445,17 @@ def project_parametric(
 def _clip(points: list, hp: tuple) -> list:
     """Sutherland-Hodgman: keep the part of a convex polygon with a.x <= c."""
     a, b, c = hp
+    dist = [a * x + b * y - c for x, y in points]
     out = []
-    n = len(points)
-    for i in range(n):
-        cur = points[i]
-        prev = points[i - 1]
-        d_cur = a * cur[0] + b * cur[1] - c
-        d_prev = a * prev[0] + b * prev[1] - c
-        if d_cur <= SNAP:
-            if d_prev > SNAP:
-                t = d_prev / (d_prev - d_cur)
-                out.append(
-                    (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-                )
-            out.append(cur)
-        elif d_prev <= SNAP:
+    for i, cur in enumerate(points):
+        prev, d_prev, d_cur = points[i - 1], dist[i - 1], dist[i]
+        if (d_cur <= SNAP) != (d_prev <= SNAP):
             t = d_prev / (d_prev - d_cur)
             out.append(
                 (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
             )
+        if d_cur <= SNAP:
+            out.append(cur)
     return out
 
 
@@ -636,61 +629,58 @@ def region_from_vertices(points: Sequence) -> Region2D:
     return Region2D(tuple(_edges_to_halfplanes(hull)), np.array(hull))
 
 
-def _intersect_lines(p: tuple, q: tuple):
-    a1, b1, c1 = p
-    a2, b2, c2 = q
-    det = a1 * b2 - a2 * b1
-    if abs(det) < SNAP:
-        return None
-    return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+def polygon_points(system: LinearSystem, r1: str, r2: str) -> tuple[list, list]:
+    """(halfplanes, polygon) of a two-variable system.
 
-
-def polygon_extract(system: LinearSystem, r1: str, r2: str) -> Region2D:
-    """Turn a two-variable system into an irredundant Region2D.
-
-    The system must contain exactly the plotted variables; project first.
-    The region is intersected with the nonnegative quadrant, matching the
-    rate-region convention.
+    The halfplanes are the system's rows over (``r1``, ``r2``), each
+    equality as two opposing rows, normalized, after R1 >= 0 and R2 >= 0.
+    The polygon is the working box clipped by all of them, in order and
+    counter-clockwise; it is empty when the system is infeasible.  The
+    system must contain exactly the plotted variables; project first.
     """
     if set(system.variables) != {r1, r2}:
         raise LeftoverVariables(
             f"system still has variables {system.variables}, expected ({r1}, {r2})"
         )
     if not system.feasible:
-        return Region2D((), np.zeros((0, 2)), empty=True)
+        return [], []
     i1, i2 = system.index_of(r1), system.index_of(r2)
-
+    rows = [(1.0, row, bound) for row, bound in zip(system.ineq_coefs, system.ineq_bounds)]
+    rows += [
+        (sign, row, value)
+        for row, value in zip(system.eq_coefs, system.eq_values)
+        for sign in (1.0, -1.0)
+    ]
     planes = list(NONNEG_HALFPLANES)
-    for row, bound in zip(system.ineq_coefs, system.ineq_bounds):
-        norm = _normalize_halfplane((row[i1], row[i2], bound))
+    for sign, row, bound in rows:
+        norm = _normalize_halfplane((sign * row[i1], sign * row[i2], sign * bound))
         if norm is not None:
             planes.append(norm)
-    # two-variable equalities become opposing halfplane pairs
-    for row, value in zip(system.eq_coefs, system.eq_values):
-        for sign in (1.0, -1.0):
-            norm = _normalize_halfplane(
-                (sign * row[i1], sign * row[i2], sign * value)
-            )
-            if norm is not None:
-                planes.append(norm)
-
-    rough = _clip_all(planes)
-    if not rough:
-        return Region2D((), np.zeros((0, 2)), empty=True)
-    if max(max(abs(x), abs(y)) for x, y in rough) > UNBOUNDED_AT:
+    points = _clip_all(planes)
+    if points and max(max(abs(x), abs(y)) for x, y in points) > UNBOUNDED_AT:
         raise NumericsError(
             "projected system is unbounded; add cap rows before extracting"
         )
+    return planes, points
+
+
+def polygon_extract(system: LinearSystem, r1: str, r2: str) -> Region2D:
+    """Turn a two-variable system into an irredundant Region2D.
+
+    One clip of the box (:func:`polygon_points`) gives the vertices; the
+    halfplanes are the rows left after a greedy drop-one prune, plus
+    R1 >= 0 and R2 >= 0, which the rate-region convention always keeps.
+    """
+    planes, points = polygon_points(system, r1, r2)
+    if not points:
+        return Region2D((), np.zeros((0, 2)), empty=True)
 
     # planes with strict slack over the whole polygon can never bind
-    arr = np.array(planes)
-    pts = np.array(rough)
-    slack = arr[:, 0][:, None] * pts[None, :, 0] + arr[:, 1][:, None] * pts[None, :, 1] - arr[:, 2][:, None]
-    near_active = np.max(slack, axis=1) > -1e-6
-    planes = [planes[i] for i in np.flatnonzero(near_active)]
+    arr, pts = np.array(planes)[:, :, None], np.array(points).T
+    slack = arr[:, 0] * pts[0] + arr[:, 1] * pts[1] - arr[:, 2]
+    kept = [planes[i] for i in np.flatnonzero(np.max(slack, axis=1) > -1e-6)]
 
     # greedy drop-one pruning among the near-active survivors
-    kept = list(planes)
     i = 0
     while i < len(kept):
         trial = kept[:i] + kept[i + 1 :]
@@ -704,23 +694,7 @@ def polygon_extract(system: LinearSystem, r1: str, r2: str) -> Region2D:
     for hp in NONNEG_HALFPLANES:
         if hp not in kept:
             kept.append(hp)
-
-    # exact vertices: pairwise intersections of surviving boundary lines
-    # within ROW_TOL of every line; at VERTEX_TOL, two lines that cross just
-    # outside a third near a shared corner would add a vertex outside it
-    candidates = []
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            pt = _intersect_lines(kept[i], kept[j])
-            if pt is None:
-                continue
-            if all(a * pt[0] + b * pt[1] - c <= ROW_TOL for a, b, c in kept):
-                candidates.append(pt)
-    verts = _dedupe_points(candidates, tol=1e-7)
-    if not verts:
-        return Region2D((), np.zeros((0, 2)), empty=True)
-    hull = convex_hull(verts)
-    return Region2D(tuple(kept), np.array(hull))
+    return Region2D(tuple(kept), np.array(convex_hull(_dedupe_points(points))))
 
 
 def region_contains(outer: Region2D, inner: Region2D, tol: float = 1e-9) -> bool:

@@ -386,4 +386,5 @@ def test_huge_json_integers_are_domain_errors(tmp_path, command, doc, code, erro
     proc = run_cli(command, path, *extra)
     assert proc.returncode == code
     assert proc.stderr.startswith(error)
+    assert "too large" in proc.stderr and "non-numeric" not in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -480,7 +480,8 @@ def test_compiled_cases_match_elimination_on_random_constants():
 
 def test_a_second_inner_region_call_eliminates_nothing(monkeypatch):
     """The drop cases are projected once per process: after the first run,
-    a run calls neither ``case_system`` nor ``project_to_plane``."""
+    a run calls neither ``case_system`` nor ``project_to_plane``, and the
+    regions come from clipped points, not from ``polygon_extract``."""
     ch = load_channel((CHANNELS / "clean.json").read_text())
     cfg = SamplerConfig(seed=1, num_samples=5)
     inner._compiled_case.cache_clear()
@@ -494,7 +495,8 @@ def test_a_second_inner_region_call_eliminates_nothing(monkeypatch):
         return wrapper
 
     for module, name in ((polytope, "project_to_plane"), (inner, "project_to_plane"),
-                         (inner, "case_system")):
+                         (inner, "case_system"), (polytope, "polygon_extract"),
+                         (inner, "polygon_extract")):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
     second = inner_region(ch, cfg)

@@ -379,6 +379,12 @@ def test_degenerate_segment_and_point():
     assert pt.is_point()
 
 
+def assert_vertices_satisfy_every_row(system, region, tol=1e-9):
+    """Every vertex meets every input row, the pruned ones included."""
+    coefs, bounds = materialized_rows(system)
+    assert np.all(region.vertices @ coefs.T <= bounds + tol)
+
+
 def test_vertices_satisfy_halfplanes_fuzzed():
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -388,7 +394,7 @@ def test_vertices_satisfy_halfplanes_fuzzed():
             continue
         for a, b, c in region.halfplanes:
             assert np.all(a * region.vertices[:, 0] + b * region.vertices[:, 1] <= c + 1e-7)
-
+        assert_vertices_satisfy_every_row(sys_, region)
 
 
 def test_nearly_concurrent_lines_add_no_vertex_outside_a_halfplane():
@@ -408,6 +414,7 @@ def test_nearly_concurrent_lines_add_no_vertex_outside_a_halfplane():
     )
     region = polygon_extract(sys_, "R1", "R2")
     assert region_contains(region, region, tol=1e-9)
+    assert_vertices_satisfy_every_row(sys_, region)
 
 
 # ------------------------------------------------------- regions and support
