@@ -4,7 +4,8 @@ Every subcommand is deterministic given its flags: fixed seeds drive all
 sampling, and output files are byte stable.  ``--threads`` is accepted and
 ignored; every command runs single-threaded.  Exit status is 0 on success,
 1 on domain errors (out-of-class channel, infeasible system), 2 on usage
-or parse problems, including non-finite numbers in a channel file.
+or parse problems, including non-finite numbers in a channel, system or
+region file.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .capacity import capacity_degraded_z, capacity_semidet_hi, hi_regime_falsify
 from .channel import classify, load_channel
-from .errors import CifcError, ParseError, UsageError
+from .errors import CifcError, ParseError, ShapeMismatch, UsageError
 from .inner import AUX_LABELS, SamplerConfig, inner_region
 from .outer import SearchConfig, outer_region_estimate
 from .polytope import (
@@ -148,7 +149,10 @@ def _load_region_file(path: str):
         doc = doc["region"]
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a region document")
-    return region_from_dict(doc)
+    try:
+        return region_from_dict(doc)
+    except ShapeMismatch as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load_system_file(path: str) -> LinearSystem:

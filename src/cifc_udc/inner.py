@@ -23,10 +23,8 @@ from .errors import (
 from .outer import Information, clip_information
 from .pmf import JOINT_CELL_LIMIT, ConditionalFactor, JointPMF, joint_from_factors
 from .polytope import (
-    LinearSystem,
     ParametricPlane,
     Region2D,
-    hull_union,
     polygon_points,
     project_parametric,
     region_from_vertices,
@@ -265,21 +263,6 @@ def _case_rows(c: InnerConstants, pinned: tuple[str, ...], dropped: tuple[str, .
         for row, bound in rows
     ]
     return unpin(inequalities), unpin(equalities)
-
-
-def case_system(
-    c: InnerConstants,
-    pinned: tuple[str, ...] = (),
-    dropped: tuple[str, ...] = (),
-) -> LinearSystem:
-    """Constraint system for one drop case of the rate-split region.
-
-    The ``pinned`` sub-rates are zero, so they are left out of the
-    system's variables and of every row.
-    """
-    free = tuple(v for v in RATE_VARIABLES if v not in pinned)
-    inequalities, equalities = _case_rows(c, pinned, dropped)
-    return LinearSystem.from_rows(free, inequalities, equalities, nonnegative=free)
 
 
 @functools.cache
@@ -538,7 +521,7 @@ def inner_region(
     only grows as samples are added and never loses the silent point.
     """
     lines = []
-    regions = []
+    points = []
     for index, f in enumerate(sample_factorizations(channel, cfg)):
         c = inner_constants(assemble_joint(f, channel))
         if not admissible(c):
@@ -546,9 +529,5 @@ def inner_region(
             continue
         region = region_for_distribution(c)
         lines.append(_sample_record(index, True, c, len(region.vertices)))
-        regions.append(region)
-    if regions:
-        union = hull_union(regions)
-    else:
-        union = region_from_vertices([(0.0, 0.0)])
-    return union, tuple(lines)
+        points += region.vertices.tolist()
+    return region_from_vertices(points or [(0.0, 0.0)]), tuple(lines)

@@ -2,12 +2,13 @@
 
 A :class:`LinearSystem` holds rows ``a . x <= b`` and ``a . x = v`` over an
 ordered tuple of variable labels, plus a set of variables pinned to be
-nonnegative.  Variables are removed one at a time with Fourier-Motzkin
-elimination until only the two plotted rates remain.  One clip of a
-working box by the survivor's rows (:func:`polygon_points`) gives the
-polygon they cut out of the nonnegative quadrant, and
-:func:`polygon_extract` turns it into a :class:`Region2D`: its
-counter-clockwise vertices and an irredundant list of halfplanes.
+nonnegative.  ``_eliminate``, the one front end behind
+:func:`project_to_plane` and :func:`project_parametric`, removes every
+variable but the two plotted rates one column at a time, by Fourier-Motzkin
+elimination.  One clip of a working box by the survivor's rows
+(:func:`polygon_points`) gives the polygon they cut out of the nonnegative
+quadrant, and :func:`polygon_extract` turns it into a :class:`Region2D`:
+its counter-clockwise vertices and an irredundant list of halfplanes.
 
 All arithmetic is floating point.  Rows are normalized to max-abs
 coefficient one, coefficients below ``SNAP`` are snapped to zero, and
@@ -24,7 +25,6 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    EmptyList,
     EmptyRegion,
     LeftoverVariables,
     NumericsError,
@@ -104,13 +104,13 @@ def _substitute(ic, ib, ec, ev, k: int):
     return ic, ib, ec, ev
 
 
-def _combine(coefs, bounds, k: int, ancestors=None, limit: int = 0):
+def _combine(coefs, bounds, k: int, ancestors, limit: int):
     """One Fourier-Motzkin step on variable ``k``.
 
     Rows without ``k`` pass through; every upper bound is then paired
     with every lower bound (upper rows outer, lower rows inner) so that
     ``k`` cancels, and column ``k`` is zeroed.  ``bounds`` may be a
-    multiplier block.  ``ancestors`` is an optional boolean matrix (rows x
+    multiplier block.  ``ancestors`` is a boolean matrix (rows x
     original rows); a pair whose merged ancestors number more than
     ``limit`` is provably redundant and is left out (Imbert's acceleration
     theorem).  Returns (coefs, bounds, ancestors).
@@ -120,11 +120,10 @@ def _combine(coefs, bounds, k: int, ancestors=None, limit: int = 0):
     zero = ~pos & ~neg
     up, low = np.flatnonzero(pos), np.flatnonzero(neg)
     i, j = np.repeat(up, low.size), np.tile(low, up.size)
-    if ancestors is not None:
-        union = ancestors[i] | ancestors[j]
-        fit = union.sum(axis=1) <= limit
-        i, j = i[fit], j[fit]
-        ancestors = np.concatenate([ancestors[zero], union[fit]])
+    union = ancestors[i] | ancestors[j]
+    fit = union.sum(axis=1) <= limit
+    i, j = i[fit], j[fit]
+    ancestors = np.concatenate([ancestors[zero], union[fit]])
 
     def pairs(block):
         return _per_row(-col[j], block) * block[i] + _per_row(col[i], block) * block[j]
@@ -148,18 +147,15 @@ def _nonnegative_rows(coefs, bounds, columns):
 def _row_arrays(variables: tuple, pairs: Iterable[tuple[Mapping[str, float], float]]):
     """(coefficient matrix, bound vector) of (coefficient dict, bound) pairs."""
     index = {v: i for i, v in enumerate(variables)}
-    coefs, vals = [], []
-    for mapping, bound in pairs:
-        row = np.zeros(len(variables))
+    pairs = list(pairs)
+    coefs, vals = np.zeros((len(pairs), len(variables))), np.zeros(len(pairs))
+    for i, (mapping, bound) in enumerate(pairs):
         for label, coef in mapping.items():
             if label not in index:
                 raise UnknownVariable(f"row mentions unknown {label!r}")
-            row[index[label]] = coef
-        coefs.append(row)
-        vals.append(float(bound))
-    if not coefs:
-        return np.zeros((0, len(variables))), np.zeros(0)
-    return np.array(coefs), np.array(vals)
+            coefs[i, index[label]] = coef
+        vals[i] = bound
+    return coefs, vals
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -234,51 +230,31 @@ class LinearSystem:
             raise UnknownVariable(f"no variable {var!r} in {self.variables}") from None
 
 
-def fm_eliminate(system: LinearSystem, var: str) -> LinearSystem:
-    """Project the feasible set onto the remaining variables.
-
-    Equalities involving ``var`` are substituted out first; otherwise the
-    standard Fourier-Motzkin combination of upper and lower bounds runs.
-    A variable in the ``nonnegative`` set contributes its >= 0 row before
-    elimination.
-    """
-    k = system.index_of(var)
-    ic, ib = system.ineq_coefs, system.ineq_bounds
-    ec, ev = system.eq_coefs, system.eq_values
-    if system.feasible:
-        if var in system.nonnegative:
-            ic, ib = _nonnegative_rows(ic, ib, [k])
-        if np.any(np.abs(ec[:, k]) > SNAP):
-            ic, ib, ec, ev = _substitute(ic, ib, ec, ev, k)
-        else:
-            ic, ib, _ = _combine(ic, ib, k)
-    return LinearSystem(
-        system.variables[:k] + system.variables[k + 1 :],
-        np.delete(ic, k, axis=1),
-        ib,
-        np.delete(ec, k, axis=1),
-        ev,
-        system.nonnegative - {var},
-        system.feasible,
-    )
-
-
-def _eliminate(ic, ib, ec, ev, doomed: list, nonnegative: set, order=None):
-    """Remove the columns ``doomed`` from the rows.
+def _eliminate(variables, ic, ib, ec, ev, nonnegative, r1, r2, order=None):
+    """Remove every column but those of ``r1`` and ``r2`` from the rows.
 
     Equalities go first: each round substitutes out the first doomed
     column an equality touches.  Fourier-Motzkin then runs with ancestor
     tracking: a combined row built from more original rows than
     eliminated variables plus one is provably redundant and is dropped
     before it can feed the quadratic blowup.  ``order`` pins the sequence
-    of the Fourier-Motzkin steps; by default the column that makes the
-    fewest new rows goes next.  A column in ``nonnegative`` contributes
-    its -x <= 0 row before it goes.  ``ib`` and ``ev`` may be multiplier
-    blocks.  Returns the rows, whose doomed columns are then zero, and
-    the bounds of the trivial inequality and equality rows met on the
-    way, which decide feasibility.
+    of the Fourier-Motzkin steps; it must name every doomed variable.  By
+    default the column that makes the fewest new rows goes next.  A
+    doomed variable in ``nonnegative`` contributes its -x <= 0 row before
+    it goes.  ``ib`` and ``ev`` may be multiplier blocks.  Returns the
+    rows over (``r1``, ``r2``) and the bounds of the trivial inequality
+    and equality rows met on the way, which decide feasibility.
     """
-    doomed = list(doomed)
+    if not {r1, r2} <= set(variables):
+        raise UnknownVariable(f"{r1!r} or {r2!r} is not one of {variables}")
+    keep = [variables.index(r1), variables.index(r2)]
+    doomed = [k for k in range(len(variables)) if k not in keep]
+    if order is not None:
+        expect = sorted(variables[k] for k in doomed)
+        if set(order) != set(expect):
+            raise UnknownVariable(f"order {order} does not cover exactly {expect}")
+        order = [variables.index(v) for v in order]
+    nonnegative = {k for k in doomed if variables[k] in nonnegative}
     trivial, trivial_eq = [ib[:0]], [ev[:0]]
     while hits := [k for k in doomed if np.any(np.abs(ec[:, k]) > SNAP)]:
         k = hits[0]
@@ -307,45 +283,26 @@ def _eliminate(ic, ib, ec, ev, doomed: list, nonnegative: set, order=None):
         ic, ib, t, rows = _tidy(ic, ib)
         ancestors = ancestors[rows]
         trivial.append(t)
-    return ic, ib, ec, ev, np.concatenate(trivial), np.concatenate(trivial_eq)
+    trivial, trivial_eq = np.concatenate(trivial), np.concatenate(trivial_eq)
+    return ic[:, keep], ib, ec[:, keep], ev, trivial, trivial_eq
 
 
 def project_to_plane(
     system: LinearSystem, r1: str, r2: str, order: Sequence[str] | None = None
 ) -> LinearSystem:
-    """Eliminate every variable except ``r1`` and ``r2``.
+    """Eliminate every variable except ``r1`` and ``r2`` (see ``_eliminate``).
 
-    Equalities are substituted out first, then Fourier-Motzkin runs with
-    Imbert's ancestor rule (see :func:`_eliminate`).  ``order`` pins the
-    elimination sequence (mostly for order-independence tests); variables
-    already removed by equality substitution are skipped.  The result is
-    over (``r1``, ``r2``).
+    ``order`` pins the elimination sequence (mostly for order-independence
+    tests).  The result is over (``r1``, ``r2``); an infeasible system
+    carries no rows and projects to an infeasible one.
     """
-    keep = [system.index_of(r1), system.index_of(r2)]
-    doomed = [k for k, v in enumerate(system.variables) if v not in (r1, r2)]
-    if order is not None and set(order) != {system.variables[k] for k in doomed}:
-        raise UnknownVariable(
-            f"order {order} does not cover exactly "
-            f"{sorted(system.variables[k] for k in doomed)}"
-        )
-    ic, ib = system.ineq_coefs, system.ineq_bounds
-    ec, ev = system.eq_coefs, system.eq_values
-    feasible = system.feasible
-    if feasible:
-        ic, ib, ec, ev, trivial, trivial_eq = _eliminate(
-            ic, ib, ec, ev, doomed,
-            {system.index_of(v) for v in system.nonnegative},
-            None if order is None else [system.index_of(v) for v in order],
-        )
-        feasible = not _contradicts(trivial, trivial_eq)
+    ic, ib, ec, ev, trivial, trivial_eq = _eliminate(
+        system.variables, system.ineq_coefs, system.ineq_bounds,
+        system.eq_coefs, system.eq_values, system.nonnegative, r1, r2, order,
+    )
     return LinearSystem(
-        (r1, r2),
-        ic[:, keep],
-        ib,
-        ec[:, keep],
-        ev,
-        system.nonnegative & {r1, r2},
-        feasible,
+        (r1, r2), ic, ib, ec, ev, system.nonnegative & {r1, r2},
+        system.feasible and not _contradicts(trivial, trivial_eq),
     )
 
 
@@ -402,9 +359,9 @@ def project_parametric(
     :meth:`LinearSystem.from_rows` takes them.  Its coefficients must not
     depend on theta and its bounds must be affine in it; evaluating it at
     the unit vectors and at zero then gives each row's multipliers over
-    (theta, 1).  The elimination is :func:`project_to_plane`'s, carried
-    out on the multipliers, so ``project_parametric(...).at(theta)`` has
-    the region of ``project_to_plane`` on the system at theta.
+    (theta, 1).  :func:`project_to_plane`'s elimination then runs on the
+    multipliers, so ``project_parametric(...).at(theta)`` has the region
+    of ``project_to_plane`` on the system at theta.
     """
     variables = tuple(variables)
     # (inequality arrays, equality arrays) at the unit vectors, then at zero
@@ -421,17 +378,14 @@ def project_parametric(
         return coefs, np.column_stack([at[:, :-1] - at[:, -1:], at[:, -1]])
 
     (ic, im), (ec, em) = multipliers(0), multipliers(1)
-    keep = [variables.index(r1), variables.index(r2)]
     nonnegative = frozenset(nonnegative)
     ic, im, trivial, _ = _tidy(ic, im)
     ec, em, trivial_eq, _ = _tidy(ec, em, equalities=True)
     ic, im, ec, em, more, more_eq = _eliminate(
-        ic, im, ec, em,
-        [k for k in range(len(variables)) if k not in keep],
-        {variables.index(v) for v in nonnegative},
+        variables, ic, im, ec, em, nonnegative, r1, r2
     )
     arrays = (
-        ic[:, keep], im, ec[:, keep], em,
+        ic, im, ec, em,
         np.concatenate([trivial, more]), np.concatenate([trivial_eq, more_eq]),
     )
     for array in arrays:  # a cached plane is shared by every caller
@@ -715,19 +669,6 @@ def regions_close(first: Region2D, second: Region2D, tol: float = 1e-7) -> bool:
     return region_contains(first, second, tol) and region_contains(second, first, tol)
 
 
-def hull_union(regions: Sequence[Region2D]) -> Region2D:
-    """Convex hull of the union; justified by time sharing between points."""
-    if not regions:
-        raise EmptyList("hull_union needs at least one region")
-    points = []
-    for region in regions:
-        if not region.empty:
-            points.extend((float(x), float(y)) for x, y in region.vertices)
-    if not points:
-        return Region2D((), np.zeros((0, 2)), empty=True)
-    return region_from_vertices(points)
-
-
 def support(region: Region2D, direction: Sequence[float]) -> float:
     """Largest value of direction . (R1,R2) over the region."""
     if region.empty:
@@ -739,19 +680,6 @@ def support(region: Region2D, direction: Sequence[float]) -> float:
 
 
 # ------------------------------------------------------------- serialization
-
-
-def materialized_rows(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """All inequality rows with the nonnegativity set written out explicitly.
-
-    Used when handing a system to code that has no notion of the
-    ``nonnegative`` shorthand (the brute-force oracle, mainly).  An
-    infeasible system is the single contradictory row 0.x <= -1.
-    """
-    if not system.feasible:
-        return np.zeros((1, len(system.variables))), np.array([-1.0])
-    columns = [system.index_of(v) for v in sorted(system.nonnegative)]
-    return _nonnegative_rows(system.ineq_coefs, system.ineq_bounds, columns)
 
 
 def region_to_dict(region: Region2D) -> dict:

@@ -1,8 +1,10 @@
-"""Shared helper: random bounded inequality systems for elimination tests."""
+"""Shared test helpers: random bounded inequality systems, the inner drop
+cases as plain systems, and the rows and hulls the oracles compare."""
 
 import numpy as np
 
-from cifc_udc.polytope import LinearSystem
+from cifc_udc.inner import RATE_VARIABLES, _case_rows
+from cifc_udc.polytope import LinearSystem, _nonnegative_rows, region_from_vertices
 
 
 def random_bounded_system(rng, n_vars=None, with_equality=False):
@@ -34,3 +36,30 @@ def random_bounded_system(rng, n_vars=None, with_equality=False):
         eqs.append(({labels[i]: row[i] for i in range(n)}, float(row @ anchor)))
 
     return LinearSystem.from_rows(labels, ineqs, eqs, nonnegative=labels)
+
+
+def materialized_rows(system):
+    """All inequality rows with the nonnegativity set written out explicitly.
+
+    For code that has no notion of the ``nonnegative`` shorthand (the
+    brute-force oracle, mainly).  An infeasible system is the single
+    contradictory row 0.x <= -1.
+    """
+    if not system.feasible:
+        return np.zeros((1, len(system.variables))), np.array([-1.0])
+    columns = [system.index_of(v) for v in sorted(system.nonnegative)]
+    return _nonnegative_rows(system.ineq_coefs, system.ineq_bounds, columns)
+
+
+def case_system(c, pinned=(), dropped=()):
+    """Constraint system for one drop case of the rate-split region at the
+    constants ``c``.  The ``pinned`` sub-rates are zero, so they are left
+    out of the system's variables and of every row."""
+    free = tuple(v for v in RATE_VARIABLES if v not in pinned)
+    return LinearSystem.from_rows(free, *_case_rows(c, pinned, dropped), nonnegative=free)
+
+
+def union_hull(regions):
+    """The convex hull of every vertex of ``regions``: their union under
+    time sharing.  Empty when every region is."""
+    return region_from_vertices(np.concatenate([r.vertices for r in regions]))

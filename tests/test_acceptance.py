@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _systems import random_bounded_system
+from _systems import materialized_rows, random_bounded_system
 from cifc_udc import (
     ChannelSpec,
     InputJoint,
@@ -49,7 +49,7 @@ from cifc_udc.oracle import (
     oracle_projected_vertices,
 )
 from cifc_udc.pmf import JointPMF
-from cifc_udc.polytope import materialized_rows, polygon_extract, project_to_plane
+from cifc_udc.polytope import polygon_extract, project_to_plane
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 

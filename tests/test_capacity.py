@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _systems import union_hull
 from cifc_udc.capacity import (
     CONDITION_A,
     HiRegimeReport,
@@ -537,26 +538,22 @@ class TestGridOracle:
         )
 
     def test_converse_matches_production_hull(self):
-        from cifc_udc.polytope import hull_union
-
         ch = falsifier_fixture()
         grid = grid_region_oracle(ch, "converse", 2, card_v12=2)
         polys = [
             outer_polygon(V12Joint((2, 2, 2, 2), p), ch)
             for p in lattice_pmfs(2, (2, 2, 2, 2))
         ]
-        assert regions_close(grid, hull_union(polys), tol=1e-9)
+        assert regions_close(grid, union_hull(polys), tol=1e-9)
 
     def test_degraded_z_matches_production_hull(self):
-        from cifc_udc.polytope import hull_union
-
         ch = z_fixture()
         grid = grid_region_oracle(ch, "degraded-z", 3)
         polys = [
             degraded_z_polygon(InputJoint((2, 2, 2), p), ch)
             for p in lattice_pmfs(3, (2, 2, 2))
         ]
-        assert regions_close(grid, hull_union(polys), tol=1e-9)
+        assert regions_close(grid, union_hull(polys), tol=1e-9)
 
     def test_degraded_z_reaches_square(self):
         reg = grid_region_oracle(z_fixture(), "degraded-z", 4)
@@ -567,15 +564,13 @@ class TestGridOracle:
         )
 
     def test_semidet_hi_matches_production_hull(self):
-        from cifc_udc.polytope import hull_union
-
         ch = hi_fixture()
         grid = grid_region_oracle(ch, "semidet-hi", 2, card_v12=2)
         polys = [
             semidet_hi_polygon(V12Joint((2, 2, 2, 1), p), ch)
             for p in lattice_pmfs(2, (2, 2, 2, 1))
         ]
-        assert regions_close(grid, hull_union(polys), tol=1e-9)
+        assert regions_close(grid, union_hull(polys), tol=1e-9)
 
     def test_semidet_hi_grid_agrees_with_search(self):
         cfg = SearchConfig(seed=0, num_samples=30, fan=17, refine_sweeps=8)
@@ -584,15 +579,13 @@ class TestGridOracle:
         assert regions_close(reg, grid, tol=1e-2)
 
     def test_reduced_matches_production_hull(self):
-        from cifc_udc.polytope import hull_union
-
         ch = semidet_fixture()
         grid = grid_region_oracle(ch, "reduced", 2, card_v12=1, card_v2=2)
         polys = [
             reduced_region(V12V2Joint((2, 1, 2, 2, 2), p), ch)
             for p in lattice_pmfs(2, (2, 1, 2, 2, 2))
         ]
-        assert regions_close(grid, hull_union(polys), tol=1e-9)
+        assert regions_close(grid, union_hull(polys), tol=1e-9)
 
     def test_resolution_one_collapses(self):
         reg = grid_region_oracle(z_fixture(), "degraded-z", 1)

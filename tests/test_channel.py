@@ -156,7 +156,7 @@ def test_non_finite_region_document_rejected(where, bad, tmp_path):
     path = tmp_path / "region.json"
     path.write_text(json.dumps(_region_doc(bad, where)))
     assert cli.main(["compare", str(good), str(good)]) == 0
-    assert cli.main(["compare", str(path), str(good)]) == 1
+    assert cli.main(["compare", str(path), str(good)]) == 2
 
 
 def _with_bad(values, at, bad):

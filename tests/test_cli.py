@@ -184,6 +184,33 @@ class TestCompare:
         assert proc.stderr.startswith("UsageError:")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"halfplanes": [[1, 0, 1]], "vertices": [[0, 0]]},
+            {"halfplanes": [[1, 0]], "vertices": [[0, 0]], "empty": False},
+            {"halfplanes": [[1, 0, 1]], "vertices": [[0, 0, 0]], "empty": False},
+            {"halfplanes": [[1, 0, 1]], "vertices": [[0, 0]], "empty": True},
+        ],
+        ids=["missing-key", "short-row", "odd-vertex", "empty-with-vertices"],
+    )
+    def test_malformed_region_is_a_parse_error(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("compare", path, path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"ParseError: {path}: ")
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+    def test_vertex_outside_its_halfplanes_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(
+            {"halfplanes": [[1, 0, 1]], "vertices": [[0, 0], [2, 0]], "empty": False}
+        ))
+        proc = run_cli("compare", path, path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("NumericsError:")
+
 
 class TestFm:
     def make_system(self, tmp_path):
@@ -374,7 +401,7 @@ HUGE = 10**400  # a JSON integer no float holds
         ("classify", {"x1": 1, "x2": 1, "x3": 1, "y1": 1, "y2": 2, "p": [HUGE, 0]},
          2, "ParseError:"),
         ("compare", {"halfplanes": [[1, 0, HUGE]], "vertices": [[0, 0]], "empty": False},
-         1, "ShapeMismatch:"),
+         2, "ParseError:"),
         ("fm", {"variables": ["R1", "R2"], "inequalities": [[1, 0, HUGE]]},
          2, "ParseError:"),
     ],

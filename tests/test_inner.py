@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _systems import case_system, materialized_rows, union_hull
 from cifc_udc.channel import ChannelSpec, load_channel
 from cifc_udc.errors import (
     CardinalityMismatch,
@@ -24,7 +25,6 @@ from cifc_udc.inner import (
     SamplerConfig,
     admissible,
     assemble_joint,
-    case_system,
     inner_constants,
     inner_region,
     region_for_distribution,
@@ -45,8 +45,6 @@ from cifc_udc.pmf import (
     mutual_information,
 )
 from cifc_udc.polytope import (
-    hull_union,
-    materialized_rows,
     polygon_extract,
     project_to_plane,
     region_contains,
@@ -372,7 +370,7 @@ def test_case_projection_matches_vertex_oracle():
                 assert regions_close(region, region_from_vertices(pts), tol=1e-7)
             case_regions.append(region)
         union = region_for_distribution(c)
-        assert regions_close(union, hull_union(case_regions), tol=1e-9)
+        assert regions_close(union, union_hull(case_regions), tol=1e-9)
 
 
 def test_origin_always_achievable():
@@ -450,7 +448,7 @@ def assert_compiled_matches_runtime(c):
         assert g.empty == w.empty, case
         assert regions_close(g, w, tol=1e-9), case
     if admissible(c):
-        union = hull_union(want)
+        union = union_hull(want)
         if union.empty:
             union = region_from_vertices([(0.0, 0.0)])
         assert regions_close(region_for_distribution(c), union, tol=1e-9)
@@ -480,8 +478,9 @@ def test_compiled_cases_match_elimination_on_random_constants():
 
 def test_a_second_inner_region_call_eliminates_nothing(monkeypatch):
     """The drop cases are projected once per process: after the first run,
-    a run calls neither ``case_system`` nor ``project_to_plane``, and the
-    regions come from clipped points, not from ``polygon_extract``."""
+    a run calls no elimination (``polytope._eliminate``, behind both
+    projection front ends), and the regions come from clipped points, not
+    from ``polygon_extract``."""
     ch = load_channel((CHANNELS / "clean.json").read_text())
     cfg = SamplerConfig(seed=1, num_samples=5)
     inner._compiled_case.cache_clear()
@@ -494,11 +493,8 @@ def test_a_second_inner_region_call_eliminates_nothing(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((polytope, "project_to_plane"), (inner, "project_to_plane"),
-                         (inner, "case_system"), (polytope, "polygon_extract"),
-                         (inner, "polygon_extract")):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for name in ("_eliminate", "polygon_extract"):
+        monkeypatch.setattr(polytope, name, counted(getattr(polytope, name)))
     second = inner_region(ch, cfg)
     assert calls == []
     assert inner._compiled_case.cache_info().misses == len(DROP_CASES)
@@ -615,7 +611,7 @@ def test_compress_forward_ablation():
     regions = [ablated]
     if admissible(c):
         regions.append(region_for_distribution(c))
-    assert region_contains(hull_union(regions), ablated, tol=1e-9)
+    assert region_contains(union_hull(regions), ablated, tol=1e-9)
 
 
 def test_cooperation_monotonicity():

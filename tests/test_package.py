@@ -1,0 +1,38 @@
+"""The package surface: exported names and the oracle boundary."""
+
+import ast
+from pathlib import Path
+
+import cifc_udc
+
+PACKAGE = Path(cifc_udc.__file__).resolve().parent
+
+
+def imported_modules(path):
+    """Every module an ``import`` or ``from ... import`` in ``path`` names,
+    relative ones with their leading dots."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            if not node.module:  # from . import oracle
+                yield from (base + alias.name for alias in node.names)
+
+
+def test_exports_resolve_and_only_tests_reach_the_oracles():
+    missing = [name for name in cifc_udc.__all__ if not hasattr(cifc_udc, name)]
+    assert missing == []
+    assert len(set(cifc_udc.__all__)) == len(cifc_udc.__all__)
+
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert "oracle.py" in {path.name for path in modules}
+    reaching = [
+        (path.name, name)
+        for path in modules
+        if path.name != "oracle.py"
+        for name in imported_modules(path)
+        if name in (".oracle", "cifc_udc.oracle")
+    ]
+    assert reaching == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import _fm_reference as reference
-from _systems import random_bounded_system
+from _systems import case_system, materialized_rows, random_bounded_system, union_hull
 from cifc_udc import errors
 from cifc_udc.channel import load_channel
 from cifc_udc.inner import (
@@ -14,7 +14,6 @@ from cifc_udc.inner import (
     SamplerConfig,
     admissible,
     assemble_joint,
-    case_system,
     inner_constants,
     sample_factorizations,
 )
@@ -23,9 +22,6 @@ from cifc_udc.polytope import (
     LinearSystem,
     _dedupe_points,
     Region2D,
-    fm_eliminate,
-    hull_union,
-    materialized_rows,
     polygon_extract,
     project_parametric,
     project_to_plane,
@@ -47,45 +43,49 @@ def unit_square():
     return polygon_extract(sys_, "R1", "R2")
 
 
-# ------------------------------------------------------------- fm_eliminate
+# ------------------------------------------------------------ project_to_plane
+# each system keeps one variable, z, beside the one it eliminates
 
 
 def test_eliminate_lower_upper_pair():
     # y >= 0 and x + y <= 3 leave x <= 3
     sys_ = LinearSystem.from_rows(
-        ("x", "y"), [({"x": 1, "y": 1}, 3.0)], nonnegative=("y",)
+        ("x", "z", "y"), [({"x": 1, "y": 1}, 3.0)], nonnegative=("y",)
     )
-    out = fm_eliminate(sys_, "y")
-    assert out.variables == ("x",)
-    assert out.ineq_coefs.shape == (1, 1)
-    assert out.ineq_coefs[0, 0] == pytest.approx(1.0)
+    out = project_to_plane(sys_, "x", "z")
+    assert out.variables == ("x", "z")
+    assert out.ineq_coefs.shape == (1, 2)
+    assert out.ineq_coefs[0] == pytest.approx([1.0, 0.0])
     assert out.ineq_bounds[0] == pytest.approx(3.0)
 
 
 def test_eliminate_with_two_lower_bounds():
     sys_ = LinearSystem.from_rows(
-        ("x", "y"),
+        ("x", "z", "y"),
         [({"x": 1, "y": -1}, 1.0), ({"y": 1}, 2.0), ({"y": -1}, 0.0)],
     )
-    out = fm_eliminate(sys_, "y")
-    assert out.variables == ("x",)
+    out = project_to_plane(sys_, "x", "z")
+    assert out.variables == ("x", "z")
     # x - y <= 1 with y <= 2 gives x <= 3; the 0 <= 2 row is trivial
-    assert out.ineq_coefs.shape == (1, 1)
+    assert out.ineq_coefs.shape == (1, 2)
+    assert out.ineq_coefs[0] == pytest.approx([1.0, 0.0])
     assert out.ineq_bounds[0] == pytest.approx(3.0)
 
 
 def test_eliminate_substitutes_equalities():
     sys_ = LinearSystem.from_rows(
-        ("x", "y"),
+        ("x", "z", "y"),
         [({"x": 1, "y": -1}, 0.5)],
         [({"x": 1, "y": 1}, 1.5)],
-        nonnegative=("x", "y"),
+        nonnegative=("x", "z", "y"),
     )
-    out = fm_eliminate(sys_, "y")
-    assert out.variables == ("x",)
+    out = project_to_plane(sys_, "x", "z")
+    assert out.variables == ("x", "z")
+    assert out.nonnegative == {"x", "z"}
     assert out.eq_coefs.shape[0] == 0
     # x - (1.5 - x) <= 0.5 gives x <= 1; y >= 0 gives x <= 1.5 (dominated)
-    assert out.ineq_coefs.shape == (1, 1)
+    assert out.ineq_coefs.shape == (1, 2)
+    assert out.ineq_coefs[0] == pytest.approx([1.0, 0.0])
     assert out.ineq_bounds[0] == pytest.approx(1.0)
 
 
@@ -105,6 +105,27 @@ def test_infeasible_system_materializes_a_contradiction():
     assert np.array_equal(bounds, [-1.0])
 
 
+def test_infeasible_system_projects_to_an_empty_region():
+    caps = [({"x": 1}, 1.0), ({"z": 1}, 1.0)]
+    contradictory = LinearSystem.from_rows(
+        ("x", "z", "y"), caps + [({"x": 0}, -1.0), ({"x": 1, "y": 1}, 2.0)],
+        nonnegative=("x", "z", "y"),
+    )
+    # feasible as written; y <= 1 and y >= 2 pair into 0 <= -1
+    clashing = LinearSystem.from_rows(
+        ("x", "z", "y"), caps + [({"y": 1}, 1.0), ({"y": -1}, -2.0)],
+        nonnegative=("x", "z", "y"),
+    )
+    assert not contradictory.feasible and clashing.feasible
+    for sys_ in (contradictory, clashing):
+        out = project_to_plane(sys_, "x", "z")
+        assert out.variables == ("x", "z")
+        assert not out.feasible
+        assert out.ineq_coefs.shape == (0, 2) and out.ineq_bounds.shape == (0,)
+        assert out.eq_coefs.shape == (0, 2) and out.eq_values.shape == (0,)
+        assert polygon_extract(out, "x", "z").empty
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_rejected(bad):
     with pytest.raises(errors.ShapeMismatch):
@@ -118,9 +139,15 @@ def test_non_finite_rows_rejected(bad):
 
 
 def test_unknown_variable_errors():
-    sys_ = LinearSystem.from_rows(("x",), [({"x": 1}, 1.0)])
+    sys_ = LinearSystem.from_rows(("x", "z", "y"), [({"x": 1, "y": 1}, 1.0)])
     with pytest.raises(errors.UnknownVariable):
-        fm_eliminate(sys_, "z")
+        project_to_plane(sys_, "x", "q")
+    with pytest.raises(errors.UnknownVariable):
+        project_to_plane(sys_, "q", "z")
+    with pytest.raises(errors.UnknownVariable):
+        project_to_plane(sys_, "x", "z", order=["x", "y"])
+    with pytest.raises(errors.UnknownVariable):
+        project_to_plane(sys_, "x", "z", order=["q"])
     with pytest.raises(errors.UnknownVariable):
         LinearSystem.from_rows(("x",), [({"q": 1}, 1.0)])
 
@@ -131,7 +158,7 @@ def test_elimination_matches_grid_search():
     for _ in range(5):
         sys_ = random_bounded_system(rng, n_vars=3)
         target = sys_.variables[-1]
-        projected = fm_eliminate(sys_, target)
+        projected = project_to_plane(sys_, *sys_.variables[:2])
         A, b = materialized_rows(sys_)
         Ap, bp = materialized_rows(projected)
         k = sys_.index_of(target)
@@ -204,17 +231,13 @@ def _assert_same_system(got, want):
 
 @pytest.mark.parametrize("with_equality", [False, True])
 def test_elimination_matches_reference_code(with_equality):
-    """The shared tidy/substitute/combine engine reproduces the two old
-    elimination loops array for array."""
+    """The one elimination front end reproduces the old elimination loops
+    array for array, in every pinned order."""
     rng = np.random.default_rng([404, with_equality])
     for _ in range(150):
         sys_ = random_bounded_system(rng, with_equality=with_equality)
         old = _as_reference(sys_)
         _assert_same_system(sys_, old)
-        for var in sys_.variables:
-            _assert_same_system(
-                fm_eliminate(sys_, var), reference.fm_eliminate(old, var)
-            )
         doomed = list(sys_.variables[2:])
         for order in (None, doomed, doomed[::-1]):
             _assert_same_system(
@@ -466,12 +489,10 @@ def test_dedupe_points_matches_the_pointwise_rule(seed, tol):
 def test_hull_union_examples():
     horizontal = region_from_vertices([(0, 0), (1, 0)])
     vertical = region_from_vertices([(0, 0), (0, 1)])
-    tri = hull_union([horizontal, vertical])
+    tri = union_hull([horizontal, vertical])
     expect = region_from_vertices([(0, 0), (1, 0), (0, 1)])
     assert regions_close(tri, expect, tol=1e-9)
-    assert regions_close(hull_union([tri]), tri, tol=1e-12)
-    with pytest.raises(errors.EmptyList):
-        hull_union([])
+    assert regions_close(union_hull([tri]), tri, tol=1e-12)
 
 
 def test_hull_union_contains_inputs():
@@ -480,7 +501,7 @@ def test_hull_union_contains_inputs():
     for _ in range(100):
         pts = rng.uniform(0.0, 2.0, (3, 2))
         regions.append(region_from_vertices(pts))
-    union = hull_union(regions)
+    union = union_hull(regions)
     for region in regions:
         assert region_contains(union, region, 1e-9)
 
@@ -488,10 +509,10 @@ def test_hull_union_contains_inputs():
 def test_hull_union_monotone():
     rng = np.random.default_rng(23)
     acc = [region_from_vertices(rng.uniform(0, 1, (3, 2)))]
-    previous = hull_union(acc)
+    previous = union_hull(acc)
     for _ in range(20):
         acc.append(region_from_vertices(rng.uniform(0, 1, (3, 2))))
-        current = hull_union(acc)
+        current = union_hull(acc)
         assert region_contains(current, previous, 1e-9)
         previous = current
 
