@@ -21,8 +21,11 @@ The commands are every command of the benchmark workloads, as
 ``perfbench/workloads.py`` builds them, plus larger and failing searches:
 outer on clean.json at 100 samples and a fan of 64, outer on degraded_z and
 hi_in_class, outer on clean.json with its samples and fan read from a
-config file, capacity semidet-hi on hi_falsified (exit 1), and outer on the
-benchmark's seeded (3,3,2,3,3) channel at a larger auxiliary alphabet.
+config file, capacity semidet-hi on hi_falsified (exit 1), capacity
+degraded-z on degraded_z and semidet-hi on hi_in_class at 100 samples and
+the default fan of 64 (where the fan's walks share the most candidate
+rows), and outer on the benchmark's seeded (3,3,2,3,3) channel at a larger
+auxiliary alphabet.
 Inner runs on the three fixtures the benchmark leaves out (hi_in_class,
 hi_falsified, hi_degenerate) and once on clean.json with ternary V12 and
 V2, so that drop cases the benchmark rarely reaches are covered too.
@@ -68,6 +71,10 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
                                 "--config", str(config)]),
         ("capacity-hi_falsified", ["capacity", channel("hi_falsified.json"),
                                    "--class", "semidet-hi", "--samples", "20"]),
+        ("capacity-degraded_z-100", ["capacity", channel("degraded_z.json"),
+                                     "--class", "degraded-z", "--samples", "100"]),
+        ("capacity-hi_in_class-100", ["capacity", channel("hi_in_class.json"),
+                                      "--class", "semidet-hi", "--samples", "100"]),
         ("outer-large-v12-4", ["outer", str(large), "--card-v12", "4",
                                "--fan", "8", "--samples", "20"]),
         *(

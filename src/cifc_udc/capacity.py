@@ -37,6 +37,7 @@ from .outer import (
     clip_information,
     fan_ascents,
     input_corners,
+    lift_bounds,
     lift_rows,
     lockstep_ascent,
     polygon_from_bounds,
@@ -149,6 +150,11 @@ def violation_gaps(j: np.ndarray):
     gap_a = info.mi("x1 x3", "y1") - info.mi("x1", "y2", "x3")
     gap_b = info.mi("v12", "y2", "x1 x3") - info.mi("v12", "y1", "x1 x3")
     return gap_a, gap_b
+
+
+def _gaps(j: np.ndarray) -> np.ndarray:
+    """``violation_gaps`` stacked on a last axis of two."""
+    return np.stack(violation_gaps(j), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +392,7 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     corners = _falsifier_probes(cards)
     probes = len(corners) if cfg.include_corners else 0
     flats = sample_pool(V12Joint, cards, cfg, corners)
-    gap_a, gap_b = violation_gaps(lift_rows(flats, cards, channel))
+    gap_a, gap_b = lift_bounds(_gaps, flats, cards, channel).T
     worst = np.maximum(gap_a, gap_b)
 
     for i in range(flats.shape[0]):
@@ -396,8 +402,7 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     # no direct hit: push the most promising candidates uphill together and
     # take the first, in start order, that crosses the tolerance
     def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        ga, gb = violation_gaps(lift_rows(rows, cards, channel))
-        return np.maximum(ga, gb)
+        return np.max(lift_bounds(_gaps, rows, cards, channel), axis=-1)
 
     order = np.argsort(-worst, kind="stable")[: cfg.refine_starts]
     values, refined = lockstep_ascent(
@@ -445,7 +450,7 @@ def capacity_degraded_z(
     check_ascent_budget(cards, channel)
 
     def caps_of(rows: np.ndarray):
-        return np.moveaxis(degraded_z_bounds(lift_rows(rows, cards, channel)), -1, 0)
+        return lift_bounds(degraded_z_bounds, rows, cards, channel).T
 
     flats = sample_pool(InputJoint, cards, cfg, input_corners(cards))
     all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
@@ -484,14 +489,22 @@ def capacity_semidet_hi(
     cards = v12_cards(channel, cfg)
 
     def caps_of(rows: np.ndarray):
-        return np.moveaxis(semidet_hi_bounds(lift_rows(rows, cards, channel)), -1, 0)
+        return lift_bounds(semidet_hi_bounds, rows, cards, channel).T
 
     flats = sample_pool(V12Joint, cards, cfg, _corner_joints(cards))
     all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
 
+    def screen(j: np.ndarray) -> np.ndarray:
+        """Per row: the two premise gaps, the three caps, the five terms."""
+        return np.column_stack(
+            [*violation_gaps(j), semidet_hi_bounds(j), *_reduced_terms_y2(j)]
+        )
+
     stacked = np.stack(all_flats, axis=0)
-    lifted = lift_rows(stacked, cards, channel)
-    gap_a, gap_b = violation_gaps(lifted)
+    columns = lift_bounds(screen, stacked, cards, channel)
+    gap_a, gap_b, caps, terms = (
+        columns[:, 0], columns[:, 1], columns[:, 2:5], columns[:, 5:].T
+    )
     worst = np.maximum(gap_a, gap_b)
     if not force and float(np.max(worst)) > VIOLATION_TOL:
         i = int(np.argmax(worst > VIOLATION_TOL))
@@ -504,8 +517,6 @@ def capacity_semidet_hi(
             late,
         )
 
-    caps = semidet_hi_bounds(lifted)
-    terms = _reduced_terms_y2(lifted)
     for i in np.flatnonzero(worst <= VIOLATION_TOL):
         poly = polygon_from_bounds([caps[i, 0]], [caps[i, 1]], [caps[i, 2]])
         full = _reduced_polygon(*(t[i] for t in terms))
@@ -515,7 +526,7 @@ def capacity_semidet_hi(
                 f"polygon at sample {i}"
             )
     region = region_from_vertices(
-        cap_vertices(*np.moveaxis(caps, -1, 0)).reshape(-1, 2)
+        cap_vertices(*caps.T).reshape(-1, 2)
     )
     evaluated = tuple(V12Joint(cards, flat.reshape(cards)) for flat in all_flats)
     return region, report, evaluated

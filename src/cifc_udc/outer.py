@@ -108,6 +108,29 @@ def lift_rows(rows: np.ndarray, cards, channel: ChannelSpec) -> np.ndarray:
     )
 
 
+# cap on the lifted cells (rows x n * |Y1||Y2|) of one lift_bounds chunk;
+# a chunk and its bounds take up to 3.5 times its own size at their peak
+_LIFT_CELLS = 1 << 15
+
+
+def lift_bounds(
+    bounds, rows: np.ndarray, cards, channel: ChannelSpec
+) -> np.ndarray:
+    """``bounds`` of the lifted ``rows``, concatenated along the rows.
+
+    The rows are lifted in chunks of at most ``_LIFT_CELLS`` lifted cells
+    (one row at least).  ``bounds`` maps a lifted batch to an array with
+    one entry per row, and each row's entry does not depend on the rows
+    beside it, so the chunking moves no byte.
+    """
+    cells = math.prod(cards) * channel.card("y1") * channel.card("y2")
+    chunk = max(1, _LIFT_CELLS // cells)
+    return np.concatenate([
+        bounds(lift_rows(rows[lo:lo + chunk], cards, channel))
+        for lo in range(0, len(rows), chunk)
+    ])
+
+
 def default_v12_card(channel: ChannelSpec) -> int:
     return channel.card("x1") * channel.card("x2")
 
@@ -131,8 +154,11 @@ def marginal_entropies(j: np.ndarray, groups, ndim: int = 6) -> np.ndarray:
         )
         m = j.sum(axis=axes) if axes else j
         flat = m.reshape(m.shape[0], -1) if batched else m.reshape(-1)
-        safe = np.where(flat > 0, flat, 1.0)
-        out.append(-np.sum(flat * np.log2(safe), axis=-1))
+        # one temporary: p log2 p in place, with log2 1 = 0 where p = 0
+        t = np.where(flat > 0, flat, 1.0)
+        np.log2(t, out=t)
+        t *= flat
+        out.append(-np.sum(t, axis=-1))
     return np.array(out).T  # as np.stack(out, axis=-1), in a fifth of the time
 
 
@@ -292,8 +318,10 @@ def fan_directions(count: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-# cap on the walks x n x n candidate entries of a lockstep block (peak memory)
-_BLOCK_CELLS = 4096
+# cap on the walks x n x n candidate entries of a lockstep block: the bumped
+# points and project_to_simplex's temporaries; the lifts are capped apart,
+# by _LIFT_CELLS
+_BLOCK_CELLS = 1 << 14
 
 # a walk moves, and counts as improved, only on a gain above this
 ASCENT_GAIN = 1e-12
@@ -369,7 +397,14 @@ class SearchConfig:
 def check_ascent_budget(cards, channel: ChannelSpec) -> None:
     """Raise ``TooLarge`` when one ascent walk over laws on ``cards`` would
     lift n candidates of n * |Y1||Y2| cells, n the product of ``cards``,
-    to more than ``pmf.JOINT_CELL_LIMIT`` cells in all."""
+    to more than ``pmf.JOINT_CELL_LIMIT`` cells in all.
+
+    The searches hold less than this at a time.  ``lift_bounds`` lifts at
+    most max(``_LIFT_CELLS``, n * |Y1||Y2|) cells at once, and a
+    ``lockstep_ascent`` block holds at most max(``_BLOCK_CELLS``, n * n)
+    candidate entries.  Once this check passes, both stay within
+    ``pmf.JOINT_CELL_LIMIT``: n * |Y1||Y2| and n * n are at most
+    n * n * |Y1||Y2|, and both caps lie far below the limit."""
     n = math.prod(cards)
     cells = n * n * channel.card("y1") * channel.card("y2")
     if cells > JOINT_CELL_LIMIT:
@@ -483,7 +518,8 @@ def fan_ascents(
     search makes without it, and every row among the ``cfg.refine_starts``
     best of all still starts one.  No ascent runs when ``cfg.refine_starts``
     or ``cfg.refine_sweeps`` is zero.  All ascents of the fan run together
-    in one ``lockstep_ascent``.
+    in one ``lockstep_ascent``, ordered by start row, and each of its
+    evaluations hands ``caps_of`` the bytewise-distinct candidates only.
     """
     directions = fan_directions(cfg.fan)
     supports = support_of_caps(*caps_of(flats), directions[:, None, :])
@@ -493,16 +529,27 @@ def fan_ascents(
         lo + np.argsort(-supports[:, lo:hi], axis=1, kind="stable")[:, :count]
         for lo, hi in ((0, cut), (cut, len(flats)))
     ], axis=1)
-    lam = np.repeat(directions, order.shape[1], axis=0)
+    # walks from one start row run side by side: a block then holds the
+    # walks most likely to share candidates
+    by_start = np.argsort(order.reshape(-1), kind="stable")
+    lam = np.repeat(directions, order.shape[1], axis=0)[by_start]
 
     def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return support_of_caps(*caps_of(rows), lam[owner])
+        # caps do not depend on the direction: score each bytewise-distinct
+        # row once (a float compare would merge -0.0 with 0.0)
+        row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+        keys = np.ascontiguousarray(rows).view(row_bytes)[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        caps = caps_of(rows[first])
+        return support_of_caps(*(c[inverse] for c in caps), lam[owner])
 
     reached, rows = lockstep_ascent(
-        flats[order.reshape(-1)], evaluate, cfg.refine_step, cfg.refine_sweeps
+        flats[order.reshape(-1)[by_start]], evaluate,
+        cfg.refine_step, cfg.refine_sweeps,
     )
-    reached = reached.reshape(order.shape)
-    rows = rows.reshape(order.shape + flats.shape[1:])
+    undo = np.argsort(by_start)
+    reached = reached[undo].reshape(order.shape)
+    rows = rows[undo].reshape(order.shape + flats.shape[1:])
     return [
         (float(np.max(sup)), [(float(sup[i]), float(v), row)
                               for i, v, row in zip(idx, got, ends)])
@@ -527,7 +574,7 @@ def outer_region_estimate(
     )
 
     def caps_of(rows: np.ndarray):
-        return _caps(five_bounds(lift_rows(rows, cards, channel)))
+        return _caps(lift_bounds(five_bounds, rows, cards, channel))
 
     directions = fan_directions(cfg.fan)
     heights = [

@@ -693,12 +693,15 @@ def region_to_dict(region: Region2D) -> dict:
 def region_from_dict(doc: Mapping) -> Region2D:
     try:
         planes = tuple(tuple(float(v) for v in row) for row in doc["halfplanes"])
-        verts = np.asarray(doc["vertices"], dtype=np.float64).reshape(-1, 2)
+        points = tuple(tuple(float(v) for v in row) for row in doc["vertices"])
         empty = bool(doc["empty"])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed region document: {exc}") from exc
     if any(len(row) != 3 for row in planes):
         raise ShapeMismatch("halfplane rows must have three entries")
+    if any(len(row) != 2 for row in points):
+        raise ShapeMismatch("vertex rows must have two entries")
+    verts = np.array(points, dtype=np.float64).reshape(-1, 2)
     if not (np.isfinite(planes).all() and np.isfinite(verts).all()):
         raise ShapeMismatch("region document holds NaN or an infinity")
     return Region2D(planes, verts, empty=empty)

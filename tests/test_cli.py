@@ -191,8 +191,11 @@ class TestCompare:
             {"halfplanes": [[1, 0]], "vertices": [[0, 0]], "empty": False},
             {"halfplanes": [[1, 0, 1]], "vertices": [[0, 0, 0]], "empty": False},
             {"halfplanes": [[1, 0, 1]], "vertices": [[0, 0]], "empty": True},
+            {"halfplanes": [[1, 0, 1]], "vertices": [[0, 0, 1], [0, 0, 0]],
+             "empty": False},
         ],
-        ids=["missing-key", "short-row", "odd-vertex", "empty-with-vertices"],
+        ids=["missing-key", "short-row", "odd-vertex", "empty-with-vertices",
+             "vertex-rows-of-three"],
     )
     def test_malformed_region_is_a_parse_error(self, tmp_path, doc):
         path = tmp_path / "bad.json"

@@ -560,6 +560,18 @@ def test_region_round_trip_serialization():
         region_from_dict({"halfplanes": [[1.0, 0.0]], "vertices": [], "empty": False})
 
 
+@pytest.mark.parametrize("vertices", [
+    [[0, 0, 1], [0, 0, 0]],
+    [[0, 0], [1]],
+    [[0, 0], [1, 0, 0, 1]],
+    [0, 0, 1, 0],
+], ids=["rows-of-three", "short-row", "long-row", "flat-numbers"])
+def test_region_document_vertex_rows_are_pairs(vertices):
+    doc = {"halfplanes": [[1.0, 0.0, 1.0]], "vertices": vertices, "empty": False}
+    with pytest.raises(errors.ShapeMismatch):
+        region_from_dict(doc)
+
+
 def test_region_invariant_enforced():
     with pytest.raises(errors.NumericsError):
         Region2D(((1.0, 0.0, 1.0),), np.array([[2.0, 0.0]]))

@@ -478,6 +478,82 @@ def test_one_walk_per_block_matches_the_default_block(monkeypatch):
         assert_same_report(hi_regime_falsify(make(), cfg), reports[case])
 
 
+def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
+    cfg = SearchConfig(seed=3, num_samples=5, fan=8)
+    pools = {name: search_of(name, cfg)
+             for name in ("clean", "degraded_z", "hi_in_class")}
+    fans = {name: fan_ascents(pool, caps_of, cfg)
+            for name, (pool, caps_of) in pools.items()}
+    reports = {case: hi_regime_falsify(make(), cfg)
+               for case, make in FALSIFIER_CASES.items()}
+
+    def regions():
+        return [capacity_degraded_z(fixture("degraded_z"), cfg)[0],
+                capacity_semidet_hi(fixture("hi_in_class"), cfg)[0]]
+
+    chunked = regions()
+    monkeypatch.setattr(outer, "_LIFT_CELLS", 1)
+    for name, (pool, caps_of) in pools.items():
+        assert_same_fan(fan_ascents(pool, caps_of, cfg), fans[name])
+    for case, make in FALSIFIER_CASES.items():
+        assert_same_report(hi_regime_falsify(make(), cfg), reports[case])
+    for got, want in zip(regions(), chunked):
+        assert got.halfplanes == want.halfplanes
+        assert np.array_equal(got.vertices, want.vertices)
+
+
+def ref_lockstep_fan(flats, caps_of, cfg):
+    """``fan_ascents`` with an ``evaluate`` that scores every candidate."""
+    directions = fan_directions(cfg.fan)
+    supports = support_of_caps(*caps_of(flats), directions[:, None, :])
+    order = np.argsort(-supports, axis=1, kind="stable")[:, :cfg.refine_starts]
+    lam = np.repeat(directions, order.shape[1], axis=0)
+    reached, rows = lockstep_ascent(
+        flats[order.reshape(-1)],
+        lambda rows, owner: support_of_caps(*caps_of(rows), lam[owner]),
+        cfg.refine_step, cfg.refine_sweeps,
+    )
+    reached = reached.reshape(order.shape)
+    rows = rows.reshape(order.shape + flats.shape[1:])
+    return [
+        (float(np.max(sup)), [(float(sup[i]), float(v), row)
+                              for i, v, row in zip(idx, got, ends)])
+        for sup, idx, got, ends in zip(supports, order, reached, rows)
+    ]
+
+
+@pytest.mark.parametrize("name", ["clean", "degraded_z", "hi_in_class"])
+def test_distinct_row_scoring_matches_scoring_every_row(name):
+    cfg = SearchConfig(seed=1, num_samples=20, fan=64)
+    pool, caps_of = search_of(name, cfg)
+    assert_same_fan(fan_ascents(pool, caps_of, cfg),
+                    ref_lockstep_fan(pool, caps_of, cfg))
+
+
+def test_caps_of_sees_each_distinct_row_once(monkeypatch):
+    cfg = SearchConfig(seed=1, num_samples=20, fan=64)
+    pool, caps_of = search_of("hi_in_class", cfg)
+    calls, candidates = [], []
+
+    def recording_caps(rows):
+        calls.append(len(rows))
+        keys = {row.tobytes() for row in rows}
+        assert len(keys) == len(rows)
+        return caps_of(rows)
+
+    def counting_ascent(starts, evaluate, *args):
+        def counted(rows, owner):
+            candidates.append(len(rows))
+            return evaluate(rows, owner)
+        return lockstep_ascent(starts, counted, *args)
+
+    monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
+    fan_ascents(pool, recording_caps, cfg)
+    # the first call scores the pool, every later one an ascent evaluation
+    assert calls[0] == len(pool) and len(calls) == len(candidates) + 1
+    assert sum(calls[1:]) <= 0.25 * sum(candidates)
+
+
 # ------------------------------------------------------- information terms
 # references: the hand-indexed entropy tables the evaluators used before
 # they named each bound as a mutual information through ``Information``;
