@@ -27,8 +27,11 @@ the default fan of 64 (where the fan's walks share the most candidate
 rows), and outer on the benchmark's seeded (3,3,2,3,3) channel at a larger
 auxiliary alphabet.
 Inner runs on the three fixtures the benchmark leaves out (hi_in_class,
-hi_falsified, hi_degenerate) and once on clean.json with ternary V12 and
-V2, so that drop cases the benchmark rarely reaches are covered too.
+hi_falsified, hi_degenerate), once on clean.json with ternary V12 and
+V2, so that drop cases the benchmark rarely reaches are covered too, and
+once, corners only, on clean.json with ternary V1, U1p and Yhat2, whose
+corner factors reduce a ternary auxiliary onto a binary input (x1 = v1
+mod 2, x3 = u1p mod 2) and copy the binary y2 into a ternary yh2.
 Then ``fm`` projects four seeded systems (two with an equality) onto
 (t0, t1) and onto (t1, t0), and ``compare`` checks the clean.json inner
 region of the benchmark run against the 100-sample outer region.
@@ -83,6 +86,8 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
         ),
         ("inner-clean-v3", ["inner", channel("clean.json"), "--card-v12", "3",
                             "--card-v2", "3", "--samples", "40"]),
+        ("inner-clean-aux3", ["inner", channel("clean.json"), "--card-v1", "3",
+                              "--card-u1p", "3", "--card-yh2", "3"]),
     ]
     runs = [
         (label, argv + ["--seed", str(seed), "--out", str(workdir / f"{label}.json")])

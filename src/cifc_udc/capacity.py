@@ -45,7 +45,7 @@ from .outer import (
     v12_cards,
     wire_v12,
 )
-from .pmf import ConditionalFactor, JointPMF, conditional_table, marginalize
+from .pmf import ConditionalFactor, JointPMF, conditional_table, marginalize, point_mass
 from .polytope import Region2D, region_from_vertices, regions_close
 
 VIOLATION_TOL = 1e-9
@@ -69,10 +69,9 @@ class V12V2Joint(InputLaw):
 
 def with_constant_v12(d: InputJoint, card_v12: int) -> V12Joint:
     """Lift p(x1,x2,x3) to p(x1,v12,x2,x3) with a constant auxiliary."""
-    cx1, cx2, cx3 = d.cards
-    pmf = np.zeros((cx1, card_v12, cx2, cx3))
-    pmf[:, 0, :, :] = d.pmf
-    return V12Joint((cx1, card_v12, cx2, cx3), pmf)
+    pmf = np.einsum(d.pmf, [0, 2, 3], point_mass(0, card_v12), [1], [0, 1, 2, 3],
+                    order="C")
+    return V12Joint(pmf.shape, pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +225,10 @@ def y2_output_map(channel: ChannelSpec) -> np.ndarray:
 
 def v2_equals_y2_lift(d: V12Joint, channel: ChannelSpec) -> V12V2Joint:
     """Embed p(x1,v12,x2,x3) as p(x1,v12,v2,x2,x3) with v2 = y2(x1,x2,x3)."""
-    fmap = y2_output_map(channel)
-    cx1, cv12, cx2, cx3 = d.cards
-    cy2 = channel.card("y2")
-    pmf = np.zeros((cx1, cv12, cy2, cx2, cx3))
-    for x1 in range(cx1):
-        for x2 in range(cx2):
-            for x3 in range(cx3):
-                pmf[x1, :, fmap[x1, x2, x3], x2, x3] = d.pmf[x1, :, x2, x3]
-    return V12V2Joint((cx1, cv12, cy2, cx2, cx3), pmf)
+    wiring = point_mass(y2_output_map(channel), channel.card("y2"))
+    pmf = np.einsum(d.pmf, [0, 1, 3, 4], wiring, [0, 3, 4, 2], [0, 1, 2, 3, 4],
+                    order="C")
+    return V12V2Joint(pmf.shape, pmf)
 
 
 # ---------------------------------------------------------------------------

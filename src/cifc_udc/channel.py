@@ -79,29 +79,23 @@ class ChannelSpec:
 
     @classmethod
     def from_outputs(cls, cards: Sequence[int], fn) -> "ChannelSpec":
-        """Deterministic channel: ``fn(x1,x2,x3) -> (y1,y2)``."""
+        """Deterministic channel: ``fn(x1,x2,x3) -> (y1,y2)``; an output
+        outside its alphabet raises ``IndexOutOfRange``."""
         cards = tuple(int(c) for c in cards)
-        t = np.zeros(cards)
-        for x1 in range(cards[0]):
-            for x2 in range(cards[1]):
-                for x3 in range(cards[2]):
-                    y1, y2 = fn(x1, x2, x3)
-                    t[x1, x2, x3, int(y1), int(y2)] = 1.0
-        return cls(cards, t)
+        if len(cards) != len(AXES):
+            return cls(cards, np.zeros(()))  # names the bad cards tuple
+        pairs = tuple(zip(AXES, cards))
+        factor = ConditionalFactor.from_function(pairs[3:], pairs[:3], fn)
+        return cls(cards, factor.table)
 
 
 @dataclasses.dataclass(frozen=True)
 class ClassReport:
-    """Structural classification flags for a channel.
-
-    ``hi_regime`` stays None here; the capacity-classes layer fills it in
-    after running its distribution search.
-    """
+    """Structural classification flags for a channel."""
 
     is_z: bool
     is_degraded: bool
     is_semi_deterministic: bool
-    hi_regime: object | None = None
 
 
 def _integral(value) -> bool:
@@ -158,7 +152,7 @@ def dump_channel(channel: ChannelSpec) -> str:
 
 
 def classify(channel: ChannelSpec, tol: float = 1e-9) -> ClassReport:
-    """Structural flags; the high-interference flag is filled elsewhere.
+    """Structural flags (the high-interference check is in ``capacity``).
 
     One-sided interference needs the first output to ignore the cognitive
     sender and the two outputs to be conditionally independent given the
@@ -177,26 +171,15 @@ def classify(channel: ChannelSpec, tol: float = 1e-9) -> ClassReport:
     is_z = constant_in_x2 and product_form
 
     # degraded: p(y1 | y2, x1, x2, x3) must not depend on (x1, x2),
-    # checked only where the conditioning event is realizable
-    is_degraded = True
+    # checked only where the conditioning event is realizable; each row is
+    # compared with the first realizable (x1, x2) row of its (x3, y2)
     n1, n2, n3, m1, m2 = channel.cards
-    for y2 in range(m2):
-        for x3 in range(n3):
-            reference = None
-            for x1 in range(n1):
-                for x2 in range(n2):
-                    mass = p_y2[x1, x2, x3, y2]
-                    if mass <= tol:
-                        continue
-                    row = t[x1, x2, x3, :, y2] / mass
-                    if reference is None:
-                        reference = row
-                    elif float(np.max(np.abs(row - reference))) > tol:
-                        is_degraded = False
-            if not is_degraded:
-                break
-        if not is_degraded:
-            break
+    mass = p_y2.reshape(n1 * n2, n3, 1, m2)
+    real = mass > tol
+    cells = t.reshape(n1 * n2, n3, m1, m2)
+    rows = np.divide(cells, mass, out=np.zeros_like(cells), where=real)
+    reference = np.take_along_axis(rows, np.argmax(real, axis=0)[None], axis=0)
+    is_degraded = not np.any(real & (np.abs(rows - reference) > tol))
 
     rounded = np.minimum(np.abs(p_y2), np.abs(p_y2 - 1.0))
     is_semi_deterministic = float(rounded.max()) <= tol

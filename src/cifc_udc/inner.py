@@ -368,39 +368,16 @@ def _mode_factor(index: int, cards: dict[str, int], modes) -> ConditionalFactor:
         return ConditionalFactor.uniform(targets, given)
     if all(m == "const" for m in modes):
         return ConditionalFactor.constant(targets, given)
-    g_shape = tuple(c for _, c in given)
-    t_shape = tuple(c for _, c in targets)
-    labels = [l for l, _ in given] + [l for l, _ in targets]
-    table = np.zeros(g_shape + t_shape)
-    for g_idx in np.ndindex(*g_shape) if g_shape else [()]:
-        block = np.ones(t_shape)
-        for axis, ((label, card), mode) in enumerate(zip(targets, modes)):
-            shape = [1] * len(t_shape)
-            shape[axis] = card
-            if mode == "const":
-                row = np.zeros(card)
-                row[0] = 1.0
-                block = block * row.reshape(shape)
-            elif mode == "uniform":
-                block = block * np.full(card, 1.0 / card).reshape(shape)
-            else:
-                _, source = mode
-                pos = labels.index(source)
-                if pos < len(g_idx):
-                    row = np.zeros(card)
-                    row[g_idx[pos] % card] = 1.0
-                    block = block * row.reshape(shape)
-                else:
-                    # copy of an earlier target inside this factor
-                    src_axis = pos - len(g_idx)
-                    src_card = t_shape[src_axis]
-                    ind = np.zeros((src_card, card))
-                    ind[np.arange(src_card), np.arange(src_card) % card] = 1.0
-                    sh = [1] * len(t_shape)
-                    sh[src_axis] = src_card
-                    sh[axis] = card
-                    block = block * ind.reshape(sh)
-        table[g_idx] = block
+    pairs = given + targets
+    labels = [l for l, _ in pairs]
+    grid = np.indices([c for _, c in pairs], sparse=True)
+    table = np.ones([c for _, c in pairs])
+    for axis, ((_, card), mode) in enumerate(zip(targets, modes), len(given)):
+        if mode == "uniform":
+            table *= 1.0 / card
+        else:
+            symbol = 0 if mode == "const" else grid[labels.index(mode[1])] % card
+            table *= grid[axis] == symbol
     return ConditionalFactor(targets, given, table)
 
 

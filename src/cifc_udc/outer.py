@@ -28,7 +28,7 @@ from .errors import (
     SumNotOne,
     TooLarge,
 )
-from .pmf import JOINT_CELL_LIMIT, MI_GUARD, SUM_TOL, _clean_tensor
+from .pmf import JOINT_CELL_LIMIT, MI_GUARD, SUM_TOL, _clean_tensor, point_mass
 from .polytope import (
     SNAP,
     LinearSystem,
@@ -437,11 +437,7 @@ def _distinct(tensors) -> list[np.ndarray]:
 def input_corners(cards: tuple[int, int, int]) -> list[np.ndarray]:
     """Distinct product laws over (x1, x2, x3) whose three factors are
     each uniform or a point mass at symbol 0; the all-uniform law first."""
-    margins = []
-    for card in cards:
-        point = np.zeros(card)
-        point[0] = 1.0
-        margins.append((np.full(card, 1.0 / card), point))
+    margins = [(np.full(card, 1.0 / card), point_mass(0, card)) for card in cards]
     return _distinct(
         np.einsum(m1, [0], m2, [1], m3, [2], [0, 1, 2])
         for m1, m2, m3 in itertools.product(*margins)
@@ -451,21 +447,13 @@ def input_corners(cards: tuple[int, int, int]) -> list[np.ndarray]:
 def wire_v12(base: np.ndarray, card_v12: int) -> list[np.ndarray]:
     """Embed p(x1, x2, x3) as p(x1, v12, x2, x3) four ways: v12 = 0, x1,
     x2 and x1*|X2| + x2, each taken mod |V12|."""
-    cx1, cx2, cx3 = base.shape
-    rules = (
-        lambda x1, x2: 0,
-        lambda x1, x2: x1,
-        lambda x1, x2: x2,
-        lambda x1, x2: x1 * cx2 + x2,
-    )
-    out = []
-    for rule in rules:
-        d = np.zeros((cx1, card_v12, cx2, cx3))
-        for x1 in range(cx1):
-            for x2 in range(cx2):
-                d[x1, rule(x1, x2) % card_v12, x2, :] = base[x1, x2, :]
-        out.append(d)
-    return out
+    cx1, cx2, _ = base.shape
+    x1, x2 = np.indices((cx1, cx2), sparse=True)
+    return [
+        np.einsum(base, [0, 2, 3], point_mass(rule % card_v12, card_v12), [0, 2, 1],
+                  [0, 1, 2, 3], order="C")
+        for rule in np.broadcast_arrays(0, x1, x2, x1 * cx2 + x2)
+    ]
 
 
 def _corner_joints(cards: tuple[int, int, int, int]) -> list[np.ndarray]:

@@ -47,6 +47,12 @@ MI_GUARD = -1e-9
 JOINT_CELL_LIMIT = 2**24
 
 
+def point_mass(symbols, card: int) -> np.ndarray:
+    """One-hot table: ``symbols`` gains a last axis of extent ``card``
+    that holds 1.0 at the given symbol and 0.0 elsewhere."""
+    return (np.asarray(symbols)[..., None] == np.arange(card)).astype(np.float64)
+
+
 def _check_labels(pairs: Sequence[tuple[str, int]], kind: str) -> None:
     seen = set()
     for label, card in pairs:
@@ -318,13 +324,9 @@ class ConditionalFactor:
             raise UnknownLabel(f"copy source {source_label!r} not among given")
         card = cards[source_label]
         src_axis = [l for l, _ in given].index(source_label)
-        eye = np.eye(card)
-        shape = tuple(c for _, c in given) + (card,)
-        table = np.zeros(shape)
-        # place the identity along (source axis, target axis)
-        idx = np.arange(card)
-        moved = np.moveaxis(table, (src_axis, len(given)), (0, 1))
-        moved[idx, idx, ...] = 1.0
+        shape = tuple(c for _, c in given)
+        source = np.indices(shape, sparse=True)[src_axis]
+        table = np.broadcast_to(point_mass(source, card), shape + (card,))
         return cls(((target_label, card),), given, table)
 
     @classmethod

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import _law_reference as reference
 from _systems import union_hull
 from cifc_udc.capacity import (
     CONDITION_A,
@@ -22,7 +25,7 @@ from cifc_udc.capacity import (
     violation_gaps,
     with_constant_v12,
 )
-from cifc_udc.channel import ChannelSpec, classify
+from cifc_udc.channel import ChannelSpec, classify, load_channel
 from cifc_udc.errors import (
     CardinalityMismatch,
     GridTooLarge,
@@ -50,6 +53,8 @@ from cifc_udc.pmf import (
     marginalize,
 )
 from cifc_udc.polytope import region_contains, region_to_dict, regions_close
+
+CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
 
 def z_fixture():
@@ -600,3 +605,29 @@ class TestGridOracle:
             grid_region_oracle(z_fixture(), "no-such-formula", 2)
         with pytest.raises(ParseError):
             grid_region_oracle(z_fixture(), "degraded-z", 0)
+
+
+def test_v12_lifts_match_the_reference():
+    """The constant-V12 lift and the V2 = Y2 lift keep the bytes of the old
+    per-symbol loops on every semi-deterministic fixture."""
+    rng = np.random.default_rng(17)
+    lifted = 0
+    for path in sorted(CHANNELS.glob("*.json")):
+        ch = load_channel(path.read_text())
+        inputs = tuple(ch.card(n) for n in ("x1", "x2", "x3"))
+        d = InputJoint.random(inputs, rng, alpha=0.5)
+        for card_v12 in (1, 2, 3):
+            assert reference.same_bytes(
+                with_constant_v12(d, card_v12).pmf,
+                reference.with_constant_v12(d, card_v12).pmf,
+            )
+            if not classify(ch).is_semi_deterministic:
+                continue
+            cx1, cx2, cx3 = inputs
+            law = V12Joint.random((cx1, card_v12, cx2, cx3), rng, alpha=0.5)
+            got = v2_equals_y2_lift(law, ch)
+            want = reference.v2_equals_y2_lift(law, ch)
+            assert got.cards == want.cards
+            assert reference.same_bytes(got.pmf, want.pmf)
+            lifted += 1
+    assert lifted >= 3 * 4

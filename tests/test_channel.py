@@ -1,5 +1,6 @@
 """Unit tests for channel loading, classification, and pinning."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _law_reference as reference
 from cifc_udc import cli, errors
 from cifc_udc.channel import (
     ChannelSpec,
@@ -243,7 +245,10 @@ def test_clean_channel_classification():
     assert report.is_z
     assert not report.is_degraded  # y1 = x1 is not recoverable from (y2, x3)
     assert report.is_semi_deterministic
-    assert report.hi_regime is None
+    # the report holds the three structural flags and nothing else
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "is_z", "is_degraded", "is_semi_deterministic",
+    ]
 
 
 def test_pair_output_channel_classification():
@@ -274,6 +279,68 @@ def test_degraded_flag_matches_oracle_on_random_channels():
         hits += got
     # random channels are essentially never degraded
     assert hits == 0
+
+
+def structured_random_channel(rng, index):
+    """A third dense Dirichlet(0.3) channels; the rest degraded, y1 drawn
+    from (x3, y2), and every second of those perturbed by 1e-3."""
+    cards = tuple(int(c) for c in rng.integers(1, 4, 5))
+    n1, n2, n3, m1, m2 = cards
+    if index % 3 == 0:
+        rows = rng.dirichlet(np.full(m1 * m2, 0.3), size=n1 * n2 * n3)
+        return ChannelSpec(cards, rows.reshape(cards))
+    p_y2 = rng.dirichlet(np.full(m2, 0.3), size=(n1, n2, n3))
+    p_y1 = rng.dirichlet(np.full(m1, 0.3), size=(n3, m2))
+    t = np.einsum("abce,ced->abcde", p_y2, p_y1)
+    if index % 3 == 2:
+        t = t + 1e-3 * rng.random(cards)
+        t = t / t.sum(axis=(3, 4), keepdims=True)
+    return ChannelSpec(cards, t)
+
+
+def test_classify_matches_the_reference_loop():
+    rng = np.random.default_rng(47)
+    flags = {"is_degraded": 0, "is_z": 0, "is_semi_deterministic": 0}
+    for index in range(600):
+        ch = structured_random_channel(rng, index)
+        for tol in (1e-9, 1e-2):
+            report = classify(ch, tol)
+            assert report == reference.classify(ch, tol)
+        for key in flags:
+            flags[key] += getattr(report, key)
+    # the family reaches both outcomes of every flag
+    assert all(0 < count < 600 for count in flags.values()), flags
+
+
+def test_from_outputs_matches_the_reference_loop():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        cards = tuple(int(c) for c in rng.integers(1, 4, 5))
+        y1 = rng.integers(0, cards[3], cards[:3])
+        y2 = rng.integers(0, cards[4], cards[:3])
+        fn = lambda a, b, c: (y1[a, b, c], y2[a, b, c])
+        got = ChannelSpec.from_outputs(cards, fn)
+        want = reference.ReferenceChannel.from_outputs(cards, fn)
+        assert got.cards == want.cards
+        assert reference.same_bytes(got.transition, want.transition)
+
+
+@pytest.mark.parametrize("outputs", [
+    lambda a, b, c: (-1, a),
+    lambda a, b, c: (a, 2),
+    lambda a, b, c: (2, 0),
+], ids=["negative-y1", "y2-equals-card", "y1-equals-card"])
+def test_from_outputs_rejects_symbols_outside_the_alphabet(outputs):
+    with pytest.raises(errors.IndexOutOfRange):
+        ChannelSpec.from_outputs((2, 1, 1, 2, 2), outputs)
+
+
+def test_from_outputs_checks_the_shape_of_its_arguments():
+    with pytest.raises(errors.ShapeMismatch):
+        ChannelSpec.from_outputs((2, 1, 1, 2, 2), lambda a, b, c: (a, a, a))
+    for cards in [(2, 2, 2, 2), (2, 2, 2, 2, 2, 2)]:
+        with pytest.raises(errors.ShapeMismatch, match="five cardinalities"):
+            ChannelSpec.from_outputs(cards, lambda *x: (0, 0))
 
 
 def test_noisy_product_channel_is_z():

@@ -1,10 +1,12 @@
 """Inner-bound pipeline: factorizations, constants, drop-case regions, sampling."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import _law_reference as reference
 from _systems import case_system, materialized_rows, union_hull
 from cifc_udc.channel import ChannelSpec, load_channel
 from cifc_udc.errors import (
@@ -30,6 +32,7 @@ from cifc_udc.inner import (
     region_for_distribution,
     sample_factorizations,
     _corner_catalog,
+    _mode_factor,
     _random_factorization,
     _signature_pairs,
 )
@@ -279,6 +282,41 @@ def test_inner_region_matches_the_pmf_path(monkeypatch):
             assert [k for k, _ in fields] == [k for k, _ in want_fields]
             for (key, value), (_, want_value) in zip(fields, want_fields):
                 assert abs(float(value) - float(want_value)) <= 1e-12, key
+
+
+def assert_same_factors(got, want):
+    for f, g in zip(got, want, strict=True):
+        assert f.targets == g.targets and f.given == g.given
+        assert reference.same_bytes(f.table, g.table)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CHANNELS.glob("*.json")))
+def test_corner_catalog_matches_the_reference(name, monkeypatch):
+    ch = load_channel((CHANNELS / f"{name}.json").read_text())
+    draws = []
+    for draw in range(4):
+        aux = np.random.default_rng([13, draw]).integers(1, 4, len(AUX_LABELS))
+        draws.append(default_cards(ch, **dict(zip(AUX_LABELS, aux.tolist()))))
+    got = [_corner_catalog(cards) for cards in draws]
+    monkeypatch.setattr(inner, "_mode_factor", reference._mode_factor)
+    for cards, catalog in zip(draws, got):
+        for f, want in zip(catalog, _corner_catalog(cards), strict=True):
+            assert_same_factors(f.factors, want.factors)
+
+
+@pytest.mark.parametrize("card", [2, 3])
+def test_block_modes_match_the_reference(card):
+    """Every mode mix of the three-target factor, copies from a conditioner
+    and from an earlier target alike, at binary and ternary cards."""
+    ch = clean_channel()
+    cards = default_cards(ch, u1p=3, v1=2, u2=card, v12=3, v2=card)
+    options = ("const", "uniform", ("copy", "u1p"), ("copy", "v1"))
+    for modes in itertools.product(
+        options, options + (("copy", "u2"),), options + (("copy", "u2"), ("copy", "v12"))
+    ):
+        assert_same_factors(
+            [_mode_factor(4, cards, modes)], [reference._mode_factor(4, cards, modes)]
+        )
 
 
 def test_constant_orderings_random():

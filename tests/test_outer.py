@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _law_reference as reference
 from cifc_udc.channel import ChannelSpec
 from cifc_udc.errors import (
     CardinalityMismatch,
@@ -22,12 +24,14 @@ from cifc_udc.outer import (
     default_v12_card,
     fan_directions,
     five_bounds,
+    input_corners,
     lockstep_ascent,
     outer_polygon,
     outer_region_estimate,
     polygon_from_bounds,
     project_to_simplex,
     support_of_caps,
+    wire_v12,
 )
 from cifc_udc.pmf import JointPMF, conditional_mutual_information
 from cifc_udc.polytope import (
@@ -426,3 +430,24 @@ class TestOuterEstimate:
             outer_region_estimate(clean_channel(), cfg)
         with pytest.raises(TooLarge):
             capacity.hi_regime_falsify(clean_channel(), cfg)
+
+
+def test_input_corners_and_wire_v12_match_the_reference():
+    """Corner laws and every V12 wiring of them and of random bases (some
+    with zero cells) keep the bytes of the old per-symbol loops."""
+    rng = np.random.default_rng(21)
+    for cards in itertools.product((1, 2, 3), repeat=3):
+        corners = input_corners(cards)
+        want_corners = reference.input_corners(cards)
+        assert len(corners) == len(want_corners)
+        assert all(reference.same_bytes(a, b) for a, b in zip(corners, want_corners))
+        size = int(np.prod(cards))
+        dense = rng.dirichlet(np.full(size, 0.5)).reshape(cards)
+        sparse = dense * (rng.random(cards) < 0.6)
+        for base in corners + [dense, sparse]:
+            for card_v12 in (1, 2, 3, 5):
+                got = wire_v12(base, card_v12)
+                want = reference.wire_v12(base, card_v12)
+                assert len(got) == len(want) == 4
+                for a, b in zip(got, want):
+                    assert reference.same_bytes(a, b)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _law_reference as reference
 from cifc_udc import errors
 from cifc_udc.oracle import oracle_conditional_entropy, oracle_conditional_mi
 from cifc_udc.pmf import (
@@ -17,6 +18,7 @@ from cifc_udc.pmf import (
     joint_from_factors,
     marginalize,
     mutual_information,
+    point_mass,
 )
 
 B = ("x", 2)  # shorthand for a generic bit
@@ -195,6 +197,26 @@ def test_factor_constructors():
     r = ConditionalFactor.random([("y", 3)], [("x", 4)], rng)
     assert r.table.shape == (4, 3)
     assert np.allclose(r.table.sum(axis=1), 1.0)
+
+
+def test_point_mass_adds_a_one_hot_axis():
+    assert np.array_equal(point_mass(0, 3), [1.0, 0.0, 0.0])
+    table = point_mass(np.array([[2, 0], [1, 1]]), 3)
+    assert table.shape == (2, 2, 3) and table.dtype == np.float64
+    assert np.array_equal(table.argmax(axis=-1), [[2, 0], [1, 1]])
+    assert np.array_equal(table.sum(axis=-1), np.ones((2, 2)))
+    # a symbol outside [0, card) marks no cell
+    assert not point_mass(np.array([-1, 3]), 3).any()
+
+
+@pytest.mark.parametrize("cards", [(1,), (3,), (2, 3), (3, 1, 2)])
+def test_copy_matches_the_reference(cards):
+    given = [(f"g{i}", c) for i, c in enumerate(cards)]
+    for source, _ in given:
+        got = ConditionalFactor.copy("y", source, given)
+        want = reference.ReferenceFactor.copy("y", source, given)
+        assert got.targets == want.targets and got.given == want.given
+        assert reference.same_bytes(got.table, want.table)
 
 
 def test_factor_validation():
