@@ -104,9 +104,7 @@ def phase_two(seed, samples, card_y2=4):
                 continue
             try:
                 region, _, _ = capacity_semidet_hi(
-                    ch,
-                    SearchConfig(seed=seed, num_samples=40, fan=17,
-                                 refine_sweeps=10),
+                    ch, SearchConfig(seed=seed, num_samples=40, fan=17)
                 )
             except CifcError:
                 continue

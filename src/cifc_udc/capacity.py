@@ -16,7 +16,6 @@ import numpy as np
 
 from .channel import ChannelSpec, classify
 from .errors import (
-    CardinalityMismatch,
     HiRegimeFalsified,
     NotDegraded,
     NotSemiDeterministic,
@@ -26,6 +25,9 @@ from .errors import (
 from .inner import InnerFactorization
 from .outer import (
     ASCENT_GAIN,
+    REFINE_STARTS,
+    REFINE_STEP,
+    REFINE_SWEEPS,
     Information,
     InputLaw,
     SearchConfig,
@@ -34,6 +36,7 @@ from .outer import (
     _distinct,
     cap_vertices,
     check_ascent_budget,
+    check_input_cards,
     clip_information,
     fan_ascents,
     input_corners,
@@ -225,6 +228,7 @@ def y2_output_map(channel: ChannelSpec) -> np.ndarray:
 
 def v2_equals_y2_lift(d: V12Joint, channel: ChannelSpec) -> V12V2Joint:
     """Embed p(x1,v12,x2,x3) as p(x1,v12,v2,x2,x3) with v2 = y2(x1,x2,x3)."""
+    check_input_cards(d.cards, channel)
     wiring = point_mass(y2_output_map(channel), channel.card("y2"))
     pmf = np.einsum(d.pmf, [0, 1, 3, 4], wiring, [0, 3, 4, 2], [0, 1, 2, 3, 4],
                     order="C")
@@ -245,11 +249,7 @@ def reduction_factorization(
     five-bound reduced region.
     """
     cx1, cv12, cv2, cx2, cx3 = d.cards
-    ch_cards = tuple(channel.card(n) for n in ("x1", "x2", "x3"))
-    if (cx1, cx2, cx3) != ch_cards:
-        raise CardinalityMismatch(
-            f"distribution cards {d.cards} do not match channel {ch_cards}"
-        )
+    check_input_cards(d.cards, channel)
     cy2 = channel.card("y2")
     labels = ("x1", "v12", "v2", "x2", "x3")
     joint = JointPMF(tuple(zip(labels, d.cards)), d.pmf)
@@ -384,28 +384,25 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     """
     cards = v12_cards(channel, cfg)
     corners = _falsifier_probes(cards)
-    probes = len(corners) if cfg.include_corners else 0
+    probes = len(corners)
     flats = sample_pool(V12Joint, cards, cfg, corners)
     gap_a, gap_b = lift_bounds(_gaps, flats, cards, channel).T
     worst = np.maximum(gap_a, gap_b)
-
-    for i in range(flats.shape[0]):
-        if worst[i] > VIOLATION_TOL:
-            return _falsified(cfg, cards, probes, flats[i], gap_a[i], gap_b[i])
+    i = next(iter(np.flatnonzero(worst > VIOLATION_TOL)), None)
+    if i is not None:
+        return _falsified(cfg, cards, probes, flats[i], gap_a[i], gap_b[i])
 
     # no direct hit: push the most promising candidates uphill together and
     # take the first, in start order, that crosses the tolerance
     def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return np.max(lift_bounds(_gaps, rows, cards, channel), axis=-1)
 
-    order = np.argsort(-worst, kind="stable")[: cfg.refine_starts]
-    values, refined = lockstep_ascent(
-        flats[order], evaluate, cfg.refine_step, cfg.refine_sweeps
-    )
-    hits = np.flatnonzero(values > VIOLATION_TOL)
-    if hits.size:
-        ga, gb = violation_gaps(lift_rows(refined[hits[:1]], cards, channel))
-        return _falsified(cfg, cards, probes, refined[hits[0]], ga[0], gb[0])
+    order = np.argsort(-worst, kind="stable")[:REFINE_STARTS]
+    values, refined = lockstep_ascent(flats[order], evaluate, REFINE_STEP, REFINE_SWEEPS)
+    i = next(iter(np.flatnonzero(values > VIOLATION_TOL)), None)
+    if i is not None:
+        ga, gb = violation_gaps(lift_rows(refined[i:i + 1], cards, channel))
+        return _falsified(cfg, cards, probes, refined[i], ga[0], gb[0])
 
     best_margin = float(max([np.max(worst), *values]))
     return HiRegimeReport(
@@ -500,8 +497,8 @@ def capacity_semidet_hi(
         columns[:, 0], columns[:, 1], columns[:, 2:5], columns[:, 5:].T
     )
     worst = np.maximum(gap_a, gap_b)
-    if not force and float(np.max(worst)) > VIOLATION_TOL:
-        i = int(np.argmax(worst > VIOLATION_TOL))
+    i = next(iter(np.flatnonzero(worst > VIOLATION_TOL)), None)
+    if not force and i is not None:
         late = _falsified(
             cfg, cards, report.probes, stacked[i], gap_a[i], gap_b[i]
         )

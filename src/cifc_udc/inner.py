@@ -268,16 +268,12 @@ def _case_rows(c: InnerConstants, pinned: tuple[str, ...], dropped: tuple[str, .
 @functools.cache
 def _compiled_case(pinned: tuple[str, ...], dropped: tuple[str, ...]) -> ParametricPlane:
     """One drop case projected to (R1, R2) once per process, its bounds
-    carried as multipliers over the constants (A..P, 1)."""
+    carried as multipliers over the constants (A..P, 1): ``_case_rows``
+    at constants that are the unit rows of those multipliers."""
     free = tuple(v for v in RATE_VARIABLES if v not in pinned)
-    return project_parametric(
-        free,
-        lambda theta: _case_rows(InnerConstants(*theta), pinned, dropped),
-        len(CONSTANT_NAMES),
-        "R1",
-        "R2",
-        nonnegative=free,
-    )
+    size = len(CONSTANT_NAMES)
+    rows = _case_rows(InnerConstants(*np.eye(size, size + 1)), pinned, dropped)
+    return project_parametric(free, *rows, size, "R1", "R2", nonnegative=free)
 
 
 def region_for_distribution(c: InnerConstants) -> Region2D:
@@ -321,20 +317,12 @@ class SamplerConfig:
     card_v12: int = 2
     card_v2: int = 2
     card_yh2: int = 2
-    dirichlet_concentration: float = 1.0
-    include_deterministic_corners: bool = True
-    include_yhat_constant_variant: bool = True
-    corner_cap: int = 32
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.num_samples < 0:
             raise ValueError("num_samples must be nonnegative")
-        if self.dirichlet_concentration <= 0:
-            raise ValueError("dirichlet_concentration must be positive")
-        if self.corner_cap < 0:
-            raise ValueError("corner_cap must be nonnegative")
         for name in AUX_LABELS:
             if getattr(self, f"card_{name}") < 1:
                 raise ValueError(f"card_{name} must be at least 1")
@@ -435,10 +423,10 @@ def _yhat_constant_variant(f: InnerFactorization) -> InnerFactorization | None:
 
 
 def _random_factorization(
-    cards: dict[str, int], rng: np.random.Generator, alpha: float
+    cards: dict[str, int], rng: np.random.Generator
 ) -> InnerFactorization:
     factors = tuple(
-        ConditionalFactor.random(*_signature_pairs(i, cards), rng, alpha)
+        ConditionalFactor.random(*_signature_pairs(i, cards), rng)
         for i in range(len(FACTOR_SIGNATURES))
     )
     return InnerFactorization(factors)
@@ -447,7 +435,7 @@ def _random_factorization(
 def sample_factorizations(
     channel: ChannelSpec, cfg: SamplerConfig
 ) -> tuple[InnerFactorization, ...]:
-    """Deterministic factorization stream: corners, then Dirichlet draws.
+    """Deterministic factorization stream: corners, then Dirichlet(1) draws.
 
     Every entry whose output-estimate factor is not already constant is
     followed by a copy with that factor forced constant, so distributions
@@ -464,19 +452,15 @@ def sample_factorizations(
             f"the inner joint would hold {cells} cells, over the budget of "
             f"{JOINT_CELL_LIMIT}"
         )
-    base: list[InnerFactorization] = []
-    if cfg.include_deterministic_corners:
-        base.extend(_corner_catalog(cards)[: cfg.corner_cap])
+    base = list(_corner_catalog(cards))
     for i in range(cfg.num_samples):
         rng = np.random.default_rng([cfg.seed, i])
-        base.append(_random_factorization(cards, rng, cfg.dirichlet_concentration))
+        base.append(_random_factorization(cards, rng))
     out: list[InnerFactorization] = []
     for f in base:
         out.append(f)
-        if cfg.include_yhat_constant_variant:
-            variant = _yhat_constant_variant(f)
-            if variant is not None:
-                out.append(variant)
+        if (variant := _yhat_constant_variant(f)) is not None:
+            out.append(variant)
     return tuple(out)
 
 

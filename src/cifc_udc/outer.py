@@ -22,7 +22,6 @@ import numpy as np
 from .channel import ChannelSpec
 from .errors import (
     CardinalityMismatch,
-    EmptyList,
     NumericsError,
     ShapeMismatch,
     SumNotOne,
@@ -88,6 +87,14 @@ class V12Joint(InputLaw):
     arity = 4
 
 
+def check_input_cards(cards, channel: ChannelSpec) -> None:
+    """Raise ``CardinalityMismatch`` unless a law's x1, x2, x3 fit the channel."""
+    if (cards[0], cards[-2], cards[-1]) != channel.cards[:3]:
+        raise CardinalityMismatch(
+            f"input cards {tuple(cards)} do not match channel {channel.cards[:3]}"
+        )
+
+
 def lift_rows(rows: np.ndarray, cards, channel: ChannelSpec) -> np.ndarray:
     """Lift a batch of input laws through the channel.
 
@@ -96,10 +103,7 @@ def lift_rows(rows: np.ndarray, cards, channel: ChannelSpec) -> np.ndarray:
     single product p(x1, [aux...], x2, x3) * p(y1, y2 | x1, x2, x3).
     """
     cards = tuple(cards)
-    if (cards[0], cards[-2], cards[-1]) != channel.cards[:3]:
-        raise CardinalityMismatch(
-            f"input cards {cards} do not match channel {channel.cards[:3]}"
-        )
+    check_input_cards(cards, channel)
     n = len(cards)
     return np.einsum(
         np.reshape(rows, (-1,) + cards), [n + 2, *range(n)],
@@ -326,12 +330,18 @@ _BLOCK_CELLS = 1 << 14
 # a walk moves, and counts as improved, only on a gain above this
 ASCENT_GAIN = 1e-12
 
+# search effort: walks start from the REFINE_STARTS best pool rows, with a
+# first step of REFINE_STEP, for at most REFINE_SWEEPS sweeps
+REFINE_STARTS = 5
+REFINE_STEP = 0.05
+REFINE_SWEEPS = 50
+
 
 def lockstep_ascent(
     starts: np.ndarray,
     evaluate,
-    step: float = 0.05,
-    sweeps: int = 50,
+    step: float = REFINE_STEP,
+    sweeps: int = REFINE_SWEEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy coordinate ascents, one per row of ``starts``, in lockstep.
 
@@ -368,16 +378,12 @@ def lockstep_ascent(
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic sampling and refinement plan for support searches."""
+    """Deterministic sampling plan for support searches (ascents: ``REFINE_*``)."""
 
     seed: int = 0
     num_samples: int = 0
     card_v12: int = 0  # 0 means |X1| * |X2|
     fan: int = 64
-    refine_starts: int = 5
-    refine_sweeps: int = 50
-    refine_step: float = 0.05
-    include_corners: bool = True
 
     def __post_init__(self):
         if self.seed < 0:
@@ -388,10 +394,6 @@ class SearchConfig:
             raise ValueError("card_v12 must be nonnegative")
         if self.fan < 2:
             raise ValueError("fan needs at least the two axis directions")
-        if self.refine_starts < 0 or self.refine_sweeps < 0:
-            raise ValueError("refinement knobs must be nonnegative")
-        if not 0 < self.refine_step < 1:
-            raise ValueError("refine_step must sit in (0, 1)")
 
 
 def check_ascent_budget(cards, channel: ChannelSpec) -> None:
@@ -472,22 +474,19 @@ def sample_pool(
 ) -> np.ndarray:
     """The laws a search evaluates, one flat law per row.
 
-    The corners come first when ``cfg.include_corners`` is set, then
-    ``cfg.num_samples`` Dirichlet draws of ``law`` seeded by
-    (cfg.seed, i), then the extra laws.
+    The corners come first, then ``cfg.num_samples`` Dirichlet draws of
+    ``law`` seeded by (cfg.seed, i), then the extra laws.
     """
     for d in extra:
         if d.cards != cards:
             raise CardinalityMismatch(
                 f"extra distribution cards {d.cards} do not match {cards}"
             )
-    pool = list(corners) if cfg.include_corners else []
+    pool = list(corners)
     for i in range(cfg.num_samples):
         rng = np.random.default_rng([cfg.seed, i])
         pool.append(law.random(cards, rng).pmf)
     pool.extend(d.pmf for d in extra)
-    if not pool:
-        raise EmptyList("no input distributions to evaluate")
     return np.stack([p.reshape(-1) for p in pool], axis=0)
 
 
@@ -500,21 +499,19 @@ def fan_ascents(
     For each direction of ``fan_directions(cfg.fan)`` returns the best
     support over ``flats`` and the (start, reached, row) of each ascent:
     the support it started from, the support it reached and the law that
-    reached it.  Ascents start from the ``cfg.refine_starts`` best rows
-    but the last ``extra``, then from the ``cfg.refine_starts`` best of
-    those ``extra`` rows.  So an extra row never displaces a start the
-    search makes without it, and every row among the ``cfg.refine_starts``
-    best of all still starts one.  No ascent runs when ``cfg.refine_starts``
-    or ``cfg.refine_sweeps`` is zero.  All ascents of the fan run together
+    reached it.  Ascents start from the ``REFINE_STARTS`` best rows but
+    the last ``extra``, then from the ``REFINE_STARTS`` best of those
+    ``extra`` rows.  So an extra row never displaces a start the search
+    makes without it, and every row among the ``REFINE_STARTS`` best of
+    all still starts one.  All ascents of the fan run together
     in one ``lockstep_ascent``, ordered by start row, and each of its
     evaluations hands ``caps_of`` the bytewise-distinct candidates only.
     """
     directions = fan_directions(cfg.fan)
     supports = support_of_caps(*caps_of(flats), directions[:, None, :])
-    count = cfg.refine_starts if cfg.refine_sweeps else 0
     cut = len(flats) - extra
     order = np.concatenate([
-        lo + np.argsort(-supports[:, lo:hi], axis=1, kind="stable")[:, :count]
+        lo + np.argsort(-supports[:, lo:hi], axis=1, kind="stable")[:, :REFINE_STARTS]
         for lo, hi in ((0, cut), (cut, len(flats)))
     ], axis=1)
     # walks from one start row run side by side: a block then holds the
@@ -532,8 +529,7 @@ def fan_ascents(
         return support_of_caps(*(c[inverse] for c in caps), lam[owner])
 
     reached, rows = lockstep_ascent(
-        flats[order.reshape(-1)[by_start]], evaluate,
-        cfg.refine_step, cfg.refine_sweeps,
+        flats[order.reshape(-1)[by_start]], evaluate, REFINE_STEP, REFINE_SWEEPS
     )
     undo = np.argsort(by_start)
     reached = reached[undo].reshape(order.shape)

@@ -144,16 +144,21 @@ def _nonnegative_rows(coefs, bounds, columns):
     return np.vstack([coefs, extra]), np.concatenate([bounds, zeros])
 
 
-def _row_arrays(variables: tuple, pairs: Iterable[tuple[Mapping[str, float], float]]):
-    """(coefficient matrix, bound vector) of (coefficient dict, bound) pairs."""
+def _row_arrays(variables: tuple, pairs: Iterable[tuple], width: int | None = None):
+    """(coefficient matrix, bounds) of (coefficient dict, bound) pairs.  Given
+    a ``width``, each bound is a row of that many multipliers, or 0; another
+    bare number cannot say which entry it is, and raises ``ShapeMismatch``."""
     index = {v: i for i, v in enumerate(variables)}
     pairs = list(pairs)
-    coefs, vals = np.zeros((len(pairs), len(variables))), np.zeros(len(pairs))
+    coefs = np.zeros((len(pairs), len(variables)))
+    vals = np.zeros((len(pairs),) if width is None else (len(pairs), width))
     for i, (mapping, bound) in enumerate(pairs):
         for label, coef in mapping.items():
             if label not in index:
                 raise UnknownVariable(f"row mentions unknown {label!r}")
             coefs[i, index[label]] = coef
+        if width is not None and np.ndim(bound) == 0 and bound:
+            raise ShapeMismatch(f"bound {bound!r} is not a row of {width} multipliers")
         vals[i] = bound
     return coefs, vals
 
@@ -345,7 +350,8 @@ class ParametricPlane:
 
 def project_parametric(
     variables: Sequence[str],
-    rows_at,
+    inequalities: Iterable[tuple],
+    equalities: Iterable[tuple],
     size: int,
     r1: str,
     r2: str,
@@ -354,30 +360,17 @@ def project_parametric(
     """Project a family of systems onto (``r1``, ``r2``) once for all
     parameters.
 
-    ``rows_at(theta)`` gives the (inequalities, equalities) of the system
-    at a parameter vector of length ``size``, as
-    :meth:`LinearSystem.from_rows` takes them.  Its coefficients must not
-    depend on theta and its bounds must be affine in it; evaluating it at
-    the unit vectors and at zero then gives each row's multipliers over
-    (theta, 1).  :func:`project_to_plane`'s elimination then runs on the
-    multipliers, so ``project_parametric(...).at(theta)`` has the region
-    of ``project_to_plane`` on the system at theta.
+    The rows are (coefficient dict, bound) pairs, as
+    :meth:`LinearSystem.from_rows` takes them, whose bounds are affine in
+    a parameter vector theta of length ``size``: each bound is a row of
+    ``size + 1`` multipliers over (theta, 1), or 0.  The coefficients do
+    not depend on theta.  :func:`project_to_plane`'s elimination runs on
+    the multipliers, so ``project_parametric(...).at(theta)`` has the
+    region of ``project_to_plane`` on the system at theta.
     """
     variables = tuple(variables)
-    # (inequality arrays, equality arrays) at the unit vectors, then at zero
-    samples = [
-        [_row_arrays(variables, part) for part in rows_at(point)]
-        for point in np.eye(size + 1, size)
-    ]
-
-    def multipliers(part):
-        coefs = samples[-1][part][0]
-        if any(not np.array_equal(s[part][0], coefs) for s in samples):
-            raise ShapeMismatch("the coefficients depend on the parameters")
-        at = np.column_stack([s[part][1] for s in samples])  # rows x points
-        return coefs, np.column_stack([at[:, :-1] - at[:, -1:], at[:, -1]])
-
-    (ic, im), (ec, em) = multipliers(0), multipliers(1)
+    ic, im = _row_arrays(variables, inequalities, size + 1)
+    ec, em = _row_arrays(variables, equalities, size + 1)
     nonnegative = frozenset(nonnegative)
     ic, im, trivial, _ = _tidy(ic, im)
     ec, em, trivial_eq, _ = _tidy(ec, em, equalities=True)

@@ -242,7 +242,7 @@ class TestDegradedZPolygon:
 
 class TestCapacityDegradedZ:
     def test_fixture_reaches_unit_square(self):
-        cfg = SearchConfig(seed=0, num_samples=20, fan=9, refine_sweeps=8)
+        cfg = SearchConfig(seed=0, num_samples=20, fan=9)
         reg, evaluated = capacity_degraded_z(z_fixture(), cfg)
         corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
         assert np.allclose(
@@ -251,14 +251,14 @@ class TestCapacityDegradedZ:
         assert len(evaluated) >= 20
 
     def test_every_evaluated_polygon_contained(self):
-        cfg = SearchConfig(seed=1, num_samples=10, fan=9, refine_sweeps=6)
+        cfg = SearchConfig(seed=1, num_samples=10, fan=9)
         ch = z_fixture()
         reg, evaluated = capacity_degraded_z(ch, cfg)
         for d in evaluated:
             assert region_contains(reg, degraded_z_polygon(d, ch), tol=1e-7)
 
     def test_deterministic_and_thread_stable(self):
-        cfg = SearchConfig(seed=2, num_samples=15, fan=9, refine_sweeps=6)
+        cfg = SearchConfig(seed=2, num_samples=15, fan=9)
         ch = z_fixture()
         a, ea = capacity_degraded_z(ch, cfg)
         b, eb = capacity_degraded_z(ch, cfg)
@@ -275,7 +275,7 @@ class TestCapacityDegradedZ:
     def test_dead_channel_collapses(self):
         dead = ChannelSpec.from_outputs((2, 2, 2, 1, 1), lambda *_: (0, 0))
         reg, _ = capacity_degraded_z(
-            dead, SearchConfig(seed=0, num_samples=5, fan=5, refine_sweeps=4)
+            dead, SearchConfig(seed=0, num_samples=5, fan=5)
         )
         assert np.allclose(reg.vertices, [[0, 0]], atol=1e-12)
 
@@ -425,6 +425,13 @@ class TestSubstitutionIdentity:
         assert lifted.cards == (2, 2, 2, 2, 2)
         assert np.allclose(lifted.pmf.sum(axis=2), d.pmf)
 
+    def test_lift_checks_the_input_cards(self):
+        # |X1| = 1 once broadcast into a law summing to 2, and |X1| = 3
+        # into numpy's own error; the channel's inputs are (2, 2, 2)
+        for cards in ((1, 2, 2, 2), (3, 2, 2, 2), (2, 2, 2, 3)):
+            with pytest.raises(CardinalityMismatch):
+                v2_equals_y2_lift(V12Joint.uniform(cards), semidet_fixture())
+
     def test_gate(self):
         with pytest.raises(NotSemiDeterministic):
             reduced_region_semidet(
@@ -470,7 +477,7 @@ class TestSpecialization:
 
 class TestCapacitySemidetHi:
     def test_discovered_fixture_triangle(self):
-        cfg = SearchConfig(seed=0, num_samples=40, fan=17, refine_sweeps=10)
+        cfg = SearchConfig(seed=0, num_samples=40, fan=17)
         reg, rep, evaluated = capacity_semidet_hi(hi_fixture(), cfg)
         assert rep.status == "no-violation-found"
         assert np.allclose(
@@ -488,19 +495,19 @@ class TestCapacitySemidetHi:
         assert exc.value.report.condition == CONDITION_A
 
     def test_force_overrides_refusal(self):
-        cfg = SearchConfig(seed=0, num_samples=5, fan=5, refine_sweeps=4)
+        cfg = SearchConfig(seed=0, num_samples=5, fan=5)
         reg, rep, _ = capacity_semidet_hi(falsifier_fixture(), cfg, force=True)
         assert rep.falsified
         assert not reg.empty
 
     def test_degenerate_channel_origin(self):
-        cfg = SearchConfig(seed=0, num_samples=10, fan=5, refine_sweeps=4)
+        cfg = SearchConfig(seed=0, num_samples=10, fan=5)
         reg, rep, _ = capacity_semidet_hi(degenerate_hi_fixture(), cfg)
         assert rep.status == "no-violation-found"
         assert np.allclose(reg.vertices, [[0, 0]], atol=1e-12)
 
     def test_deterministic(self):
-        cfg = SearchConfig(seed=4, num_samples=12, fan=9, refine_sweeps=6)
+        cfg = SearchConfig(seed=4, num_samples=12, fan=9)
         a, ra, _ = capacity_semidet_hi(hi_fixture(), cfg)
         b, rb, _ = capacity_semidet_hi(hi_fixture(), cfg)
         assert region_to_dict(a) == region_to_dict(b)
@@ -578,7 +585,7 @@ class TestGridOracle:
         assert regions_close(grid, union_hull(polys), tol=1e-9)
 
     def test_semidet_hi_grid_agrees_with_search(self):
-        cfg = SearchConfig(seed=0, num_samples=30, fan=17, refine_sweeps=8)
+        cfg = SearchConfig(seed=0, num_samples=30, fan=17)
         reg, _, _ = capacity_semidet_hi(hi_fixture(), cfg)
         grid = grid_region_oracle(hi_fixture(), "semidet-hi", 6, card_v12=2)
         assert regions_close(reg, grid, tol=1e-2)

@@ -202,7 +202,7 @@ def test_constants_match_definition_oracle():
     for trial in range(12):
         rng = np.random.default_rng([31, trial])
         ch = random_channel(rng)
-        f = _random_factorization(default_cards(ch), rng, 1.0)
+        f = _random_factorization(default_cards(ch), rng)
         joint = assemble_joint(f, ch)
         c = inner_constants(joint)
         groups = {
@@ -324,7 +324,7 @@ def test_constant_orderings_random():
     for trial in range(40):
         rng = np.random.default_rng([77, trial])
         ch = random_channel(rng)
-        f = _random_factorization(default_cards(ch), rng, 1.0)
+        f = _random_factorization(default_cards(ch), rng)
         c = inner_constants(assemble_joint(f, ch))
         assert c.D >= c.E - tol >= c.H - 2 * tol >= c.P - 3 * tol
         assert c.F >= c.I - tol
@@ -372,7 +372,7 @@ def test_union_contains_undropped_case():
     for trial in range(15):
         rng = np.random.default_rng([911, trial])
         ch = random_channel(rng)
-        f = _random_factorization(default_cards(ch), rng, 1.0)
+        f = _random_factorization(default_cards(ch), rng)
         c = inner_constants(assemble_joint(f, ch))
         if not admissible(c):
             continue
@@ -416,7 +416,7 @@ def test_origin_always_achievable():
     for trial in range(80):
         rng = np.random.default_rng([13, trial])
         ch = random_channel(rng)
-        f = _random_factorization(default_cards(ch), rng, 1.0)
+        f = _random_factorization(default_cards(ch), rng)
         c = inner_constants(assemble_joint(f, ch))
         if not admissible(c):
             from cifc_udc.inner import _yhat_constant_variant
@@ -514,6 +514,41 @@ def test_compiled_cases_match_elimination_on_random_constants():
     assert np.all((empty > 0) & (empty < trials)), empty
 
 
+def ref_sampled_case(pinned, dropped):
+    """A drop case compiled as it was before ``_case_rows`` ran once on
+    multiplier rows: the rows at the 16 unit constants and at zero, the
+    multipliers by differencing, then the same tidy and elimination."""
+    free = tuple(v for v in inner.RATE_VARIABLES if v not in pinned)
+    size = len(CONSTANT_NAMES)
+    samples = [
+        [polytope._row_arrays(free, part)
+         for part in inner._case_rows(InnerConstants(*point), pinned, dropped)]
+        for point in np.eye(size + 1, size)
+    ]
+
+    def multipliers(part):
+        at = np.column_stack([s[part][1] for s in samples])  # rows x points
+        return samples[-1][part][0], np.column_stack([at[:, :-1] - at[:, -1:], at[:, -1]])
+
+    (ic, im), (ec, em) = multipliers(0), multipliers(1)
+    ic, im, trivial, _ = polytope._tidy(ic, im)
+    ec, em, trivial_eq, _ = polytope._tidy(ec, em, equalities=True)
+    ic, im, ec, em, more, more_eq = polytope._eliminate(
+        free, ic, im, ec, em, frozenset(free), "R1", "R2"
+    )
+    return ic, im, ec, em, np.concatenate([trivial, more]), np.concatenate([trivial_eq, more_eq])
+
+
+def test_compiled_cases_match_the_sampled_multipliers():
+    for pinned, dropped in DROP_CASES:
+        plane = inner._compiled_case(pinned, dropped)
+        got = (plane.ineq_coefs, plane.ineq_multipliers, plane.eq_coefs,
+               plane.eq_multipliers, plane.trivial, plane.trivial_eq)
+        # equal as numbers: a multiplier may be -0.0 where the differences gave 0.0
+        for g, w in zip(got, ref_sampled_case(pinned, dropped)):
+            assert np.array_equal(g, w), (pinned, dropped)
+
+
 def test_a_second_inner_region_call_eliminates_nothing(monkeypatch):
     """The drop cases are projected once per process: after the first run,
     a run calls no elimination (``polytope._eliminate``, behind both
@@ -553,18 +588,14 @@ def test_sampler_deterministic_and_capped():
             np.testing.assert_array_equal(ta.table, tb.table)
     corners_only = sample_factorizations(ch, SamplerConfig(num_samples=0))
     assert len(corners_only) == 11  # 9 corners + 2 estimate variants
-    capped = sample_factorizations(
-        ch, SamplerConfig(num_samples=0, corner_cap=3)
-    )
-    assert len(capped) == 3  # first three corners have constant estimates
 
 
 def test_sampler_variant_follows_base():
     ch = clean_channel()
-    cfg = SamplerConfig(seed=1, num_samples=1, include_deterministic_corners=False)
-    out = sample_factorizations(ch, cfg)
-    assert len(out) == 2
-    base, variant = out
+    corners = sample_factorizations(ch, SamplerConfig(num_samples=0))
+    out = sample_factorizations(ch, SamplerConfig(seed=1, num_samples=1))
+    assert len(out) == len(corners) + 2
+    base, variant = out[-2:]
     assert not np.array_equal(base.factors[8].table, variant.factors[8].table)
     const = ConditionalFactor.constant(
         variant.factors[8].targets, variant.factors[8].given
@@ -574,35 +605,12 @@ def test_sampler_variant_follows_base():
         np.testing.assert_array_equal(base.factors[i].table, variant.factors[i].table)
 
 
-def test_sampler_concentration_spreads_rows():
-    ch = clean_channel()
-    ent = {}
-    for alpha in (0.1, 10.0):
-        cfg = SamplerConfig(
-            seed=2,
-            num_samples=40,
-            dirichlet_concentration=alpha,
-            include_deterministic_corners=False,
-            include_yhat_constant_variant=False,
-        )
-        rows = []
-        for f in sample_factorizations(ch, cfg):
-            table = f.factors[6].table.reshape(-1, 2)  # x2 rows
-            safe = np.clip(table, 1e-300, None)
-            rows.append(float(np.mean(-np.sum(table * np.log2(safe), axis=1))))
-        ent[alpha] = float(np.mean(rows))
-    assert ent[0.1] < ent[10.0]
-
-
 def test_seed_changes_stream():
     ch = clean_channel()
-    a = sample_factorizations(
-        ch, SamplerConfig(seed=1, num_samples=1, include_deterministic_corners=False)
-    )
-    b = sample_factorizations(
-        ch, SamplerConfig(seed=2, num_samples=1, include_deterministic_corners=False)
-    )
-    assert not np.array_equal(a[0].factors[0].table, b[0].factors[0].table)
+    # the draw and its estimate variant follow the corners
+    a = sample_factorizations(ch, SamplerConfig(seed=1, num_samples=1))
+    b = sample_factorizations(ch, SamplerConfig(seed=2, num_samples=1))
+    assert not np.array_equal(a[-1].factors[0].table, b[-1].factors[0].table)
 
 
 # -- region union ------------------------------------------------------------
@@ -672,11 +680,11 @@ def test_joint_cell_budget_is_checked_before_any_table(monkeypatch):
     def never(*args):
         raise AssertionError("a factor table was built")
 
-    monkeypatch.setattr(inner, "_corner_catalog", never)
+    monkeypatch.setattr(inner, "_corner_catalog", lambda cards: ())
     monkeypatch.setattr(inner, "_random_factorization", never)
     # 2**5 channel cells times 2**7 * 2**12 auxiliary cells: at the budget
-    at_budget = SamplerConfig(include_deterministic_corners=False, card_u1=2**12)
-    assert sample_factorizations(ch, at_budget) == ()
+    assert sample_factorizations(ch, SamplerConfig(card_u1=2**12)) == ()
+    monkeypatch.setattr(inner, "_corner_catalog", never)
     for cfg in (SamplerConfig(card_u1=2**12 + 1),
                 SamplerConfig(card_u1=1000, card_u2=1000)):
         with pytest.raises(TooLarge):

@@ -281,9 +281,10 @@ def test_pinning_by_leaving_out_matches_pinning_by_equality(path):
 
 def random_family(rng, size):
     """Rows of a random bounded system whose bounds are affine in a
-    parameter vector of length ``size``, as a function of it; one
-    equality when the draw says so.  The floor on t2 passes its cap at
-    some parameters, which leaves a contradictory trivial row."""
+    parameter vector of length ``size``, each bound a row of multipliers
+    over (theta, 1); one equality when the draw says so.  The floor on t2
+    passes its cap at some parameters, which leaves a contradictory
+    trivial row."""
     n = int(rng.integers(3, 6))
     labels = tuple(f"t{i}" for i in range(n))
     coefs = rng.integers(-3, 4, size=(int(rng.integers(4, 9)), n)).astype(float)
@@ -292,17 +293,28 @@ def random_family(rng, size):
     caps = rng.uniform(1.2, 3.0, n)
     eq = rng.integers(-2, 3, size=n).astype(float) if rng.random() < 0.5 else None
 
-    def rows_at(theta):
-        ineqs = [
-            (dict(zip(labels, row)), bound)
-            for row, bound in zip(coefs, base + slopes @ theta)
-        ]
-        ineqs += [({label: 1.0}, cap) for label, cap in zip(labels, caps)]
-        ineqs.append(({"t2": -1.0}, -1.0 - 2.0 * theta[-1]))  # a floor over its cap
-        eqs = [] if eq is None else [(dict(zip(labels, eq)), 0.2 + theta[0])]
-        return ineqs, eqs
+    def bound(value, at=None, slope=0.0):
+        """The multiplier row of value + slope * theta[at]."""
+        row = np.zeros(size + 1)
+        row[-1] = value
+        if at is not None:
+            row[at] = slope
+        return row
 
-    return labels, rows_at
+    ineqs = [
+        (dict(zip(labels, row)), np.append(slope, value))
+        for row, slope, value in zip(coefs, slopes, base)
+    ]
+    ineqs += [({label: 1.0}, bound(cap)) for label, cap in zip(labels, caps)]
+    ineqs.append(({"t2": -1.0}, bound(-1.0, size - 1, -2.0)))  # a floor over its cap
+    eqs = [] if eq is None else [(dict(zip(labels, eq)), bound(0.2, 0, 1.0))]
+    return labels, ineqs, eqs
+
+
+def rows_at(rows, theta):
+    """Plain (coefficient dict, bound) rows at parameters ``theta``."""
+    point = np.append(theta, 1.0)
+    return [(mapping, float(bound @ point)) for mapping, bound in rows]
 
 
 def test_parametric_projection_matches_projection_at_each_point():
@@ -310,10 +322,14 @@ def test_parametric_projection_matches_projection_at_each_point():
     outcomes = set()
     for _ in range(25):
         size = int(rng.integers(1, 4))
-        labels, rows_at = random_family(rng, size)
-        family = project_parametric(labels, rows_at, size, "t0", "t1", nonnegative=labels)
+        labels, ineqs, eqs = random_family(rng, size)
+        family = project_parametric(
+            labels, ineqs, eqs, size, "t0", "t1", nonnegative=labels
+        )
         for theta in rng.uniform(-1.0, 1.0, size=(6, size)):
-            system = LinearSystem.from_rows(labels, *rows_at(theta), nonnegative=labels)
+            system = LinearSystem.from_rows(
+                labels, rows_at(ineqs, theta), rows_at(eqs, theta), nonnegative=labels
+            )
             want = polygon_extract(project_to_plane(system, "t0", "t1"), "t0", "t1")
             system = family.at(theta)
             if system is None:
@@ -327,12 +343,14 @@ def test_parametric_projection_matches_projection_at_each_point():
     assert outcomes == {(True, True), (False, True), (False, False)}
 
 
-def test_parametric_projection_needs_fixed_coefficients():
-    def rows_at(theta):
-        return [({"x": 1.0 + theta[0]}, 1.0), ({"y": 1.0, "z": 1.0}, 2.0)], []
-
+def test_parametric_projection_needs_multiplier_rows():
+    # x <= theta and y <= 0: a bare 0 is a row of zero multipliers
+    rows = [({"x": 1.0}, np.array([1.0, 0.0])), ({"y": 1.0}, 0)]
+    plane = project_parametric(("x", "y"), rows, [], 1, "x", "y")
+    assert np.array_equal(plane.at([0.5]).ineq_bounds, [0.5, 0.0])
+    # a bare number other than 0 cannot say which multiplier it is
     with pytest.raises(errors.ShapeMismatch):
-        project_parametric(("x", "y", "z"), rows_at, 1, "x", "y")
+        project_parametric(("x", "y", "z"), [({"x": 1.0}, 1.0)], [], 1, "x", "y")
 
 
 # ----------------------------------------------------------- polygon_extract

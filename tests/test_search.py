@@ -32,7 +32,7 @@ from cifc_udc.capacity import (
     violation_gaps,
 )
 from cifc_udc.channel import ChannelSpec, load_channel
-from cifc_udc.errors import CardinalityMismatch, EmptyList, NumericsError
+from cifc_udc.errors import CardinalityMismatch, NumericsError
 from cifc_udc.outer import (
     Information,
     InputLaw,
@@ -138,7 +138,7 @@ def ref_falsifier_probes(cards):
 
 
 def ref_pool(law, cards, cfg, corners, extra=()):
-    pool = list(corners) if cfg.include_corners else []
+    pool = list(corners)
     for i in range(cfg.num_samples):
         rng = np.random.default_rng([cfg.seed, i])
         pool.append(law.random(cards, rng).pmf)
@@ -224,15 +224,16 @@ def test_corner_sets_match_the_replaced_loops(cards):
 
 
 @pytest.mark.parametrize("cards", V12_CARDS)
-@pytest.mark.parametrize("include_corners", [True, False])
-def test_sample_pool_matches_the_replaced_loops(cards, include_corners):
-    cfg = SearchConfig(seed=5, num_samples=6, include_corners=include_corners)
+@pytest.mark.parametrize("with_corners", [True, False])
+def test_sample_pool_matches_the_replaced_loops(cards, with_corners):
+    cfg = SearchConfig(seed=5, num_samples=6)
     cards3 = (cards[0], cards[2], cards[3])
     for law, law_cards, corners in (
         (V12Joint, cards, ref_corner_joints(cards)),
         (V12Joint, cards, ref_falsifier_probes(cards)),
         (InputJoint, cards3, ref_product_corners(cards3)),
     ):
+        corners = corners if with_corners else []
         got = sample_pool(law, law_cards, cfg, corners)
         assert np.array_equal(got, ref_pool(law, law_cards, cfg, corners))
     extra = (V12Joint.uniform(cards),)
@@ -243,8 +244,6 @@ def test_sample_pool_matches_the_replaced_loops(cards, include_corners):
 
 def test_sample_pool_guards():
     cards = (2, 2, 2, 2)
-    with pytest.raises(EmptyList):
-        sample_pool(V12Joint, cards, SearchConfig(include_corners=False), [])
     with pytest.raises(CardinalityMismatch):
         sample_pool(V12Joint, cards, SearchConfig(), _corner_joints(cards),
                     (V12Joint.uniform((2, 3, 2, 2)),))
@@ -278,16 +277,16 @@ def ref_fan_ascents(flats, caps_of, cfg):
     for lam in fan_directions(cfg.fan):
         supports = support_of_caps(r1, r2, s, lam)
         ascents = []
-        if cfg.refine_starts and cfg.refine_sweeps:
-            def evaluate(rows):
-                return support_of_caps(*caps_of(rows), lam)
 
-            order = np.argsort(-supports, kind="stable")[: cfg.refine_starts]
-            for idx in order:
-                reached, row = ref_ascent_refine(
-                    flats[int(idx)], evaluate, cfg.refine_step, cfg.refine_sweeps
-                )
-                ascents.append((float(supports[int(idx)]), reached, row))
+        def evaluate(rows):
+            return support_of_caps(*caps_of(rows), lam)
+
+        order = np.argsort(-supports, kind="stable")[: outer.REFINE_STARTS]
+        for idx in order:
+            reached, row = ref_ascent_refine(
+                flats[int(idx)], evaluate, outer.REFINE_STEP, outer.REFINE_SWEEPS
+            )
+            ascents.append((float(supports[int(idx)]), reached, row))
         out.append((float(np.max(supports)), ascents))
     return out
 
@@ -295,7 +294,7 @@ def ref_fan_ascents(flats, caps_of, cfg):
 def ref_hi_regime_falsify(channel, cfg):
     cards = v12_cards(channel, cfg)
     corners = _falsifier_probes(cards)
-    probes = len(corners) if cfg.include_corners else 0
+    probes = len(corners)
     flats = sample_pool(V12Joint, cards, cfg, corners)
     gap_a, gap_b = violation_gaps(lift_rows(flats, cards, channel))
     worst = np.maximum(gap_a, gap_b)
@@ -309,10 +308,10 @@ def ref_hi_regime_falsify(channel, cfg):
         return np.maximum(ga, gb)
 
     best_margin = float(np.max(worst))
-    order = np.argsort(-worst, kind="stable")[: cfg.refine_starts]
+    order = np.argsort(-worst, kind="stable")[: capacity.REFINE_STARTS]
     for idx in order:
         value, refined = ref_ascent_refine(
-            flats[int(idx)], evaluate, cfg.refine_step, cfg.refine_sweeps
+            flats[int(idx)], evaluate, capacity.REFINE_STEP, capacity.REFINE_SWEEPS
         )
         best_margin = max(best_margin, value)
         if value > VIOLATION_TOL:
@@ -408,17 +407,21 @@ def test_lockstep_ascent_without_walks():
     assert values.shape == (0,) and rows.shape == (0, 4)
 
 
+# each a config and the search-effort constants it patches into ``outer``
 FAN_CFGS = [
-    SearchConfig(seed=3, num_samples=5, fan=8),
-    SearchConfig(seed=11, num_samples=3, fan=5, refine_starts=2,
-                 refine_sweeps=7, refine_step=0.2),
-    SearchConfig(seed=1, num_samples=2, fan=3, refine_sweeps=0),
+    (SearchConfig(seed=3, num_samples=5, fan=8), {}),
+    (SearchConfig(seed=11, num_samples=3, fan=5),
+     {"REFINE_STARTS": 2, "REFINE_SWEEPS": 7, "REFINE_STEP": 0.2}),
+    (SearchConfig(seed=1, num_samples=2, fan=3), {"REFINE_SWEEPS": 0}),
 ]
 
 
 @pytest.mark.parametrize("name", ["clean", "degraded_z", "hi_in_class"])
 @pytest.mark.parametrize("cfg", FAN_CFGS)
-def test_fan_ascents_match_the_per_direction_loop(name, cfg):
+def test_fan_ascents_match_the_per_direction_loop(name, cfg, monkeypatch):
+    cfg, constants = cfg
+    for constant, value in constants.items():
+        monkeypatch.setattr(outer, constant, value)
     pool, caps_of = search_of(name, cfg)
     assert_same_fan(fan_ascents(pool, caps_of, cfg),
                     ref_fan_ascents(pool, caps_of, cfg))
@@ -443,12 +446,15 @@ FALSIFIER_CASES = {
 }
 
 
+# each a config and the number of ascent starts the falsifier takes
 @pytest.mark.parametrize("case", sorted(FALSIFIER_CASES))
-@pytest.mark.parametrize("cfg", [SearchConfig(seed=3, num_samples=20),
-                                 SearchConfig(seed=11, num_samples=2),
-                                 SearchConfig(seed=0),
-                                 SearchConfig(seed=0, refine_starts=0)])
-def test_falsifier_matches_the_early_exit_loop(case, cfg):
+@pytest.mark.parametrize("cfg", [(SearchConfig(seed=3, num_samples=20), 5),
+                                 (SearchConfig(seed=11, num_samples=2), 5),
+                                 (SearchConfig(seed=0), 5),
+                                 (SearchConfig(seed=0), 0)])
+def test_falsifier_matches_the_early_exit_loop(case, cfg, monkeypatch):
+    cfg, starts = cfg
+    monkeypatch.setattr(capacity, "REFINE_STARTS", starts)
     ch = FALSIFIER_CASES[case]()
     assert_same_report(hi_regime_falsify(ch, cfg), ref_hi_regime_falsify(ch, cfg))
 
@@ -506,12 +512,12 @@ def ref_lockstep_fan(flats, caps_of, cfg):
     """``fan_ascents`` with an ``evaluate`` that scores every candidate."""
     directions = fan_directions(cfg.fan)
     supports = support_of_caps(*caps_of(flats), directions[:, None, :])
-    order = np.argsort(-supports, axis=1, kind="stable")[:, :cfg.refine_starts]
+    order = np.argsort(-supports, axis=1, kind="stable")[:, :outer.REFINE_STARTS]
     lam = np.repeat(directions, order.shape[1], axis=0)
     reached, rows = lockstep_ascent(
         flats[order.reshape(-1)],
         lambda rows, owner: support_of_caps(*caps_of(rows), lam[owner]),
-        cfg.refine_step, cfg.refine_sweeps,
+        outer.REFINE_STEP, outer.REFINE_SWEEPS,
     )
     reached = reached.reshape(order.shape)
     rows = rows.reshape(order.shape + flats.shape[1:])
