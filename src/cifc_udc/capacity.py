@@ -28,7 +28,6 @@ from .outer import (
     REFINE_STARTS,
     REFINE_STEP,
     REFINE_SWEEPS,
-    Information,
     InputLaw,
     SearchConfig,
     V12Joint,
@@ -37,7 +36,6 @@ from .outer import (
     cap_vertices,
     check_ascent_budget,
     check_input_cards,
-    clip_information,
     fan_ascents,
     input_corners,
     lift_bounds,
@@ -48,7 +46,15 @@ from .outer import (
     v12_cards,
     wire_v12,
 )
-from .pmf import ConditionalFactor, JointPMF, conditional_table, marginalize, point_mass
+from .pmf import (
+    ConditionalFactor,
+    Information,
+    JointPMF,
+    clip_information,
+    conditional_table,
+    marginalize,
+    point_mass,
+)
 from .polytope import Region2D, region_from_vertices, regions_close
 
 VIOLATION_TOL = 1e-9
@@ -385,7 +391,7 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     cards = v12_cards(channel, cfg)
     corners = _falsifier_probes(cards)
     probes = len(corners)
-    flats = sample_pool(V12Joint, cards, cfg, corners)
+    flats = sample_pool(cards, cfg, corners)
     gap_a, gap_b = lift_bounds(_gaps, flats, cards, channel).T
     worst = np.maximum(gap_a, gap_b)
     i = next(iter(np.flatnonzero(worst > VIOLATION_TOL)), None)
@@ -443,7 +449,7 @@ def capacity_degraded_z(
     def caps_of(rows: np.ndarray):
         return lift_bounds(degraded_z_bounds, rows, cards, channel).T
 
-    flats = sample_pool(InputJoint, cards, cfg, input_corners(cards))
+    flats = sample_pool(cards, cfg, input_corners(cards))
     all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
 
     # the hull of the union is the hull of every row's corners
@@ -482,7 +488,7 @@ def capacity_semidet_hi(
     def caps_of(rows: np.ndarray):
         return lift_bounds(semidet_hi_bounds, rows, cards, channel).T
 
-    flats = sample_pool(V12Joint, cards, cfg, _corner_joints(cards))
+    flats = sample_pool(cards, cfg, _corner_joints(cards))
     all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
 
     def screen(j: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
-from .pmf import SUM_TOL, ConditionalFactor, _clean_tensor
+from .pmf import ConditionalFactor, _normalized
 
 AXES = ("x1", "x2", "x3", "y1", "y2")
 
@@ -37,21 +37,7 @@ class ChannelSpec:
         cards = tuple(int(c) for c in self.cards)
         if len(cards) != 5 or any(c < 1 for c in cards):
             raise ShapeMismatch(f"need five cardinalities >= 1, got {cards}")
-        t = _clean_tensor(self.transition, "transition")
-        if t.shape != cards:
-            raise ShapeMismatch(
-                f"transition shape {t.shape} does not match cardinalities {cards}"
-            )
-        sums = t.sum(axis=(3, 4))
-        gap = np.abs(sums - 1.0)
-        if float(gap.max()) > SUM_TOL:
-            where = tuple(
-                int(i) for i in np.unravel_index(int(np.argmax(gap)), sums.shape)
-            )
-            raise RowSumError(
-                f"rows for inputs (x1,x2,x3)={where} sum to {float(sums[where])!r}"
-            )
-        t = t / sums[:, :, :, None, None]
+        t = _normalized(self.transition, cards, 3, "p(y1,y2|x1,x2,x3)", RowSumError)
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "transition", t)
 
@@ -126,6 +112,10 @@ def load_channel(text: str) -> ChannelSpec:
     if not all(_integral(c) for c in cards):
         raise ParseError(f"channel cardinalities must be integers: {cards}")
     cards = tuple(int(c) for c in cards)
+    if min(cards) < 1:
+        raise ShapeMismatch(
+            f"channel cardinalities must be >= 1: {dict(zip(AXES, cards))}"
+        )
     if not isinstance(flat, list):
         raise ParseError('channel field "p" must be a flat array of numbers')
     expected = math.prod(cards)

@@ -8,7 +8,7 @@ to the plane and unioning over factorizations gives the inner bound estimate.
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,8 +20,14 @@ from .errors import (
     MissingVariable,
     TooLarge,
 )
-from .outer import Information, clip_information
-from .pmf import JOINT_CELL_LIMIT, ConditionalFactor, JointPMF, joint_from_factors
+from .pmf import (
+    JOINT_CELL_LIMIT,
+    ConditionalFactor,
+    Information,
+    JointPMF,
+    clip_information,
+    joint_from_factors,
+)
 from .polytope import (
     ParametricPlane,
     Region2D,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import OverlappingGroups, TooLarge, UnknownLabel
 
-# assignments of the conditioning group lighter than this are skipped,
-# mirroring the production convention
+# assignments of the conditioning group lighter than this are skipped; one
+# adds at most its mass times log2 of the target alphabet size to a term
 _SKIP = 1e-15
 
 

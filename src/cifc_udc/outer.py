@@ -11,7 +11,6 @@ the input-law type, its lift through the channel, the seeded pool and the
 per-direction coordinate ascent.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,14 +19,8 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import ChannelSpec
-from .errors import (
-    CardinalityMismatch,
-    NumericsError,
-    ShapeMismatch,
-    SumNotOne,
-    TooLarge,
-)
-from .pmf import JOINT_CELL_LIMIT, MI_GUARD, SUM_TOL, _clean_tensor, point_mass
+from .errors import CardinalityMismatch, ShapeMismatch, TooLarge
+from .pmf import JOINT_CELL_LIMIT, Information, _normalized, clip_information, point_mass
 from .polytope import (
     SNAP,
     LinearSystem,
@@ -56,14 +49,8 @@ class InputLaw:
                 raise ShapeMismatch("need at least three positive cardinalities")
         elif len(cards) != self.arity or any(c < 1 for c in cards):
             raise ShapeMismatch(f"need {self.arity} positive cardinalities")
-        pmf = _clean_tensor(self.pmf, "pmf")
-        if pmf.shape != cards:
-            raise ShapeMismatch(f"pmf shape {pmf.shape} does not match {cards}")
-        total = float(pmf.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise SumNotOne(f"pmf sums to {total!r}")
         object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "pmf", pmf / total)
+        object.__setattr__(self, "pmf", _normalized(self.pmf, cards, 0, "input law"))
 
     @classmethod
     def uniform(cls, cards):
@@ -141,95 +128,6 @@ def default_v12_card(channel: ChannelSpec) -> int:
 
 # ---------------------------------------------------------------------------
 # bound evaluation on lifted tensors; supports a leading batch axis
-
-def marginal_entropies(j: np.ndarray, groups, ndim: int = 6) -> np.ndarray:
-    """Entropy in bits of several marginals of a joint tensor.
-
-    ``groups`` lists the axis sets to keep; a tensor with one extra leading
-    axis is treated as a batch. Returns shape (batch?, len(groups)).
-    """
-    batched = j.ndim == ndim + 1
-    out = []
-    for keep in groups:
-        # a dropped axis of extent 1 needs no sum
-        axes = tuple(
-            a + batched for a in range(ndim)
-            if a not in keep and j.shape[a + batched] > 1
-        )
-        m = j.sum(axis=axes) if axes else j
-        flat = m.reshape(m.shape[0], -1) if batched else m.reshape(-1)
-        # one temporary: p log2 p in place, with log2 1 = 0 where p = 0
-        t = np.where(flat > 0, flat, 1.0)
-        np.log2(t, out=t)
-        t *= flat
-        out.append(-np.sum(t, axis=-1))
-    return np.array(out).T  # as np.stack(out, axis=-1), in a fifth of the time
-
-
-@functools.lru_cache(maxsize=256)
-def _axis_set(names: tuple[str, ...], group: str) -> frozenset:
-    """Positions in ``names`` of the space-separated labels in ``group``."""
-    return frozenset(names.index(name) for name in group.split())
-
-
-class Information:
-    """Entropies in bits of the marginals of one joint tensor whose axes
-    ``labels`` names, space-separated; one extra leading axis is a batch.
-
-    The marginals summed so far are held, keyed by axis set, with the
-    tensor itself as the root.  New groups are summed largest first, each
-    from the held marginal of fewest cells whose axes contain it (the
-    first held on ties), and each marginal entropy is computed once, by
-    ``marginal_entropies``."""
-
-    def __init__(self, j: np.ndarray, labels: str):
-        self.names = tuple(labels.split())
-        self._batch = j.ndim - len(self.names)
-        # every dropped axis stays, at extent 1
-        self._marginals = {frozenset(range(len(self.names))): j}
-        self._h = {}
-
-    def h(self, *groups: str) -> list[np.ndarray]:
-        """H(G) for each group G of space-separated labels."""
-        keys = [_axis_set(self.names, g) for g in groups]
-        new = [k for k in dict.fromkeys(keys) if k not in self._h]
-        for keep in sorted(new, key=len, reverse=True):
-            m = self._marginals.get(keep)
-            if m is None:
-                source = min(
-                    (s for s in self._marginals if keep <= s),
-                    key=lambda s: self._marginals[s].size,
-                )
-                axes = tuple(a + self._batch for a in sorted(source - keep))
-                m = self._marginals[source].sum(axis=axes, keepdims=True)
-                self._marginals[keep] = m
-            (self._h[keep],) = marginal_entropies(m, [keep], len(self.names)).T
-        return [self._h[k] for k in keys]
-
-    def cond(self, a: str, given: str) -> np.ndarray:
-        """H(A|C) = H(AC) - H(C)."""
-        h_ac, h_c = self.h(f"{a} {given}", given)
-        return h_ac - h_c
-
-    def mi(self, a: str, b: str, given: str = "") -> np.ndarray:
-        """I(A;B|C) = H(AC) + H(BC) - H(C) - H(ABC), without H(C) if C is empty."""
-        if not given:
-            h_a, h_b, h_ab = self.h(a, b, f"{a} {b}")
-            return h_a + h_b - h_ab
-        h_ac, h_bc, h_c, h_abc = self.h(
-            f"{a} {given}", f"{b} {given}", given, f"{a} {b} {given}"
-        )
-        return h_ac + h_bc - h_c - h_abc
-
-
-def clip_information(values) -> np.ndarray:
-    """Information terms clipped at 0.  A term below ``MI_GUARD`` is a bug,
-    not roundoff, and raises ``NumericsError``."""
-    low = float(np.min(values, initial=0.0))
-    if low < MI_GUARD:
-        raise NumericsError(f"an information term came out {low!r}")
-    return np.clip(values, 0.0, None)
-
 
 def five_bounds(j: np.ndarray) -> np.ndarray:
     """The five converse rate bounds of a lifted tensor, in bits.
@@ -466,7 +364,6 @@ def _corner_joints(cards: tuple[int, int, int, int]) -> list[np.ndarray]:
 
 
 def sample_pool(
-    law: type[InputLaw],
     cards: tuple[int, ...],
     cfg: SearchConfig,
     corners,
@@ -474,8 +371,9 @@ def sample_pool(
 ) -> np.ndarray:
     """The laws a search evaluates, one flat law per row.
 
-    The corners come first, then ``cfg.num_samples`` Dirichlet draws of
-    ``law`` seeded by (cfg.seed, i), then the extra laws.
+    The corners come first, then ``cfg.num_samples`` Dirichlet(1) draws
+    over ``cards`` (``InputLaw.random``) seeded by (cfg.seed, i), then the
+    extra laws.
     """
     for d in extra:
         if d.cards != cards:
@@ -485,7 +383,7 @@ def sample_pool(
     pool = list(corners)
     for i in range(cfg.num_samples):
         rng = np.random.default_rng([cfg.seed, i])
-        pool.append(law.random(cards, rng).pmf)
+        pool.append(InputLaw.random(cards, rng).pmf)
     pool.extend(d.pmf for d in extra)
     return np.stack([p.reshape(-1) for p in pool], axis=0)
 
@@ -553,9 +451,7 @@ def outer_region_estimate(
     joints the search never saw.
     """
     cards = v12_cards(channel, cfg)
-    flats = sample_pool(
-        V12Joint, cards, cfg, _corner_joints(cards), extra_distributions
-    )
+    flats = sample_pool(cards, cfg, _corner_joints(cards), extra_distributions)
 
     def caps_of(rows: np.ndarray):
         return _caps(lift_bounds(five_bounds, rows, cards, channel))

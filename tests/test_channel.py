@@ -73,6 +73,21 @@ def test_entry_count_past_int64_is_shape_mismatch():
         load_channel(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field", ["x1", "y2"])
+def test_negative_cardinality_is_named(field, tmp_path, capsys):
+    # the entry count came first and read "has 0 entries, expected -8"
+    doc = doc_for(clean_orthogonal())
+    doc[field] = -1
+    with pytest.raises(errors.ShapeMismatch) as excinfo:
+        load_channel(json.dumps(doc))
+    assert f"'{field}': -1" in str(excinfo.value)
+    assert "entries" not in str(excinfo.value)
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["classify", str(path)]) == 1
+    assert "cardinalities must be >= 1" in capsys.readouterr().err
+
+
 def test_parse_errors():
     with pytest.raises(errors.ParseError):
         load_channel("not json at all {")

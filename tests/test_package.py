@@ -1,4 +1,4 @@
-"""The package surface: exported names and the oracle boundary."""
+"""The package surface: exported names, the oracle boundary and unused imports."""
 
 import ast
 from pathlib import Path
@@ -36,3 +36,29 @@ def test_exports_resolve_and_only_tests_reach_the_oracles():
         if name in (".oracle", "cifc_udc.oracle")
     ]
     assert reaching == []
+
+
+def unused_imports(path, exported=()):
+    """Names an import in ``path`` binds that the module never reads,
+    apart from ``exported``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read - set(exported))
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := unused_imports(
+            path, cifc_udc.__all__ if path.name == "__init__.py" else ()
+        ))
+    }
+    assert unused == {}

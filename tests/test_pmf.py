@@ -135,6 +135,25 @@ def test_information_inequalities_hold(seed):
     assert mi <= conditional_entropy(j, ["b"], ["c"]) + 1e-9
 
 
+def test_labels_with_spaces_match_the_oracle():
+    # the measures name axes by position: labels joined by spaces would
+    # read "x 1" as the two labels "x" and "1"
+    rng = np.random.default_rng(31)
+    j = random_joint(rng, [2, 3, 2, 2], ["x 1", "x", "1", "y z"])
+    for a, b, c in [(["x 1"], ["y z"], ["x"]), (["x", "1"], ["x 1"], []),
+                    (["y z"], ["1"], ["x 1", "x"])]:
+        ours = conditional_mutual_information(j, a, b, c)
+        assert ours == pytest.approx(
+            oracle_conditional_mi(j.variables, j.probs, a, b, c), abs=1e-12
+        )
+        assert conditional_entropy(j, a, c) == pytest.approx(
+            oracle_conditional_entropy(j.variables, j.probs, a, c), abs=1e-12
+        )
+    bit = JointPMF((("x 1", 2), ("x", 2)), np.full((2, 2), 0.25))
+    assert entropy(bit, ["x 1"]) == 1.0
+    assert mutual_information(bit, ["x 1"], ["x"]) == 0.0
+
+
 # ------------------------------------------------------------------ validation
 
 
@@ -183,8 +202,8 @@ def test_factor_constructors():
     assert f.table.shape == (2, 4)
     assert np.allclose(f.table, 0.25)
 
-    g = ConditionalFactor.constant([("y", 3)], [("x", 2)], values=(1,))
-    assert np.allclose(g.table[:, 1], 1.0)
+    g = ConditionalFactor.constant([("y", 3), ("z", 2)], [("x", 2)])
+    assert np.array_equal(g.table, np.broadcast_to(point_mass(0, 6).reshape(3, 2), (2, 3, 2)))
 
     h = ConditionalFactor.copy("y", "x", [("w", 2), ("x", 3)])
     for w in range(2):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cifc_udc import capacity, outer
+from cifc_udc import capacity, outer, pmf
 from cifc_udc.capacity import (
     VIOLATION_TOL,
     HiRegimeReport,
@@ -34,13 +34,11 @@ from cifc_udc.capacity import (
 from cifc_udc.channel import ChannelSpec, load_channel
 from cifc_udc.errors import CardinalityMismatch, NumericsError
 from cifc_udc.outer import (
-    Information,
     InputLaw,
     SearchConfig,
     V12Joint,
     _caps,
     _corner_joints,
-    clip_information,
     fan_ascents,
     fan_directions,
     five_bounds,
@@ -52,6 +50,7 @@ from cifc_udc.outer import (
     support_of_caps,
     v12_cards,
 )
+from cifc_udc.pmf import Information, clip_information
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
@@ -234,10 +233,10 @@ def test_sample_pool_matches_the_replaced_loops(cards, with_corners):
         (InputJoint, cards3, ref_product_corners(cards3)),
     ):
         corners = corners if with_corners else []
-        got = sample_pool(law, law_cards, cfg, corners)
+        got = sample_pool(law_cards, cfg, corners)
         assert np.array_equal(got, ref_pool(law, law_cards, cfg, corners))
     extra = (V12Joint.uniform(cards),)
-    got = sample_pool(V12Joint, cards, cfg, ref_corner_joints(cards), extra)
+    got = sample_pool(cards, cfg, ref_corner_joints(cards), extra)
     want = ref_pool(V12Joint, cards, cfg, ref_corner_joints(cards), extra)
     assert np.array_equal(got, want)
 
@@ -245,7 +244,7 @@ def test_sample_pool_matches_the_replaced_loops(cards, with_corners):
 def test_sample_pool_guards():
     cards = (2, 2, 2, 2)
     with pytest.raises(CardinalityMismatch):
-        sample_pool(V12Joint, cards, SearchConfig(), _corner_joints(cards),
+        sample_pool(cards, SearchConfig(), _corner_joints(cards),
                     (V12Joint.uniform((2, 3, 2, 2)),))
 
 
@@ -295,7 +294,7 @@ def ref_hi_regime_falsify(channel, cfg):
     cards = v12_cards(channel, cfg)
     corners = _falsifier_probes(cards)
     probes = len(corners)
-    flats = sample_pool(V12Joint, cards, cfg, corners)
+    flats = sample_pool(cards, cfg, corners)
     gap_a, gap_b = violation_gaps(lift_rows(flats, cards, channel))
     worst = np.maximum(gap_a, gap_b)
 
@@ -337,21 +336,21 @@ def search_of(name, cfg):
     ch = fixture(name)
     if name == "degraded_z":
         cards = ch.cards[:3]
-        pool = sample_pool(InputJoint, cards, cfg, input_corners(cards))
+        pool = sample_pool(cards, cfg, input_corners(cards))
 
         def caps_of(rows):
             b = degraded_z_bounds(lift_rows(rows, cards, ch))
             return b[..., 0], b[..., 1], b[..., 2]
     elif name == "hi_in_class":
         cards = v12_cards(ch, cfg)
-        pool = sample_pool(V12Joint, cards, cfg, _corner_joints(cards))
+        pool = sample_pool(cards, cfg, _corner_joints(cards))
 
         def caps_of(rows):
             b = semidet_hi_bounds(lift_rows(rows, cards, ch))
             return b[..., 0], b[..., 1], b[..., 2]
     else:
         cards = v12_cards(ch, cfg)
-        pool = sample_pool(V12Joint, cards, cfg, _corner_joints(cards))
+        pool = sample_pool(cards, cfg, _corner_joints(cards))
 
         def caps_of(rows):
             return _caps(five_bounds(lift_rows(rows, cards, ch)))
@@ -463,7 +462,7 @@ def test_falsifier_matches_the_early_exit_loop(case, cfg, monkeypatch):
 def test_the_ascent_hit_cases_reach_their_witness_by_ascent(case):
     ch, cfg = FALSIFIER_CASES[case](), SearchConfig(seed=0)
     cards = v12_cards(ch, cfg)
-    pool = sample_pool(V12Joint, cards, cfg, _falsifier_probes(cards))
+    pool = sample_pool(cards, cfg, _falsifier_probes(cards))
     gap_a, gap_b = violation_gaps(lift_rows(pool, cards, ch))
     assert np.max(np.maximum(gap_a, gap_b)) <= VIOLATION_TOL
     assert hi_regime_falsify(ch, cfg).falsified
@@ -588,7 +587,7 @@ def ref_five_bounds(j):
         (_X1, _V12, _X3, _Y2),           # 12
         (_X1, _V12, _X2, _X3, _Y2),      # 13
     )
-    h = outer.marginal_entropies(j, groups)
+    h = pmf.marginal_entropies(j, groups)
     b1 = h[..., 0] + h[..., 1] - h[..., 2]
     b2 = h[..., 3] + h[..., 1] - h[..., 4]
     b3 = h[..., 0] + h[..., 7] - h[..., 5] - h[..., 6]
@@ -611,7 +610,7 @@ def ref_degraded_z_bounds(j):
         (2,),              # 6: x3
         (2, 4),            # 7: x3 y2
     )
-    h = outer.marginal_entropies(j, groups, ndim=5)
+    h = pmf.marginal_entropies(j, groups, ndim=5)
     a = h[..., 0] + h[..., 1] - h[..., 2]
     b = h[..., 3] + h[..., 4] - h[..., 0] - h[..., 5]
     c = h[..., 3] + h[..., 7] - h[..., 6] - h[..., 5]
@@ -627,7 +626,7 @@ def ref_semidet_hi_bounds(j):
         (0, 3),            # 4: x1 x3
         (0, 1, 3, 5),      # 5: x1 v12 x3 y2
     )
-    h = outer.marginal_entropies(j, groups, ndim=6)
+    h = pmf.marginal_entropies(j, groups, ndim=6)
     a = h[..., 0] + h[..., 1] - h[..., 2]
     h2 = h[..., 3] - h[..., 4]
     hv = h[..., 5] - h[..., 0]
@@ -648,7 +647,7 @@ def ref_reduced_terms_v2(j):
         (4,),              # 9: x3
         (4, 6),            # 10: x3 y2
     )
-    h = outer.marginal_entropies(j, groups, ndim=7)
+    h = pmf.marginal_entropies(j, groups, ndim=7)
     a = h[..., 0] + h[..., 1] - h[..., 2]
     delta = h[..., 0] + h[..., 4] - h[..., 3] - h[..., 2]
     b = h[..., 5] + h[..., 6] - h[..., 3] - h[..., 7]
@@ -670,7 +669,7 @@ def ref_reduced_terms_y2(j):
         (3,),              # 7: x3
         (3, 5),            # 8: x3 y2
     )
-    h = outer.marginal_entropies(j, groups, ndim=6)
+    h = pmf.marginal_entropies(j, groups, ndim=6)
     a = h[..., 0] + h[..., 1] - h[..., 2]
     delta = h[..., 0] + h[..., 4] - h[..., 3] - h[..., 2]
     m = h[..., 0] + h[..., 5] - h[..., 3] - h[..., 6]
@@ -692,7 +691,7 @@ def ref_violation_gaps(j):
         (0, 1, 3, 4),      # 7: x1 v12 x3 y1
         (0, 1, 3, 5),      # 8: x1 v12 x3 y2
     )
-    h = outer.marginal_entropies(j, groups, ndim=6)
+    h = pmf.marginal_entropies(j, groups, ndim=6)
     i_y2_x1 = h[..., 0] + h[..., 1] - h[..., 2] - h[..., 3]
     i_y1_x1x3 = h[..., 0] + h[..., 4] - h[..., 5]
     i_y1_v12 = h[..., 6] + h[..., 5] - h[..., 0] - h[..., 7]
@@ -735,7 +734,7 @@ def fixture_lifts(ndim):
             cards = (cx1, 2, 3, cx2, cx3)
             corners = [np.full(cards, 1.0 / int(np.prod(cards)))]
         cfg = SearchConfig(seed=7, num_samples=6)
-        yield lift_rows(sample_pool(InputLaw, cards, cfg, corners), cards, ch)
+        yield lift_rows(sample_pool(cards, cfg, corners), cards, ch)
 
 
 def random_tensors(ndim, seed):
@@ -777,7 +776,7 @@ def test_lattice_matches_full_tensor_sums(ndim):
             for batch in np.array_split(order, 5):
                 got += info.h(*(" ".join(names[a] for a in groups[i])
                                 for i in batch))
-            want = outer.marginal_entropies(j, [groups[i] for i in order], ndim)
+            want = pmf.marginal_entropies(j, [groups[i] for i in order], ndim)
             assert np.shape(got[0]) == np.shape(want[..., 0])
             assert np.max(np.abs(np.stack(got, axis=-1) - want)) <= LATTICE_TOL
 
@@ -786,7 +785,7 @@ def test_information_names_its_axes():
     j = random_tensors(6, seed=9)[0]
     info = Information(j, "x1 v12 x2 x3 y1 y2")
     (h_y1,) = info.h("y1")
-    assert np.array_equal(h_y1, outer.marginal_entropies(j, [(4,)])[0])
+    assert np.array_equal(h_y1, pmf.marginal_entropies(j, [(4,)])[0])
     # group order and spacing do not matter; each marginal is computed once
     assert info.h("x3 x1", " x1  x3 ") == info.h("x1 x3", "x1 x3")
     assert np.array_equal(info.cond("y2", "x1 x3"), info.h("x1 x3 y2")[0]
@@ -807,7 +806,7 @@ class SumCounted(np.ndarray):
 
 def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
     seen = []
-    kernel = outer.marginal_entropies
+    kernel = pmf.marginal_entropies
 
     def counted(j, groups, ndim=6):
         seen.extend(groups)
@@ -815,7 +814,7 @@ def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
 
     j = random_tensors(6, seed=4)
     want = ref_five_bounds(j)
-    monkeypatch.setattr(outer, "marginal_entropies", counted)
+    monkeypatch.setattr(pmf, "marginal_entropies", counted)
     monkeypatch.setattr(SumCounted, "sums", [])
     assert_close_terms(five_bounds(j.view(SumCounted)), want)
     assert len(seen) == len(set(seen)) == 14
@@ -831,10 +830,10 @@ class FullTensorInformation(Information):
         self.j, self.names, self._h = j, tuple(labels.split()), {}
 
     def h(self, *groups):
-        keys = [outer._axis_set(self.names, g) for g in groups]
+        keys = [pmf._axis_set(self.names, g) for g in groups]
         new = [k for k in dict.fromkeys(keys) if k not in self._h]
         if new:
-            values = outer.marginal_entropies(self.j, new, len(self.names))
+            values = pmf.marginal_entropies(self.j, new, len(self.names))
             self._h.update(zip(new, values.T))
         return [self._h[k] for k in keys]
 
