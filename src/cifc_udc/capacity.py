@@ -268,17 +268,15 @@ def reduction_factorization(
     factors = (
         ConditionalFactor((("u1p", cx3),), (), p_x3),
         ConditionalFactor((("u1", cx1),), (("u1p", cx3),), p_x1),
-        ConditionalFactor.constant(
-            (("v1", 1),), (("u1p", cx3), ("u1", cx1))
-        ),
-        ConditionalFactor.constant((("u2p", 1),), (("u1p", cx3),)),
+        ConditionalFactor.from_modes((("v1", 1),), (("u1p", cx3), ("u1", cx1)), "const"),
+        ConditionalFactor.from_modes((("u2p", 1),), (("u1p", cx3),), "const"),
         ConditionalFactor(
             (("u2", 1), ("v12", cv12), ("v2", cv2)),
             (("u1p", cx3), ("u1", cx1), ("v1", 1), ("u2p", 1)),
             p_block.reshape(cx3, cx1, 1, 1, 1, cv12, cv2),
         ),
-        ConditionalFactor.copy(
-            "x1", "u1", (("u1p", cx3), ("u1", cx1), ("v1", 1))
+        ConditionalFactor.from_modes(
+            (("x1", cx1),), (("u1p", cx3), ("u1", cx1), ("v1", 1)), ("copy", "u1")
         ),
         ConditionalFactor(
             (("x2", cx2),),
@@ -288,13 +286,16 @@ def reduction_factorization(
             ),
             p_x2.reshape(cx3, cx1, 1, 1, 1, cv12, cv2, cx2),
         ),
-        ConditionalFactor.copy("x3", "u1p", (("u1p", cx3), ("u2p", 1))),
-        ConditionalFactor.constant(
+        ConditionalFactor.from_modes(
+            (("x3", cx3),), (("u1p", cx3), ("u2p", 1)), ("copy", "u1p")
+        ),
+        ConditionalFactor.from_modes(
             (("yh2", 1),),
             (
                 ("u1p", cx3), ("u1", cx1), ("u2p", 1), ("u2", 1),
                 ("x3", cx3), ("y2", cy2),
             ),
+            "const",
         ),
     )
     return InnerFactorization(factors)

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
-from .pmf import ConditionalFactor, _normalized
+from .pmf import ConditionalFactor, _cardinalities, _normalized
 
 AXES = ("x1", "x2", "x3", "y1", "y2")
 
@@ -34,9 +34,7 @@ class ChannelSpec:
     transition: np.ndarray
 
     def __post_init__(self):
-        cards = tuple(int(c) for c in self.cards)
-        if len(cards) != 5 or any(c < 1 for c in cards):
-            raise ShapeMismatch(f"need five cardinalities >= 1, got {cards}")
+        cards = _cardinalities(self.cards, "need five cardinalities, integers >= 1", 5)
         t = _normalized(self.transition, cards, 3, "p(y1,y2|x1,x2,x3)", RowSumError)
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "transition", t)
@@ -67,9 +65,7 @@ class ChannelSpec:
     def from_outputs(cls, cards: Sequence[int], fn) -> "ChannelSpec":
         """Deterministic channel: ``fn(x1,x2,x3) -> (y1,y2)``; an output
         outside its alphabet raises ``IndexOutOfRange``."""
-        cards = tuple(int(c) for c in cards)
-        if len(cards) != len(AXES):
-            return cls(cards, np.zeros(()))  # names the bad cards tuple
+        cards = _cardinalities(cards, "need five cardinalities, integers >= 1", 5)
         pairs = tuple(zip(AXES, cards))
         factor = ConditionalFactor.from_function(pairs[3:], pairs[:3], fn)
         return cls(cards, factor.table)

@@ -346,33 +346,8 @@ def _signature_pairs(index: int, cards: dict[str, int]):
 
 
 def _mode_factor(index: int, cards: dict[str, int], modes) -> ConditionalFactor:
-    """Build one factor from per-target modes.
-
-    A mode is "const", "uniform", or ("copy", source); copies reduce the
-    source symbol modulo the target cardinality.  Multi-target factors take
-    one mode per target; a copy source may be an earlier target in the same
-    factor.
-    """
-    targets, given = _signature_pairs(index, cards)
-    if isinstance(modes, (str, tuple)) and (
-        modes == "uniform" or modes == "const" or (modes and modes[0] == "copy")
-    ):
-        modes = (modes,) * len(targets)
-    if all(m == "uniform" for m in modes):
-        return ConditionalFactor.uniform(targets, given)
-    if all(m == "const" for m in modes):
-        return ConditionalFactor.constant(targets, given)
-    pairs = given + targets
-    labels = [l for l, _ in pairs]
-    grid = np.indices([c for _, c in pairs], sparse=True)
-    table = np.ones([c for _, c in pairs])
-    for axis, ((_, card), mode) in enumerate(zip(targets, modes), len(given)):
-        if mode == "uniform":
-            table *= 1.0 / card
-        else:
-            symbol = 0 if mode == "const" else grid[labels.index(mode[1])] % card
-            table *= grid[axis] == symbol
-    return ConditionalFactor(targets, given, table)
+    """Factor ``index`` of the signature built by ``ConditionalFactor.from_modes``."""
+    return ConditionalFactor.from_modes(*_signature_pairs(index, cards), modes)
 
 
 def _build(cards: dict[str, int], **modes) -> InnerFactorization:
@@ -421,8 +396,7 @@ def _corner_catalog(cards: dict[str, int]) -> tuple[InnerFactorization, ...]:
 
 
 def _yhat_constant_variant(f: InnerFactorization) -> InnerFactorization | None:
-    targets, given = f.factors[8].targets, f.factors[8].given
-    const = ConditionalFactor.constant(targets, given)
+    const = ConditionalFactor.from_modes(f.factors[8].targets, f.factors[8].given, "const")
     if np.array_equal(f.factors[8].table, const.table):
         return None
     return InnerFactorization(f.factors[:8] + (const,))

@@ -20,7 +20,14 @@ import numpy as np
 
 from .channel import ChannelSpec
 from .errors import CardinalityMismatch, ShapeMismatch, TooLarge
-from .pmf import JOINT_CELL_LIMIT, Information, _normalized, clip_information, point_mass
+from .pmf import (
+    JOINT_CELL_LIMIT,
+    Information,
+    _cardinalities,
+    _normalized,
+    clip_information,
+    point_mass,
+)
 from .polytope import (
     SNAP,
     LinearSystem,
@@ -43,25 +50,22 @@ class InputLaw:
     pmf: np.ndarray
 
     def __post_init__(self):
-        cards = tuple(int(c) for c in self.cards)
-        if self.arity is None:
-            if len(cards) < 3 or any(c < 1 for c in cards):
-                raise ShapeMismatch("need at least three positive cardinalities")
-        elif len(cards) != self.arity or any(c < 1 for c in cards):
-            raise ShapeMismatch(f"need {self.arity} positive cardinalities")
+        what = f"need {self.arity or 'at least three'} positive integer cardinalities"
+        cards = _cardinalities(self.cards, what, self.arity)
+        if len(cards) < 3:
+            raise ShapeMismatch(f"{what}, got {cards}")
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "pmf", _normalized(self.pmf, cards, 0, "input law"))
 
     @classmethod
     def uniform(cls, cards):
-        cards = tuple(int(c) for c in cards)
+        cards = _cardinalities(cards, "need positive integer cardinalities")
         return cls(cards, np.full(cards, 1.0 / int(np.prod(cards))))
 
     @classmethod
-    def random(cls, cards, rng: np.random.Generator, alpha: float = 1.0):
-        cards = tuple(int(c) for c in cards)
-        size = int(np.prod(cards))
-        return cls(cards, rng.dirichlet(np.full(size, float(alpha))).reshape(cards))
+    def random(cls, cards, rng: np.random.Generator):
+        cards = _cardinalities(cards, "need positive integer cardinalities")
+        return cls(cards, rng.dirichlet(np.ones(math.prod(cards))).reshape(cards))
 
     def lifted(self, channel: ChannelSpec) -> np.ndarray:
         """Joint tensor over the law's axes followed by (y1, y2)."""

@@ -31,6 +31,7 @@ from .errors import (
     DuplicateLabel,
     EmptyList,
     IndexOutOfRange,
+    InvalidFactor,
     NegativeEntry,
     NumericsError,
     OverlappingGroups,
@@ -58,16 +59,26 @@ def point_mass(symbols, card: int) -> np.ndarray:
     return (np.asarray(symbols)[..., None] == np.arange(card)).astype(np.float64)
 
 
-def _check_labels(pairs: Sequence[tuple[str, int]], kind: str) -> None:
-    seen = set()
-    for label, card in pairs:
-        if not isinstance(label, str) or not label:
-            raise DuplicateLabel(f"{kind} label must be a nonempty string, got {label!r}")
-        if label in seen:
-            raise DuplicateLabel(f"duplicate {kind} label {label!r}")
-        seen.add(label)
-        if int(card) != card or card < 1:
-            raise ShapeMismatch(f"{kind} {label!r} has invalid cardinality {card!r}")
+def _cardinalities(cards, what: str, count: int | None = None) -> tuple[int, ...]:
+    """``cards`` as ints.  One that is not an integer >= 1 (2.0 is, 2.5 is not),
+    or a count other than ``count``, raises ``ShapeMismatch`` with ``what``."""
+    cards = tuple(cards)
+    try:
+        ok = all(int(c) == c >= 1 for c in cards)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or count not in (None, len(cards)):
+        raise ShapeMismatch(f"{what}, got {cards}")
+    return tuple(int(c) for c in cards)
+
+
+def _labeled(pairs, kind: str) -> tuple[tuple[str, int], ...]:
+    """(label, cardinality) ``pairs`` with nonempty distinct labels."""
+    labels = tuple(str(l) for l, _ in pairs)
+    if "" in labels or len(set(labels)) < len(labels):
+        raise DuplicateLabel(f"{kind} labels must be nonempty and distinct: {labels}")
+    need = f"{kind} cardinalities must be integers >= 1"
+    return tuple(zip(labels, _cardinalities((c for _, c in pairs), need)))
 
 
 def _clean_tensor(table: np.ndarray, what: str) -> np.ndarray:
@@ -111,8 +122,7 @@ class JointPMF:
     probs: np.ndarray
 
     def __post_init__(self):
-        variables = tuple((str(l), int(c)) for l, c in self.variables)
-        _check_labels(variables, "variable")
+        variables = _labeled(self.variables, "variable")
         shape = tuple(c for _, c in variables)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probs", _normalized(self.probs, shape, 0, "joint pmf"))
@@ -316,11 +326,10 @@ class ConditionalFactor:
     table: np.ndarray
 
     def __post_init__(self):
-        targets = tuple((str(l), int(c)) for l, c in self.targets)
-        given = tuple((str(l), int(c)) for l, c in self.given)
-        if not targets:
+        if not self.targets:
             raise EmptyList("factor needs at least one target variable")
-        _check_labels(targets + given, "factor")
+        pairs = _labeled(tuple(self.targets) + tuple(self.given), "factor")
+        targets, given = pairs[:len(self.targets)], pairs[len(self.targets):]
         shape = tuple(c for _, c in given + targets)
         table = _normalized(self.table, shape, len(given), "factor table")
         object.__setattr__(self, "targets", targets)
@@ -338,50 +347,40 @@ class ConditionalFactor:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def uniform(
-        cls,
-        targets: Sequence[tuple[str, int]],
-        given: Sequence[tuple[str, int]] = (),
+    def from_modes(
+        cls, targets: Sequence[tuple[str, int]], given: Sequence[tuple[str, int]], modes
     ) -> "ConditionalFactor":
-        targets = tuple(targets)
-        given = tuple(given)
-        shape = tuple(c for _, c in given) + tuple(c for _, c in targets)
-        size = int(np.prod([c for _, c in targets], dtype=np.int64)) if targets else 1
-        return cls(targets, given, np.full(shape, 1.0 / size))
-
-    @classmethod
-    def constant(
-        cls,
-        targets: Sequence[tuple[str, int]],
-        given: Sequence[tuple[str, int]] = (),
-    ) -> "ConditionalFactor":
-        """Deterministic factor fixing every target to symbol 0."""
-        targets = tuple(targets)
-        given = tuple(given)
-        t_shape = tuple(c for _, c in targets)
-        # symbol 0 of every target is cell 0 of the flattened targets
-        point = point_mass(0, math.prod(t_shape)).reshape(t_shape)
-        shape = tuple(c for _, c in given) + t_shape
-        return cls(targets, given, np.broadcast_to(point, shape))
-
-    @classmethod
-    def copy(
-        cls,
-        target_label: str,
-        source_label: str,
-        given: Sequence[tuple[str, int]],
-    ) -> "ConditionalFactor":
-        """Deterministic factor setting the target equal to one conditioner."""
-        given = tuple(given)
-        cards = dict(given)
-        if source_label not in cards:
-            raise UnknownLabel(f"copy source {source_label!r} not among given")
-        card = cards[source_label]
-        src_axis = [l for l, _ in given].index(source_label)
-        shape = tuple(c for _, c in given)
-        source = np.indices(shape, sparse=True)[src_axis]
-        table = np.broadcast_to(point_mass(source, card), shape + (card,))
-        return cls(((target_label, card),), given, table)
+        """Structured factor from one mode per target, or one mode for all:
+        "uniform", "const" (symbol 0) or ("copy", source), where the source is
+        a conditioner or an earlier target, reduced modulo the target's
+        cardinality.  Any other source raises ``UnknownLabel``; an unknown
+        mode, or a mode count other than the target count, ``InvalidFactor``."""
+        targets, given = tuple(targets), tuple(given)
+        if isinstance(modes, str) or modes[:1] == ("copy",):
+            modes = (modes,) * len(targets)
+        if len(modes) != len(targets):
+            raise InvalidFactor(f"{len(modes)} modes for {len(targets)} targets")
+        labels = [l for l, _ in given + targets]
+        shape = tuple(c for _, c in given + targets)
+        if all(m == "uniform" for m in modes):
+            # one division: a product of per-target shares moves the last
+            # bit of some tables, such as targets of cards (3, 5, 6)
+            size = math.prod(shape[len(given):])
+            return cls(targets, given, np.full(shape, 1.0 / size))
+        grid = np.indices(shape, sparse=True)
+        table = np.ones(shape)
+        for axis, mode in enumerate(modes, len(given)):
+            if mode == "uniform":
+                table *= 1.0 / shape[axis]
+            elif mode == "const":
+                table *= grid[axis] == 0
+            elif isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "copy":
+                if mode[1] not in labels[:axis]:
+                    raise UnknownLabel(f"copy source {mode[1]!r} is no earlier label")
+                table *= grid[axis] == grid[labels.index(mode[1])] % shape[axis]
+            else:
+                raise InvalidFactor(f"unknown mode {mode!r} for {labels[axis]!r}")
+        return cls(targets, given, table)
 
     @classmethod
     def from_function(
@@ -417,16 +416,12 @@ class ConditionalFactor:
         targets: Sequence[tuple[str, int]],
         given: Sequence[tuple[str, int]],
         rng: np.random.Generator,
-        alpha: float = 1.0,
     ) -> "ConditionalFactor":
-        """Rows drawn independently from a symmetric Dirichlet(alpha)."""
-        targets = tuple(targets)
-        given = tuple(given)
-        g_size = int(np.prod([c for _, c in given], dtype=np.int64)) if given else 1
-        t_size = int(np.prod([c for _, c in targets], dtype=np.int64))
-        rows = rng.dirichlet(np.full(t_size, float(alpha)), size=g_size)
-        shape = tuple(c for _, c in given) + tuple(c for _, c in targets)
-        return cls(targets, given, rows.reshape(shape))
+        """Rows drawn independently from a flat Dirichlet(1)."""
+        g_shape = tuple(c for _, c in given)
+        t_shape = tuple(c for _, c in targets)
+        rows = rng.dirichlet(np.ones(math.prod(t_shape)), size=math.prod(g_shape))
+        return cls(targets, given, rows.reshape(g_shape + t_shape))
 
 
 def joint_from_factors(factors: Sequence[ConditionalFactor]) -> JointPMF:

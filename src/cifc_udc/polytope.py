@@ -500,6 +500,11 @@ class Region2D:
     empty: bool = False
 
     def __post_init__(self):
+        verts = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 2)
+        # before normalization, which drops a (0, NaN, c) row as trivial
+        raw = np.asarray(self.halfplanes, dtype=np.float64)
+        if not (np.isfinite(raw).all() and np.isfinite(verts).all()):
+            raise ShapeMismatch("region holds NaN or an infinity")
         planes = []
         for hp in self.halfplanes:
             norm = _normalize_halfplane(hp)
@@ -513,7 +518,6 @@ class Region2D:
                 for p in planes
             ):
                 planes.append(hp)
-        verts = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 2)
         if self.empty and verts.shape[0]:
             raise ShapeMismatch("empty region cannot carry vertices")
         if not self.empty:
@@ -694,7 +698,4 @@ def region_from_dict(doc: Mapping) -> Region2D:
         raise ShapeMismatch("halfplane rows must have three entries")
     if any(len(row) != 2 for row in points):
         raise ShapeMismatch("vertex rows must have two entries")
-    verts = np.array(points, dtype=np.float64).reshape(-1, 2)
-    if not (np.isfinite(planes).all() and np.isfinite(verts).all()):
-        raise ShapeMismatch("region document holds NaN or an infinity")
-    return Region2D(planes, verts, empty=empty)
+    return Region2D(planes, points, empty=empty)

@@ -1,9 +1,10 @@
 """The deterministic-table builders as they stood before ``pmf.point_mass``:
-verbatim copies of the old ``_mode_factor``, ``input_corners``,
-``wire_v12``, ``with_constant_v12``, ``v2_equals_y2_lift``,
-``ConditionalFactor.copy``, ``ChannelSpec.from_outputs`` and ``classify``
-with its per-cell degraded loop.  Tests compare the library against these
-byte for byte (``same_bytes``) and flag for flag.
+copies of the old ``_mode_factor`` (its all-uniform and all-const tables
+written out, not built by the library), ``input_corners``, ``wire_v12``,
+``with_constant_v12``, ``v2_equals_y2_lift``, ``ConditionalFactor.copy``,
+``ChannelSpec.from_outputs`` and ``classify`` with its per-cell degraded
+loop.  Tests compare the library against these byte for byte
+(``same_bytes``) and flag for flag.
 """
 
 from __future__ import annotations
@@ -86,12 +87,15 @@ def _mode_factor(index: int, cards: dict[str, int], modes) -> ConditionalFactor:
         modes == "uniform" or modes == "const" or (modes and modes[0] == "copy")
     ):
         modes = (modes,) * len(targets)
-    if all(m == "uniform" for m in modes):
-        return ConditionalFactor.uniform(targets, given)
-    if all(m == "const" for m in modes):
-        return ConditionalFactor.constant(targets, given)
     g_shape = tuple(c for _, c in given)
     t_shape = tuple(c for _, c in targets)
+    if all(m == "uniform" for m in modes):
+        size = int(np.prod(t_shape, dtype=np.int64))
+        return ConditionalFactor(targets, given, np.full(g_shape + t_shape, 1.0 / size))
+    if all(m == "const" for m in modes):
+        point = np.zeros(t_shape)
+        point[(0,) * len(t_shape)] = 1.0
+        return ConditionalFactor(targets, given, np.broadcast_to(point, g_shape + t_shape))
     labels = [l for l, _ in given] + [l for l, _ in targets]
     table = np.zeros(g_shape + t_shape)
     for g_idx in np.ndindex(*g_shape) if g_shape else [()]:

@@ -622,7 +622,7 @@ def test_v12_lifts_match_the_reference():
     for path in sorted(CHANNELS.glob("*.json")):
         ch = load_channel(path.read_text())
         inputs = tuple(ch.card(n) for n in ("x1", "x2", "x3"))
-        d = InputJoint.random(inputs, rng, alpha=0.5)
+        d = InputJoint(inputs, rng.dirichlet(np.full(np.prod(inputs), 0.5)).reshape(inputs))
         for card_v12 in (1, 2, 3):
             assert reference.same_bytes(
                 with_constant_v12(d, card_v12).pmf,
@@ -631,7 +631,10 @@ def test_v12_lifts_match_the_reference():
             if not classify(ch).is_semi_deterministic:
                 continue
             cx1, cx2, cx3 = inputs
-            law = V12Joint.random((cx1, card_v12, cx2, cx3), rng, alpha=0.5)
+            law_cards = (cx1, card_v12, cx2, cx3)
+            law = V12Joint(
+                law_cards, rng.dirichlet(np.full(np.prod(law_cards), 0.5)).reshape(law_cards)
+            )
             got = v2_equals_y2_lift(law, ch)
             want = reference.v2_equals_y2_lift(law, ch)
             assert got.cards == want.cards

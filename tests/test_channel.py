@@ -238,6 +238,29 @@ def test_non_integral_cardinality_rejected(card, tmp_path):
     assert cli.main(["classify", str(path)]) == 2
 
 
+NON_INTEGRAL_CARD_ENTRY_POINTS = {
+    "ChannelSpec": lambda card: ChannelSpec((card, 2, 2, 2, 2), np.full((2,) * 5, 0.25)),
+    "InputLaw": lambda card: InputLaw((card, 2, 2), np.full((2, 2, 2), 0.125)),
+    "InputLaw.uniform": lambda card: InputLaw.uniform((card, 2, 2)),
+    "InputLaw.random": lambda card: InputLaw.random(
+        (card, 2, 2), np.random.default_rng(0)
+    ),
+    "JointPMF": lambda card: JointPMF((("y", card),), np.full(2, 0.5)),
+    "ConditionalFactor": lambda card: ConditionalFactor(
+        (("y", card),), (), np.full(2, 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_INTEGRAL_CARD_ENTRY_POINTS))
+def test_non_integral_cardinality_is_a_shape_error(entry):
+    build = NON_INTEGRAL_CARD_ENTRY_POINTS[entry]
+    build(2.0)  # an integral float is a cardinality
+    for card in (2.5, 2.9, float("nan"), float("inf"), "2", None):
+        with pytest.raises(errors.ShapeMismatch):
+            build(card)
+
+
 def test_integral_float_cardinality_accepted():
     ch = clean_orthogonal()
     doc = doc_for(ch)

@@ -92,7 +92,7 @@ def test_signature_validation():
     bad_given = tuple(
         (l if l != "y2" else "y1", c) for l, c in corner.factors[8].given
     )
-    bad = ConditionalFactor.constant(targets, bad_given)
+    bad = ConditionalFactor.from_modes(targets, bad_given, "const")
     with pytest.raises(InvalidFactor):
         InnerFactorization(corner.factors[:8] + (bad,))
 
@@ -110,7 +110,7 @@ def test_cross_factor_cardinality_clash():
     corner = _corner_catalog(cards)[0]
     # v1 factor says card 3 while every other factor says card 2
     targets, given = _signature_pairs(2, dict(cards, v1=3))
-    odd = ConditionalFactor.uniform(targets, given)
+    odd = ConditionalFactor.from_modes(targets, given, "uniform")
     with pytest.raises(CardinalityMismatch):
         InnerFactorization(corner.factors[:2] + (odd,) + corner.factors[3:])
 
@@ -130,9 +130,10 @@ def test_constant_aux_uniform_inputs_joint():
     cards = default_cards(ch, **{name: 1 for name in AUX_LABELS})
     f = InnerFactorization(
         tuple(
-            ConditionalFactor.uniform(*_signature_pairs(i, cards))
-            if FACTOR_SIGNATURES[i][0][0] in ("x1", "x2", "x3")
-            else ConditionalFactor.constant(*_signature_pairs(i, cards))
+            ConditionalFactor.from_modes(
+                *_signature_pairs(i, cards),
+                "uniform" if FACTOR_SIGNATURES[i][0][0] in ("x1", "x2", "x3") else "const",
+            )
             for i in range(9)
         )
     )
@@ -597,8 +598,8 @@ def test_sampler_variant_follows_base():
     assert len(out) == len(corners) + 2
     base, variant = out[-2:]
     assert not np.array_equal(base.factors[8].table, variant.factors[8].table)
-    const = ConditionalFactor.constant(
-        variant.factors[8].targets, variant.factors[8].given
+    const = ConditionalFactor.from_modes(
+        variant.factors[8].targets, variant.factors[8].given, "const"
     )
     np.testing.assert_array_equal(variant.factors[8].table, const.table)
     for i in range(8):

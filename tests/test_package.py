@@ -1,4 +1,5 @@
-"""The package surface: exported names, the oracle boundary and unused imports."""
+"""The package surface: exported names, the oracle boundary, unused imports
+and private names that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,40 @@ def test_no_module_imports_a_name_it_never_uses():
         ))
     }
     assert unused == {}
+
+
+def module_privates(tree):
+    """The ``_name``s a module binds at its top level, dunders apart."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_name_is_read():
+    """A module-level ``_name`` that no runtime module reads, as a name or
+    as an attribute, has outlived its last caller."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "oracle.py"
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        (name, private)
+        for name, tree in trees.items()
+        for private in module_privates(tree)
+        if private not in read
+    ]
+    assert unread == []

@@ -198,14 +198,14 @@ def test_zero_mass_conditioning_is_skipped():
 
 
 def test_factor_constructors():
-    f = ConditionalFactor.uniform([("y", 4)], [("x", 2)])
+    f = ConditionalFactor.from_modes([("y", 4)], [("x", 2)], "uniform")
     assert f.table.shape == (2, 4)
     assert np.allclose(f.table, 0.25)
 
-    g = ConditionalFactor.constant([("y", 3), ("z", 2)], [("x", 2)])
+    g = ConditionalFactor.from_modes([("y", 3), ("z", 2)], [("x", 2)], "const")
     assert np.array_equal(g.table, np.broadcast_to(point_mass(0, 6).reshape(3, 2), (2, 3, 2)))
 
-    h = ConditionalFactor.copy("y", "x", [("w", 2), ("x", 3)])
+    h = ConditionalFactor.from_modes([("y", 3)], [("w", 2), ("x", 3)], ("copy", "x"))
     for w in range(2):
         assert np.allclose(h.table[w], np.eye(3))
 
@@ -231,11 +231,39 @@ def test_point_mass_adds_a_one_hot_axis():
 @pytest.mark.parametrize("cards", [(1,), (3,), (2, 3), (3, 1, 2)])
 def test_copy_matches_the_reference(cards):
     given = [(f"g{i}", c) for i, c in enumerate(cards)]
-    for source, _ in given:
-        got = ConditionalFactor.copy("y", source, given)
+    for source, card in given:
+        got = ConditionalFactor.from_modes([("y", card)], given, ("copy", source))
         want = reference.ReferenceFactor.copy("y", source, given)
         assert got.targets == want.targets and got.given == want.given
         assert reference.same_bytes(got.table, want.table)
+
+
+def test_from_modes_contract():
+    targets, given = [("y", 2), ("z", 3)], [("x", 3)]
+    # one mode applies to every target
+    for mode in ("uniform", "const", ("copy", "x")):
+        assert np.array_equal(
+            ConditionalFactor.from_modes(targets, given, mode).table,
+            ConditionalFactor.from_modes(targets, given, [mode, mode]).table,
+        )
+    mixed = ConditionalFactor.from_modes(targets, given, ["const", ("copy", "y")])
+    assert np.array_equal(mixed.table[:, 0, 0], np.ones(3))
+    # all-uniform is one division; per-target shares move (3, 5, 6) in the last bit
+    wide = [("a", 3), ("b", 5), ("c", 6)]
+    want = ConditionalFactor(wide, given, np.full((3, 3, 5, 6), 1.0 / 90))
+    got = ConditionalFactor.from_modes(wide, given, "uniform")
+    assert reference.same_bytes(got.table, want.table)
+    copy = ConditionalFactor.from_modes(targets, given, ("copy", "x"))
+    for x in range(3):
+        assert copy.table[x, x % 2, x] == 1.0
+    # a source must be a conditioner or an earlier target
+    for modes in [("copy", "w"), [("copy", "z"), "const"], ["const", ("copy", "z")]]:
+        with pytest.raises(errors.UnknownLabel):
+            ConditionalFactor.from_modes(targets, given, modes)
+    for modes in [["const"], ["const"] * 3, "constant", ["const", "copy"],
+                  [("copy", "x", "y"), "const"], [("copy",), "const"]]:
+        with pytest.raises(errors.InvalidFactor):
+            ConditionalFactor.from_modes(targets, given, modes)
 
 
 def test_factor_validation():
@@ -251,9 +279,9 @@ def test_factor_validation():
 
 def test_joint_from_factors_chain():
     # x uniform bit, y = x, z uniform given both
-    fx = ConditionalFactor.uniform([("x", 2)])
-    fy = ConditionalFactor.copy("y", "x", [("x", 2)])
-    fz = ConditionalFactor.uniform([("z", 2)], [("x", 2), ("y", 2)])
+    fx = ConditionalFactor.from_modes([("x", 2)], (), "uniform")
+    fy = ConditionalFactor.from_modes([("y", 2)], [("x", 2)], ("copy", "x"))
+    fz = ConditionalFactor.from_modes([("z", 2)], [("x", 2), ("y", 2)], "uniform")
     j = joint_from_factors([fx, fy, fz])
     assert j.labels == ("x", "y", "z")
     expect = np.zeros((2, 2, 2))
@@ -264,20 +292,23 @@ def test_joint_from_factors_chain():
 
 
 def test_joint_from_factors_rejects_bad_chains():
-    fx = ConditionalFactor.uniform([("x", 2)])
+    def uniform(targets, given=()):
+        return ConditionalFactor.from_modes(targets, given, "uniform")
+
+    fx = uniform([("x", 2)])
     with pytest.raises(errors.DanglingConditioner):
-        joint_from_factors([ConditionalFactor.uniform([("y", 2)], [("x", 2)])])
+        joint_from_factors([uniform([("y", 2)], [("x", 2)])])
     with pytest.raises(errors.RepeatedTarget):
-        joint_from_factors([fx, ConditionalFactor.uniform([("x", 2)])])
+        joint_from_factors([fx, uniform([("x", 2)])])
     with pytest.raises(errors.CardinalityMismatch):
-        joint_from_factors([fx, ConditionalFactor.uniform([("y", 2)], [("x", 3)])])
+        joint_from_factors([fx, uniform([("y", 2)], [("x", 3)])])
     with pytest.raises(errors.EmptyList):
         joint_from_factors([])
 
 
 def test_multi_target_factor_block():
     rng = np.random.default_rng(3)
-    fx = ConditionalFactor.uniform([("x", 2)])
+    fx = ConditionalFactor.from_modes([("x", 2)], (), "uniform")
     block = ConditionalFactor.random([("y", 2), ("z", 3)], [("x", 2)], rng)
     j = joint_from_factors([fx, block])
     assert j.labels == ("x", "y", "z")

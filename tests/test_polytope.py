@@ -595,3 +595,17 @@ def test_region_invariant_enforced():
         Region2D(((1.0, 0.0, 1.0),), np.array([[2.0, 0.0]]))
     with pytest.raises(errors.ShapeMismatch):
         Region2D((), np.zeros((0, 2)), empty=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_region_constructor_rejects_non_finite_numbers(bad):
+    box = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    unit = Region2D(((1, 0, 1), (0, 1, 1)), box)
+    for planes, vertices in [
+        (((1, 0, 5),), [[bad, 0], [0, 0]]),
+        # normalization would drop this row as trivial
+        (((0, bad, 1), (1, 0, 1), (0, 1, 1)), box),
+        (((1, 0, bad), (0, 1, 1)), box),
+    ]:
+        with pytest.raises(errors.ShapeMismatch, match="NaN or an infinity"):
+            region_contains(unit, Region2D(planes, vertices))
