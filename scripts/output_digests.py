@@ -24,8 +24,10 @@ hi_in_class, outer on clean.json with its samples and fan read from a
 config file, capacity semidet-hi on hi_falsified (exit 1), capacity
 degraded-z on degraded_z and semidet-hi on hi_in_class at 100 samples and
 the default fan of 64 (where the fan's walks share the most candidate
-rows), and outer on the benchmark's seeded (3,3,2,3,3) channel at a larger
-auxiliary alphabet.
+rows), capacity degraded-z on degraded_z from its corners alone (0
+samples), capacity semidet-hi on hi_in_class with |V12| = 2 in place of
+the default |X1||X2|, and outer on the benchmark's seeded (3,3,2,3,3)
+channel at a larger auxiliary alphabet.
 Inner runs on the three fixtures the benchmark leaves out (hi_in_class,
 hi_falsified, hi_degenerate), once on clean.json with ternary V12 and
 V2, so that drop cases the benchmark rarely reaches are covered too, and
@@ -78,6 +80,11 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
                                      "--class", "degraded-z", "--samples", "100"]),
         ("capacity-hi_in_class-100", ["capacity", channel("hi_in_class.json"),
                                       "--class", "semidet-hi", "--samples", "100"]),
+        ("capacity-degraded_z-corners", ["capacity", channel("degraded_z.json"),
+                                         "--class", "degraded-z", "--samples", "0"]),
+        ("capacity-hi_in_class-v12-2", ["capacity", channel("hi_in_class.json"),
+                                        "--class", "semidet-hi", "--card-v12", "2",
+                                        "--samples", "20"]),
         ("outer-large-v12-4", ["outer", str(large), "--card-v12", "4",
                                "--fan", "8", "--samples", "20"]),
         *(

@@ -24,10 +24,7 @@ from .errors import (
 )
 from .inner import InnerFactorization
 from .outer import (
-    ASCENT_GAIN,
     REFINE_STARTS,
-    REFINE_STEP,
-    REFINE_SWEEPS,
     InputLaw,
     SearchConfig,
     V12Joint,
@@ -36,7 +33,7 @@ from .outer import (
     cap_vertices,
     check_ascent_budget,
     check_input_cards,
-    fan_ascents,
+    fan_search,
     input_corners,
     lift_bounds,
     lift_rows,
@@ -405,7 +402,7 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
         return np.max(lift_bounds(_gaps, rows, cards, channel), axis=-1)
 
     order = np.argsort(-worst, kind="stable")[:REFINE_STARTS]
-    values, refined = lockstep_ascent(flats[order], evaluate, REFINE_STEP, REFINE_SWEEPS)
+    values, refined = lockstep_ascent(flats[order], evaluate)
     i = next(iter(np.flatnonzero(values > VIOLATION_TOL)), None)
     if i is not None:
         ga, gb = violation_gaps(lift_rows(refined[i:i + 1], cards, channel))
@@ -425,16 +422,6 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
 # ---------------------------------------------------------------------------
 # sampled capacity regions
 
-def _refined_flats(flats, caps_of, cfg: SearchConfig) -> list[np.ndarray]:
-    """Ascent end points, over the whole fan, that improved on their start."""
-    return [
-        row
-        for _, ascents in fan_ascents(flats, caps_of, cfg)
-        for start, reached, row in ascents
-        if reached > start + ASCENT_GAIN
-    ]
-
-
 def capacity_degraded_z(
     channel: ChannelSpec, cfg: SearchConfig
 ) -> tuple[Region2D, tuple[InputJoint, ...]]:
@@ -450,16 +437,11 @@ def capacity_degraded_z(
     def caps_of(rows: np.ndarray):
         return lift_bounds(degraded_z_bounds, rows, cards, channel).T
 
-    flats = sample_pool(cards, cfg, input_corners(cards))
-    all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
-
+    pool = sample_pool(cards, cfg, input_corners(cards))
+    _, rows, caps = fan_search(pool, caps_of, cfg)
     # the hull of the union is the hull of every row's corners
-    corners = cap_vertices(*caps_of(np.stack(all_flats, axis=0)))
-    region = region_from_vertices(corners.reshape(-1, 2))
-    evaluated = tuple(
-        InputJoint(cards, flat.reshape(cards)) for flat in all_flats
-    )
-    return region, evaluated
+    region = region_from_vertices(cap_vertices(*caps).reshape(-1, 2))
+    return region, tuple(InputJoint(cards, row.reshape(cards)) for row in rows)
 
 
 def capacity_semidet_hi(
@@ -489,26 +471,18 @@ def capacity_semidet_hi(
     def caps_of(rows: np.ndarray):
         return lift_bounds(semidet_hi_bounds, rows, cards, channel).T
 
-    flats = sample_pool(cards, cfg, _corner_joints(cards))
-    all_flats = list(flats) + _refined_flats(flats, caps_of, cfg)
+    pool = sample_pool(cards, cfg, _corner_joints(cards))
+    _, rows, caps = fan_search(pool, caps_of, cfg)
 
     def screen(j: np.ndarray) -> np.ndarray:
-        """Per row: the two premise gaps, the three caps, the five terms."""
-        return np.column_stack(
-            [*violation_gaps(j), semidet_hi_bounds(j), *_reduced_terms_y2(j)]
-        )
+        """Per row: the two premise gaps, then the five reduced terms."""
+        return np.column_stack([*violation_gaps(j), *_reduced_terms_y2(j)])
 
-    stacked = np.stack(all_flats, axis=0)
-    columns = lift_bounds(screen, stacked, cards, channel)
-    gap_a, gap_b, caps, terms = (
-        columns[:, 0], columns[:, 1], columns[:, 2:5], columns[:, 5:].T
-    )
+    gap_a, gap_b, *terms = lift_bounds(screen, rows, cards, channel).T
     worst = np.maximum(gap_a, gap_b)
     i = next(iter(np.flatnonzero(worst > VIOLATION_TOL)), None)
     if not force and i is not None:
-        late = _falsified(
-            cfg, cards, report.probes, stacked[i], gap_a[i], gap_b[i]
-        )
+        late = _falsified(cfg, cards, report.probes, rows[i], gap_a[i], gap_b[i])
         raise HiRegimeFalsified(
             "high-interference premise falsified during region sampling: "
             f"{late.condition} fails by {late.margin:.6g}",
@@ -516,15 +490,12 @@ def capacity_semidet_hi(
         )
 
     for i in np.flatnonzero(worst <= VIOLATION_TOL):
-        poly = polygon_from_bounds([caps[i, 0]], [caps[i, 1]], [caps[i, 2]])
+        poly = polygon_from_bounds(*([c[i]] for c in caps))
         full = _reduced_polygon(*(t[i] for t in terms))
         if not regions_close(poly, full, tol=DROP_CONSISTENCY_TOL):
             raise NumericsError(
                 "dropping the premise-redundant bounds changed the "
                 f"polygon at sample {i}"
             )
-    region = region_from_vertices(
-        cap_vertices(*caps.T).reshape(-1, 2)
-    )
-    evaluated = tuple(V12Joint(cards, flat.reshape(cards)) for flat in all_flats)
-    return region, report, evaluated
+    region = region_from_vertices(cap_vertices(*caps).reshape(-1, 2))
+    return region, report, tuple(V12Joint(cards, row.reshape(cards)) for row in rows)

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
-from .pmf import ConditionalFactor, _cardinalities, _normalized
+from .pmf import ConditionalFactor, _cardinalities, _normalized, _whole
 
 AXES = ("x1", "x2", "x3", "y1", "y2")
 
@@ -178,12 +178,13 @@ def classify(channel: ChannelSpec, tol: float = 1e-9) -> ClassReport:
 
 
 def pin_x3(channel: ChannelSpec, symbol: int) -> ChannelSpec:
-    """Freeze the cooperative transmit symbol, leaving |X3| = 1."""
-    symbol = int(symbol)
-    if not 0 <= symbol < channel.cards[2]:
+    """Freeze the cooperative transmit symbol, leaving |X3| = 1.  A symbol
+    that is not an integer (1.0 is, 1.5 and True are not) is out of range."""
+    if isinstance(symbol, bool) or not _whole(symbol, 0) or symbol >= channel.cards[2]:
         raise IndexOutOfRange(
-            f"symbol {symbol} out of range for |X3| = {channel.cards[2]}"
+            f"symbol {symbol!r} out of range for |X3| = {channel.cards[2]}"
         )
+    symbol = int(symbol)
     sliced = channel.transition[:, :, symbol : symbol + 1, :, :]
     cards = channel.cards[:2] + (1,) + channel.cards[3:]
     return ChannelSpec(cards, sliced.copy())

@@ -25,6 +25,7 @@ from .pmf import (
     ConditionalFactor,
     Information,
     JointPMF,
+    _settings,
     clip_information,
     joint_from_factors,
 )
@@ -325,13 +326,8 @@ class SamplerConfig:
     card_yh2: int = 2
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.num_samples < 0:
-            raise ValueError("num_samples must be nonnegative")
-        for name in AUX_LABELS:
-            if getattr(self, f"card_{name}") < 1:
-                raise ValueError(f"card_{name} must be at least 1")
+        cards = {f"card_{name}": 1 for name in AUX_LABELS}
+        _settings(self, {"seed": 0, "num_samples": 0, **cards})
 
     def aux_cards(self) -> dict[str, int]:
         return {name: getattr(self, f"card_{name}") for name in AUX_LABELS}

@@ -25,6 +25,7 @@ from .pmf import (
     Information,
     _cardinalities,
     _normalized,
+    _settings,
     clip_information,
     point_mass,
 )
@@ -239,20 +240,15 @@ REFINE_STEP = 0.05
 REFINE_SWEEPS = 50
 
 
-def lockstep_ascent(
-    starts: np.ndarray,
-    evaluate,
-    step: float = REFINE_STEP,
-    sweeps: int = REFINE_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
+def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarray]:
     """Greedy coordinate ascents, one per row of ``starts``, in lockstep.
 
     ``evaluate(rows, owner)`` scores candidates; ``owner[i]`` is the walk
     of row i.  Each sweep bumps every entry of a live walk by its own step,
-    projects onto the simplex and keeps the walk's best candidate (first on
-    ties) if it gains over ``ASCENT_GAIN``, else halves the step.  A walk
-    ends at a step below 1e-3 or after ``sweeps`` sweeps.  Returns (values,
-    points).
+    first ``REFINE_STEP``, projects onto the simplex and keeps the walk's
+    best candidate (first on ties) if it gains over ``ASCENT_GAIN``, else
+    halves the step.  A walk ends at a step below 1e-3 or after
+    ``REFINE_SWEEPS`` sweeps.  Returns (values, points).
     """
     x = np.array(starts, dtype=float)
     walks, n = x.shape
@@ -261,8 +257,8 @@ def lockstep_ascent(
     for lo in range(0, walks, block):
         live = np.arange(lo, min(lo + block, walks))
         values[live] = evaluate(x[live], live)
-        steps = np.full(live.size, float(step))
-        for _ in range(sweeps):
+        steps = np.full(live.size, float(REFINE_STEP))
+        for _ in range(REFINE_SWEEPS):
             if not live.size:
                 break
             bumped = x[live, None, :] + steps[:, None, None] * np.eye(n)
@@ -288,14 +284,8 @@ class SearchConfig:
     fan: int = 64
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.num_samples < 0:
-            raise ValueError("num_samples must be nonnegative")
-        if self.card_v12 < 0:
-            raise ValueError("card_v12 must be nonnegative")
-        if self.fan < 2:
-            raise ValueError("fan needs at least the two axis directions")
+        # a fan holds at least the two axis directions
+        _settings(self, {"seed": 0, "num_samples": 0, "card_v12": 0, "fan": 2})
 
 
 def check_ascent_budget(cards, channel: ChannelSpec) -> None:
@@ -392,25 +382,30 @@ def sample_pool(
     return np.stack([p.reshape(-1) for p in pool], axis=0)
 
 
-def fan_ascents(
+def fan_search(
     flats: np.ndarray, caps_of, cfg: SearchConfig, extra: int = 0
-) -> list:
-    """Coordinate ascents of the support along each fan direction.
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Support search over ``flats`` along each fan direction, with ascents.
 
     ``caps_of`` maps a batch of flat laws to (R1 cap, R2 cap, sum cap).
-    For each direction of ``fan_directions(cfg.fan)`` returns the best
-    support over ``flats`` and the (start, reached, row) of each ascent:
-    the support it started from, the support it reached and the law that
-    reached it.  Ascents start from the ``REFINE_STARTS`` best rows but
-    the last ``extra``, then from the ``REFINE_STARTS`` best of those
-    ``extra`` rows.  So an extra row never displaces a start the search
-    makes without it, and every row among the ``REFINE_STARTS`` best of
-    all still starts one.  All ascents of the fan run together
-    in one ``lockstep_ascent``, ordered by start row, and each of its
-    evaluations hands ``caps_of`` the bytewise-distinct candidates only.
+    Returns (heights, rows, caps): for each direction of
+    ``fan_directions(cfg.fan)`` the larger of the best support over
+    ``flats`` and every ascent's end; ``flats``, then each ascent end that
+    gains over its start by more than ``ASCENT_GAIN``, direction by
+    direction, then in start order (duplicates kept); and the caps of those
+    rows, the pool's being the ones that ranked the starts.
+
+    Ascents start from the ``REFINE_STARTS`` best rows but the last
+    ``extra``, then from the ``REFINE_STARTS`` best of those ``extra``
+    rows.  So an extra row never displaces a start the search makes
+    without it, and every row among the ``REFINE_STARTS`` best of all
+    still starts one.  All ascents of the fan run together in one
+    ``lockstep_ascent``, ordered by start row.  After the pool, ``caps_of``
+    sees bytewise-distinct rows only.
     """
     directions = fan_directions(cfg.fan)
-    supports = support_of_caps(*caps_of(flats), directions[:, None, :])
+    pool_caps = caps_of(flats)
+    supports = support_of_caps(*pool_caps, directions[:, None, :])
     cut = len(flats) - extra
     order = np.concatenate([
         lo + np.argsort(-supports[:, lo:hi], axis=1, kind="stable")[:, :REFINE_STARTS]
@@ -421,26 +416,27 @@ def fan_ascents(
     by_start = np.argsort(order.reshape(-1), kind="stable")
     lam = np.repeat(directions, order.shape[1], axis=0)[by_start]
 
-    def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def distinct_caps(rows: np.ndarray):
         # caps do not depend on the direction: score each bytewise-distinct
         # row once (a float compare would merge -0.0 with 0.0)
         row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
         keys = np.ascontiguousarray(rows).view(row_bytes)[:, 0]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        caps = caps_of(rows[first])
-        return support_of_caps(*(c[inverse] for c in caps), lam[owner])
+        return tuple(c[inverse] for c in caps_of(rows[first]))
 
-    reached, rows = lockstep_ascent(
-        flats[order.reshape(-1)[by_start]], evaluate, REFINE_STEP, REFINE_SWEEPS
-    )
+    def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return support_of_caps(*distinct_caps(rows), lam[owner])
+
+    reached, ends = lockstep_ascent(flats[order.reshape(-1)[by_start]], evaluate)
     undo = np.argsort(by_start)
-    reached = reached[undo].reshape(order.shape)
-    rows = rows[undo].reshape(order.shape + flats.shape[1:])
-    return [
-        (float(np.max(sup)), [(float(sup[i]), float(v), row)
-                              for i, v, row in zip(idx, got, ends)])
-        for sup, idx, got, ends in zip(supports, order, reached, rows)
-    ]
+    reached, ends = reached[undo].reshape(order.shape), ends[undo]
+    heights = np.max(np.hstack([supports, reached]), axis=1)
+    starts = np.take_along_axis(supports, order, axis=1)
+    gained = ends[(reached > starts + ASCENT_GAIN).reshape(-1)]
+    # the entropy kernel takes no empty batch: no call when nothing gained
+    caps = [pool_caps] + ([distinct_caps(gained)] if len(gained) else [])
+    rows = np.concatenate([flats, gained])
+    return heights, rows, tuple(map(np.concatenate, zip(*caps)))
 
 
 def outer_region_estimate(
@@ -460,17 +456,9 @@ def outer_region_estimate(
     def caps_of(rows: np.ndarray):
         return _caps(lift_bounds(five_bounds, rows, cards, channel))
 
-    directions = fan_directions(cfg.fan)
-    heights = [
-        max([best] + [reached for _, reached, _ in ascents])
-        for best, ascents in fan_ascents(
-            flats, caps_of, cfg, extra=len(extra_distributions)
-        )
-    ]
-
-    system = LinearSystem(
-        ("R1", "R2"), directions, heights, np.zeros((0, 2)), (), {"R1", "R2"}
-    )
+    heights, _, _ = fan_search(flats, caps_of, cfg, extra=len(extra_distributions))
+    system = LinearSystem(("R1", "R2"), fan_directions(cfg.fan), heights,
+                          np.zeros((0, 2)), (), {"R1", "R2"})
     region = polygon_extract(system, "R1", "R2")
     caveat = {
         "kind": "support-envelope estimate",

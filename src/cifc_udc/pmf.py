@@ -59,17 +59,31 @@ def point_mass(symbols, card: int) -> np.ndarray:
     return (np.asarray(symbols)[..., None] == np.arange(card)).astype(np.float64)
 
 
-def _cardinalities(cards, what: str, count: int | None = None) -> tuple[int, ...]:
-    """``cards`` as ints.  One that is not an integer >= 1 (2.0 is, 2.5 is not),
-    or a count other than ``count``, raises ``ShapeMismatch`` with ``what``."""
-    cards = tuple(cards)
+def _whole(value, low: int) -> bool:
+    """Whether ``value`` is an integer >= ``low`` (2.0 is; 2.5, NaN, "2" are not)."""
     try:
-        ok = all(int(c) == c >= 1 for c in cards)
+        return int(value) == value >= low
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok or count not in (None, len(cards)):
+        return False
+
+
+def _cardinalities(cards, what: str, count: int | None = None) -> tuple[int, ...]:
+    """``cards`` as ints.  One that is not an integer >= 1 (``_whole``), or
+    a count other than ``count``, raises ``ShapeMismatch`` with ``what``."""
+    cards = tuple(cards)
+    if not all(_whole(c, 1) for c in cards) or count not in (None, len(cards)):
         raise ShapeMismatch(f"{what}, got {cards}")
     return tuple(int(c) for c in cards)
+
+
+def _settings(config, minimums: dict[str, int]) -> None:
+    """Store each setting of a frozen ``config`` named in ``minimums`` as an int;
+    one that is not ``_whole`` at its minimum raises ``ValueError`` naming it."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if not _whole(value, low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(config, name, int(value))
 
 
 def _labeled(pairs, kind: str) -> tuple[tuple[str, int], ...]:
@@ -79,6 +93,13 @@ def _labeled(pairs, kind: str) -> tuple[tuple[str, int], ...]:
         raise DuplicateLabel(f"{kind} labels must be nonempty and distinct: {labels}")
     need = f"{kind} cardinalities must be integers >= 1"
     return tuple(zip(labels, _cardinalities((c for _, c in pairs), need)))
+
+
+def _factor_pairs(targets, given):
+    """A factor's (targets, given) pairs through ``_labeled``, split again."""
+    targets, given = tuple(targets), tuple(given)
+    pairs = _labeled(targets + given, "factor")
+    return pairs[:len(targets)], pairs[len(targets):]
 
 
 def _clean_tensor(table: np.ndarray, what: str) -> np.ndarray:
@@ -328,8 +349,7 @@ class ConditionalFactor:
     def __post_init__(self):
         if not self.targets:
             raise EmptyList("factor needs at least one target variable")
-        pairs = _labeled(tuple(self.targets) + tuple(self.given), "factor")
-        targets, given = pairs[:len(self.targets)], pairs[len(self.targets):]
+        targets, given = _factor_pairs(self.targets, self.given)
         shape = tuple(c for _, c in given + targets)
         table = _normalized(self.table, shape, len(given), "factor table")
         object.__setattr__(self, "targets", targets)
@@ -355,7 +375,7 @@ class ConditionalFactor:
         a conditioner or an earlier target, reduced modulo the target's
         cardinality.  Any other source raises ``UnknownLabel``; an unknown
         mode, or a mode count other than the target count, ``InvalidFactor``."""
-        targets, given = tuple(targets), tuple(given)
+        targets, given = _factor_pairs(targets, given)
         if isinstance(modes, str) or modes[:1] == ("copy",):
             modes = (modes,) * len(targets)
         if len(modes) != len(targets):
@@ -390,8 +410,7 @@ class ConditionalFactor:
         fn,
     ) -> "ConditionalFactor":
         """Deterministic factor: ``fn(*given indices) -> target indices``."""
-        targets = tuple(targets)
-        given = tuple(given)
+        targets, given = _factor_pairs(targets, given)
         g_shape = tuple(c for _, c in given)
         t_shape = tuple(c for _, c in targets)
         table = np.zeros(g_shape + t_shape)
@@ -418,6 +437,7 @@ class ConditionalFactor:
         rng: np.random.Generator,
     ) -> "ConditionalFactor":
         """Rows drawn independently from a flat Dirichlet(1)."""
+        targets, given = _factor_pairs(targets, given)
         g_shape = tuple(c for _, c in given)
         t_shape = tuple(c for _, c in targets)
         rows = rng.dirichlet(np.ones(math.prod(t_shape)), size=math.prod(g_shape))

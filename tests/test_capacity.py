@@ -517,6 +517,22 @@ class TestCapacitySemidetHi:
         with pytest.raises(NotSemiDeterministic):
             capacity_semidet_hi(noisy_channel(), SearchConfig(num_samples=1))
 
+    def test_a_row_the_falsifier_missed_raises_with_its_witness(self, monkeypatch):
+        # a falsifier that finds nothing leaves the violation to the screen
+        # of the region's rows, whose witness must carry its own margin
+        channel = load_channel((CHANNELS / "hi_falsified.json").read_text())
+        cfg = SearchConfig(seed=3, num_samples=20)
+        quiet = HiRegimeReport("no-violation-found", 20, 0, 3, 4, 0.0)
+        monkeypatch.setattr(
+            "cifc_udc.capacity.hi_regime_falsify", lambda channel, cfg: quiet
+        )
+        with pytest.raises(HiRegimeFalsified, match="during region sampling") as exc:
+            capacity_semidet_hi(channel, cfg)
+        report = exc.value.report
+        assert report.falsified and report.seed == 3 and report.samples == 20
+        gaps = violation_gaps(report.witness().lifted(channel))
+        assert abs(float(max(gaps)) - report.margin) <= 1e-12
+
 
 def noisy_channel():
     # y2 output noise breaks the deterministic requirement

@@ -430,6 +430,16 @@ def test_pin_out_of_range():
         pin_x3(clean_orthogonal(), 5)
 
 
+def test_pin_takes_integer_symbols_only():
+    ch = ChannelSpec.from_outputs((2, 1, 2, 2, 1), lambda x1, x2, x3: (x1 ^ x3, 0))
+    want = pin_x3(ch, 1).transition
+    for symbol in (1.0, np.int64(1), np.float64(1.0)):
+        assert np.array_equal(pin_x3(ch, symbol).transition, want)
+    for symbol in (1.5, 0.5, True, False, float("nan"), "1", None, -1):
+        with pytest.raises(errors.IndexOutOfRange):
+            pin_x3(ch, symbol)
+
+
 def test_pin_output_is_valid_channel():
     rng = np.random.default_rng(2)
     t = rng.dirichlet(np.ones(6), size=(2, 3, 2)).reshape(2, 3, 2, 2, 3)

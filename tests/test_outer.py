@@ -16,6 +16,7 @@ from cifc_udc.errors import (
     TooLarge,
 )
 from cifc_udc import capacity, outer
+from cifc_udc.inner import AUX_LABELS, SamplerConfig
 from cifc_udc.outer import (
     SearchConfig,
     V12Joint,
@@ -273,6 +274,26 @@ class TestSimplexProjection:
         assert np.allclose(project_to_simplex(q), q, atol=1e-12)
 
 
+# each a search config, one of its settings and the least value it takes
+CONFIG_SETTINGS = [
+    *((SearchConfig, name, 0) for name in ("seed", "num_samples", "card_v12")),
+    (SearchConfig, "fan", 2),
+    *((SamplerConfig, name, 0) for name in ("seed", "num_samples")),
+    *((SamplerConfig, f"card_{label}", 1) for label in AUX_LABELS),
+]
+
+
+@pytest.mark.parametrize("kind,name,low", CONFIG_SETTINGS,
+                         ids=[f"{k.__name__}-{n}" for k, n, _ in CONFIG_SETTINGS])
+def test_config_settings_are_integers_at_their_minimum(kind, name, low):
+    for value in (low, low + 2, float(low + 2), np.int64(low + 2)):
+        got = getattr(kind(**{name: value}), name)
+        assert got == value and type(got) is int
+    for value in (low - 1, low + 2.5, float("nan"), float("inf"), str(low + 2), None):
+        with pytest.raises(ValueError, match=name):
+            kind(**{name: value})
+
+
 class TestAscent:
     def test_never_decreases_and_deterministic(self):
         target = np.array([0.7, 0.1, 0.1, 0.1])
@@ -293,13 +314,14 @@ class TestAscent:
         assert abs(x1.sum() - 1.0) < 1e-12 and (x1 >= 0).all()
         assert np.sum((x1 - target) ** 2) < 1e-3
 
-    def test_zero_sweeps_returns_start_value(self):
+    def test_zero_sweeps_returns_start_value(self, monkeypatch):
         def evaluate(rows):
             return rows[:, 0]
 
+        monkeypatch.setattr(outer, "REFINE_SWEEPS", 0)
         start = np.array([0.25, 0.75])
         (value,), (x,) = lockstep_ascent(
-            start[None], lambda rows, owner: evaluate(rows), sweeps=0
+            start[None], lambda rows, owner: evaluate(rows)
         )
         assert value == 0.25 and np.array_equal(x, start)
 

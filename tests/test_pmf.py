@@ -266,6 +266,26 @@ def test_from_modes_contract():
             ConditionalFactor.from_modes(targets, given, modes)
 
 
+FACTOR_CONSTRUCTORS = {
+    "from_modes": lambda t, g: ConditionalFactor.from_modes(t, g, ("copy", "x")),
+    "from_function": lambda t, g: ConditionalFactor.from_function(t, g, lambda x: x % 2),
+    "random": lambda t, g: ConditionalFactor.random(t, g, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CONSTRUCTORS))
+def test_factor_constructors_check_cardinalities_before_building(name):
+    build = FACTOR_CONSTRUCTORS[name]
+    want = build([("y", 2)], [("x", 3)])
+    # an integral float is a cardinality, as the constructor itself takes it
+    got = build([("y", 2.0)], [("x", 3.0)])
+    assert got.targets == want.targets and got.given == want.given
+    assert reference.same_bytes(got.table, want.table)
+    for targets, given in [([("y", 2.5)], [("x", 3)]), ([("y", 2)], [("x", 2.5)])]:
+        with pytest.raises(errors.ShapeMismatch):
+            build(targets, given)
+
+
 def test_factor_validation():
     with pytest.raises(errors.SumNotOne):
         ConditionalFactor((("y", 2),), (("x", 2),), np.full((2, 2), 0.4))

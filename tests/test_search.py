@@ -39,8 +39,8 @@ from cifc_udc.outer import (
     V12Joint,
     _caps,
     _corner_joints,
-    fan_ascents,
     fan_directions,
+    fan_search,
     five_bounds,
     input_corners,
     lift_rows,
@@ -270,6 +270,19 @@ def ref_ascent_refine(start, evaluate, step=0.05, sweeps=50):
     return current, x
 
 
+def fan_result(flats, caps_of, per_direction):
+    """(heights, rows, caps) of a fan search from its per-direction
+    (best pool support, [(start, reached, end) of each ascent]); the caps
+    come from one ``caps_of`` call over every row."""
+    heights = np.array([max([best] + [reached for _, reached, _ in ascents])
+                        for best, ascents in per_direction])
+    rows = np.stack(list(flats) + [
+        end for _, ascents in per_direction
+        for start, reached, end in ascents if reached > start + outer.ASCENT_GAIN
+    ])
+    return heights, rows, tuple(caps_of(rows))
+
+
 def ref_fan_ascents(flats, caps_of, cfg):
     r1, r2, s = caps_of(flats)
     out = []
@@ -287,7 +300,7 @@ def ref_fan_ascents(flats, caps_of, cfg):
             )
             ascents.append((float(supports[int(idx)]), reached, row))
         out.append((float(np.max(supports)), ascents))
-    return out
+    return fan_result(flats, caps_of, out)
 
 
 def ref_hi_regime_falsify(channel, cfg):
@@ -310,7 +323,7 @@ def ref_hi_regime_falsify(channel, cfg):
     order = np.argsort(-worst, kind="stable")[: capacity.REFINE_STARTS]
     for idx in order:
         value, refined = ref_ascent_refine(
-            flats[int(idx)], evaluate, capacity.REFINE_STEP, capacity.REFINE_SWEEPS
+            flats[int(idx)], evaluate, outer.REFINE_STEP, outer.REFINE_SWEEPS
         )
         best_margin = max(best_margin, value)
         if value > VIOLATION_TOL:
@@ -358,15 +371,13 @@ def search_of(name, cfg):
 
 
 def assert_same_fan(got, want):
-    assert len(got) == len(want)
-    for (best, ascents), (ref_best, ref_ascents) in zip(got, want):
-        assert best == ref_best
-        assert len(ascents) == len(ref_ascents)
-        for (start, reached, row), (r_start, r_reached, r_row) in zip(
-            ascents, ref_ascents
-        ):
-            assert start == r_start and reached == r_reached
-            assert np.array_equal(row, r_row)
+    """Two (heights, rows, caps) fan-search results agree bit for bit."""
+    (heights, rows, caps), (ref_heights, ref_rows, ref_caps) = got, want
+    assert np.array_equal(heights, ref_heights)
+    assert np.array_equal(rows, ref_rows)
+    assert len(caps) == len(ref_caps) == 3
+    for cap, ref_cap in zip(caps, ref_caps):
+        assert np.array_equal(cap, ref_cap)
 
 
 def assert_same_report(got, want):
@@ -382,13 +393,15 @@ def quantized_targets(rows, owner, targets):
 
 @pytest.mark.parametrize("walks,n,sweeps", [(1, 3, 50), (7, 5, 50),
                                             (40, 8, 50), (13, 6, 3), (5, 4, 0)])
-def test_lockstep_ascent_matches_sequential_walks(walks, n, sweeps):
+def test_lockstep_ascent_matches_sequential_walks(walks, n, sweeps, monkeypatch):
     rng = np.random.default_rng(walks * 100 + n)
     starts = rng.dirichlet(np.ones(n), size=walks)
     targets = rng.dirichlet(np.full(n, 0.5), size=walks)
+    monkeypatch.setattr(outer, "REFINE_SWEEPS", sweeps)
     for step in (0.05, 0.3):
+        monkeypatch.setattr(outer, "REFINE_STEP", step)
         values, rows = lockstep_ascent(
-            starts, lambda r, o: quantized_targets(r, o, targets), step, sweeps
+            starts, lambda r, o: quantized_targets(r, o, targets)
         )
         assert values.shape == (walks,) and rows.shape == (walks, n)
         for w in range(walks):
@@ -422,7 +435,7 @@ def test_fan_ascents_match_the_per_direction_loop(name, cfg, monkeypatch):
     for constant, value in constants.items():
         monkeypatch.setattr(outer, constant, value)
     pool, caps_of = search_of(name, cfg)
-    assert_same_fan(fan_ascents(pool, caps_of, cfg),
+    assert_same_fan(fan_search(pool, caps_of, cfg),
                     ref_fan_ascents(pool, caps_of, cfg))
 
 
@@ -472,13 +485,13 @@ def test_one_walk_per_block_matches_the_default_block(monkeypatch):
     cfg = SearchConfig(seed=3, num_samples=5, fan=8)
     pools = {name: search_of(name, cfg)
              for name in ("clean", "degraded_z", "hi_in_class")}
-    fans = {name: fan_ascents(pool, caps_of, cfg)
+    fans = {name: fan_search(pool, caps_of, cfg)
             for name, (pool, caps_of) in pools.items()}
     reports = {case: hi_regime_falsify(make(), cfg)
                for case, make in FALSIFIER_CASES.items()}
     monkeypatch.setattr(outer, "_BLOCK_CELLS", 1)
     for name, (pool, caps_of) in pools.items():
-        assert_same_fan(fan_ascents(pool, caps_of, cfg), fans[name])
+        assert_same_fan(fan_search(pool, caps_of, cfg), fans[name])
     for case, make in FALSIFIER_CASES.items():
         assert_same_report(hi_regime_falsify(make(), cfg), reports[case])
 
@@ -487,7 +500,7 @@ def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
     cfg = SearchConfig(seed=3, num_samples=5, fan=8)
     pools = {name: search_of(name, cfg)
              for name in ("clean", "degraded_z", "hi_in_class")}
-    fans = {name: fan_ascents(pool, caps_of, cfg)
+    fans = {name: fan_search(pool, caps_of, cfg)
             for name, (pool, caps_of) in pools.items()}
     reports = {case: hi_regime_falsify(make(), cfg)
                for case, make in FALSIFIER_CASES.items()}
@@ -499,7 +512,7 @@ def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
     chunked = regions()
     monkeypatch.setattr(outer, "_LIFT_CELLS", 1)
     for name, (pool, caps_of) in pools.items():
-        assert_same_fan(fan_ascents(pool, caps_of, cfg), fans[name])
+        assert_same_fan(fan_search(pool, caps_of, cfg), fans[name])
     for case, make in FALSIFIER_CASES.items():
         assert_same_report(hi_regime_falsify(make(), cfg), reports[case])
     for got, want in zip(regions(), chunked):
@@ -508,7 +521,7 @@ def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
 
 
 def ref_lockstep_fan(flats, caps_of, cfg):
-    """``fan_ascents`` with an ``evaluate`` that scores every candidate."""
+    """``fan_search`` with an ``evaluate`` that scores every candidate."""
     directions = fan_directions(cfg.fan)
     supports = support_of_caps(*caps_of(flats), directions[:, None, :])
     order = np.argsort(-supports, axis=1, kind="stable")[:, :outer.REFINE_STARTS]
@@ -516,22 +529,21 @@ def ref_lockstep_fan(flats, caps_of, cfg):
     reached, rows = lockstep_ascent(
         flats[order.reshape(-1)],
         lambda rows, owner: support_of_caps(*caps_of(rows), lam[owner]),
-        outer.REFINE_STEP, outer.REFINE_SWEEPS,
     )
     reached = reached.reshape(order.shape)
     rows = rows.reshape(order.shape + flats.shape[1:])
-    return [
+    return fan_result(flats, caps_of, [
         (float(np.max(sup)), [(float(sup[i]), float(v), row)
                               for i, v, row in zip(idx, got, ends)])
         for sup, idx, got, ends in zip(supports, order, reached, rows)
-    ]
+    ])
 
 
 @pytest.mark.parametrize("name", ["clean", "degraded_z", "hi_in_class"])
 def test_distinct_row_scoring_matches_scoring_every_row(name):
     cfg = SearchConfig(seed=1, num_samples=20, fan=64)
     pool, caps_of = search_of(name, cfg)
-    assert_same_fan(fan_ascents(pool, caps_of, cfg),
+    assert_same_fan(fan_search(pool, caps_of, cfg),
                     ref_lockstep_fan(pool, caps_of, cfg))
 
 
@@ -546,17 +558,20 @@ def test_caps_of_sees_each_distinct_row_once(monkeypatch):
         assert len(keys) == len(rows)
         return caps_of(rows)
 
-    def counting_ascent(starts, evaluate, *args):
+    def counting_ascent(starts, evaluate):
         def counted(rows, owner):
             candidates.append(len(rows))
             return evaluate(rows, owner)
-        return lockstep_ascent(starts, counted, *args)
+        return lockstep_ascent(starts, counted)
 
     monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
-    fan_ascents(pool, recording_caps, cfg)
-    # the first call scores the pool, every later one an ascent evaluation
-    assert calls[0] == len(pool) and len(calls) == len(candidates) + 1
-    assert sum(calls[1:]) <= 0.25 * sum(candidates)
+    _, rows, _ = fan_search(pool, recording_caps, cfg)
+    # the first call scores the pool, the last the gained ends, and every
+    # one between an ascent evaluation
+    gained = rows[len(pool):]
+    assert calls[0] == len(pool) and len(calls) == len(candidates) + 2
+    assert calls[-1] == len({row.tobytes() for row in gained}) < len(gained)
+    assert sum(calls[1:-1]) <= 0.25 * sum(candidates)
 
 
 # ------------------------------------------------------- information terms
