@@ -246,8 +246,8 @@ def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarra
     ``evaluate(rows, owner)`` scores candidates; ``owner[i]`` is the walk
     of row i.  Each sweep bumps every entry of a live walk by its own step,
     first ``REFINE_STEP``, projects onto the simplex and keeps the walk's
-    best candidate (first on ties) if it gains over ``ASCENT_GAIN``, else
-    halves the step.  A walk ends at a step below 1e-3 or after
+    first candidate within ``ASCENT_GAIN`` of its best if that gains over
+    ``ASCENT_GAIN``, else halves the step.  A walk ends at a step below 1e-3 or after
     ``REFINE_SWEEPS`` sweeps.  Returns (values, points).
     """
     x = np.array(starts, dtype=float)
@@ -264,7 +264,11 @@ def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarra
             bumped = x[live, None, :] + steps[:, None, None] * np.eye(n)
             candidates = project_to_simplex(bumped.reshape(-1, n))
             scores = evaluate(candidates, np.repeat(live, n)).reshape(-1, n)
-            best = np.argmax(scores, axis=1)
+            # the first candidate within ASCENT_GAIN of the best: candidates
+            # that tie in exact arithmetic (v12 relabelings) then pick the
+            # same one whatever order their last bits were summed in
+            top = np.max(scores, axis=1)
+            best = np.argmax(scores >= (top - ASCENT_GAIN)[:, None], axis=1)
             top = scores[np.arange(live.size), best]
             up = top > values[live] + ASCENT_GAIN
             x[live[up]] = candidates.reshape(-1, n, n)[up, best[up]]

@@ -259,7 +259,7 @@ def ref_ascent_refine(start, evaluate, step=0.05, sweeps=50):
     for _ in range(sweeps):
         candidates = project_to_simplex(x[None, :] + step * np.eye(n))
         values = evaluate(candidates)
-        best = int(np.argmax(values))
+        best = int(np.argmax(values >= np.max(values) - 1e-12))
         if values[best] > current + 1e-12:
             x = candidates[best]
             current = float(values[best])
@@ -417,6 +417,23 @@ def test_lockstep_ascent_matches_sequential_walks(walks, n, sweeps, monkeypatch)
 def test_lockstep_ascent_without_walks():
     values, rows = lockstep_ascent(np.empty((0, 4)), None)
     assert values.shape == (0,) and rows.shape == (0, 4)
+
+
+def test_ascent_ties_go_to_the_first_candidate():
+    # bumping x1 or x2 scores the same: the walk takes x1 each time, and a
+    # 1e-15 nudge toward x2 candidates, far below ASCENT_GAIN, changes nothing
+    def tied(rows, owner):
+        return rows[:, 1] + rows[:, 2]
+
+    def nudged(rows, owner):
+        return tied(rows, owner) + 1e-15 * (rows[:, 2] > rows[:, 1])
+
+    start = np.full((1, 3), 1 / 3)
+    values, ends = lockstep_ascent(start, tied)
+    assert np.array_equal(ends, [[0.0, 1.0, 0.0]])
+    nudged_values, nudged_ends = lockstep_ascent(start, nudged)
+    assert np.array_equal(nudged_ends, ends)
+    assert np.array_equal(nudged_values, values)
 
 
 # each a config and the search-effort constants it patches into ``outer``
