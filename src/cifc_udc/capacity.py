@@ -25,6 +25,7 @@ from .errors import (
 from .inner import InnerFactorization
 from .outer import (
     REFINE_STARTS,
+    V12_AXES,
     InputLaw,
     SearchConfig,
     V12Joint,
@@ -35,8 +36,7 @@ from .outer import (
     check_input_cards,
     fan_search,
     input_corners,
-    lift_bounds,
-    lift_rows,
+    law_bounds,
     lockstep_ascent,
     polygon_from_bounds,
     sample_pool,
@@ -81,14 +81,19 @@ def with_constant_v12(d: InputJoint, card_v12: int) -> V12Joint:
 
 
 # ---------------------------------------------------------------------------
-# bound evaluators; all accept an optional leading batch axis
+# bound evaluators: each takes a lifted tensor, with an optional leading
+# batch axis, or an Information table named as the evaluator names its axes
 
-def degraded_z_bounds(j: np.ndarray) -> np.ndarray:
+# the axes of a lifted InputJoint
+INPUT_AXES = "x1 x2 x3 y1 y2"
+
+
+def degraded_z_bounds(j) -> np.ndarray:
     """Rate caps (R1, R2, R1+R2) for the degraded Z class.
 
-    Tensor axes: (x1, x2, x3, y1, y2).
+    Axes: (x1, x2, x3, y1, y2).
     """
-    info = Information(j, "x1 x2 x3 y1 y2")
+    info = Information.over(j, INPUT_AXES)
     return clip_information(np.stack([
         info.mi("x1 x3", "y1"),
         info.mi("x2", "y2", "x1 x3"),
@@ -96,12 +101,12 @@ def degraded_z_bounds(j: np.ndarray) -> np.ndarray:
     ], axis=-1))
 
 
-def semidet_hi_bounds(j: np.ndarray) -> np.ndarray:
+def semidet_hi_bounds(j) -> np.ndarray:
     """Rate caps (R1, R2, R1+R2) for the semi-deterministic class.
 
-    Tensor axes: (x1, v12, x2, x3, y1, y2).
+    Axes: (x1, v12, x2, x3, y1, y2).
     """
-    info = Information(j, "x1 v12 x2 x3 y1 y2")
+    info = Information.over(j, V12_AXES)
     a = info.mi("x1 v12 x3", "y1")
     # x1 v12 x3 y2 first, so that x1 x3 y2 sums from it, not from j
     total = a + info.cond("y2", "x1 v12 x3")
@@ -112,13 +117,13 @@ def semidet_hi_bounds(j: np.ndarray) -> np.ndarray:
     ], axis=-1))
 
 
-def _reduced_terms_v2(j: np.ndarray):
+def _reduced_terms_v2(j):
     """Information terms of the five-bound reduced region.
 
-    Tensor axes: (x1, v12, v2, x2, x3, y1, y2).
+    Axes: (x1, v12, v2, x2, x3, y1, y2).
     Returns (a, b, delta, n, k2) each clipped at zero.
     """
-    info = Information(j, "x1 v12 v2 x2 x3 y1 y2")
+    info = Information.over(j, "x1 v12 v2 x2 x3 y1 y2")
     return tuple(clip_information(np.stack([
         info.mi("x1 v12 x3", "y1"),
         info.mi("v2", "y2", "x1 x3"),
@@ -128,13 +133,13 @@ def _reduced_terms_v2(j: np.ndarray):
     ])))
 
 
-def _reduced_terms_y2(j: np.ndarray):
+def _reduced_terms_y2(j):
     """Reduced-region terms with the second auxiliary set to the y2 output.
 
-    Tensor axes: (x1, v12, x2, x3, y1, y2).
+    Axes: (x1, v12, x2, x3, y1, y2).
     Returns (a, h2, delta, m, h3) each clipped at zero.
     """
-    info = Information(j, "x1 v12 x2 x3 y1 y2")
+    info = Information.over(j, V12_AXES)
     return tuple(clip_information(np.stack([
         info.mi("x1 v12 x3", "y1"),
         info.cond("y2", "x1 x3"),
@@ -144,22 +149,26 @@ def _reduced_terms_y2(j: np.ndarray):
     ])))
 
 
-def violation_gaps(j: np.ndarray):
+def violation_gaps(j):
     """High-interference premise gaps; positive means the premise fails.
 
-    Tensor axes: (x1, v12, x2, x3, y1, y2).  Returns (gap_a, gap_b) where
+    Axes: (x1, v12, x2, x3, y1, y2).  Returns (gap_a, gap_b) where
     gap_a = I(Y1;X1,X3) - I(Y2;X1|X3) and
     gap_b = I(Y2;V12|X1,X3) - I(Y1;V12|X1,X3).
     """
-    info = Information(j, "x1 v12 x2 x3 y1 y2")
-    gap_a = info.mi("x1 x3", "y1") - info.mi("x1", "y2", "x3")
-    gap_b = info.mi("v12", "y2", "x1 x3") - info.mi("v12", "y1", "x1 x3")
-    return gap_a, gap_b
+    gaps = _gaps(j)
+    return gaps[..., 0], gaps[..., 1]
 
 
-def _gaps(j: np.ndarray) -> np.ndarray:
-    """``violation_gaps`` stacked on a last axis of two."""
-    return np.stack(violation_gaps(j), axis=-1)
+def _gaps(j) -> np.ndarray:
+    """``violation_gaps`` stacked on a last axis of two.  The searches call
+    this on tables: ``perfbench/tracing.py`` sizes each ``violation_gaps``
+    call by its argument's tensor shape."""
+    info = Information.over(j, V12_AXES)
+    return np.stack([
+        info.mi("x1 x3", "y1") - info.mi("x1", "y2", "x3"),
+        info.mi("v12", "y2", "x1 x3") - info.mi("v12", "y1", "x1 x3"),
+    ], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +399,7 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     corners = _falsifier_probes(cards)
     probes = len(corners)
     flats = sample_pool(cards, cfg, corners)
-    gap_a, gap_b = lift_bounds(_gaps, flats, cards, channel).T
+    gap_a, gap_b = law_bounds(_gaps, flats, cards, channel, V12_AXES).T
     worst = np.maximum(gap_a, gap_b)
     i = next(iter(np.flatnonzero(worst > VIOLATION_TOL)), None)
     if i is not None:
@@ -399,14 +408,14 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     # no direct hit: push the most promising candidates uphill together and
     # take the first, in start order, that crosses the tolerance
     def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return np.max(lift_bounds(_gaps, rows, cards, channel), axis=-1)
+        return np.max(law_bounds(_gaps, rows, cards, channel, V12_AXES), axis=-1)
 
     order = np.argsort(-worst, kind="stable")[:REFINE_STARTS]
     values, refined = lockstep_ascent(flats[order], evaluate)
     i = next(iter(np.flatnonzero(values > VIOLATION_TOL)), None)
     if i is not None:
-        ga, gb = violation_gaps(lift_rows(refined[i:i + 1], cards, channel))
-        return _falsified(cfg, cards, probes, refined[i], ga[0], gb[0])
+        ((ga, gb),) = law_bounds(_gaps, refined[i:i + 1], cards, channel, V12_AXES)
+        return _falsified(cfg, cards, probes, refined[i], ga, gb)
 
     best_margin = float(max([np.max(worst), *values]))
     return HiRegimeReport(
@@ -435,7 +444,7 @@ def capacity_degraded_z(
     check_ascent_budget(cards, channel)
 
     def caps_of(rows: np.ndarray):
-        return lift_bounds(degraded_z_bounds, rows, cards, channel).T
+        return law_bounds(degraded_z_bounds, rows, cards, channel, INPUT_AXES).T
 
     pool = sample_pool(cards, cfg, input_corners(cards))
     _, rows, caps = fan_search(pool, caps_of, cfg)
@@ -469,16 +478,16 @@ def capacity_semidet_hi(
     cards = v12_cards(channel, cfg)
 
     def caps_of(rows: np.ndarray):
-        return lift_bounds(semidet_hi_bounds, rows, cards, channel).T
+        return law_bounds(semidet_hi_bounds, rows, cards, channel, V12_AXES).T
 
     pool = sample_pool(cards, cfg, _corner_joints(cards))
     _, rows, caps = fan_search(pool, caps_of, cfg)
 
-    def screen(j: np.ndarray) -> np.ndarray:
+    def screen(info) -> np.ndarray:
         """Per row: the two premise gaps, then the five reduced terms."""
-        return np.column_stack([*violation_gaps(j), *_reduced_terms_y2(j)])
+        return np.column_stack([_gaps(info), *_reduced_terms_y2(info)])
 
-    gap_a, gap_b, *terms = lift_bounds(screen, rows, cards, channel).T
+    gap_a, gap_b, *terms = law_bounds(screen, rows, cards, channel, V12_AXES).T
     worst = np.maximum(gap_a, gap_b)
     i = next(iter(np.flatnonzero(worst > VIOLATION_TOL)), None)
     if not force and i is not None:

@@ -14,6 +14,7 @@ cooperative symbol to a constant.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from collections.abc import Sequence
@@ -21,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
-from .pmf import ConditionalFactor, _cardinalities, _normalized, _whole
+from .pmf import ConditionalFactor, _cardinalities, _normalized, _whole, marginal_entropies
 
 AXES = ("x1", "x2", "x3", "y1", "y2")
 
@@ -41,6 +42,14 @@ class ChannelSpec:
 
     def card(self, name: str) -> int:
         return self.cards[AXES.index(name)]
+
+    @functools.cached_property
+    def output_entropies(self) -> np.ndarray:
+        """H(Y1|x), H(Y2|x) and H(Y1,Y2|x) in bits on a last axis, for each
+        input x: shape (x1, x2, x3, 3).  Computed on first use."""
+        rows = self.transition.reshape(-1, *self.cards[3:])
+        h = marginal_entropies(rows, [{0}, {1}, {0, 1}], 2)
+        return h.reshape(*self.cards[:3], 3)
 
     @property
     def output1_given_inputs(self) -> np.ndarray:
@@ -180,7 +189,7 @@ def classify(channel: ChannelSpec, tol: float = 1e-9) -> ClassReport:
 def pin_x3(channel: ChannelSpec, symbol: int) -> ChannelSpec:
     """Freeze the cooperative transmit symbol, leaving |X3| = 1.  A symbol
     that is not an integer (1.0 is, 1.5 and True are not) is out of range."""
-    if isinstance(symbol, bool) or not _whole(symbol, 0) or symbol >= channel.cards[2]:
+    if not _whole(symbol, 0) or symbol >= channel.cards[2]:
         raise IndexOutOfRange(
             f"symbol {symbol!r} out of range for |X3| = {channel.cards[2]}"
         )

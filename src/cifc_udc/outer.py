@@ -7,8 +7,8 @@ the resulting halfplanes.  Under-sampling can only make the estimate
 smaller, never larger, so the caveat record travels with every result.
 
 The sampled-search path lives here too, shared with the capacity classes:
-the input-law type, its lift through the channel, the seeded pool and the
-per-direction coordinate ascent.
+the input-law type, the bounds of a batch of laws through the channel, the
+seeded pool and the per-direction coordinate ascent.
 """
 
 import itertools
@@ -104,25 +104,23 @@ def lift_rows(rows: np.ndarray, cards, channel: ChannelSpec) -> np.ndarray:
     )
 
 
-# cap on the lifted cells (rows x n * |Y1||Y2|) of one lift_bounds chunk;
-# a chunk and its bounds take up to 3.5 times its own size at their peak
-_LIFT_CELLS = 1 << 15
+# cap on the q cells (rows x n / |X2| * |Y1||Y2|) of one law_bounds chunk
+_Q_CELLS = 1 << 15
 
 
-def lift_bounds(
-    bounds, rows: np.ndarray, cards, channel: ChannelSpec
-) -> np.ndarray:
-    """``bounds`` of the lifted ``rows``, concatenated along the rows.
+def law_bounds(bounds, rows: np.ndarray, cards, channel: ChannelSpec, labels: str):
+    """``bounds`` of the laws ``rows`` over ``cards``, concatenated along the rows.
 
-    The rows are lifted in chunks of at most ``_LIFT_CELLS`` lifted cells
-    (one row at least).  ``bounds`` maps a lifted batch to an array with
-    one entry per row, and each row's entry does not depend on the rows
-    beside it, so the chunking moves no byte.
+    Each chunk of at most ``_Q_CELLS`` q cells (one row at least) becomes
+    one ``Information.of_laws`` table named ``labels``.  ``bounds`` maps a
+    table to an array with one entry per row, and each row's entry does
+    not depend on the rows beside it, so the chunking moves no byte.
     """
-    cells = math.prod(cards) * channel.card("y1") * channel.card("y2")
-    chunk = max(1, _LIFT_CELLS // cells)
+    check_input_cards(cards, channel)
+    cells = math.prod(cards) // cards[-2] * channel.card("y1") * channel.card("y2")
+    chunk = max(1, _Q_CELLS // cells)
     return np.concatenate([
-        bounds(lift_rows(rows[lo:lo + chunk], cards, channel))
+        bounds(Information.of_laws(rows[lo:lo + chunk], cards, labels, channel))
         for lo in range(0, len(rows), chunk)
     ])
 
@@ -132,14 +130,17 @@ def default_v12_card(channel: ChannelSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bound evaluation on lifted tensors; supports a leading batch axis
+# bound evaluation on a lifted tensor (with an optional leading batch axis)
+# or on an Information table; V12_AXES names a lifted V12Joint's axes
+V12_AXES = "x1 v12 x2 x3 y1 y2"
 
-def five_bounds(j: np.ndarray) -> np.ndarray:
-    """The five converse rate bounds of a lifted tensor, in bits.
+
+def five_bounds(j) -> np.ndarray:
+    """The five converse rate bounds of a lifted tensor or a table, in bits.
 
     Order: two R1 caps, the R2 cap, two sum caps.
     """
-    info = Information(j, "x1 v12 x2 x3 y1 y2")
+    info = Information.over(j, V12_AXES)
     # the sum caps first: they ask for the widest marginals, which then
     # serve every later term without another pass over the full tensor
     sum_caps = [
@@ -226,8 +227,7 @@ def fan_directions(count: int) -> np.ndarray:
 
 
 # cap on the walks x n x n candidate entries of a lockstep block: the bumped
-# points and project_to_simplex's temporaries; the lifts are capped apart,
-# by _LIFT_CELLS
+# points and project_to_simplex's temporaries (law_bounds caps the tables)
 _BLOCK_CELLS = 1 << 14
 
 # a walk moves, and counts as improved, only on a gain above this
@@ -247,8 +247,8 @@ def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarra
     of row i.  Each sweep bumps every entry of a live walk by its own step,
     first ``REFINE_STEP``, projects onto the simplex and keeps the walk's
     first candidate within ``ASCENT_GAIN`` of its best if that gains over
-    ``ASCENT_GAIN``, else halves the step.  A walk ends at a step below 1e-3 or after
-    ``REFINE_SWEEPS`` sweeps.  Returns (values, points).
+    ``ASCENT_GAIN``, else halves the step.  A walk ends at a step below
+    1e-3 or after ``REFINE_SWEEPS`` sweeps.  Returns (values, points).
     """
     x = np.array(starts, dtype=float)
     walks, n = x.shape
@@ -264,11 +264,10 @@ def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarra
             bumped = x[live, None, :] + steps[:, None, None] * np.eye(n)
             candidates = project_to_simplex(bumped.reshape(-1, n))
             scores = evaluate(candidates, np.repeat(live, n)).reshape(-1, n)
-            # the first candidate within ASCENT_GAIN of the best: candidates
-            # that tie in exact arithmetic (v12 relabelings) then pick the
-            # same one whatever order their last bits were summed in
-            top = np.max(scores, axis=1)
-            best = np.argmax(scores >= (top - ASCENT_GAIN)[:, None], axis=1)
+            # the first candidate within ASCENT_GAIN of the best, so that exact
+            # ties (v12 relabelings) do not split on the last bits of a sum
+            top = np.max(scores, axis=1, keepdims=True)
+            best = np.argmax(scores >= top - ASCENT_GAIN, axis=1)
             top = scores[np.arange(live.size), best]
             up = top > values[live] + ASCENT_GAIN
             x[live[up]] = candidates.reshape(-1, n, n)[up, best[up]]
@@ -293,21 +292,17 @@ class SearchConfig:
 
 
 def check_ascent_budget(cards, channel: ChannelSpec) -> None:
-    """Raise ``TooLarge`` when one ascent walk over laws on ``cards`` would
-    lift n candidates of n * |Y1||Y2| cells, n the product of ``cards``,
-    to more than ``pmf.JOINT_CELL_LIMIT`` cells in all.
-
-    The searches hold less than this at a time.  ``lift_bounds`` lifts at
-    most max(``_LIFT_CELLS``, n * |Y1||Y2|) cells at once, and a
-    ``lockstep_ascent`` block holds at most max(``_BLOCK_CELLS``, n * n)
-    candidate entries.  Once this check passes, both stay within
-    ``pmf.JOINT_CELL_LIMIT``: n * |Y1||Y2| and n * n are at most
-    n * n * |Y1||Y2|, and both caps lie far below the limit."""
+    """Raise ``TooLarge`` when the n candidates of one ascent sweep over laws
+    on ``cards`` (n their product) would have more than ``pmf.JOINT_CELL_LIMIT``
+    joint cells in all, n * |Y1||Y2| each.  The searches hold less: a
+    ``law_bounds`` table at most max(``_Q_CELLS``, n / |X2| * |Y1||Y2|) q cells
+    beside its laws, a ``lockstep_ascent`` block max(``_BLOCK_CELLS``, n * n)
+    candidate entries, both within the limit once this check passes."""
     n = math.prod(cards)
     cells = n * n * channel.card("y1") * channel.card("y2")
     if cells > JOINT_CELL_LIMIT:
         raise TooLarge(
-            f"an ascent walk over {n} input cells would lift {cells} cells, "
+            f"an ascent sweep over {n} input cells would have {cells} joint cells, "
             f"over the budget of {JOINT_CELL_LIMIT}"
         )
 
@@ -458,7 +453,7 @@ def outer_region_estimate(
     flats = sample_pool(cards, cfg, _corner_joints(cards), extra_distributions)
 
     def caps_of(rows: np.ndarray):
-        return _caps(lift_bounds(five_bounds, rows, cards, channel))
+        return _caps(law_bounds(five_bounds, rows, cards, channel, V12_AXES))
 
     heights, _, _ = fan_search(flats, caps_of, cfg, extra=len(extra_distributions))
     system = LinearSystem(("R1", "R2"), fan_directions(cfg.fan), heights,

@@ -32,6 +32,7 @@ from .errors import (
     EmptyList,
     IndexOutOfRange,
     InvalidFactor,
+    MissingVariable,
     NegativeEntry,
     NumericsError,
     OverlappingGroups,
@@ -60,7 +61,10 @@ def point_mass(symbols, card: int) -> np.ndarray:
 
 
 def _whole(value, low: int) -> bool:
-    """Whether ``value`` is an integer >= ``low`` (2.0 is; 2.5, NaN, "2" are not)."""
+    """Whether ``value`` is an integer >= ``low`` (2.0 is; 2.5, NaN, "2",
+    True and numpy's True are not)."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         return int(value) == value >= low
     except (TypeError, ValueError, OverflowError):
@@ -231,7 +235,8 @@ class Information:
     tensor itself as the root.  New groups are summed largest first, each
     from the held marginal of fewest cells whose axes contain it (the
     first held on ties), and each marginal entropy is computed once, by
-    ``marginal_entropies``."""
+    ``marginal_entropies``.  ``of_laws`` builds a table with two roots in
+    place of the tensor."""
 
     def __init__(self, j: np.ndarray, labels: str):
         self.names = tuple(labels.split())
@@ -239,23 +244,102 @@ class Information:
         # every dropped axis stays, at extent 1
         self._marginals = {frozenset(range(len(self.names))): j}
         self._h = {}
+        # an of_laws table's channel, and its sums of p(x) H(S | x) by S
+        self._channel, self._expected = None, {}
+
+    @classmethod
+    def of_laws(cls, rows: np.ndarray, cards, labels: str, channel) -> "Information":
+        """Table of the joints p(x1, [aux...], x2, x3) * p(y1, y2 | x1, x2, x3),
+        one per law in ``rows`` (flat, over ``cards``), without lifting them.
+
+        ``labels`` names the law's axes, then y1 and y2; ``channel`` is a
+        ``ChannelSpec`` whose x1, x2 and x3 match ``cards``.  The two roots
+        are the laws and q = sum over x2 of p * T.  A group that holds x1,
+        x2, x3 and outputs S has entropy H(its inputs) plus the sum over x
+        of p(x) * H(S | x), by the chain rule.  Any other group that holds
+        x2 and an output has no source and raises ``MissingVariable``."""
+        k = len(cards)
+        if len(labels.split()) != k + 2:
+            raise ShapeMismatch(f"labels {labels!r} do not name {k} law axes, y1 and y2")
+        laws = np.reshape(rows, (-1,) + tuple(cards))
+        # one einsum, without a BLAS path: a row's bytes do not depend on
+        # the rows beside it
+        q = np.einsum(
+            laws, [k + 2, *range(k)], channel.transition, [0, k - 2, k - 1, k, k + 1],
+            [k + 2, *range(k - 2), k - 1, k, k + 1],
+        )
+        inputs = frozenset(range(k))
+        table = cls(laws[..., None, None], labels)
+        # two roots in place of the tensor: the laws hold no output, q no x2
+        table._marginals = {
+            inputs: laws[..., None, None],
+            inputs - {k - 2} | {k, k + 1}: q[..., None, :, :, :],
+        }
+        table._channel = channel
+        return table
+
+    @classmethod
+    def over(cls, j, labels: str) -> "Information":
+        """``j`` if it is a table named ``labels``, else a table over the
+        tensor ``j``.  A table named otherwise raises ``ShapeMismatch``."""
+        if not isinstance(j, Information):
+            return cls(j, labels)
+        if j.names != tuple(labels.split()):
+            raise ShapeMismatch(f"a table over {j.names} is not one over {labels!r}")
+        return j
 
     def h(self, *groups: str) -> list[np.ndarray]:
         """H(G) for each group G of space-separated labels."""
         keys = [_axis_set(self.names, g) for g in groups]
         new = [k for k in dict.fromkeys(keys) if k not in self._h]
         for keep in sorted(new, key=len, reverse=True):
-            m = self._marginals.get(keep)
-            if m is None:
-                source = min(
-                    (s for s in self._marginals if keep <= s),
-                    key=lambda s: self._marginals[s].size,
-                )
-                axes = tuple(a + self._batch for a in sorted(source - keep))
-                m = self._marginals[source].sum(axis=axes, keepdims=True)
-                self._marginals[keep] = m
-            (self._h[keep],) = marginal_entropies(m, [keep], len(self.names)).T
+            self._entropy(keep)
         return [self._h[k] for k in keys]
+
+    def _entropy(self, keep: frozenset) -> np.ndarray:
+        """H(``keep``), computed once."""
+        h = self._h.get(keep)
+        if h is None:
+            m = self._marginal(keep)
+            if m is None:
+                h = self._through_channel(keep)
+            else:
+                (h,) = marginal_entropies(m, [keep], len(self.names)).T
+            self._h[keep] = h
+        return h
+
+    def _marginal(self, keep: frozenset):
+        """The marginal over ``keep``, held from now on; None when no held
+        marginal contains it."""
+        m = self._marginals.get(keep)
+        if m is None:
+            sources = [s for s in self._marginals if keep <= s]
+            if not sources:
+                return None
+            source = min(sources, key=lambda s: self._marginals[s].size)
+            axes = tuple(a + self._batch for a in sorted(source - keep))
+            m = self._marginals[source].sum(axis=axes, keepdims=True)
+            self._marginals[keep] = m
+        return m
+
+    def _through_channel(self, keep: frozenset) -> np.ndarray:
+        """H(G) = H(G's inputs) + sum over x of p(x) * H(G's outputs | x),
+        for a group G of an ``of_laws`` table that holds x1, x2 and x3."""
+        y1 = len(self.names) - 2
+        xs = frozenset((0, y1 - 2, y1 - 1))
+        if self._channel is None or not xs <= keep:
+            names = [self.names[a] for a in sorted(keep)]
+            raise MissingVariable(f"no marginal of this table holds {names}")
+        outputs = keep & {y1, y1 + 1}
+        expected = self._expected.get(outputs)
+        if expected is None:
+            # the channel's columns: y1, y2, then both
+            column = 2 if len(outputs) == 2 else min(outputs) - y1
+            px = self._marginal(xs)
+            hy = self._channel.output_entropies[..., column].reshape(px.shape[1:])
+            expected = (px * hy).reshape(len(px), -1).sum(axis=1)
+            self._expected[outputs] = expected
+        return self._entropy(keep - outputs) + expected
 
     def cond(self, a: str, given: str) -> np.ndarray:
         """H(A|C) = H(AC) - H(C)."""

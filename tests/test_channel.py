@@ -435,7 +435,8 @@ def test_pin_takes_integer_symbols_only():
     want = pin_x3(ch, 1).transition
     for symbol in (1.0, np.int64(1), np.float64(1.0)):
         assert np.array_equal(pin_x3(ch, symbol).transition, want)
-    for symbol in (1.5, 0.5, True, False, float("nan"), "1", None, -1):
+    for symbol in (1.5, 0.5, True, False, np.True_, np.False_, float("nan"), "1",
+                   None, -1):
         with pytest.raises(errors.IndexOutOfRange):
             pin_x3(ch, symbol)
 

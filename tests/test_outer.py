@@ -33,7 +33,7 @@ from cifc_udc.outer import (
     support_of_caps,
     wire_v12,
 )
-from cifc_udc.pmf import JointPMF, conditional_mutual_information
+from cifc_udc.pmf import Information, JointPMF, conditional_mutual_information
 from cifc_udc.polytope import (
     LinearSystem,
     polygon_extract,
@@ -289,7 +289,8 @@ def test_config_settings_are_integers_at_their_minimum(kind, name, low):
     for value in (low, low + 2, float(low + 2), np.int64(low + 2)):
         got = getattr(kind(**{name: value}), name)
         assert got == value and type(got) is int
-    for value in (low - 1, low + 2.5, float("nan"), float("inf"), str(low + 2), None):
+    for value in (low - 1, low + 2.5, float("nan"), float("inf"), str(low + 2), None,
+                  True, np.True_, False, np.False_):
         with pytest.raises(ValueError, match=name):
             kind(**{name: value})
 
@@ -431,12 +432,13 @@ class TestOuterEstimate:
             SearchConfig(fan=1)
 
     def test_ascent_over_the_cell_budget_fails_before_lifting(self, monkeypatch):
-        # n = 2 * 512 * 2 * 2 input cells: one walk would lift n * n * 4 cells
-        def no_lift(*args):
-            raise AssertionError("lifted a pool over the budget")
+        # n = 2 * 512 * 2 * 2 input cells: one sweep would make n * n * 4 cells
+        def no_table(*args):
+            raise AssertionError("built a table over the budget")
 
-        monkeypatch.setattr(outer, "lift_rows", no_lift)
-        monkeypatch.setattr(capacity, "lift_rows", no_lift)
+        monkeypatch.setattr(outer, "lift_rows", no_table)
+        monkeypatch.setattr(Information, "of_laws", no_table)
+        monkeypatch.setattr(Information, "__init__", no_table)
         cfg = SearchConfig(card_v12=512)
         with pytest.raises(TooLarge):
             outer_region_estimate(clean_channel(), cfg)

@@ -1,8 +1,11 @@
 """The scripts under ``scripts/`` run to completion on a small budget."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from cifc_udc import ChannelSpec, dump_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,3 +30,17 @@ def test_demo_regions_exits_zero(tmp_path):
 def test_find_hi_channel_exits_zero():
     proc = run_script("find_hi_channel.py", "--trials", 1, "--samples", 2)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fixture_channels_match_their_generator():
+    """Each committed fixture is what ``make_channels.py`` would write."""
+    spec = importlib.util.spec_from_file_location(
+        "make_channels", ROOT / "scripts" / "make_channels.py"
+    )
+    make_channels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_channels)
+    names = sorted(p.name for p in (ROOT / "channels").glob("*.json"))
+    assert sorted(make_channels.FIXTURES) == names
+    for name, (cards, rule) in make_channels.FIXTURES.items():
+        want = dump_channel(ChannelSpec.from_outputs(cards, rule))
+        assert (ROOT / "channels" / name).read_text() == want, name

@@ -1,26 +1,32 @@
 """The shared sampled-search path against the formulas it replaced.
 
 Each reference below is the per-class code the searches used before they
-shared ``InputLaw``, ``lift_rows``, ``sample_pool``, the corner helpers,
-the lockstep ascent and the ``Information`` evaluators; the shared path
-must reproduce it bit for bit, except the information terms: those sum
-each marginal from a smaller held one, not from the full tensor, and must
-stay within 1e-12 bits of the references.
+shared ``InputLaw``, ``sample_pool``, the corner helpers, the lockstep
+ascent and the ``Information`` evaluators; the shared path must reproduce
+it bit for bit, except the information terms: those sum each marginal
+from a smaller held one, not from the full tensor, or come from the law
+and q = sum over x2 of p * T without the lift (``Information.of_laws``),
+and must stay within 1e-12 bits of the references on the lifted tensor.
 """
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifc_udc import capacity, outer, pmf
 from cifc_udc.capacity import (
+    INPUT_AXES,
     VIOLATION_TOL,
     HiRegimeReport,
     InputJoint,
     V12V2Joint,
     _falsified,
+    _gaps,
     _reduced_terms_v2,
     _reduced_terms_y2,
     _falsifier_probes,
@@ -32,8 +38,14 @@ from cifc_udc.capacity import (
     violation_gaps,
 )
 from cifc_udc.channel import ChannelSpec, load_channel
-from cifc_udc.errors import CardinalityMismatch, NumericsError
+from cifc_udc.errors import (
+    CardinalityMismatch,
+    MissingVariable,
+    NumericsError,
+    ShapeMismatch,
+)
 from cifc_udc.outer import (
+    V12_AXES,
     InputLaw,
     SearchConfig,
     V12Joint,
@@ -43,6 +55,7 @@ from cifc_udc.outer import (
     fan_search,
     five_bounds,
     input_corners,
+    law_bounds,
     lift_rows,
     lockstep_ascent,
     project_to_simplex,
@@ -303,12 +316,17 @@ def ref_fan_ascents(flats, caps_of, cfg):
     return fan_result(flats, caps_of, out)
 
 
+def gaps_of(rows, cards, channel):
+    """The premise gaps of the laws ``rows``, as the falsifier scores them."""
+    return tuple(law_bounds(_gaps, rows, cards, channel, V12_AXES).T)
+
+
 def ref_hi_regime_falsify(channel, cfg):
     cards = v12_cards(channel, cfg)
     corners = _falsifier_probes(cards)
     probes = len(corners)
     flats = sample_pool(cards, cfg, corners)
-    gap_a, gap_b = violation_gaps(lift_rows(flats, cards, channel))
+    gap_a, gap_b = gaps_of(flats, cards, channel)
     worst = np.maximum(gap_a, gap_b)
 
     for i in range(flats.shape[0]):
@@ -316,8 +334,7 @@ def ref_hi_regime_falsify(channel, cfg):
             return _falsified(cfg, cards, probes, flats[i], gap_a[i], gap_b[i])
 
     def evaluate(rows):
-        ga, gb = violation_gaps(lift_rows(rows, cards, channel))
-        return np.maximum(ga, gb)
+        return np.maximum(*gaps_of(rows, cards, channel))
 
     best_margin = float(np.max(worst))
     order = np.argsort(-worst, kind="stable")[: capacity.REFINE_STARTS]
@@ -327,7 +344,7 @@ def ref_hi_regime_falsify(channel, cfg):
         )
         best_margin = max(best_margin, value)
         if value > VIOLATION_TOL:
-            ga, gb = violation_gaps(lift_rows(refined[None, :], cards, channel))
+            ga, gb = gaps_of(refined[None, :], cards, channel)
             return _falsified(cfg, cards, probes, refined, ga[0], gb[0])
 
     return HiRegimeReport(
@@ -352,21 +369,19 @@ def search_of(name, cfg):
         pool = sample_pool(cards, cfg, input_corners(cards))
 
         def caps_of(rows):
-            b = degraded_z_bounds(lift_rows(rows, cards, ch))
-            return b[..., 0], b[..., 1], b[..., 2]
+            return tuple(law_bounds(degraded_z_bounds, rows, cards, ch, INPUT_AXES).T)
     elif name == "hi_in_class":
         cards = v12_cards(ch, cfg)
         pool = sample_pool(cards, cfg, _corner_joints(cards))
 
         def caps_of(rows):
-            b = semidet_hi_bounds(lift_rows(rows, cards, ch))
-            return b[..., 0], b[..., 1], b[..., 2]
+            return tuple(law_bounds(semidet_hi_bounds, rows, cards, ch, V12_AXES).T)
     else:
         cards = v12_cards(ch, cfg)
         pool = sample_pool(cards, cfg, _corner_joints(cards))
 
         def caps_of(rows):
-            return _caps(five_bounds(lift_rows(rows, cards, ch)))
+            return _caps(law_bounds(five_bounds, rows, cards, ch, V12_AXES))
     return pool, caps_of
 
 
@@ -493,7 +508,7 @@ def test_the_ascent_hit_cases_reach_their_witness_by_ascent(case):
     ch, cfg = FALSIFIER_CASES[case](), SearchConfig(seed=0)
     cards = v12_cards(ch, cfg)
     pool = sample_pool(cards, cfg, _falsifier_probes(cards))
-    gap_a, gap_b = violation_gaps(lift_rows(pool, cards, ch))
+    gap_a, gap_b = gaps_of(pool, cards, ch)
     assert np.max(np.maximum(gap_a, gap_b)) <= VIOLATION_TOL
     assert hi_regime_falsify(ch, cfg).falsified
 
@@ -527,7 +542,7 @@ def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
                 capacity_semidet_hi(fixture("hi_in_class"), cfg)[0]]
 
     chunked = regions()
-    monkeypatch.setattr(outer, "_LIFT_CELLS", 1)
+    monkeypatch.setattr(outer, "_Q_CELLS", 1)
     for name, (pool, caps_of) in pools.items():
         assert_same_fan(fan_search(pool, caps_of, cfg), fans[name])
     for case, make in FALSIFIER_CASES.items():
@@ -791,6 +806,58 @@ def test_information_evaluators_match_the_hand_indexed_tables(name):
             assert_close_terms(evaluate(j), reference(j))
 
 
+# the axes each evaluator names, by the axis count of its tensor
+AXES_OF = {5: INPUT_AXES, 6: V12_AXES, 7: "x1 v12 v2 x2 x3 y1 y2"}
+
+
+def sparse(rng, size, count):
+    """``count`` laws over ``size`` cells: dense, with zero cells, or one
+    point mass, as the rng picks."""
+    laws = rng.dirichlet(np.full(size, 0.7), size=count)
+    laws[rng.random(laws.shape) < 0.3] = 0.0
+    laws[np.arange(count), rng.integers(size, size=count)] += 1e-3
+    points = rng.random(count) < 0.25
+    laws[points] = np.eye(size)[rng.integers(size, size=int(points.sum()))]
+    return laws / laws.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ch_cards=st.tuples(*[st.integers(1, 3)] * 5),
+       aux=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_law_table_matches_the_lifted_table(name, seed, ch_cards, aux):
+    """Each evaluator on ``Information.of_laws`` against the same evaluator
+    on the lifted tensor, over cards of 1, laws with zero cells and point
+    masses, and channels with zero transitions."""
+    evaluate, _, ndim = EVALUATORS[name]
+    rng = np.random.default_rng(seed)
+    ch = ChannelSpec(ch_cards, sparse(rng, ch_cards[3] * ch_cards[4],
+                                      math.prod(ch_cards[:3])).reshape(ch_cards))
+    cx1, cx2, cx3 = ch_cards[:3]
+    cards = (cx1, *aux[:ndim - 5], cx2, cx3)
+    rows = sparse(rng, math.prod(cards), int(rng.integers(1, 5)))
+    table = Information.of_laws(rows, cards, AXES_OF[ndim], ch)
+    assert_close_terms(evaluate(table), evaluate(lift_rows(rows, cards, ch)))
+
+
+def test_law_table_groups_without_a_source_raise():
+    ch = noisy_channel((2, 2, 2, 2, 2), seed=6)
+    rows = np.random.default_rng(6).dirichlet(np.ones(24), size=2)
+    table = Information.of_laws(rows, (2, 3, 2, 2), V12_AXES, ch)
+    for group in ("x2 y1", "x1 x2 y2", "v12 x2 x3 y1 y2"):
+        with pytest.raises(MissingVariable):
+            table.h(group)
+    # with x1, x2 and x3 the chain rule serves the group
+    (h,) = table.h("x1 x2 x3 y1")
+    (want,) = Information(lift_rows(rows, (2, 3, 2, 2), ch), V12_AXES).h("x1 x2 x3 y1")
+    assert_close_terms(h, want)
+    with pytest.raises(ShapeMismatch):
+        degraded_z_bounds(table)
+    with pytest.raises(ShapeMismatch):
+        Information.of_laws(rows, (2, 3, 2, 2), INPUT_AXES, ch)
+
+
 @pytest.mark.parametrize("ndim", [5, 6, 7])
 def test_lattice_matches_full_tensor_sums(ndim):
     """Every marginal entropy, asked for in shuffled batches, against the
@@ -853,10 +920,27 @@ def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
     # only x1 v12 x3 y1 and the two five-axis marginals need the full tensor
     assert 0 < len(SumCounted.sums) <= 3
 
+    # a law table: the four groups that hold x1, x2, x3 and an output come
+    # by the chain rule, one sum of p(x) H(S | x) for each of their three S
+    ch = noisy_channel((2, 2, 2, 2, 2), seed=4)
+    rows = np.random.default_rng(4).dirichlet(np.ones(16), size=3)
+    want = ref_five_bounds(lift_rows(rows, (2, 2, 2, 2), ch))
+    table = Information.of_laws(rows, (2, 2, 2, 2), V12_AXES, ch)
+    table._marginals = {k: m.view(SumCounted) for k, m in table._marginals.items()}
+    seen.clear()
+    monkeypatch.setattr(SumCounted, "sums", [])
+    assert_close_terms(five_bounds(table), want)
+    assert len(seen) == len(set(seen)) == 10
+    assert len(table._expected) == 3
+    # the law gives x1 x2 x3 and x1 v12 x3, and q the three groups with
+    # v12 or both outputs; every other marginal sums from a smaller one
+    assert len(SumCounted.sums) == 5
+
 
 class FullTensorInformation(Information):
-    """The table before the lattice: the new marginals of each call summed
-    straight from the full tensor, in one kernel call."""
+    """The table before the lattice and before the lift-free roots: the new
+    marginals of each call summed straight from the full lifted tensor, in
+    one kernel call."""
 
     def __init__(self, j, labels):
         self.j, self.names, self._h = j, tuple(labels.split()), {}
@@ -878,6 +962,11 @@ def assert_close_regions(got, want):
     )
 
 
+def lifted_bounds(bounds, rows, cards, channel, labels):
+    """``law_bounds`` through the lift and a ``FullTensorInformation``."""
+    return bounds(FullTensorInformation(lift_rows(rows, cards, channel), labels))
+
+
 def test_searches_match_the_full_tensor_table(monkeypatch):
     cfg = SearchConfig(seed=3, num_samples=10, fan=16)
     runs = {
@@ -888,8 +977,8 @@ def test_searches_match_the_full_tensor_table(monkeypatch):
     got = {name: run() for name, run in runs.items()}
     reports = {case: hi_regime_falsify(make(), cfg)
                for case, make in FALSIFIER_CASES.items()}
-    monkeypatch.setattr(outer, "Information", FullTensorInformation)
-    monkeypatch.setattr(capacity, "Information", FullTensorInformation)
+    monkeypatch.setattr(outer, "law_bounds", lifted_bounds)
+    monkeypatch.setattr(capacity, "law_bounds", lifted_bounds)
     for name, run in runs.items():
         assert_close_regions(got[name], run())
     for case, make in FALSIFIER_CASES.items():
