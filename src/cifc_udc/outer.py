@@ -108,7 +108,7 @@ def lift_rows(rows: np.ndarray, cards, channel: ChannelSpec) -> np.ndarray:
 _Q_CELLS = 1 << 15
 
 
-def law_bounds(bounds, rows: np.ndarray, cards, channel: ChannelSpec, labels: str):
+def law_bounds(bounds, rows, cards, channel: ChannelSpec, labels: str) -> np.ndarray:
     """``bounds`` of the laws ``rows`` over ``cards``, concatenated along the rows.
 
     Each chunk of at most ``_Q_CELLS`` q cells (one row at least) becomes

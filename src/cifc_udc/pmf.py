@@ -244,8 +244,6 @@ class Information:
         # every dropped axis stays, at extent 1
         self._marginals = {frozenset(range(len(self.names))): j}
         self._h = {}
-        # an of_laws table's channel, and its sums of p(x) H(S | x) by S
-        self._channel, self._expected = None, {}
 
     @classmethod
     def of_laws(cls, rows: np.ndarray, cards, labels: str, channel) -> "Information":
@@ -275,7 +273,8 @@ class Information:
             inputs: laws[..., None, None],
             inputs - {k - 2} | {k, k + 1}: q[..., None, :, :, :],
         }
-        table._channel = channel
+        # the channel, and the sums of p(x) H(S | x) by output set S
+        table._channel, table._expected = channel, {}
         return table
 
     @classmethod
@@ -327,7 +326,7 @@ class Information:
         for a group G of an ``of_laws`` table that holds x1, x2 and x3."""
         y1 = len(self.names) - 2
         xs = frozenset((0, y1 - 2, y1 - 1))
-        if self._channel is None or not xs <= keep:
+        if not xs <= keep:
             names = [self.names[a] for a in sorted(keep)]
             raise MissingVariable(f"no marginal of this table holds {names}")
         outputs = keep & {y1, y1 + 1}
