@@ -31,6 +31,7 @@ from .outer import (
     V12Joint,
     _corner_joints,
     _distinct,
+    cap_polygon,
     cap_vertices,
     check_ascent_budget,
     check_input_cards,
@@ -38,7 +39,6 @@ from .outer import (
     input_corners,
     law_bounds,
     lockstep_ascent,
-    polygon_from_bounds,
     sample_pool,
     v12_cards,
     wire_v12,
@@ -81,19 +81,18 @@ def with_constant_v12(d: InputJoint, card_v12: int) -> V12Joint:
 
 
 # ---------------------------------------------------------------------------
-# bound evaluators: each takes a lifted tensor, with an optional leading
-# batch axis, or an Information table named as the evaluator names its axes
+# bound evaluators: each takes an Information table of a batch of laws,
+# named as it names its axes, and returns its terms on a last axis
 
-# the axes of a lifted InputJoint
+# an InputJoint's axes, then y1 and y2
 INPUT_AXES = "x1 x2 x3 y1 y2"
 
 
-def degraded_z_bounds(j) -> np.ndarray:
+def degraded_z_bounds(info: Information) -> np.ndarray:
     """Rate caps (R1, R2, R1+R2) for the degraded Z class.
 
     Axes: (x1, x2, x3, y1, y2).
     """
-    info = Information.over(j, INPUT_AXES)
     return clip_information(np.stack([
         info.mi("x1 x3", "y1"),
         info.mi("x2", "y2", "x1 x3"),
@@ -101,14 +100,13 @@ def degraded_z_bounds(j) -> np.ndarray:
     ], axis=-1))
 
 
-def semidet_hi_bounds(j) -> np.ndarray:
+def semidet_hi_bounds(info: Information) -> np.ndarray:
     """Rate caps (R1, R2, R1+R2) for the semi-deterministic class.
 
     Axes: (x1, v12, x2, x3, y1, y2).
     """
-    info = Information.over(j, V12_AXES)
     a = info.mi("x1 v12 x3", "y1")
-    # x1 v12 x3 y2 first, so that x1 x3 y2 sums from it, not from j
+    # x1 v12 x3 y2 first, so that x1 x3 y2 sums from it, not from a root
     total = a + info.cond("y2", "x1 v12 x3")
     return clip_information(np.stack([
         a,
@@ -117,54 +115,41 @@ def semidet_hi_bounds(j) -> np.ndarray:
     ], axis=-1))
 
 
-def _reduced_terms_v2(j):
-    """Information terms of the five-bound reduced region.
+def _reduced_terms_v2(info: Information) -> np.ndarray:
+    """Information terms (a, b, delta, n, k2) of the five-bound reduced
+    region, each clipped at zero.
 
     Axes: (x1, v12, v2, x2, x3, y1, y2).
-    Returns (a, b, delta, n, k2) each clipped at zero.
     """
-    info = Information.over(j, "x1 v12 v2 x2 x3 y1 y2")
-    return tuple(clip_information(np.stack([
+    return clip_information(np.stack([
         info.mi("x1 v12 x3", "y1"),
         info.mi("v2", "y2", "x1 x3"),
         info.mi("v12", "y1", "x1 x3"),
         info.mi("v12", "v2", "x1 x3"),
         info.mi("x1 v2", "y2", "x3"),
-    ])))
+    ], axis=-1))
 
 
-def _reduced_terms_y2(j):
-    """Reduced-region terms with the second auxiliary set to the y2 output.
+def _reduced_terms_y2(info: Information) -> np.ndarray:
+    """Reduced-region terms (a, h2, delta, m, h3) with the second auxiliary
+    set to the y2 output, each clipped at zero.
 
     Axes: (x1, v12, x2, x3, y1, y2).
-    Returns (a, h2, delta, m, h3) each clipped at zero.
     """
-    info = Information.over(j, V12_AXES)
-    return tuple(clip_information(np.stack([
+    return clip_information(np.stack([
         info.mi("x1 v12 x3", "y1"),
         info.cond("y2", "x1 x3"),
         info.mi("v12", "y1", "x1 x3"),
         info.mi("v12", "y2", "x1 x3"),
         info.cond("y2", "x3"),
-    ])))
+    ], axis=-1))
 
 
-def violation_gaps(j):
-    """High-interference premise gaps; positive means the premise fails.
-
-    Axes: (x1, v12, x2, x3, y1, y2).  Returns (gap_a, gap_b) where
+def _gaps(info: Information) -> np.ndarray:
+    """High-interference premise gaps (gap_a, gap_b) on a last axis, where
     gap_a = I(Y1;X1,X3) - I(Y2;X1|X3) and
-    gap_b = I(Y2;V12|X1,X3) - I(Y1;V12|X1,X3).
-    """
-    gaps = _gaps(j)
-    return gaps[..., 0], gaps[..., 1]
-
-
-def _gaps(j) -> np.ndarray:
-    """``violation_gaps`` stacked on a last axis of two.  The searches call
-    this on tables: ``perfbench/tracing.py`` sizes each ``violation_gaps``
-    call by its argument's tensor shape."""
-    info = Information.over(j, V12_AXES)
+    gap_b = I(Y2;V12|X1,X3) - I(Y1;V12|X1,X3); positive means the premise
+    fails.  Axes: (x1, v12, x2, x3, y1, y2)."""
     return np.stack([
         info.mi("x1 x3", "y1") - info.mi("x1", "y2", "x3"),
         info.mi("v12", "y2", "x1 x3") - info.mi("v12", "y1", "x1 x3"),
@@ -200,20 +185,26 @@ def degraded_z_polygon(
     """Capacity-formula polygon for one input distribution."""
     if not force:
         _require_degraded_z(channel)
-    b = degraded_z_bounds(d.lifted(channel))
-    return polygon_from_bounds([b[0]], [b[1]], [b[2]])
+    (caps,) = law_bounds(degraded_z_bounds, d.pmf[None], d.cards, channel, INPUT_AXES)
+    return cap_polygon(*caps)
 
 
 def semidet_hi_polygon(d: V12Joint, channel: ChannelSpec) -> Region2D:
     """Capacity-formula polygon for one auxiliary-carrying distribution."""
     _require_semidet(channel)
-    b = semidet_hi_bounds(d.lifted(channel))
-    return polygon_from_bounds([b[0]], [b[1]], [b[2]])
+    (caps,) = law_bounds(semidet_hi_bounds, d.pmf[None], d.cards, channel, V12_AXES)
+    return cap_polygon(*caps)
+
+
+def violation_gaps(d: V12Joint, channel: ChannelSpec) -> tuple[float, float]:
+    """The premise gaps (gap_a, gap_b) of one law, as ``_gaps`` defines them."""
+    ((gap_a, gap_b),) = law_bounds(_gaps, d.pmf[None], d.cards, channel, V12_AXES)
+    return gap_a, gap_b
 
 
 def _reduced_polygon(a, b, delta, n, k) -> Region2D:
     """Five-bound reduced polygon of its information terms."""
-    region = polygon_from_bounds([a], [b, b + delta - n], [delta + k - n, a + b - n])
+    region = cap_polygon(a, min(b, b + delta - n), min(delta + k - n, a + b - n))
     # binning penalties can empty the raw polygon; zero rates stay achievable
     if region.empty:
         return region_from_vertices([(0.0, 0.0)])
@@ -222,13 +213,16 @@ def _reduced_polygon(a, b, delta, n, k) -> Region2D:
 
 def reduced_region(d: V12V2Joint, channel: ChannelSpec) -> Region2D:
     """Five-bound achievable polygon over p(x1, v12, v2, x2, x3)."""
-    return _reduced_polygon(*_reduced_terms_v2(d.lifted(channel)))
+    (terms,) = law_bounds(_reduced_terms_v2, d.pmf[None], d.cards, channel,
+                         "x1 v12 v2 x2 x3 y1 y2")
+    return _reduced_polygon(*terms)
 
 
 def reduced_region_semidet(d: V12Joint, channel: ChannelSpec) -> Region2D:
     """Reduced polygon with the second auxiliary fixed to the y2 output."""
     _require_semidet(channel)
-    return _reduced_polygon(*_reduced_terms_y2(d.lifted(channel)))
+    (terms,) = law_bounds(_reduced_terms_y2, d.pmf[None], d.cards, channel, V12_AXES)
+    return _reduced_polygon(*terms)
 
 
 def y2_output_map(channel: ChannelSpec) -> np.ndarray:
@@ -485,7 +479,7 @@ def capacity_semidet_hi(
 
     def screen(info) -> np.ndarray:
         """Per row: the two premise gaps, then the five reduced terms."""
-        return np.column_stack([_gaps(info), *_reduced_terms_y2(info)])
+        return np.concatenate([_gaps(info), _reduced_terms_y2(info)], axis=-1)
 
     gap_a, gap_b, *terms = law_bounds(screen, rows, cards, channel, V12_AXES).T
     worst = np.maximum(gap_a, gap_b)
@@ -499,7 +493,7 @@ def capacity_semidet_hi(
         )
 
     for i in np.flatnonzero(worst <= VIOLATION_TOL):
-        poly = polygon_from_bounds(*([c[i]] for c in caps))
+        poly = cap_polygon(*(c[i] for c in caps))
         full = _reduced_polygon(*(t[i] for t in terms))
         if not regions_close(poly, full, tol=DROP_CONSISTENCY_TOL):
             raise NumericsError(

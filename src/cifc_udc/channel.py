@@ -22,7 +22,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
-from .pmf import ConditionalFactor, _cardinalities, _normalized, _whole, marginal_entropies
+from .pmf import (
+    ConditionalFactor, _cardinalities, _normalized, _number, _whole, marginal_entropies,
+)
 
 AXES = ("x1", "x2", "x3", "y1", "y2")
 
@@ -89,19 +91,13 @@ class ClassReport:
     is_semi_deterministic: bool
 
 
-def _integral(value) -> bool:
-    """An integral JSON number: 2 or 2.0, never true, 1.9 or "2"."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-
-
 def load_channel(text: str) -> ChannelSpec:
     """Parse a channel document.
 
     The document is JSON with integer fields "x1","x2","x3","y1","y2" and
     a flat array "p" of length x1*x2*x3*y1*y2, row-major over
-    (x1,x2,x3,y1,y2), of finite numbers.
+    (x1,x2,x3,y1,y2), of finite numbers.  A string, a boolean or an array
+    where a number belongs is a ``ParseError``, whatever it holds.
     """
     try:
         doc = json.loads(text)
@@ -114,14 +110,14 @@ def load_channel(text: str) -> ChannelSpec:
         flat = doc["p"]
     except KeyError as exc:
         raise ParseError(f"channel document lacks field {exc.args[0]!r}") from exc
-    if not all(_integral(c) for c in cards):
+    if not all(_number(c, integral=True) for c in cards):
         raise ParseError(f"channel cardinalities must be integers: {cards}")
     cards = tuple(int(c) for c in cards)
     if min(cards) < 1:
         raise ShapeMismatch(
             f"channel cardinalities must be >= 1: {dict(zip(AXES, cards))}"
         )
-    if not isinstance(flat, list):
+    if not isinstance(flat, list) or not all(_number(v) for v in flat):
         raise ParseError('channel field "p" must be a flat array of numbers')
     expected = math.prod(cards)
     if len(flat) != expected:

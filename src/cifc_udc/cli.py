@@ -22,6 +22,7 @@ from .channel import classify, load_channel
 from .errors import CifcError, ParseError, ShapeMismatch, UsageError
 from .inner import AUX_LABELS, SamplerConfig, inner_region
 from .outer import SearchConfig, outer_region_estimate
+from .pmf import _number
 from .polytope import (
     LinearSystem,
     polygon_extract,
@@ -173,6 +174,8 @@ def _load_system_file(path: str) -> LinearSystem:
                 raise ParseError(
                     f"{path}: every {key} row needs {width} numbers"
                 )
+            if not all(_number(c) for c in row):
+                raise ParseError(f"{path}: a {key} row holds a non-number")
             try:
                 out[i] = [float(c) for c in row]
             except OverflowError as exc:

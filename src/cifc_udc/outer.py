@@ -68,10 +68,6 @@ class InputLaw:
         cards = _cardinalities(cards, "need positive integer cardinalities")
         return cls(cards, rng.dirichlet(np.ones(math.prod(cards))).reshape(cards))
 
-    def lifted(self, channel: ChannelSpec) -> np.ndarray:
-        """Joint tensor over the law's axes followed by (y1, y2)."""
-        return lift_rows(self.pmf[None], self.cards, channel)[0]
-
 
 class V12Joint(InputLaw):
     """Input-side joint p(x1, v12, x2, x3) with the converse auxiliary."""
@@ -85,23 +81,6 @@ def check_input_cards(cards, channel: ChannelSpec) -> None:
         raise CardinalityMismatch(
             f"input cards {tuple(cards)} do not match channel {channel.cards[:3]}"
         )
-
-
-def lift_rows(rows: np.ndarray, cards, channel: ChannelSpec) -> np.ndarray:
-    """Lift a batch of input laws through the channel.
-
-    ``rows`` holds one law over ``cards`` per leading index, flat or
-    shaped.  The result has axes (batch, *cards, y1, y2); each cell is the
-    single product p(x1, [aux...], x2, x3) * p(y1, y2 | x1, x2, x3).
-    """
-    cards = tuple(cards)
-    check_input_cards(cards, channel)
-    n = len(cards)
-    return np.einsum(
-        np.reshape(rows, (-1,) + cards), [n + 2, *range(n)],
-        channel.transition, [0, n - 2, n - 1, n, n + 1],
-        [n + 2, *range(n + 2)],
-    )
 
 
 # cap on the q cells (rows x n / |X2| * |Y1||Y2|) of one law_bounds chunk
@@ -130,19 +109,17 @@ def default_v12_card(channel: ChannelSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bound evaluation on a lifted tensor (with an optional leading batch axis)
-# or on an Information table; V12_AXES names a lifted V12Joint's axes
+# bound evaluation on an Information table of a batch of laws; V12_AXES
+# names a V12Joint's axes, then y1 and y2
 V12_AXES = "x1 v12 x2 x3 y1 y2"
 
 
-def five_bounds(j) -> np.ndarray:
-    """The five converse rate bounds of a lifted tensor or a table, in bits.
-
-    Order: two R1 caps, the R2 cap, two sum caps.
+def five_bounds(info: Information) -> np.ndarray:
+    """The five converse rate bounds of a table named ``V12_AXES``, in bits,
+    on a last axis: two R1 caps, the R2 cap, two sum caps.
     """
-    info = Information.over(j, V12_AXES)
     # the sum caps first: they ask for the widest marginals, which then
-    # serve every later term without another pass over the full tensor
+    # serve every later term without another pass over a root
     sum_caps = [
         info.mi("x1 x2", "y1 y2", "x3"),
         info.mi("x2", "y2", "x1 v12 x3") + info.mi("x1 v12 x3", "y1"),
@@ -170,20 +147,18 @@ def cap_vertices(r1, r2, s) -> np.ndarray:
     return corners.transpose(*range(2, corners.ndim), 1, 0)
 
 
-def polygon_from_bounds(r1_bounds, r2_bounds, sum_bounds) -> Region2D:
-    """Polygon of R1 caps, R2 caps and R1+R2 caps in the first quadrant:
-    the hull of the tightest caps' corners, empty when one of them lies
+def cap_polygon(r1, r2, s) -> Region2D:
+    """The ``cap_vertices`` polygon of one law's caps, empty when a cap lies
     below -``SNAP``."""
-    caps = [min(map(float, b)) for b in (r1_bounds, r2_bounds, sum_bounds)]
-    if min(caps) < -SNAP:
+    if min(r1, r2, s) < -SNAP:
         return Region2D((), np.zeros((0, 2)), empty=True)
-    return region_from_vertices(cap_vertices(*caps))
+    return region_from_vertices(cap_vertices(r1, r2, s))
 
 
 def outer_polygon(d: V12Joint, channel: ChannelSpec) -> Region2D:
     """Per-distribution converse polygon."""
-    b = five_bounds(d.lifted(channel))
-    return polygon_from_bounds([b[0], b[1]], [b[2]], [b[3], b[4]])
+    (bounds,) = law_bounds(five_bounds, d.pmf[None], d.cards, channel, V12_AXES)
+    return cap_polygon(*_caps(bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -60,15 +60,22 @@ def point_mass(symbols, card: int) -> np.ndarray:
     return (np.asarray(symbols)[..., None] == np.arange(card)).astype(np.float64)
 
 
-def _whole(value, low: int) -> bool:
-    """Whether ``value`` is an integer >= ``low`` (2.0 is; 2.5, NaN, "2",
-    True and numpy's True are not)."""
-    if isinstance(value, (bool, np.bool_)):
+def _number(value, integral: bool = False) -> bool:
+    """Whether ``value`` may stand where a number belongs: a string, a
+    boolean (numpy's too) or a list may not, whatever it holds.  An
+    ``integral`` one is also whole: 2 and 2.0 are, 2.5, NaN and infinities
+    are not."""
+    if isinstance(value, (str, bool, np.bool_, list)):
         return False
     try:
-        return int(value) == value >= low
+        return not integral or int(value) == value
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def _whole(value, low: int) -> bool:
+    """Whether ``value`` is an integral ``_number`` >= ``low``."""
+    return _number(value, integral=True) and value >= low
 
 
 def _cardinalities(cards, what: str, count: int | None = None) -> tuple[int, ...]:
@@ -223,13 +230,18 @@ def marginal_entropies(j: np.ndarray, groups, ndim: int = 6) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _axis_set(names: tuple[str, ...], group: str) -> frozenset:
-    """Positions in ``names`` of the space-separated labels in ``group``."""
+    """Positions in ``names`` of the space-separated labels in ``group``; a
+    label not in ``names`` raises ``UnknownLabel``."""
+    unknown = set(group.split()) - set(names)
+    if unknown:
+        raise UnknownLabel(f"no axis {sorted(unknown)} among {names}")
     return frozenset(names.index(name) for name in group.split())
 
 
 class Information:
     """Entropies in bits of the marginals of one joint tensor whose axes
-    ``labels`` names, space-separated; one extra leading axis is a batch.
+    ``labels`` names, space-separated; one extra leading axis is a batch,
+    and any other axis count raises ``ShapeMismatch``.
 
     The marginals summed so far are held, keyed by axis set, with the
     tensor itself as the root.  New groups are summed largest first, each
@@ -241,6 +253,8 @@ class Information:
     def __init__(self, j: np.ndarray, labels: str):
         self.names = tuple(labels.split())
         self._batch = j.ndim - len(self.names)
+        if self._batch not in (0, 1):
+            raise ShapeMismatch(f"a tensor of {j.ndim} axes is not one over {labels!r}")
         # every dropped axis stays, at extent 1
         self._marginals = {frozenset(range(len(self.names))): j}
         self._h = {}
@@ -276,16 +290,6 @@ class Information:
         # the channel, and the sums of p(x) H(S | x) by output set S
         table._channel, table._expected = channel, {}
         return table
-
-    @classmethod
-    def over(cls, j, labels: str) -> "Information":
-        """``j`` if it is a table named ``labels``, else a table over the
-        tensor ``j``.  A table named otherwise raises ``ShapeMismatch``."""
-        if not isinstance(j, Information):
-            return cls(j, labels)
-        if j.names != tuple(labels.split()):
-            raise ShapeMismatch(f"a table over {j.names} is not one over {labels!r}")
-        return j
 
     def h(self, *groups: str) -> list[np.ndarray]:
         """H(G) for each group G of space-separated labels."""

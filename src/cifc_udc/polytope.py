@@ -32,6 +32,7 @@ from .errors import (
     UnknownVariable,
     ZeroDirection,
 )
+from .pmf import _number
 
 SNAP = 1e-12        # coefficients smaller than this are treated as zero
 ROW_TOL = 1e-9      # row-comparison and trivial-row tolerance
@@ -688,14 +689,20 @@ def region_to_dict(region: Region2D) -> dict:
 
 
 def region_from_dict(doc: Mapping) -> Region2D:
+    """Inverse of ``region_to_dict``.  A malformed document raises
+    ``ShapeMismatch``, and so do a string, a boolean or an array where a
+    number belongs and an "empty" that is no boolean."""
     try:
         planes = tuple(tuple(float(v) for v in row) for row in doc["halfplanes"])
         points = tuple(tuple(float(v) for v in row) for row in doc["vertices"])
-        empty = bool(doc["empty"])
+        numbers = [v for key in ("halfplanes", "vertices") for row in doc[key] for v in row]
+        empty = doc["empty"]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed region document: {exc}") from exc
+    if not all(map(_number, numbers)) or not isinstance(empty, (bool, np.bool_)):
+        raise ShapeMismatch('a region document needs numbers and a boolean "empty"')
     if any(len(row) != 3 for row in planes):
         raise ShapeMismatch("halfplane rows must have three entries")
     if any(len(row) != 2 for row in points):
         raise ShapeMismatch("vertex rows must have two entries")
-    return Region2D(planes, points, empty=empty)
+    return Region2D(planes, points, empty=bool(empty))

@@ -5,6 +5,11 @@ written out, not built by the library), ``input_corners``, ``wire_v12``,
 ``ChannelSpec.from_outputs`` and ``classify`` with its per-cell degraded
 loop.  Tests compare the library against these byte for byte
 (``same_bytes``) and flag for flag.
+
+Also the lift of a batch of input laws to full joint tensors, which the
+library never builds (``Information.of_laws`` scores laws without it): the
+tests wrap it in ``Information(j, labels)`` as the reference for every
+evaluator.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from cifc_udc.capacity import InputJoint, V12Joint, V12V2Joint, y2_output_map
 from cifc_udc.channel import ChannelSpec, ClassReport
 from cifc_udc.errors import UnknownLabel
 from cifc_udc.inner import _signature_pairs
-from cifc_udc.outer import _distinct
+from cifc_udc.outer import _distinct, check_input_cards
 from cifc_udc.pmf import ConditionalFactor
 
 
@@ -28,6 +33,23 @@ def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     a later normalizing sum follows."""
     return (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides) and (
         a.tobytes() == b.tobytes()
+    )
+
+
+def lift(rows: np.ndarray, cards, channel: ChannelSpec) -> np.ndarray:
+    """Lift a batch of input laws through the channel.
+
+    ``rows`` holds one law over ``cards`` per leading index, flat or
+    shaped.  The result has axes (batch, *cards, y1, y2); each cell is the
+    single product p(x1, [aux...], x2, x3) * p(y1, y2 | x1, x2, x3).
+    """
+    cards = tuple(cards)
+    check_input_cards(cards, channel)
+    n = len(cards)
+    return np.einsum(
+        np.reshape(rows, (-1,) + cards), [n + 2, *range(n)],
+        channel.transition, [0, n - 2, n - 1, n, n + 1],
+        [n + 2, *range(n + 2)],
     )
 
 

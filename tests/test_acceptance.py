@@ -251,7 +251,7 @@ def test_criterion_7_falsifier_determinism():
     assert report.falsified
     assert report.condition == "I(Y2;X1|X3) >= I(Y1;X1,X3)"
     witness = report.witness()
-    gap_a, gap_b = violation_gaps(witness.lifted(falsified_channel))
+    gap_a, gap_b = violation_gaps(witness, falsified_channel)
     assert abs(max(float(gap_a), float(gap_b)) - report.margin) < 1e-12
     assert report.margin > 0.5
     assert hi_regime_falsify(falsified_channel, cfg) == report

@@ -7,6 +7,7 @@ import _law_reference as reference
 from _systems import union_hull
 from cifc_udc.capacity import (
     CONDITION_A,
+    INPUT_AXES,
     HiRegimeReport,
     InputJoint,
     V12V2Joint,
@@ -45,8 +46,16 @@ from cifc_udc.inner import (
     region_for_distribution,
 )
 from cifc_udc.oracle import grid_region_oracle
-from cifc_udc.outer import SearchConfig, V12Joint, five_bounds, outer_polygon
+from cifc_udc.outer import (
+    V12_AXES,
+    SearchConfig,
+    V12Joint,
+    five_bounds,
+    law_bounds,
+    outer_polygon,
+)
 from cifc_udc.pmf import (
+    Information,
     JointPMF,
     conditional_entropy,
     conditional_mutual_information,
@@ -105,6 +114,11 @@ def pmf_of(tensor, labels):
     return JointPMF(tuple(zip(labels, tensor.shape)), tensor)
 
 
+def joint_of(d, channel):
+    """The reference lift of one law: its joint tensor with y1 and y2."""
+    return reference.lift(d.pmf, d.cards, channel)[0]
+
+
 class TestInputJoint:
     def test_validation(self):
         with pytest.raises(ShapeMismatch):
@@ -118,13 +132,16 @@ class TestInputJoint:
 
     def test_lifted_marginal(self):
         d = InputJoint.random((2, 2, 2), np.random.default_rng(1))
-        j = d.lifted(z_fixture())
+        j = joint_of(d, z_fixture())
         assert j.shape == (2, 2, 2, 2, 4)
         assert np.allclose(j.sum(axis=(3, 4)), d.pmf)
 
     def test_lifted_card_mismatch(self):
+        d = InputJoint.uniform((3, 2, 2))
         with pytest.raises(CardinalityMismatch):
-            InputJoint.uniform((3, 2, 2)).lifted(z_fixture())
+            joint_of(d, z_fixture())
+        with pytest.raises(CardinalityMismatch):
+            degraded_z_polygon(d, z_fixture())
 
     def test_constant_v12_lift(self):
         d = InputJoint.random((2, 2, 2), np.random.default_rng(2))
@@ -139,14 +156,16 @@ class TestV12V2Joint:
         with pytest.raises(ShapeMismatch):
             V12V2Joint((2, 2, 2, 2), np.ones((2, 2, 2, 2)) / 16)
         d = V12V2Joint.random((2, 3, 2, 2, 2), np.random.default_rng(3))
-        j = d.lifted(semidet_fixture())
+        j = joint_of(d, semidet_fixture())
         assert j.shape == (2, 3, 2, 2, 2, 2, 2)
         assert np.allclose(j.sum(axis=(5, 6)), d.pmf)
 
     def test_lift_card_mismatch(self):
         d = V12V2Joint.uniform((3, 2, 2, 2, 2))
         with pytest.raises(CardinalityMismatch):
-            d.lifted(semidet_fixture())
+            joint_of(d, semidet_fixture())
+        with pytest.raises(CardinalityMismatch):
+            reduced_region(d, semidet_fixture())
 
 
 class TestBoundEvaluators:
@@ -156,15 +175,15 @@ class TestBoundEvaluators:
         labels = ("x1", "x2", "x3", "y1", "y2")
         for _ in range(6):
             d = InputJoint.random((2, 2, 2), rng)
-            j = d.lifted(ch)
+            j = joint_of(d, ch)
             pm = pmf_of(j, labels)
             want = np.array([
                 conditional_mutual_information(pm, ["y1"], ["x1", "x3"], []),
                 conditional_mutual_information(pm, ["y2"], ["x2"], ["x1", "x3"]),
                 conditional_mutual_information(pm, ["y2"], ["x1", "x2"], ["x3"]),
             ])
-            assert np.allclose(degraded_z_bounds(j), np.clip(want, 0, None),
-                               atol=1e-12)
+            got = degraded_z_bounds(Information(j, INPUT_AXES))
+            assert np.allclose(got, np.clip(want, 0, None), atol=1e-12)
 
     def test_semidet_bounds_match_reference(self):
         rng = np.random.default_rng(5)
@@ -172,13 +191,13 @@ class TestBoundEvaluators:
         labels = ("x1", "v12", "x2", "x3", "y1", "y2")
         for _ in range(6):
             d = V12Joint.random((2, 3, 2, 2), rng)
-            j = d.lifted(ch)
+            j = joint_of(d, ch)
             pm = pmf_of(j, labels)
             a = conditional_mutual_information(
                 pm, ["y1"], ["x1", "v12", "x3"], [])
             h2 = conditional_entropy(pm, ["y2"], ["x1", "x3"])
             hv = conditional_entropy(pm, ["y2"], ["x1", "v12", "x3"])
-            got = semidet_hi_bounds(j)
+            got = semidet_hi_bounds(Information(j, V12_AXES))
             assert np.allclose(got, [max(a, 0), h2, max(a, 0) + hv], atol=1e-12)
 
     def test_violation_gaps_match_reference(self):
@@ -187,8 +206,7 @@ class TestBoundEvaluators:
         labels = ("x1", "v12", "x2", "x3", "y1", "y2")
         for _ in range(6):
             d = V12Joint.random((2, 2, 2, 2), rng)
-            j = d.lifted(ch)
-            pm = pmf_of(j, labels)
+            pm = pmf_of(joint_of(d, ch), labels)
             want_a = (
                 conditional_mutual_information(pm, ["y1"], ["x1", "x3"], [])
                 - conditional_mutual_information(pm, ["y2"], ["x1"], ["x3"])
@@ -197,7 +215,7 @@ class TestBoundEvaluators:
                 conditional_mutual_information(pm, ["y2"], ["v12"], ["x1", "x3"])
                 - conditional_mutual_information(pm, ["y1"], ["v12"], ["x1", "x3"])
             )
-            ga, gb = violation_gaps(j)
+            ga, gb = violation_gaps(d, ch)
             assert abs(float(ga) - want_a) < 1e-12
             assert abs(float(gb) - want_b) < 1e-12
 
@@ -289,8 +307,7 @@ class TestHiRegimeFalsify:
         assert rep.margin > 0.5
         w = rep.witness()
         # recompute both sides of the violated inequality from the witness
-        j = w.lifted(falsifier_fixture())
-        ga, gb = violation_gaps(j)
+        ga, gb = violation_gaps(w, falsifier_fixture())
         assert abs(float(ga) - rep.margin) < 1e-12
 
     def test_no_violation_on_degenerate_fixture(self):
@@ -339,7 +356,7 @@ class TestSemidetPolygons:
             (2, 2, 2, 2, 2), lambda x1, x2, x3: (x1, x2 ^ x1)
         )
         d = V12Joint.uniform((2, 2, 2, 2))
-        b = semidet_hi_bounds(d.lifted(ch))
+        (b,) = law_bounds(semidet_hi_bounds, d.pmf[None], d.cards, ch, V12_AXES)
         assert abs(b[1] - 1.0) < 1e-12
 
     def test_rows_coincide_with_converse_rows(self):
@@ -349,9 +366,9 @@ class TestSemidetPolygons:
         ch = semidet_fixture()
         for _ in range(12):
             d = V12Joint.random((2, 3, 2, 2), rng)
-            j = d.lifted(ch)
-            sd = semidet_hi_bounds(j)
-            fb = five_bounds(j)
+            # one table serves both evaluators: they name the same axes
+            table = Information.of_laws(d.pmf[None], d.cards, V12_AXES, ch)
+            (sd,), (fb,) = semidet_hi_bounds(table), five_bounds(table)
             assert abs(sd[0] - fb[1]) < 1e-9
             assert abs(sd[1] - fb[2]) < 1e-9
             assert abs(sd[2] - fb[4]) < 1e-9
@@ -370,7 +387,7 @@ class TestReducedRegion:
         pmf[:, 0, 0, :, :] = base.pmf
         reg = reduced_region(V12V2Joint((2, 1, 1, 2, 2), pmf), ch)
         labels = ("x1", "x2", "x3", "y1", "y2")
-        pm = pmf_of(base.lifted(ch), labels)
+        pm = pmf_of(joint_of(base, ch), labels)
         a = conditional_mutual_information(pm, ["y1"], ["x1", "x3"], [])
         k2 = conditional_mutual_information(pm, ["y2"], ["x1"], ["x3"])
         cap = min(a, k2)
@@ -530,7 +547,7 @@ class TestCapacitySemidetHi:
             capacity_semidet_hi(channel, cfg)
         report = exc.value.report
         assert report.falsified and report.seed == 3 and report.samples == 20
-        gaps = violation_gaps(report.witness().lifted(channel))
+        gaps = violation_gaps(report.witness(), channel)
         assert abs(float(max(gaps)) - report.margin) <= 1e-12
 
 
@@ -657,3 +674,19 @@ def test_v12_lifts_match_the_reference():
             assert reference.same_bytes(got.pmf, want.pmf)
             lifted += 1
     assert lifted >= 3 * 4
+
+
+@pytest.mark.parametrize("score, law, name", [
+    (outer_polygon, InputJoint, "degraded_z"),
+    (degraded_z_polygon, V12Joint, "degraded_z"),
+    (reduced_region, V12Joint, "degraded_z"),
+    (semidet_hi_polygon, InputJoint, "hi_in_class"),
+    (reduced_region_semidet, InputJoint, "hi_in_class"),
+    (violation_gaps, InputJoint, "hi_in_class"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_a_law_of_the_wrong_arity_is_a_domain_error(score, law, name):
+    # the law's x1, x2 and x3 fit the channel; its auxiliaries do not
+    ch = load_channel((CHANNELS / f"{name}.json").read_text())
+    cx1, cx2, cx3 = ch.cards[:3]
+    with pytest.raises(ShapeMismatch):
+        score(law.uniform((cx1,) + (2,) * (law.arity - 3) + (cx2, cx3)), ch)

@@ -261,6 +261,58 @@ def test_non_integral_cardinality_is_a_shape_error(entry):
             build(card)
 
 
+@pytest.mark.parametrize("spell", [str, bool, np.bool_, lambda v: [v]],
+                         ids=["string", "bool", "np.bool_", "array"])
+def test_a_string_a_boolean_or_an_array_is_no_number(spell, tmp_path):
+    """Each loader refuses numbers spelled as strings, booleans or one-entry
+    arrays, even ones that keep the document's values (1.0 as "1.0", true
+    or [1.0])."""
+    path = tmp_path / "doc.json"
+    doc = doc_for(clean_orthogonal())
+    doc["p"] = [spell(v) for v in doc["p"]]
+    with pytest.raises(errors.ParseError):
+        load_channel(json.dumps(doc, default=bool))
+    path.write_text(json.dumps(doc, default=bool))
+    assert cli.main(["classify", str(path)]) == 2
+
+    system = {"variables": ["R1", "R2", "t"], "nonnegative": ["R1", "R2"],
+              "inequalities": [[1, 0, 1, 3], [0, 0, 1, 2], [0, 0, -1, 0], [0, 1, 0, 1]]}
+    path.write_text(json.dumps(system))
+    assert cli.main(["fm", str(path), "--keep", "R1,R2"]) == 0
+    for row, col in ((0, 0), (2, 1)):
+        system["inequalities"][row][col] = spell(system["inequalities"][row][col])
+        path.write_text(json.dumps(system, default=bool))
+        assert cli.main(["fm", str(path), "--keep", "R1,R2"]) == 2
+
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_region_doc(1.0, "vertices")))
+    for where in ("halfplanes", "vertices"):
+        region = _region_doc(spell(1.0), where)
+        with pytest.raises(errors.ShapeMismatch):
+            region_from_dict(region)
+        path.write_text(json.dumps(region, default=bool))
+        assert cli.main(["compare", str(path), str(good)]) == 2
+
+
+@pytest.mark.parametrize("empty", ["false", "true", 1, [False]])
+def test_region_empty_must_be_a_boolean(empty):
+    # the document of an empty region, which takes no vertex
+    region = {"halfplanes": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], "vertices": [],
+              "empty": True}
+    assert region_from_dict(region).empty
+    region["empty"] = empty
+    with pytest.raises(errors.ShapeMismatch):
+        region_from_dict(region)
+
+
+def test_region_from_dict_takes_numpy_numbers():
+    doc = {"halfplanes": [[np.float64(1.0), np.int64(0), np.float32(1.0)]],
+           "vertices": [[np.float64(0.0), np.int64(0)], [np.float32(1.0), 0]],
+           "empty": np.False_}
+    region = region_from_dict(doc)
+    assert region.halfplanes[0] == (1.0, 0.0, 1.0) and not region.empty
+
+
 def test_integral_float_cardinality_accepted():
     ch = clean_orthogonal()
     doc = doc_for(ch)

@@ -18,17 +18,20 @@ from cifc_udc.errors import (
 from cifc_udc import capacity, outer
 from cifc_udc.inner import AUX_LABELS, SamplerConfig
 from cifc_udc.outer import (
+    V12_AXES,
     SearchConfig,
     V12Joint,
+    _caps,
+    cap_polygon,
     cap_vertices,
     default_v12_card,
     fan_directions,
     five_bounds,
     input_corners,
+    law_bounds,
     lockstep_ascent,
     outer_polygon,
     outer_region_estimate,
-    polygon_from_bounds,
     project_to_simplex,
     support_of_caps,
     wire_v12,
@@ -56,7 +59,7 @@ def xor_channel():
 
 
 def reference_bounds(d: V12Joint, ch: ChannelSpec) -> np.ndarray:
-    j = d.lifted(ch)
+    j = reference.lift(d.pmf, d.cards, ch)[0]
     labels = ("x1", "v12", "x2", "x3", "y1", "y2")
     pm = JointPMF(tuple(zip(labels, j.shape)), j)
     vals = np.array([
@@ -89,10 +92,11 @@ class TestV12Joint:
         assert abs(d.pmf.sum() - 1.0) < 1e-15
 
     def test_lifted_shape_and_marginal(self):
+        # the reference lift that the bound tests score against
         ch = clean_channel()
         rng = np.random.default_rng(3)
         d = V12Joint.random((2, 3, 2, 2), rng)
-        j = d.lifted(ch)
+        (j,) = reference.lift(d.pmf, d.cards, ch)
         assert j.shape == (2, 3, 2, 2, 2, 2)
         assert np.allclose(j.sum(axis=(4, 5)), d.pmf)
         assert abs(j.sum() - 1.0) < 1e-12
@@ -101,7 +105,9 @@ class TestV12Joint:
         ch = clean_channel()
         d = V12Joint.uniform((3, 2, 2, 2))
         with pytest.raises(CardinalityMismatch):
-            d.lifted(ch)
+            reference.lift(d.pmf, d.cards, ch)
+        with pytest.raises(CardinalityMismatch):
+            outer_polygon(d, ch)
 
     def test_default_v12_card(self):
         assert default_v12_card(clean_channel()) == 4
@@ -113,26 +119,26 @@ class TestFiveBounds:
         for ch in (clean_channel(), xor_channel()):
             for _ in range(4):
                 d = V12Joint.random((2, 3, 2, 2), rng)
-                got = five_bounds(d.lifted(ch))
+                (got,) = law_bounds(five_bounds, d.pmf[None], d.cards, ch, V12_AXES)
                 assert got.shape == (5,)
                 assert np.allclose(got, reference_bounds(d, ch), atol=1e-12)
 
     def test_batched_matches_unbatched(self):
         rng = np.random.default_rng(4)
         ch = xor_channel()
-        stack = np.stack(
-            [V12Joint.random((2, 2, 2, 2), rng).lifted(ch) for _ in range(6)]
+        rows = np.stack(
+            [V12Joint.random((2, 2, 2, 2), rng).pmf.reshape(-1) for _ in range(6)]
         )
-        batched = five_bounds(stack)
+        batched = law_bounds(five_bounds, rows, (2, 2, 2, 2), ch, V12_AXES)
         assert batched.shape == (6, 5)
         for i in range(6):
-            assert np.allclose(batched[i], five_bounds(stack[i]), atol=1e-14)
+            one = law_bounds(five_bounds, rows[i:i + 1], (2, 2, 2, 2), ch, V12_AXES)
+            assert np.allclose(batched[i], one[0], atol=1e-14)
 
     def test_clean_uniform_bounds(self):
         d = V12Joint.uniform((2, 4, 2, 2))
-        assert np.allclose(
-            five_bounds(d.lifted(clean_channel())), [1, 1, 1, 2, 2], atol=1e-12
-        )
+        b = law_bounds(five_bounds, d.pmf[None], d.cards, clean_channel(), V12_AXES)
+        assert np.allclose(b, [[1, 1, 1, 2, 2]], atol=1e-12)
 
 
 class TestOuterPolygon:
@@ -159,7 +165,7 @@ class TestOuterPolygon:
         ch = xor_channel()
         for _ in range(15):
             d = V12Joint.random((2, 2, 2, 2), rng)
-            b = five_bounds(d.lifted(ch))
+            (b,) = law_bounds(five_bounds, d.pmf[None], d.cards, ch, V12_AXES)
             poly = outer_polygon(d, ch)
             caps = (min(b[0], b[1]), b[2], min(b[3], b[4]))
             for ang in np.linspace(0.0, np.pi / 2, 9):
@@ -169,20 +175,21 @@ class TestOuterPolygon:
                 ) < 1e-7
 
 
-class TestPolygonFromBounds:
+class TestCapPolygon:
     def test_pentagon_shape(self):
-        reg = polygon_from_bounds([0.5], [0.75], [1.0])
+        reg = cap_polygon(0.5, 0.75, 1.0)
         expect = {(0, 0), (0.5, 0), (0.5, 0.5), (0.25, 0.75), (0, 0.75)}
         got = {tuple(np.round(v, 9)) for v in reg.vertices}
         assert got == expect
 
     def test_negative_sum_cap_empties_region(self):
-        reg = polygon_from_bounds([0.5], [0.5], [-0.2])
+        reg = cap_polygon(0.5, 0.5, -0.2)
         assert reg.empty
 
     def test_redundant_bounds_ignored(self):
-        a = polygon_from_bounds([0.5, 3.0], [0.75, 2.0], [1.0, 5.0])
-        b = polygon_from_bounds([0.5], [0.75], [1.0])
+        # _caps keeps the tighter of the two R1 and the two sum bounds
+        a = cap_polygon(*_caps(np.array([0.5, 3.0, 0.75, 1.0, 5.0])))
+        b = cap_polygon(0.5, 0.75, 1.0)
         assert region_contains(a, b) and region_contains(b, a)
 
 
@@ -231,7 +238,7 @@ def test_closed_form_cap_polygon_matches_the_lp_route(kind):
     directions = fan_directions(9)
     for _ in range(25):
         caps = draw_caps(kind, rng)
-        got = polygon_from_bounds([caps[0]], [caps[1]], [caps[2]])
+        got = cap_polygon(*caps)
         want = lp_cap_polygon(*caps)
         assert got.empty == want.empty
         if want.empty:
@@ -436,7 +443,6 @@ class TestOuterEstimate:
         def no_table(*args):
             raise AssertionError("built a table over the budget")
 
-        monkeypatch.setattr(outer, "lift_rows", no_table)
         monkeypatch.setattr(Information, "of_laws", no_table)
         monkeypatch.setattr(Information, "__init__", no_table)
         cfg = SearchConfig(card_v12=512)

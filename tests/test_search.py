@@ -35,7 +35,6 @@ from cifc_udc.capacity import (
     degraded_z_bounds,
     hi_regime_falsify,
     semidet_hi_bounds,
-    violation_gaps,
 )
 from cifc_udc.channel import ChannelSpec, load_channel
 from cifc_udc.errors import (
@@ -43,6 +42,7 @@ from cifc_udc.errors import (
     MissingVariable,
     NumericsError,
     ShapeMismatch,
+    UnknownLabel,
 )
 from cifc_udc.outer import (
     V12_AXES,
@@ -56,7 +56,6 @@ from cifc_udc.outer import (
     five_bounds,
     input_corners,
     law_bounds,
-    lift_rows,
     lockstep_ascent,
     project_to_simplex,
     sample_pool,
@@ -64,6 +63,7 @@ from cifc_udc.outer import (
     v12_cards,
 )
 from cifc_udc.pmf import Information, clip_information
+from _law_reference import lift
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
@@ -171,17 +171,17 @@ def test_lift_matches_the_replaced_formulas(ch_cards):
     rng = np.random.default_rng(11)
 
     d3 = InputJoint.random((cx1, cx2, cx3), rng)
-    assert np.array_equal(d3.lifted(ch), d3.pmf[..., None, None] * t)
+    assert np.array_equal(lift(d3.pmf, d3.cards, ch)[0], d3.pmf[..., None, None] * t)
 
     d4 = V12Joint.random((cx1, 3, cx2, cx3), rng)
     assert np.array_equal(
-        d4.lifted(ch),
+        lift(d4.pmf, d4.cards, ch)[0],
         np.einsum(d4.pmf, [0, 1, 2, 3], t, [0, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]),
     )
 
     d5 = V12V2Joint.random((cx1, 2, 3, cx2, cx3), rng)
     assert np.array_equal(
-        d5.lifted(ch),
+        lift(d5.pmf, d5.cards, ch)[0],
         np.einsum(
             d5.pmf, [0, 1, 2, 3, 4], t, [0, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6]
         ),
@@ -191,30 +191,38 @@ def test_lift_matches_the_replaced_formulas(ch_cards):
     rows3 = np.stack([InputJoint.random(d3.cards, rng).pmf.reshape(-1)
                       for _ in range(4)])
     old3 = rows3.reshape((-1,) + d3.cards)[..., None, None] * t
-    assert np.array_equal(lift_rows(rows3, d3.cards, ch), old3)
+    assert np.array_equal(lift(rows3, d3.cards, ch), old3)
     rows4 = np.stack([V12Joint.random(d4.cards, rng).pmf.reshape(-1)
                       for _ in range(4)])
     old4 = np.einsum(
         rows4.reshape((-1,) + d4.cards), [6, 0, 1, 2, 3],
         t, [0, 2, 3, 4, 5], [6, 0, 1, 2, 3, 4, 5],
     )
-    assert np.array_equal(lift_rows(rows4, d4.cards, ch), old4)
+    assert np.array_equal(lift(rows4, d4.cards, ch), old4)
 
 
 def test_lift_checks_cardinalities():
+    # the reference lift and the library's law_bounds take the same check
     ch = noisy_channel((2, 2, 2, 2, 2), seed=1)
+    rows = np.full((1, 8), 1 / 8)
     with pytest.raises(CardinalityMismatch):
-        lift_rows(np.full((1, 8), 1 / 8), (2, 2, 2, 1), ch)
+        lift(rows, (2, 2, 2, 1), ch)
     with pytest.raises(CardinalityMismatch):
-        InputLaw.uniform((2, 3, 2)).lifted(ch)
+        law_bounds(five_bounds, rows, (2, 2, 2, 1), ch, V12_AXES)
+    with pytest.raises(CardinalityMismatch):
+        law_bounds(degraded_z_bounds, np.full((1, 12), 1 / 12), (2, 3, 2), ch, INPUT_AXES)
 
 
 def test_input_law_takes_any_number_of_auxiliaries():
     ch = noisy_channel((2, 2, 2, 2, 2), seed=2)
     d = InputLaw.random((2, 3, 2, 2, 2, 2), np.random.default_rng(4))
-    j = d.lifted(ch)
-    assert j.shape == (2, 3, 2, 2, 2, 2, 2, 2)
-    assert np.allclose(j.sum(axis=(6, 7)), d.pmf)
+    j = lift(d.pmf, d.cards, ch)
+    assert j.shape == (1, 2, 3, 2, 2, 2, 2, 2, 2)
+    assert np.allclose(j.sum(axis=(7, 8))[0], d.pmf)
+    labels = "x1 a b c x2 x3 y1 y2"
+    groups = ("x1 a y1", "b x3 y1 y2", "x1 c x2 x3 y2", "x1 a b c x2 x3 y1 y2")
+    table = Information.of_laws(d.pmf[None], d.cards, labels, ch)
+    assert_close_terms(tuple(table.h(*groups)), tuple(Information(j, labels).h(*groups)))
 
 
 # ------------------------------------------------------------------ pool
@@ -700,8 +708,7 @@ def ref_reduced_terms_v2(j):
     b = h[..., 5] + h[..., 6] - h[..., 3] - h[..., 7]
     n = h[..., 0] + h[..., 5] - h[..., 3] - h[..., 8]
     k2 = h[..., 5] + h[..., 10] - h[..., 9] - h[..., 7]
-    clip = lambda v: np.clip(v, 0.0, None)
-    return clip(a), clip(b), clip(delta), clip(n), clip(k2)
+    return np.clip(np.stack([a, b, delta, n, k2], axis=-1), 0.0, None)
 
 
 def ref_reduced_terms_y2(j):
@@ -722,8 +729,7 @@ def ref_reduced_terms_y2(j):
     m = h[..., 0] + h[..., 5] - h[..., 3] - h[..., 6]
     h2 = h[..., 5] - h[..., 3]
     h3 = h[..., 8] - h[..., 7]
-    clip = lambda v: np.clip(v, 0.0, None)
-    return clip(a), clip(h2), clip(delta), clip(m), clip(h3)
+    return np.clip(np.stack([a, h2, delta, m, h3], axis=-1), 0.0, None)
 
 
 def ref_violation_gaps(j):
@@ -743,18 +749,22 @@ def ref_violation_gaps(j):
     i_y1_x1x3 = h[..., 0] + h[..., 4] - h[..., 5]
     i_y1_v12 = h[..., 6] + h[..., 5] - h[..., 0] - h[..., 7]
     i_y2_v12 = h[..., 6] + h[..., 3] - h[..., 0] - h[..., 8]
-    return i_y1_x1x3 - i_y2_x1, i_y2_v12 - i_y1_v12
+    return np.stack([i_y1_x1x3 - i_y2_x1, i_y2_v12 - i_y1_v12], axis=-1)
 
 
-# evaluator, its hand-indexed reference, and the axis count of its tensor
+# evaluator, its hand-indexed reference, and the axis count of its tensor;
+# "violation_gaps" names the premise gaps, which _gaps scores for a table
 EVALUATORS = {
     "five_bounds": (five_bounds, ref_five_bounds, 6),
     "degraded_z_bounds": (degraded_z_bounds, ref_degraded_z_bounds, 5),
     "semidet_hi_bounds": (semidet_hi_bounds, ref_semidet_hi_bounds, 6),
     "_reduced_terms_v2": (_reduced_terms_v2, ref_reduced_terms_v2, 7),
     "_reduced_terms_y2": (_reduced_terms_y2, ref_reduced_terms_y2, 6),
-    "violation_gaps": (violation_gaps, ref_violation_gaps, 6),
+    "violation_gaps": (_gaps, ref_violation_gaps, 6),
 }
+
+# the axes each evaluator names, by the axis count of its tensor
+AXES_OF = {5: INPUT_AXES, 6: V12_AXES, 7: "x1 v12 v2 x2 x3 y1 y2"}
 
 
 def assert_close_terms(got, want):
@@ -781,7 +791,7 @@ def fixture_lifts(ndim):
             cards = (cx1, 2, 3, cx2, cx3)
             corners = [np.full(cards, 1.0 / int(np.prod(cards)))]
         cfg = SearchConfig(seed=7, num_samples=6)
-        yield lift_rows(sample_pool(cards, cfg, corners), cards, ch)
+        yield lift(sample_pool(cards, cfg, corners), cards, ch)
 
 
 def random_tensors(ndim, seed):
@@ -801,13 +811,8 @@ def test_information_evaluators_match_the_hand_indexed_tables(name):
     stacks = list(fixture_lifts(ndim))
     stacks += [random_tensors(ndim, seed) for seed in range(6)]
     for stack in stacks:
-        assert_close_terms(evaluate(stack), reference(stack))
-        for j in stack:
-            assert_close_terms(evaluate(j), reference(j))
-
-
-# the axes each evaluator names, by the axis count of its tensor
-AXES_OF = {5: INPUT_AXES, 6: V12_AXES, 7: "x1 v12 v2 x2 x3 y1 y2"}
+        for j in [stack, *stack]:
+            assert_close_terms(evaluate(Information(j, AXES_OF[ndim])), reference(j))
 
 
 def sparse(rng, size, count):
@@ -838,7 +843,8 @@ def test_law_table_matches_the_lifted_table(name, seed, ch_cards, aux):
     cards = (cx1, *aux[:ndim - 5], cx2, cx3)
     rows = sparse(rng, math.prod(cards), int(rng.integers(1, 5)))
     table = Information.of_laws(rows, cards, AXES_OF[ndim], ch)
-    assert_close_terms(evaluate(table), evaluate(lift_rows(rows, cards, ch)))
+    want = evaluate(Information(lift(rows, cards, ch), AXES_OF[ndim]))
+    assert_close_terms(evaluate(table), want)
 
 
 def test_law_table_groups_without_a_source_raise():
@@ -850,10 +856,11 @@ def test_law_table_groups_without_a_source_raise():
             table.h(group)
     # with x1, x2 and x3 the chain rule serves the group
     (h,) = table.h("x1 x2 x3 y1")
-    (want,) = Information(lift_rows(rows, (2, 3, 2, 2), ch), V12_AXES).h("x1 x2 x3 y1")
+    (want,) = Information(lift(rows, (2, 3, 2, 2), ch), V12_AXES).h("x1 x2 x3 y1")
     assert_close_terms(h, want)
-    with pytest.raises(ShapeMismatch):
-        degraded_z_bounds(table)
+    # a table has no axis its labels do not name
+    with pytest.raises(UnknownLabel):
+        _reduced_terms_v2(table)
     with pytest.raises(ShapeMismatch):
         Information.of_laws(rows, (2, 3, 2, 2), INPUT_AXES, ch)
 
@@ -893,6 +900,24 @@ def test_information_names_its_axes():
                           - info.h("x1 y1")[0])
 
 
+def test_information_checks_its_axis_count():
+    # as many axes as labels, or one more for a batch
+    with pytest.raises(ShapeMismatch):
+        Information(np.ones((2, 2, 2, 2)) / 16, "a b")
+    with pytest.raises(ShapeMismatch):
+        Information(np.ones(2) / 2, "a b")
+    (h,) = Information(np.ones((3, 2, 2)) / 4, "a b").h("a")
+    assert np.array_equal(h, [1.0, 1.0, 1.0])
+
+
+def test_information_rejects_an_unknown_label():
+    info = Information(np.ones((2, 2)) / 4, "a b")
+    with pytest.raises(UnknownLabel):
+        info.h("a c")
+    with pytest.raises(UnknownLabel):
+        info.mi("a", "b", "c")
+
+
 class SumCounted(np.ndarray):
     """A tensor that records each ``sum`` taken over it."""
 
@@ -915,7 +940,7 @@ def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
     want = ref_five_bounds(j)
     monkeypatch.setattr(pmf, "marginal_entropies", counted)
     monkeypatch.setattr(SumCounted, "sums", [])
-    assert_close_terms(five_bounds(j.view(SumCounted)), want)
+    assert_close_terms(five_bounds(Information(j.view(SumCounted), V12_AXES)), want)
     assert len(seen) == len(set(seen)) == 14
     # only x1 v12 x3 y1 and the two five-axis marginals need the full tensor
     assert 0 < len(SumCounted.sums) <= 3
@@ -924,7 +949,7 @@ def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
     # by the chain rule, one sum of p(x) H(S | x) for each of their three S
     ch = noisy_channel((2, 2, 2, 2, 2), seed=4)
     rows = np.random.default_rng(4).dirichlet(np.ones(16), size=3)
-    want = ref_five_bounds(lift_rows(rows, (2, 2, 2, 2), ch))
+    want = ref_five_bounds(lift(rows, (2, 2, 2, 2), ch))
     table = Information.of_laws(rows, (2, 2, 2, 2), V12_AXES, ch)
     table._marginals = {k: m.view(SumCounted) for k, m in table._marginals.items()}
     seen.clear()
@@ -964,7 +989,7 @@ def assert_close_regions(got, want):
 
 def lifted_bounds(bounds, rows, cards, channel, labels):
     """``law_bounds`` through the lift and a ``FullTensorInformation``."""
-    return bounds(FullTensorInformation(lift_rows(rows, cards, channel), labels))
+    return bounds(FullTensorInformation(lift(rows, cards, channel), labels))
 
 
 def test_searches_match_the_full_tensor_table(monkeypatch):
@@ -998,14 +1023,14 @@ def test_negative_information_raises(name):
     # no pmf: at total mass 2 every unconditional information is -2 bits
     j = np.full((2,) * ndim, 2.0 / 2**ndim)
     with pytest.raises(NumericsError):
-        evaluate(j)
+        evaluate(Information(j, AXES_OF[ndim]))
     with pytest.raises(NumericsError):
-        evaluate(np.stack([j / 2, j]))
+        evaluate(Information(np.stack([j / 2, j]), AXES_OF[ndim]))
 
 
 def test_violation_gaps_stay_unclipped():
     j = np.full((2,) * 6, 2.0 / 2**6)
-    gap_a, gap_b = violation_gaps(j)
+    gap_a, gap_b = _gaps(Information(j, V12_AXES))
     assert gap_a == pytest.approx(-2.0) and gap_b == pytest.approx(0.0)
 
 
