@@ -39,6 +39,9 @@ from .polytope import (
 
 ADMISSIBLE_TOL = 1e-9
 
+# most joint cells one table of ``inner_region`` holds (one joint at least)
+_INNER_CELLS = 1 << 16
+
 AUX_LABELS = ("u1p", "u1", "v1", "u2p", "u2", "v12", "v2", "yh2")
 
 JOINT_LABELS = (
@@ -165,13 +168,10 @@ class InnerConstants:
 CONSTANT_NAMES = tuple(f.name for f in fields(InnerConstants))
 
 
-def inner_constants(joint: JointPMF) -> InnerConstants:
-    """Evaluate the sixteen constants on an assembled joint."""
-    missing = [l for l in JOINT_LABELS if l not in joint.labels]
-    if missing:
-        raise MissingVariable(f"joint lacks variables {missing}")
-    info = Information(joint.probs, " ".join(joint.labels))
-    values = clip_information([
+def _constant_rows(info: Information) -> np.ndarray:
+    """The sixteen constants of a table named ``JOINT_LABELS``, one joint or
+    a batch, in bits and ``CONSTANT_NAMES`` order on a last axis."""
+    return clip_information(np.stack([
         info.mi("v1", "u2", "u1p u1 u2p"),
         info.mi("y1 v1 v12", "yh2", "u1p u1 u2p u2 x3"),
         info.mi("y2", "yh2", "u1p u1 u2p u2 x3"),
@@ -188,8 +188,16 @@ def inner_constants(joint: JointPMF) -> InnerConstants:
         info.mi("v1", "v2", "u1p u1 u2p u2"),
         info.mi("v1 v12", "v2", "u1p u1 u2p u2"),
         info.mi("y1", "x3", "u1p u1 v1 u2p u2 v12"),
-    ])
-    return InnerConstants(*map(float, values))
+    ], axis=-1))
+
+
+def inner_constants(joint: JointPMF) -> InnerConstants:
+    """Evaluate the sixteen constants on an assembled joint."""
+    missing = [l for l in JOINT_LABELS if l not in joint.labels]
+    if missing:
+        raise MissingVariable(f"joint lacks variables {missing}")
+    info = Information(joint.probs, " ".join(joint.labels))
+    return InnerConstants(*map(float, _constant_rows(info)))
 
 
 def admissible(c: InnerConstants) -> bool:
@@ -408,6 +416,12 @@ def _random_factorization(
     return InnerFactorization(factors)
 
 
+def _joint_cells(channel: ChannelSpec, cfg: SamplerConfig) -> int:
+    """Cells of each joint that ``assemble_joint`` makes of ``cfg``'s
+    auxiliaries and ``channel``."""
+    return math.prod(cfg.aux_cards().values()) * math.prod(channel.cards)
+
+
 def sample_factorizations(
     channel: ChannelSpec, cfg: SamplerConfig
 ) -> tuple[InnerFactorization, ...]:
@@ -422,7 +436,7 @@ def sample_factorizations(
     cards = dict(cfg.aux_cards())
     for label in ("x1", "x2", "x3", "y2"):
         cards[label] = channel.card(label)
-    cells = math.prod(cards.values()) * channel.card("y1")
+    cells = _joint_cells(channel, cfg)
     if cells > JOINT_CELL_LIMIT:
         raise TooLarge(
             f"the inner joint would hold {cells} cells, over the budget of "
@@ -449,6 +463,15 @@ def _sample_record(index: int, adm: bool, c: InnerConstants, vertices: int) -> s
     return " ".join(parts)
 
 
+def _chunk_constants(
+    chunk: tuple[InnerFactorization, ...], channel: ChannelSpec
+) -> np.ndarray:
+    """The constants of each factorization in ``chunk``, one row each, from
+    one ``Information`` table over their stacked joints."""
+    joints = np.stack([assemble_joint(f, channel).probs for f in chunk])
+    return _constant_rows(Information(joints, " ".join(JOINT_LABELS)))
+
+
 def inner_region(
     channel: ChannelSpec, cfg: SamplerConfig
 ) -> tuple[Region2D, tuple[str, ...]]:
@@ -456,15 +479,23 @@ def inner_region(
 
     Inadmissible samples contribute nothing but are logged.  The result
     only grows as samples are added and never loses the silent point.
+    The constants are scored a chunk at a time, each chunk one table of
+    at most ``_INNER_CELLS`` joint cells (one joint at least); a row's
+    constants do not depend on the rows beside it, so the chunking moves
+    no byte.
     """
+    factorizations = sample_factorizations(channel, cfg)
+    size = max(1, _INNER_CELLS // _joint_cells(channel, cfg))
     lines = []
     points = []
-    for index, f in enumerate(sample_factorizations(channel, cfg)):
-        c = inner_constants(assemble_joint(f, channel))
-        if not admissible(c):
-            lines.append(_sample_record(index, False, c, 0))
-            continue
-        region = region_for_distribution(c)
-        lines.append(_sample_record(index, True, c, len(region.vertices)))
-        points += region.vertices.tolist()
+    for lo in range(0, len(factorizations), size):
+        rows = _chunk_constants(factorizations[lo:lo + size], channel)
+        for index, row in enumerate(rows, lo):
+            c = InnerConstants(*map(float, row))
+            if not admissible(c):
+                lines.append(_sample_record(index, False, c, 0))
+                continue
+            region = region_for_distribution(c)
+            lines.append(_sample_record(index, True, c, len(region.vertices)))
+            points += region.vertices.tolist()
     return region_from_vertices(points or [(0.0, 0.0)]), tuple(lines)

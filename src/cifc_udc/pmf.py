@@ -241,7 +241,8 @@ def _axis_set(names: tuple[str, ...], group: str) -> frozenset:
 class Information:
     """Entropies in bits of the marginals of one joint tensor whose axes
     ``labels`` names, space-separated; one extra leading axis is a batch,
-    and any other axis count raises ``ShapeMismatch``.
+    and any other axis count raises ``ShapeMismatch``.  A repeated label
+    raises ``DuplicateLabel``.
 
     The marginals summed so far are held, keyed by axis set, with the
     tensor itself as the root.  New groups are summed largest first, each
@@ -252,6 +253,8 @@ class Information:
 
     def __init__(self, j: np.ndarray, labels: str):
         self.names = tuple(labels.split())
+        if len(set(self.names)) < len(self.names):
+            raise DuplicateLabel(f"labels {labels!r} name an axis twice")
         self._batch = j.ndim - len(self.names)
         if self._batch not in (0, 1):
             raise ShapeMismatch(f"a tensor of {j.ndim} axes is not one over {labels!r}")

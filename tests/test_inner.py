@@ -1,5 +1,6 @@
 """Inner-bound pipeline: factorizations, constants, drop-case regions, sampling."""
 
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from cifc_udc.inner import (
     CONSTANT_NAMES,
     DROP_CASES,
     FACTOR_SIGNATURES,
+    JOINT_LABELS,
     InnerConstants,
     InnerFactorization,
     SamplerConfig,
@@ -31,6 +33,7 @@ from cifc_udc.inner import (
     inner_region,
     region_for_distribution,
     sample_factorizations,
+    _constant_rows,
     _corner_catalog,
     _mode_factor,
     _random_factorization,
@@ -43,6 +46,7 @@ from cifc_udc.oracle import (
 )
 from cifc_udc.pmf import (
     ConditionalFactor,
+    Information,
     conditional_mutual_information,
     entropy,
     mutual_information,
@@ -270,7 +274,9 @@ def test_inner_region_matches_the_pmf_path(monkeypatch):
     channels = [load_channel((CHANNELS / f"{name}.json").read_text())
                 for name in ("clean", "degraded_z", "semidet")]
     got = [inner_region(ch, cfg) for ch in channels]
-    monkeypatch.setattr(inner, "inner_constants", pmf_constants)
+    monkeypatch.setattr(inner, "_chunk_constants", lambda chunk, ch: np.array([
+        dataclasses.astuple(pmf_constants(assemble_joint(f, ch))) for f in chunk
+    ]))
     for (region, lines), ch in zip(got, channels):
         want_region, want_lines = inner_region(ch, cfg)
         assert region.empty == want_region.empty
@@ -283,6 +289,69 @@ def test_inner_region_matches_the_pmf_path(monkeypatch):
             assert [k for k, _ in fields] == [k for k, _ in want_fields]
             for (key, value), (_, want_value) in zip(fields, want_fields):
                 assert abs(float(value) - float(want_value)) <= 1e-12, key
+
+
+# -- chunked constants --------------------------------------------------------
+
+def chunk_channels():
+    """The six fixtures and a dense (3,3,2,3,3) channel, one joint of which
+    (41472 cells) fills most of a chunk."""
+    named = [(name, load_channel((CHANNELS / f"{name}.json").read_text()))
+             for name in sorted(p.stem for p in CHANNELS.glob("*.json"))]
+    dense = random_channel(np.random.default_rng([21, 0]), (3, 3, 2, 3, 3))
+    return named + [("dense", dense)]
+
+
+CHUNK_CHANNELS = chunk_channels()
+
+
+def chunk_config(name, seed):
+    return SamplerConfig(seed=seed, num_samples=1 if name == "dense" else 4)
+
+
+@pytest.mark.parametrize("seed", [2, 17])
+@pytest.mark.parametrize("name,ch", CHUNK_CHANNELS, ids=[n for n, _ in CHUNK_CHANNELS])
+def test_chunked_constants_move_no_byte(name, ch, seed, monkeypatch):
+    cfg = chunk_config(name, seed)
+    factorizations = sample_factorizations(ch, cfg)
+    # each row of one batched table is the constants of its joint alone
+    joints = np.stack([assemble_joint(f, ch).probs for f in factorizations])
+    rows = _constant_rows(Information(joints, " ".join(JOINT_LABELS)))
+    assert rows.shape == (len(factorizations), len(CONSTANT_NAMES))
+    for row, f in zip(rows, factorizations):
+        want = dataclasses.astuple(inner_constants(assemble_joint(f, ch)))
+        assert np.array_equal(row, want)
+    # one joint per table, the default chunks and one table for every joint
+    region, lines = inner_region(ch, cfg)
+    for cells in (1, 1 << 30):
+        monkeypatch.setattr(inner, "_INNER_CELLS", cells)
+        got_region, got_lines = inner_region(ch, cfg)
+        assert got_lines == lines
+        assert np.array_equal(got_region.vertices, region.vertices)
+
+
+@pytest.mark.parametrize("name,ch", CHUNK_CHANNELS, ids=[n for n, _ in CHUNK_CHANNELS])
+def test_each_table_holds_one_chunk_of_joints(name, ch, monkeypatch):
+    cfg = chunk_config(name, 3)
+    factorizations = sample_factorizations(ch, cfg)
+    joints = [assemble_joint(f, ch).probs for f in factorizations]
+    tables = []
+
+    def recorded(j, labels):
+        tables.append(j)
+        return Information(j, labels)
+
+    monkeypatch.setattr(inner, "Information", recorded)
+    # the default, and a bound that falls between multiples of one joint
+    for cells in (inner._INNER_CELLS, 2 * joints[0].size + 1):
+        monkeypatch.setattr(inner, "_INNER_CELLS", cells)
+        tables.clear()
+        inner_region(ch, cfg)
+        assert all(t.size <= max(cells, joints[0].size) for t in tables)
+        # in order, every factorization's joint once
+        stacked = [row for t in tables for row in t]
+        assert len(stacked) == len(joints)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, joints))
 
 
 def assert_same_factors(got, want):

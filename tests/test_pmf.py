@@ -10,6 +10,7 @@ from cifc_udc import errors
 from cifc_udc.oracle import oracle_conditional_entropy, oracle_conditional_mi
 from cifc_udc.pmf import (
     ConditionalFactor,
+    Information,
     JointPMF,
     conditional_entropy,
     conditional_mutual_information,
@@ -166,6 +167,16 @@ def test_rejects_bad_tensors():
         JointPMF((("x", 2), ("y", 3)), np.full((2, 2), 0.25))
     with pytest.raises(errors.DuplicateLabel):
         JointPMF((("x", 2), ("x", 2)), np.full((2, 2), 0.25))
+
+
+def test_information_rejects_a_repeated_label():
+    # a repeat would leave its second axis unnamed: "a a" measured axis 0 only
+    for labels in ("a a", "a b a"):
+        tensor = np.ones((2,) * len(labels.split())) / 2 ** len(labels.split())
+        with pytest.raises(errors.DuplicateLabel):
+            Information(tensor, labels)
+        with pytest.raises(errors.DuplicateLabel):
+            Information(tensor[None], labels)
 
 
 def test_tiny_negative_is_clipped():
