@@ -11,13 +11,11 @@ from .capacity import (
     reduced_region,
     reduced_region_semidet,
     reduction_factorization,
-    report_from_dict,
     semidet_hi_polygon,
     v2_equals_y2_lift,
     violation_gaps,
-    with_constant_v12,
 )
-from .channel import ChannelSpec, ClassReport, classify, dump_channel, load_channel, pin_x3
+from .channel import ChannelSpec, ClassReport, classify, dump_channel, load_channel
 from .inner import (
     InnerConstants,
     InnerFactorization,
@@ -39,13 +37,9 @@ from .outer import (
 from .pmf import (
     ConditionalFactor,
     JointPMF,
-    conditional_entropy,
-    conditional_mutual_information,
     conditional_table,
-    entropy,
     joint_from_factors,
     marginalize,
-    mutual_information,
 )
 from .polytope import (
     LinearSystem,
@@ -59,62 +53,5 @@ from .polytope import (
     regions_close,
     support,
 )
-
-__all__ = [
-    "ChannelSpec",
-    "ClassReport",
-    "ConditionalFactor",
-    "HiRegimeReport",
-    "InnerConstants",
-    "InnerFactorization",
-    "InputJoint",
-    "InputLaw",
-    "JointPMF",
-    "LinearSystem",
-    "Region2D",
-    "SamplerConfig",
-    "SearchConfig",
-    "V12Joint",
-    "V12V2Joint",
-    "admissible",
-    "assemble_joint",
-    "capacity_degraded_z",
-    "capacity_semidet_hi",
-    "classify",
-    "conditional_entropy",
-    "conditional_mutual_information",
-    "conditional_table",
-    "degraded_z_polygon",
-    "dump_channel",
-    "entropy",
-    "hi_regime_falsify",
-    "inner_constants",
-    "inner_region",
-    "joint_from_factors",
-    "load_channel",
-    "marginalize",
-    "mutual_information",
-    "outer_polygon",
-    "outer_region_estimate",
-    "pin_x3",
-    "polygon_extract",
-    "project_to_plane",
-    "reduced_region",
-    "reduced_region_semidet",
-    "reduction_factorization",
-    "region_contains",
-    "region_from_dict",
-    "region_from_vertices",
-    "region_to_dict",
-    "regions_close",
-    "region_for_distribution",
-    "report_from_dict",
-    "sample_factorizations",
-    "semidet_hi_polygon",
-    "support",
-    "v2_equals_y2_lift",
-    "violation_gaps",
-    "with_constant_v12",
-]
 
 __version__ = "0.1.0"

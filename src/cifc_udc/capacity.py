@@ -73,13 +73,6 @@ class V12V2Joint(InputLaw):
     arity = 5
 
 
-def with_constant_v12(d: InputJoint, card_v12: int) -> V12Joint:
-    """Lift p(x1,x2,x3) to p(x1,v12,x2,x3) with a constant auxiliary."""
-    pmf = np.einsum(d.pmf, [0, 2, 3], point_mass(0, card_v12), [1], [0, 1, 2, 3],
-                    order="C")
-    return V12Joint(pmf.shape, pmf)
-
-
 # ---------------------------------------------------------------------------
 # bound evaluators: each takes an Information table of a batch of laws,
 # named as it names its axes, and returns its terms on a last axis
@@ -338,26 +331,6 @@ class HiRegimeReport:
         return doc
 
 
-def report_from_dict(data: dict) -> HiRegimeReport:
-    return HiRegimeReport(
-        status=str(data["status"]),
-        samples=int(data["samples"]),
-        probes=int(data["probes"]),
-        seed=int(data["seed"]),
-        card_v12=int(data["card_v12"]),
-        margin=float(data["margin"]),
-        condition=data.get("condition"),
-        witness_cards=(
-            None if data.get("witness_cards") is None
-            else tuple(int(c) for c in data["witness_cards"])
-        ),
-        witness_pmf=(
-            None if data.get("witness_pmf") is None
-            else tuple(float(v) for v in data["witness_pmf"])
-        ),
-    )
-
-
 def _falsifier_probes(cards: tuple[int, int, int, int]) -> list[np.ndarray]:
     """Degenerate joints that make premise violations hand-checkable."""
     cx1, cv12, cx2, cx3 = cards
@@ -441,7 +414,8 @@ def capacity_degraded_z(
         return law_bounds(degraded_z_bounds, rows, cards, channel, INPUT_AXES).T
 
     pool = sample_pool(cards, cfg, input_corners(cards))
-    _, rows, caps = fan_search(pool, caps_of, cfg)
+    _, rows = fan_search(pool, caps_of, cfg)
+    caps = caps_of(rows)
     # the hull of the union is the hull of every row's corners
     region = region_from_vertices(cap_vertices(*caps).reshape(-1, 2))
     return region, tuple(InputJoint(cards, row.reshape(cards)) for row in rows)
@@ -475,7 +449,8 @@ def capacity_semidet_hi(
         return law_bounds(semidet_hi_bounds, rows, cards, channel, V12_AXES).T
 
     pool = sample_pool(cards, cfg, _corner_joints(cards))
-    _, rows, caps = fan_search(pool, caps_of, cfg)
+    _, rows = fan_search(pool, caps_of, cfg)
+    caps = caps_of(rows)
 
     def screen(info) -> np.ndarray:
         """Per row: the two premise gaps, then the five reduced terms."""

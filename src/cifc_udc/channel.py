@@ -7,8 +7,7 @@ cooperating second destination) and two outputs (``y1`` at destination 1,
 transition tensor p(y1,y2 | x1,x2,x3) over finite alphabets.
 
 This module also hosts the structural classifiers (one-sided interference,
-degradedness, semi-determinism) and the slice operation that pins the
-cooperative symbol to a constant.
+degradedness and semi-determinism).
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
+from .errors import ParseError, RowSumError, ShapeMismatch
 from .pmf import (
-    ConditionalFactor, _cardinalities, _normalized, _number, _whole, marginal_entropies,
+    ConditionalFactor, _cardinalities, _normalized, _number, marginal_entropies,
 )
 
 AXES = ("x1", "x2", "x3", "y1", "y2")
@@ -181,15 +180,3 @@ def classify(channel: ChannelSpec, tol: float = 1e-9) -> ClassReport:
         is_semi_deterministic=is_semi_deterministic,
     )
 
-
-def pin_x3(channel: ChannelSpec, symbol: int) -> ChannelSpec:
-    """Freeze the cooperative transmit symbol, leaving |X3| = 1.  A symbol
-    that is not an integer (1.0 is, 1.5 and True are not) is out of range."""
-    if not _whole(symbol, 0) or symbol >= channel.cards[2]:
-        raise IndexOutOfRange(
-            f"symbol {symbol!r} out of range for |X3| = {channel.cards[2]}"
-        )
-    symbol = int(symbol)
-    sliced = channel.transition[:, :, symbol : symbol + 1, :, :]
-    cards = channel.cards[:2] + (1,) + channel.cards[3:]
-    return ChannelSpec(cards, sliced.copy())

@@ -161,7 +161,9 @@ def _load_system_file(path: str) -> LinearSystem:
     doc = _load_json_file(path)
     if not isinstance(doc, dict) or "variables" not in doc:
         raise ParseError(f"{path}: expected an object with 'variables'")
-    variables = [str(v) for v in doc["variables"]]
+    variables = doc["variables"]
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise ParseError(f"{path}: 'variables' must list variable names")
     width = len(variables) + 1
 
     def rows(key) -> np.ndarray:

@@ -104,10 +104,6 @@ def law_bounds(bounds, rows, cards, channel: ChannelSpec, labels: str) -> np.nda
     ])
 
 
-def default_v12_card(channel: ChannelSpec) -> int:
-    return channel.card("x1") * channel.card("x2")
-
-
 # ---------------------------------------------------------------------------
 # bound evaluation on an Information table of a batch of laws; V12_AXES
 # names a V12Joint's axes, then y1 and y2
@@ -286,7 +282,7 @@ def v12_cards(channel: ChannelSpec, cfg: SearchConfig) -> tuple[int, int, int, i
     """(|X1|, |V12|, |X2|, |X3|) of a search; card_v12 = 0 means |X1||X2|.
     Raises ``TooLarge`` through ``check_ascent_budget``."""
     cx1, cx2, cx3 = channel.cards[:3]
-    cards = (cx1, cfg.card_v12 or default_v12_card(channel), cx2, cx3)
+    cards = (cx1, cfg.card_v12 or cx1 * cx2, cx2, cx3)
     check_ascent_budget(cards, channel)
     return cards
 
@@ -358,16 +354,15 @@ def sample_pool(
 
 def fan_search(
     flats: np.ndarray, caps_of, cfg: SearchConfig, extra: int = 0
-) -> tuple[np.ndarray, np.ndarray, tuple]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Support search over ``flats`` along each fan direction, with ascents.
 
     ``caps_of`` maps a batch of flat laws to (R1 cap, R2 cap, sum cap).
-    Returns (heights, rows, caps): for each direction of
-    ``fan_directions(cfg.fan)`` the larger of the best support over
-    ``flats`` and every ascent's end; ``flats``, then each ascent end that
-    gains over its start by more than ``ASCENT_GAIN``, direction by
-    direction, then in start order (duplicates kept); and the caps of those
-    rows, the pool's being the ones that ranked the starts.
+    Returns (heights, rows): for each direction of ``fan_directions(cfg.fan)``
+    the larger of the best support over ``flats`` and every ascent's end;
+    and ``flats``, then each ascent end that gains over its start by more
+    than ``ASCENT_GAIN``, direction by direction, then in start order
+    (duplicates kept).
 
     Ascents start from the ``REFINE_STARTS`` best rows but the last
     ``extra``, then from the ``REFINE_STARTS`` best of those ``extra``
@@ -378,8 +373,7 @@ def fan_search(
     sees bytewise-distinct rows only.
     """
     directions = fan_directions(cfg.fan)
-    pool_caps = caps_of(flats)
-    supports = support_of_caps(*pool_caps, directions[:, None, :])
+    supports = support_of_caps(*caps_of(flats), directions[:, None, :])
     cut = len(flats) - extra
     order = np.concatenate([
         lo + np.argsort(-supports[:, lo:hi], axis=1, kind="stable")[:, :REFINE_STARTS]
@@ -390,16 +384,14 @@ def fan_search(
     by_start = np.argsort(order.reshape(-1), kind="stable")
     lam = np.repeat(directions, order.shape[1], axis=0)[by_start]
 
-    def distinct_caps(rows: np.ndarray):
+    def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # caps do not depend on the direction: score each bytewise-distinct
         # row once (a float compare would merge -0.0 with 0.0)
         row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
         keys = np.ascontiguousarray(rows).view(row_bytes)[:, 0]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        return tuple(c[inverse] for c in caps_of(rows[first]))
-
-    def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return support_of_caps(*distinct_caps(rows), lam[owner])
+        caps = (c[inverse] for c in caps_of(rows[first]))
+        return support_of_caps(*caps, lam[owner])
 
     reached, ends = lockstep_ascent(flats[order.reshape(-1)[by_start]], evaluate)
     undo = np.argsort(by_start)
@@ -407,10 +399,7 @@ def fan_search(
     heights = np.max(np.hstack([supports, reached]), axis=1)
     starts = np.take_along_axis(supports, order, axis=1)
     gained = ends[(reached > starts + ASCENT_GAIN).reshape(-1)]
-    # the entropy kernel takes no empty batch: no call when nothing gained
-    caps = [pool_caps] + ([distinct_caps(gained)] if len(gained) else [])
-    rows = np.concatenate([flats, gained])
-    return heights, rows, tuple(map(np.concatenate, zip(*caps)))
+    return heights, np.concatenate([flats, gained])
 
 
 def outer_region_estimate(
@@ -430,7 +419,7 @@ def outer_region_estimate(
     def caps_of(rows: np.ndarray):
         return _caps(law_bounds(five_bounds, rows, cards, channel, V12_AXES))
 
-    heights, _, _ = fan_search(flats, caps_of, cfg, extra=len(extra_distributions))
+    heights, _ = fan_search(flats, caps_of, cfg, extra=len(extra_distributions))
     system = LinearSystem(("R1", "R2"), fan_directions(cfg.fan), heights,
                           np.zeros((0, 2)), (), {"R1", "R2"})
     region = polygon_extract(system, "R1", "R2")

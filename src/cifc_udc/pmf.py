@@ -3,9 +3,10 @@ entropy engine of the package.
 
 A :class:`JointPMF` stores one probability tensor whose axes are labeled
 finite variables.  Joints are assembled from chains of
-:class:`ConditionalFactor` objects and queried through entropy and mutual
-information, always in bits, as sums of marginal entropies from an
-:class:`Information` table, the table behind every information term.
+:class:`ConditionalFactor` objects.  Every information term of the
+package, always in bits, is a sum of marginal entropies from an
+:class:`Information` table over a tensor and its space-separated axis
+labels, clipped at zero by :func:`clip_information`.
 
 Conventions used throughout:
 
@@ -370,58 +371,6 @@ def clip_information(values) -> np.ndarray:
     if low < MI_GUARD:
         raise NumericsError(f"an information term came out {low!r}")
     return np.clip(values, 0.0, None)
-
-
-# ---------------------------------------------------------------------------
-# information measures of a JointPMF: front ends of Information
-
-def _measure(joint: JointPMF, *groups: Sequence[str]) -> tuple[Information, list[str]]:
-    """An ``Information`` table over ``joint`` and each group as its axis
-    positions ("0 2"), as a label may hold a space.  ``joint.axes`` raises
-    ``UnknownLabel``, or ``OverlappingGroups`` for a label listed twice."""
-    axes = iter(joint.axes([label for g in groups for label in g]))
-    info = Information(joint.probs, " ".join(map(str, range(joint.probs.ndim))))
-    return info, [" ".join(str(next(axes)) for _ in g) for g in groups]
-
-
-def conditional_entropy(
-    joint: JointPMF,
-    targets: Sequence[str],
-    given: Sequence[str] = (),
-) -> float:
-    """H(targets | given) in bits."""
-    if not targets:
-        raise EmptyList("conditional_entropy needs a nonempty target group")
-    info, (t, g) = _measure(joint, targets, given)
-    return float(clip_information(info.cond(t, g)))
-
-
-def entropy(joint: JointPMF, targets: Sequence[str]) -> float:
-    """H(targets) in bits."""
-    return conditional_entropy(joint, targets, ())
-
-
-def conditional_mutual_information(
-    joint: JointPMF,
-    group_a: Sequence[str],
-    group_b: Sequence[str],
-    given: Sequence[str] = (),
-) -> float:
-    """I(group_a ; group_b | given) in bits.
-
-    The three groups must be pairwise disjoint; ``given`` may be empty.
-    """
-    if not group_a or not group_b:
-        raise EmptyList("mutual information needs two nonempty groups")
-    info, (a, b, c) = _measure(joint, group_a, group_b, given)
-    return float(clip_information(info.mi(a, b, c)))
-
-
-def mutual_information(
-    joint: JointPMF, group_a: Sequence[str], group_b: Sequence[str]
-) -> float:
-    """I(group_a ; group_b) in bits."""
-    return conditional_mutual_information(joint, group_a, group_b, ())
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

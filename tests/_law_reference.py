@@ -1,10 +1,14 @@
 """The deterministic-table builders as they stood before ``pmf.point_mass``:
 copies of the old ``_mode_factor`` (its all-uniform and all-const tables
 written out, not built by the library), ``input_corners``, ``wire_v12``,
-``with_constant_v12``, ``v2_equals_y2_lift``, ``ConditionalFactor.copy``,
+``v2_equals_y2_lift``, ``ConditionalFactor.copy``,
 ``ChannelSpec.from_outputs`` and ``classify`` with its per-cell degraded
 loop.  Tests compare the library against these byte for byte
 (``same_bytes``) and flag for flag.
+
+Also ``with_constant_v12``, the lift of p(x1, x2, x3) to p(x1, v12, x2, x3)
+with a constant auxiliary, which the tests use to feed capacity laws to the
+converse and which the library does not carry.
 
 Also the lift of a batch of input laws to full joint tensors, which the
 library never builds (``Information.of_laws`` scores laws without it): the

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+import _law_reference as reference
 from _systems import materialized_rows, random_bounded_system
 from cifc_udc import (
     ChannelSpec,
@@ -23,8 +24,6 @@ from cifc_udc import (
     admissible,
     assemble_joint,
     capacity_degraded_z,
-    conditional_entropy,
-    conditional_mutual_information,
     degraded_z_polygon,
     hi_regime_falsify,
     inner_constants,
@@ -41,14 +40,13 @@ from cifc_udc import (
     sample_factorizations,
     v2_equals_y2_lift,
     violation_gaps,
-    with_constant_v12,
 )
 from cifc_udc.oracle import (
     oracle_conditional_entropy,
     oracle_conditional_mi,
     oracle_projected_vertices,
 )
-from cifc_udc.pmf import JointPMF
+from cifc_udc.pmf import Information, JointPMF, clip_information
 from cifc_udc.polytope import polygon_extract, project_to_plane
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
@@ -72,6 +70,13 @@ def semidet_fixture():
     )
 
 
+def measure(pm, term, *groups):
+    """``term`` ("mi" or "cond") of a fresh ``Information`` table over the
+    joint ``pm``, each group a label list, clipped at zero."""
+    info = Information(pm.probs, " ".join(pm.labels))
+    return float(clip_information(getattr(info, term)(*map(" ".join, groups))))
+
+
 def test_criterion_1_information_measures():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -90,21 +95,21 @@ def test_criterion_1_information_measures():
         ga, gb = perm[:na], perm[na:na + nb]
         gc = perm[na + nb:na + nb + nc]
 
-        mi = conditional_mutual_information(pm, ga, gb, gc)
+        mi = measure(pm, "mi", ga, gb, gc)
         want = oracle_conditional_mi(named, probs, ga, gb, gc)
         assert abs(mi - want) < 1e-12
 
-        ent = conditional_entropy(pm, ga, gc)
+        ent = measure(pm, "cond", ga, gc)
         want_ent = oracle_conditional_entropy(named, probs, ga, gc)
         assert abs(ent - want_ent) < 1e-12
 
-        flipped = conditional_mutual_information(pm, gb, ga, gc)
+        flipped = measure(pm, "mi", gb, ga, gc)
         assert abs(mi - flipped) < 1e-9
 
         if nb >= 2:
             first, rest = gb[:1], gb[1:]
-            part_a = conditional_mutual_information(pm, ga, first, gc)
-            part_b = conditional_mutual_information(pm, ga, rest, first + gc)
+            part_a = measure(pm, "mi", ga, first, gc)
+            part_b = measure(pm, "mi", ga, rest, first + gc)
             assert abs(mi - part_a - part_b) < 1e-9
     assert time.perf_counter() - start < 10
 
@@ -220,7 +225,7 @@ def test_criterion_6_capacity_sandwich():
 
     # feed the capacity search's own evaluation set to the converse
     # estimator so the sandwich uses one shared sample log
-    lifted = tuple(with_constant_v12(d, card_v12) for d in evaluated)
+    lifted = tuple(reference.with_constant_v12(d, card_v12) for d in evaluated)
     outer, _ = outer_region_estimate(
         channel,
         SearchConfig(seed=6, num_samples=50, card_v12=card_v12),
@@ -232,7 +237,7 @@ def test_criterion_6_capacity_sandwich():
     for _ in range(100):
         d = InputJoint.random((2, 2, 2), rng)
         narrow = degraded_z_polygon(d, channel)
-        wide = outer_polygon(with_constant_v12(d, card_v12), channel)
+        wide = outer_polygon(reference.with_constant_v12(d, card_v12), channel)
         assert region_contains(wide, narrow, tol=1e-9)
     assert time.perf_counter() - start < 180
 

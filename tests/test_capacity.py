@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,10 @@ from cifc_udc.capacity import (
     reduced_region,
     reduced_region_semidet,
     reduction_factorization,
-    report_from_dict,
     semidet_hi_bounds,
     semidet_hi_polygon,
     v2_equals_y2_lift,
     violation_gaps,
-    with_constant_v12,
 )
 from cifc_udc.channel import ChannelSpec, classify, load_channel
 from cifc_udc.errors import (
@@ -54,13 +53,7 @@ from cifc_udc.outer import (
     law_bounds,
     outer_polygon,
 )
-from cifc_udc.pmf import (
-    Information,
-    JointPMF,
-    conditional_entropy,
-    conditional_mutual_information,
-    marginalize,
-)
+from cifc_udc.pmf import Information, clip_information, marginalize
 from cifc_udc.polytope import region_contains, region_to_dict, regions_close
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
@@ -110,8 +103,11 @@ def clean_channel():
     return ChannelSpec.from_outputs((2, 2, 2, 2, 2), lambda x1, x2, x3: (x1, x2))
 
 
-def pmf_of(tensor, labels):
-    return JointPMF(tuple(zip(labels, tensor.shape)), tensor)
+def measure(tensor, labels, term, *groups):
+    """``term`` ("mi" or "cond") of the space-separated label ``groups`` on
+    a fresh ``Information`` table over ``tensor``, clipped at zero."""
+    info = Information(tensor, " ".join(labels))
+    return float(clip_information(getattr(info, term)(*groups)))
 
 
 def joint_of(d, channel):
@@ -145,7 +141,7 @@ class TestInputJoint:
 
     def test_constant_v12_lift(self):
         d = InputJoint.random((2, 2, 2), np.random.default_rng(2))
-        lifted = with_constant_v12(d, 4)
+        lifted = reference.with_constant_v12(d, 4)
         assert lifted.cards == (2, 4, 2, 2)
         assert np.allclose(lifted.pmf.sum(axis=1), d.pmf)
         assert np.allclose(lifted.pmf[:, 1:], 0.0)
@@ -176,11 +172,10 @@ class TestBoundEvaluators:
         for _ in range(6):
             d = InputJoint.random((2, 2, 2), rng)
             j = joint_of(d, ch)
-            pm = pmf_of(j, labels)
             want = np.array([
-                conditional_mutual_information(pm, ["y1"], ["x1", "x3"], []),
-                conditional_mutual_information(pm, ["y2"], ["x2"], ["x1", "x3"]),
-                conditional_mutual_information(pm, ["y2"], ["x1", "x2"], ["x3"]),
+                measure(j, labels, "mi", "y1", "x1 x3"),
+                measure(j, labels, "mi", "y2", "x2", "x1 x3"),
+                measure(j, labels, "mi", "y2", "x1 x2", "x3"),
             ])
             got = degraded_z_bounds(Information(j, INPUT_AXES))
             assert np.allclose(got, np.clip(want, 0, None), atol=1e-12)
@@ -192,11 +187,9 @@ class TestBoundEvaluators:
         for _ in range(6):
             d = V12Joint.random((2, 3, 2, 2), rng)
             j = joint_of(d, ch)
-            pm = pmf_of(j, labels)
-            a = conditional_mutual_information(
-                pm, ["y1"], ["x1", "v12", "x3"], [])
-            h2 = conditional_entropy(pm, ["y2"], ["x1", "x3"])
-            hv = conditional_entropy(pm, ["y2"], ["x1", "v12", "x3"])
+            a = measure(j, labels, "mi", "y1", "x1 v12 x3")
+            h2 = measure(j, labels, "cond", "y2", "x1 x3")
+            hv = measure(j, labels, "cond", "y2", "x1 v12 x3")
             got = semidet_hi_bounds(Information(j, V12_AXES))
             assert np.allclose(got, [max(a, 0), h2, max(a, 0) + hv], atol=1e-12)
 
@@ -206,14 +199,14 @@ class TestBoundEvaluators:
         labels = ("x1", "v12", "x2", "x3", "y1", "y2")
         for _ in range(6):
             d = V12Joint.random((2, 2, 2, 2), rng)
-            pm = pmf_of(joint_of(d, ch), labels)
+            j = joint_of(d, ch)
             want_a = (
-                conditional_mutual_information(pm, ["y1"], ["x1", "x3"], [])
-                - conditional_mutual_information(pm, ["y2"], ["x1"], ["x3"])
+                measure(j, labels, "mi", "y1", "x1 x3")
+                - measure(j, labels, "mi", "y2", "x1", "x3")
             )
             want_b = (
-                conditional_mutual_information(pm, ["y2"], ["v12"], ["x1", "x3"])
-                - conditional_mutual_information(pm, ["y1"], ["v12"], ["x1", "x3"])
+                measure(j, labels, "mi", "y2", "v12", "x1 x3")
+                - measure(j, labels, "mi", "y1", "v12", "x1 x3")
             )
             ga, gb = violation_gaps(d, ch)
             assert abs(float(ga) - want_a) < 1e-12
@@ -254,7 +247,7 @@ class TestDegradedZPolygon:
         for _ in range(25):
             d = InputJoint.random((2, 2, 2), rng)
             inner = degraded_z_polygon(d, ch)
-            outer = outer_polygon(with_constant_v12(d, 4), ch)
+            outer = outer_polygon(reference.with_constant_v12(d, 4), ch)
             assert region_contains(outer, inner, tol=1e-9)
 
 
@@ -331,14 +324,12 @@ class TestHiRegimeFalsify:
         assert a == b
 
     def test_report_round_trip(self):
-        rep = hi_regime_falsify(
-            falsifier_fixture(), SearchConfig(seed=0, num_samples=3)
-        )
-        assert report_from_dict(rep.to_dict()) == rep
-        rep2 = hi_regime_falsify(
-            degenerate_hi_fixture(), SearchConfig(seed=0, num_samples=3)
-        )
-        assert report_from_dict(rep2.to_dict()) == rep2
+        # to_dict holds JSON lists where the report holds tuples
+        for channel in (falsifier_fixture(), degenerate_hi_fixture()):
+            rep = hi_regime_falsify(channel, SearchConfig(seed=0, num_samples=3))
+            doc = json.loads(json.dumps(rep.to_dict()))
+            fields = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+            assert HiRegimeReport(**fields) == rep
 
 
 class TestSemidetPolygons:
@@ -387,9 +378,9 @@ class TestReducedRegion:
         pmf[:, 0, 0, :, :] = base.pmf
         reg = reduced_region(V12V2Joint((2, 1, 1, 2, 2), pmf), ch)
         labels = ("x1", "x2", "x3", "y1", "y2")
-        pm = pmf_of(joint_of(base, ch), labels)
-        a = conditional_mutual_information(pm, ["y1"], ["x1", "x3"], [])
-        k2 = conditional_mutual_information(pm, ["y2"], ["x1"], ["x3"])
+        j = joint_of(base, ch)
+        a = measure(j, labels, "mi", "y1", "x1 x3")
+        k2 = measure(j, labels, "mi", "y2", "x1", "x3")
         cap = min(a, k2)
         assert cap > 0.5
         assert np.allclose(
@@ -648,22 +639,16 @@ class TestGridOracle:
 
 
 def test_v12_lifts_match_the_reference():
-    """The constant-V12 lift and the V2 = Y2 lift keep the bytes of the old
-    per-symbol loops on every semi-deterministic fixture."""
+    """The V2 = Y2 lift keeps the bytes of the old per-symbol loop on every
+    semi-deterministic fixture."""
     rng = np.random.default_rng(17)
     lifted = 0
     for path in sorted(CHANNELS.glob("*.json")):
         ch = load_channel(path.read_text())
-        inputs = tuple(ch.card(n) for n in ("x1", "x2", "x3"))
-        d = InputJoint(inputs, rng.dirichlet(np.full(np.prod(inputs), 0.5)).reshape(inputs))
+        if not classify(ch).is_semi_deterministic:
+            continue
+        cx1, cx2, cx3 = ch.cards[:3]
         for card_v12 in (1, 2, 3):
-            assert reference.same_bytes(
-                with_constant_v12(d, card_v12).pmf,
-                reference.with_constant_v12(d, card_v12).pmf,
-            )
-            if not classify(ch).is_semi_deterministic:
-                continue
-            cx1, cx2, cx3 = inputs
             law_cards = (cx1, card_v12, cx2, cx3)
             law = V12Joint(
                 law_cards, rng.dirichlet(np.full(np.prod(law_cards), 0.5)).reshape(law_cards)

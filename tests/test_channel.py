@@ -1,4 +1,4 @@
-"""Unit tests for channel loading, classification, and pinning."""
+"""Unit tests for channel loading and classification."""
 
 import dataclasses
 import json
@@ -15,7 +15,6 @@ from cifc_udc.channel import (
     classify,
     dump_channel,
     load_channel,
-    pin_x3,
 )
 from cifc_udc.oracle import oracle_is_degraded
 from cifc_udc.outer import InputLaw
@@ -457,50 +456,6 @@ def test_classification_survives_output_relabeling():
         assert relabeled.is_z == base.is_z
         assert relabeled.is_degraded == base.is_degraded
         assert relabeled.is_semi_deterministic == base.is_semi_deterministic
-
-
-# ---------------------------------------------------------------- pin_x3
-
-
-def test_pin_ignorable_symbol():
-    ch = clean_orthogonal()
-    pinned = pin_x3(ch, 0)
-    assert pinned.cards == (2, 2, 1, 2, 2)
-    assert np.allclose(pinned.transition[:, :, 0], ch.transition[:, :, 0])
-
-
-def test_pin_flipping_channel():
-    ch = ChannelSpec.from_outputs((2, 1, 2, 2, 1), lambda x1, x2, x3: (x1 ^ x3, 0))
-    pinned = pin_x3(ch, 1)
-    # now y1 = not x1
-    assert pinned.transition[0, 0, 0, 1, 0] == 1.0
-    assert pinned.transition[1, 0, 0, 0, 0] == 1.0
-
-
-def test_pin_out_of_range():
-    with pytest.raises(errors.IndexOutOfRange):
-        pin_x3(clean_orthogonal(), 5)
-
-
-def test_pin_takes_integer_symbols_only():
-    ch = ChannelSpec.from_outputs((2, 1, 2, 2, 1), lambda x1, x2, x3: (x1 ^ x3, 0))
-    want = pin_x3(ch, 1).transition
-    for symbol in (1.0, np.int64(1), np.float64(1.0)):
-        assert np.array_equal(pin_x3(ch, symbol).transition, want)
-    for symbol in (1.5, 0.5, True, False, np.True_, np.False_, float("nan"), "1",
-                   None, -1):
-        with pytest.raises(errors.IndexOutOfRange):
-            pin_x3(ch, symbol)
-
-
-def test_pin_output_is_valid_channel():
-    rng = np.random.default_rng(2)
-    t = rng.dirichlet(np.ones(6), size=(2, 3, 2)).reshape(2, 3, 2, 2, 3)
-    ch = ChannelSpec((2, 3, 2, 2, 3), t)
-    for s in range(2):
-        pinned = pin_x3(ch, s)
-        assert pinned.cards[2] == 1
-        assert np.allclose(pinned.transition.sum(axis=(3, 4)), 1.0)
 
 
 def test_as_factor_bridges_to_pmf():

@@ -248,6 +248,16 @@ class TestFm:
             assert proc.returncode == 2
             assert proc.stderr.startswith("ParseError:")
 
+    @pytest.mark.parametrize("variables", [5, None, "R1", ["R1", 1.5], ["R1", None]])
+    def test_variables_must_be_a_list_of_names(self, tmp_path, variables):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"variables": variables, "inequalities": []}))
+        proc = run_cli("fm", path, "--keep", "R1,1.5")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ParseError:")
+        assert "'variables'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_keep_validation(self, tmp_path):
         for keep in ("R1", "R1,bogus", "R1,R1", "R2, R2"):
             proc = run_cli("fm", self.make_system(tmp_path), "--keep", keep)

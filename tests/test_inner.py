@@ -47,9 +47,7 @@ from cifc_udc.oracle import (
 from cifc_udc.pmf import (
     ConditionalFactor,
     Information,
-    conditional_mutual_information,
-    entropy,
-    mutual_information,
+    clip_information,
 )
 from cifc_udc.polytope import (
     polygon_extract,
@@ -247,10 +245,14 @@ PMF_GROUPS = {
 
 
 def pmf_constants(joint):
-    """The constants through the ``pmf`` measures, the reference path."""
+    """The constants through a fresh ``Information`` table each, clipped at
+    zero: the reference path."""
+    labels = " ".join(joint.labels)
     return InnerConstants(**{
-        name: conditional_mutual_information(joint, a, b, g)
-        for name, (a, b, g) in PMF_GROUPS.items()
+        name: float(clip_information(
+            Information(joint.probs, labels).mi(*map(" ".join, groups))
+        ))
+        for name, groups in PMF_GROUPS.items()
     })
 
 
@@ -735,9 +737,8 @@ def test_cooperation_monotonicity():
         return x1 ^ x3, x2
 
     ch = ChannelSpec.from_outputs((2, 2, 2, 2, 2), outputs)
-    from cifc_udc.channel import pin_x3
-
-    pinned = pin_x3(ch, 0)
+    # x3 pinned to 0
+    pinned = ChannelSpec((2, 2, 1, 2, 2), ch.transition[:, :, :1])
     cfg = SamplerConfig(num_samples=0)
     full, _ = inner_region(ch, cfg)
     small, _ = inner_region(pinned, cfg)

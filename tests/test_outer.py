@@ -24,7 +24,6 @@ from cifc_udc.outer import (
     _caps,
     cap_polygon,
     cap_vertices,
-    default_v12_card,
     fan_directions,
     five_bounds,
     input_corners,
@@ -36,7 +35,7 @@ from cifc_udc.outer import (
     support_of_caps,
     wire_v12,
 )
-from cifc_udc.pmf import Information, JointPMF, conditional_mutual_information
+from cifc_udc.pmf import Information, clip_information
 from cifc_udc.polytope import (
     LinearSystem,
     polygon_extract,
@@ -60,15 +59,17 @@ def xor_channel():
 
 def reference_bounds(d: V12Joint, ch: ChannelSpec) -> np.ndarray:
     j = reference.lift(d.pmf, d.cards, ch)[0]
-    labels = ("x1", "v12", "x2", "x3", "y1", "y2")
-    pm = JointPMF(tuple(zip(labels, j.shape)), j)
+
+    def mi(*groups):
+        # a fresh table per term, clipped at zero
+        return float(clip_information(Information(j, V12_AXES).mi(*groups)))
+
     vals = np.array([
-        conditional_mutual_information(pm, ["y1"], ["x1", "x2", "x3"], []),
-        conditional_mutual_information(pm, ["y1"], ["x1", "v12", "x3"], []),
-        conditional_mutual_information(pm, ["y2"], ["x2"], ["x1", "x3"]),
-        conditional_mutual_information(pm, ["y1", "y2"], ["x1", "x2"], ["x3"]),
-        conditional_mutual_information(pm, ["x2"], ["y2"], ["x1", "v12", "x3"])
-        + conditional_mutual_information(pm, ["x1", "v12", "x3"], ["y1"], []),
+        mi("y1", "x1 x2 x3"),
+        mi("y1", "x1 v12 x3"),
+        mi("y2", "x2", "x1 x3"),
+        mi("y1 y2", "x1 x2", "x3"),
+        mi("x2", "y2", "x1 v12 x3") + mi("x1 v12 x3", "y1"),
     ])
     return np.clip(vals, 0.0, None)
 
@@ -110,7 +111,9 @@ class TestV12Joint:
             outer_polygon(d, ch)
 
     def test_default_v12_card(self):
-        assert default_v12_card(clean_channel()) == 4
+        # card_v12 = 0 stands for |X1| * |X2|
+        assert outer.v12_cards(clean_channel(), SearchConfig()) == (2, 4, 2, 2)
+        assert outer.v12_cards(clean_channel(), SearchConfig(card_v12=3))[1] == 3
 
 
 class TestFiveBounds:

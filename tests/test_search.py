@@ -291,17 +291,16 @@ def ref_ascent_refine(start, evaluate, step=0.05, sweeps=50):
     return current, x
 
 
-def fan_result(flats, caps_of, per_direction):
-    """(heights, rows, caps) of a fan search from its per-direction
-    (best pool support, [(start, reached, end) of each ascent]); the caps
-    come from one ``caps_of`` call over every row."""
+def fan_result(flats, per_direction):
+    """(heights, rows) of a fan search from its per-direction
+    (best pool support, [(start, reached, end) of each ascent])."""
     heights = np.array([max([best] + [reached for _, reached, _ in ascents])
                         for best, ascents in per_direction])
     rows = np.stack(list(flats) + [
         end for _, ascents in per_direction
         for start, reached, end in ascents if reached > start + outer.ASCENT_GAIN
     ])
-    return heights, rows, tuple(caps_of(rows))
+    return heights, rows
 
 
 def ref_fan_ascents(flats, caps_of, cfg):
@@ -321,7 +320,7 @@ def ref_fan_ascents(flats, caps_of, cfg):
             )
             ascents.append((float(supports[int(idx)]), reached, row))
         out.append((float(np.max(supports)), ascents))
-    return fan_result(flats, caps_of, out)
+    return fan_result(flats, out)
 
 
 def gaps_of(rows, cards, channel):
@@ -394,13 +393,10 @@ def search_of(name, cfg):
 
 
 def assert_same_fan(got, want):
-    """Two (heights, rows, caps) fan-search results agree bit for bit."""
-    (heights, rows, caps), (ref_heights, ref_rows, ref_caps) = got, want
+    """Two (heights, rows) fan-search results agree bit for bit."""
+    (heights, rows), (ref_heights, ref_rows) = got, want
     assert np.array_equal(heights, ref_heights)
     assert np.array_equal(rows, ref_rows)
-    assert len(caps) == len(ref_caps) == 3
-    for cap, ref_cap in zip(caps, ref_caps):
-        assert np.array_equal(cap, ref_cap)
 
 
 def assert_same_report(got, want):
@@ -572,7 +568,7 @@ def ref_lockstep_fan(flats, caps_of, cfg):
     )
     reached = reached.reshape(order.shape)
     rows = rows.reshape(order.shape + flats.shape[1:])
-    return fan_result(flats, caps_of, [
+    return fan_result(flats, [
         (float(np.max(sup)), [(float(sup[i]), float(v), row)
                               for i, v, row in zip(idx, got, ends)])
         for sup, idx, got, ends in zip(supports, order, reached, rows)
@@ -605,13 +601,10 @@ def test_caps_of_sees_each_distinct_row_once(monkeypatch):
         return lockstep_ascent(starts, counted)
 
     monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
-    _, rows, _ = fan_search(pool, recording_caps, cfg)
-    # the first call scores the pool, the last the gained ends, and every
-    # one between an ascent evaluation
-    gained = rows[len(pool):]
-    assert calls[0] == len(pool) and len(calls) == len(candidates) + 2
-    assert calls[-1] == len({row.tobytes() for row in gained}) < len(gained)
-    assert sum(calls[1:-1]) <= 0.25 * sum(candidates)
+    fan_search(pool, recording_caps, cfg)
+    # the first call scores the pool and every later one an ascent evaluation
+    assert calls[0] == len(pool) and len(calls) == len(candidates) + 1
+    assert sum(calls[1:]) <= 0.25 * sum(candidates)
 
 
 # ------------------------------------------------------- information terms
