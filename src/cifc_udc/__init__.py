@@ -34,13 +34,7 @@ from .outer import (
     outer_polygon,
     outer_region_estimate,
 )
-from .pmf import (
-    ConditionalFactor,
-    JointPMF,
-    conditional_table,
-    joint_from_factors,
-    marginalize,
-)
+from .pmf import ConditionalFactor, JointPMF, joint_from_factors
 from .polytope import (
     LinearSystem,
     Region2D,

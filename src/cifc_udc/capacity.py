@@ -43,19 +43,13 @@ from .outer import (
     v12_cards,
     wire_v12,
 )
-from .pmf import (
-    ConditionalFactor,
-    Information,
-    JointPMF,
-    clip_information,
-    conditional_table,
-    marginalize,
-    point_mass,
-)
+from .pmf import ConditionalFactor, Information, clip_information, point_mass
 from .polytope import Region2D, region_from_vertices, regions_close
 
 VIOLATION_TOL = 1e-9
 DROP_CONSISTENCY_TOL = 1e-8
+# reduction_factorization fills rows of conditioning assignments lighter than this
+MASS_SKIP = 1e-15
 
 CONDITION_A = "I(Y2;X1|X3) >= I(Y1;X1,X3)"
 CONDITION_B = "I(Y1;V12|X1,X3) >= I(Y2;V12|X1,X3)"
@@ -221,8 +215,7 @@ def reduced_region_semidet(d: V12Joint, channel: ChannelSpec) -> Region2D:
 def y2_output_map(channel: ChannelSpec) -> np.ndarray:
     """The deterministic input-to-y2 map of a semi-deterministic channel."""
     _require_semidet(channel)
-    p_y2 = channel.transition.sum(axis=3)
-    return np.argmax(p_y2, axis=-1)
+    return np.argmax(channel.output2_given_inputs, axis=-1)
 
 
 def v2_equals_y2_lift(d: V12Joint, channel: ChannelSpec) -> V12V2Joint:
@@ -237,6 +230,16 @@ def v2_equals_y2_lift(d: V12Joint, channel: ChannelSpec) -> V12V2Joint:
 # ---------------------------------------------------------------------------
 # specialization of the general inner bound onto the reduced region
 
+def _prefix_conditional(p: np.ndarray, given: int, keep: int) -> np.ndarray:
+    """p(axes given..keep-1 | axes 0..given-1) of a joint tensor ``p``; a
+    conditioning assignment lighter than ``MASS_SKIP`` gets a uniform row."""
+    joint = p.sum(axis=tuple(range(keep, p.ndim)))
+    mass = joint.sum(axis=tuple(range(given, keep)), keepdims=True)
+    heavy = mass >= MASS_SKIP
+    uniform = 1.0 / (joint.size // mass.size)
+    return np.where(heavy, joint / np.where(heavy, mass, 1.0), uniform)
+
+
 def reduction_factorization(
     d: V12V2Joint, channel: ChannelSpec
 ) -> InnerFactorization:
@@ -250,13 +253,12 @@ def reduction_factorization(
     cx1, cv12, cv2, cx2, cx3 = d.cards
     check_input_cards(d.cards, channel)
     cy2 = channel.card("y2")
-    labels = ("x1", "v12", "v2", "x2", "x3")
-    joint = JointPMF(tuple(zip(labels, d.cards)), d.pmf)
-
-    p_x3 = marginalize(joint, ["x3"]).probs
-    p_x1 = conditional_table(joint, ["x1"], ["x3"]).table
-    p_block = conditional_table(joint, ["v12", "v2"], ["x3", "x1"]).table
-    p_x2 = conditional_table(joint, ["x2"], ["x3", "x1", "v12", "v2"]).table
+    # (x3, x1, v12, v2, x2): each conditional conditions on a prefix
+    p = d.pmf.transpose(4, 0, 1, 2, 3)
+    p_x3 = _prefix_conditional(p, 0, 1)
+    p_x1 = _prefix_conditional(p, 1, 2)
+    p_block = _prefix_conditional(p, 2, 4)
+    p_x2 = _prefix_conditional(p, 4, 5)
 
     factors = (
         ConditionalFactor((("u1p", cx3),), (), p_x3),

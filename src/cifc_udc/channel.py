@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ParseError, RowSumError, ShapeMismatch
+from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
 from .pmf import (
     ConditionalFactor, _cardinalities, _normalized, _number, marginal_entropies,
 )
@@ -73,12 +73,19 @@ class ChannelSpec:
 
     @classmethod
     def from_outputs(cls, cards: Sequence[int], fn) -> "ChannelSpec":
-        """Deterministic channel: ``fn(x1,x2,x3) -> (y1,y2)``; an output
-        outside its alphabet raises ``IndexOutOfRange``."""
+        """Deterministic channel: ``fn(x1,x2,x3) -> (y1,y2)``; a result that
+        is not two symbols raises ``ShapeMismatch``, and an output outside
+        its alphabet ``IndexOutOfRange``."""
         cards = _cardinalities(cards, "need five cardinalities, integers >= 1", 5)
-        pairs = tuple(zip(AXES, cards))
-        factor = ConditionalFactor.from_function(pairs[3:], pairs[:3], fn)
-        return cls(cards, factor.table)
+        table = np.zeros(cards)
+        for x in np.ndindex(*cards[:3]):
+            y = tuple(int(v) for v in fn(*x))
+            if len(y) != 2:
+                raise ShapeMismatch(f"fn{x} returned {len(y)} symbols, not (y1, y2)")
+            if not all(0 <= v < c for v, c in zip(y, cards[3:])):
+                raise IndexOutOfRange(f"fn{x} = {y} is outside the alphabets {cards[3:]}")
+            table[x + y] = 1.0
+        return cls(cards, table)
 
 
 @dataclasses.dataclass(frozen=True)

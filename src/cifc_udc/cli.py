@@ -192,15 +192,12 @@ def _load_system_file(path: str) -> LinearSystem:
                 raise ParseError(f"{path}: NaN or an infinity in a {key} row")
         return out
 
-    nonneg = doc.get("nonnegative", ())
-    if not isinstance(nonneg, (list, tuple)):
-        raise ParseError(
-            f"{path}: 'nonnegative' must list variable names"
-        )
+    nonneg = doc.get("nonnegative", [])
+    if not isinstance(nonneg, list) or not all(isinstance(v, str) for v in nonneg):
+        raise ParseError(f"{path}: 'nonnegative' must list variable names")
     ineqs, eqs = rows("inequalities"), rows("equalities")
     return LinearSystem(
-        variables, ineqs[:, :-1], ineqs[:, -1], eqs[:, :-1], eqs[:, -1],
-        frozenset(str(v) for v in nonneg),
+        variables, ineqs[:, :-1], ineqs[:, -1], eqs[:, :-1], eqs[:, -1], frozenset(nonneg)
     )
 
 

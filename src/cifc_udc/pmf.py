@@ -12,9 +12,7 @@ Conventions used throughout:
 
 * ``0 * log 0 = 0`` (zero-probability cells contribute nothing),
 * information terms are clamped to ``0`` after checking they are not
-  below ``MI_GUARD`` (a real violation raises :class:`NumericsError`),
-* ``conditional_table`` fills conditioning assignments lighter than
-  ``MASS_SKIP`` with uniform rows.
+  below ``MI_GUARD`` (a real violation raises :class:`NumericsError`).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -31,12 +29,10 @@ from .errors import (
     DanglingConditioner,
     DuplicateLabel,
     EmptyList,
-    IndexOutOfRange,
     InvalidFactor,
     MissingVariable,
     NegativeEntry,
     NumericsError,
-    OverlappingGroups,
     RepeatedTarget,
     ShapeMismatch,
     SumNotOne,
@@ -47,8 +43,6 @@ from .errors import (
 NEG_TOL = 1e-12
 # total (or per-row) mass must match 1 this closely
 SUM_TOL = 1e-9
-# conditional_table fills rows of conditioning assignments lighter than this
-MASS_SKIP = 1e-15
 # an information measure below this is a bug, not roundoff
 MI_GUARD = -1e-9
 # most cells a joint tensor may hold: 2**24 float64 cells are 128 MiB
@@ -160,46 +154,9 @@ class JointPMF:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probs", _normalized(self.probs, shape, 0, "joint pmf"))
 
-    # -- lookup helpers -----------------------------------------------------
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.variables)
-
-    def card(self, label: str) -> int:
-        for l, c in self.variables:
-            if l == label:
-                return c
-        raise UnknownLabel(f"no variable {label!r} in joint over {self.labels}")
-
-    def axes(self, labels: Iterable[str]) -> tuple[int, ...]:
-        """Axis indices for the given labels, which must be distinct."""
-        order = {l: i for i, (l, _) in enumerate(self.variables)}
-        out = []
-        seen = set()
-        for label in labels:
-            if label not in order:
-                raise UnknownLabel(f"no variable {label!r} in joint over {self.labels}")
-            if label in seen:
-                raise OverlappingGroups(f"label {label!r} listed twice")
-            seen.add(label)
-            out.append(order[label])
-        return tuple(out)
-
-
-def marginalize(joint: JointPMF, keep: Sequence[str]) -> JointPMF:
-    """Marginal of ``joint`` over ``keep``, axes in the order given."""
-    if not keep:
-        raise EmptyList("marginalize needs at least one variable to keep")
-    keep_axes = joint.axes(keep)
-    drop = tuple(i for i in range(len(joint.variables)) if i not in keep_axes)
-    table = joint.probs.sum(axis=drop) if drop else joint.probs
-    # sum() puts surviving axes in original order; permute into requested order
-    surviving = [i for i in range(len(joint.variables)) if i not in drop]
-    perm = [surviving.index(a) for a in keep_axes]
-    table = np.transpose(table, perm)
-    variables = tuple(joint.variables[a] for a in keep_axes)
-    return JointPMF(variables, table)
 
 
 # ---------------------------------------------------------------------------
@@ -442,33 +399,6 @@ class ConditionalFactor:
         return cls(targets, given, table)
 
     @classmethod
-    def from_function(
-        cls,
-        targets: Sequence[tuple[str, int]],
-        given: Sequence[tuple[str, int]],
-        fn,
-    ) -> "ConditionalFactor":
-        """Deterministic factor: ``fn(*given indices) -> target indices``."""
-        targets, given = _factor_pairs(targets, given)
-        g_shape = tuple(c for _, c in given)
-        t_shape = tuple(c for _, c in targets)
-        table = np.zeros(g_shape + t_shape)
-        for g_idx in np.ndindex(*g_shape) if g_shape else [()]:
-            out = fn(*g_idx)
-            if len(targets) == 1 and not isinstance(out, (tuple, list)):
-                out = (out,)
-            out = tuple(int(v) for v in out)
-            if len(out) != len(targets):
-                raise ShapeMismatch("function returned wrong number of symbols")
-            for v, (l, c) in zip(out, targets):
-                if not 0 <= v < c:
-                    raise IndexOutOfRange(
-                        f"function value {v} out of range for {l!r}"
-                    )
-            table[g_idx + out] = 1.0
-        return cls(targets, given, table)
-
-    @classmethod
     def random(
         cls,
         targets: Sequence[tuple[str, int]],
@@ -521,25 +451,3 @@ def joint_from_factors(factors: Sequence[ConditionalFactor]) -> JointPMF:
             variables.append((label, card))
     return JointPMF(tuple(variables), probs)
 
-
-def conditional_table(
-    joint: JointPMF,
-    targets: Sequence[str],
-    given: Sequence[str],
-) -> ConditionalFactor:
-    """Extract p(targets | given) from a joint.
-
-    Conditioning assignments with mass below ``MASS_SKIP`` get a uniform
-    row so the result is always a valid factor.
-    """
-    if not targets:
-        raise EmptyList("conditional_table needs a nonempty target group")
-    p_gt = marginalize(joint, [*given, *targets]).probs
-    n_g = len(given)
-    p_g = p_gt.sum(axis=tuple(range(n_g, p_gt.ndim)), keepdims=True)
-    t_size = math.prod(p_gt.shape[n_g:])
-    safe = np.where(p_g >= MASS_SKIP, p_g, 1.0)
-    table = np.where(p_g >= MASS_SKIP, p_gt / safe, 1.0 / t_size)
-    target_pairs = tuple((l, joint.card(l)) for l in targets)
-    given_pairs = tuple((l, joint.card(l)) for l in given)
-    return ConditionalFactor(target_pairs, given_pairs, table)

@@ -53,7 +53,7 @@ from cifc_udc.outer import (
     law_bounds,
     outer_polygon,
 )
-from cifc_udc.pmf import Information, clip_information, marginalize
+from cifc_udc.pmf import Information, clip_information
 from cifc_udc.polytope import region_contains, region_to_dict, regions_close
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
@@ -447,15 +447,38 @@ class TestSubstitutionIdentity:
             )
 
 
+def law_marginal(joint):
+    """p(x1, v12, v2, x2, x3) of an assembled joint, by a numpy sum."""
+    law = ("x1", "v12", "v2", "x2", "x3")
+    drop = tuple(a for a, label in enumerate(joint.labels) if label not in law)
+    kept = [label for label in joint.labels if label in law]
+    return joint.probs.sum(axis=drop).transpose([kept.index(l) for l in law])
+
+
 class TestSpecialization:
     def test_factorization_reproduces_distribution(self):
         rng = np.random.default_rng(11)
         ch = semidet_fixture()
         d = V12V2Joint.random((2, 2, 2, 2, 2), rng)
         fz = reduction_factorization(d, ch)
-        j = assemble_joint(fz, ch)
-        m = marginalize(j, ["x1", "v12", "v2", "x2", "x3"]).probs
-        assert np.allclose(m, d.pmf, atol=1e-12)
+        assert np.allclose(law_marginal(assemble_joint(fz, ch)), d.pmf, atol=1e-12)
+
+    def test_unreached_conditions_get_uniform_rows(self):
+        # x3 = 2 never occurs, nor x1 = 1 beside x3 = 0
+        pmf = np.random.default_rng(14).dirichlet(np.ones(48)).reshape(2, 2, 2, 2, 3)
+        pmf[..., 2] = 0.0
+        pmf[1, ..., 0] = 0.0
+        d = V12V2Joint(pmf.shape, pmf / pmf.sum())
+        ch = ChannelSpec.from_outputs((2, 2, 3, 2, 2), lambda x1, x2, x3: (x1 ^ x3 % 2, x2))
+        fz = reduction_factorization(d, ch)
+        assert np.allclose(law_marginal(assemble_joint(fz, ch)), d.pmf, atol=1e-12)
+        p_x1, p_block, p_x2 = (fz.factors[i].table for i in (1, 4, 6))
+        assert np.array_equal(p_x1[2], [0.5, 0.5])
+        assert np.all(p_x1[:2] != 0.5)
+        for x3, x1 in [(2, 0), (2, 1), (0, 1)]:
+            assert np.all(p_block[x3, x1] == 0.25)
+            assert np.all(p_x2[x3, x1] == 0.5)
+        assert not np.any(p_block[1] == 0.25) and not np.any(p_x2[1] == 0.5)
 
     def test_specialized_constants_admissible(self):
         rng = np.random.default_rng(12)

@@ -258,6 +258,29 @@ class TestFm:
         assert "'variables'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("entry", [5, None, 1.5, True])
+    def test_nonnegative_must_list_names(self, tmp_path, entry):
+        # a variable named "5" does not make the number 5 a name
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({
+            "variables": ["R1", "R2", "5"], "inequalities": [],
+            "nonnegative": [entry, "R1", "R2"],
+        }))
+        proc = run_cli("fm", path, "--keep", "R1,R2")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ParseError:")
+        assert "'nonnegative'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_nonnegative_name_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(
+            {"variables": ["R1", "R2"], "inequalities": [], "nonnegative": ["R3"]}
+        ))
+        proc = run_cli("fm", path, "--keep", "R1,R2")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("UnknownVariable:")
+
     def test_keep_validation(self, tmp_path):
         for keep in ("R1", "R1,bogus", "R1,R1", "R2, R2"):
             proc = run_cli("fm", self.make_system(tmp_path), "--keep", keep)

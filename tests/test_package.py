@@ -1,7 +1,8 @@
-"""The package surface: the names the docs import, the oracle boundary,
-unused imports and private names that nothing reads."""
+"""The package surface: the names the docs import or cite, the oracle
+boundary, unused imports and private names that nothing reads."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -52,6 +53,41 @@ def test_exports_resolve_and_only_tests_reach_the_oracles():
         if name in (".oracle", "cifc_udc.oracle")
     ]
     assert reaching == []
+
+
+def cited_names():
+    """Every backticked dotted name of the README, such as ``pmf.MI_GUARD``
+    or ``ChannelSpec.from_outputs(cards, fn)``, whose head is a module of
+    the package or an exported name; file names such as ``oracle.py`` are
+    not names."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[`(]", readme):
+        head = name.split(".")[0]
+        if not name.endswith(".py") and (
+            head in modules or not head.startswith("_") and hasattr(cifc_udc, head)
+        ):
+            yield name
+
+
+def resolves(name):
+    """Whether a dotted name resolves from a package module or export."""
+    head, *rest = name.split(".")
+    try:
+        obj = importlib.import_module(f"cifc_udc.{head}")
+    except ModuleNotFoundError:
+        obj = getattr(cifc_udc, head)
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_names_the_readme_cites_resolve():
+    cited = set(cited_names())
+    assert {"pmf.clip_information", "ChannelSpec.from_outputs"} <= cited
+    assert sorted(name for name in cited if not resolves(name)) == []
 
 
 def unused_imports(path):

@@ -13,9 +13,7 @@ from cifc_udc.pmf import (
     Information,
     JointPMF,
     clip_information,
-    conditional_table,
     joint_from_factors,
-    marginalize,
     point_mass,
 )
 
@@ -179,12 +177,6 @@ def test_group_validation():
     j = JointPMF((("x", 2), ("y", 2)), np.full((2, 2), 0.25))
     with pytest.raises(errors.UnknownLabel):
         cond(j, ["z"])
-    with pytest.raises(errors.UnknownLabel):
-        marginalize(j, ["z"])
-    with pytest.raises(errors.OverlappingGroups):
-        marginalize(j, ["x", "x"])
-    with pytest.raises(errors.EmptyList):
-        marginalize(j, [])
 
 
 def test_zero_mass_conditioning_is_skipped():
@@ -209,9 +201,6 @@ def test_factor_constructors():
     h = ConditionalFactor.from_modes([("y", 3)], [("w", 2), ("x", 3)], ("copy", "x"))
     for w in range(2):
         assert np.allclose(h.table[w], np.eye(3))
-
-    k = ConditionalFactor.from_function([("y", 2)], [("a", 2), ("b", 2)], lambda a, b: a ^ b)
-    assert k.table[1, 0, 1] == 1.0 and k.table[1, 1, 0] == 1.0
 
     rng = np.random.default_rng(0)
     r = ConditionalFactor.random([("y", 3)], [("x", 4)], rng)
@@ -269,7 +258,6 @@ def test_from_modes_contract():
 
 FACTOR_CONSTRUCTORS = {
     "from_modes": lambda t, g: ConditionalFactor.from_modes(t, g, ("copy", "x")),
-    "from_function": lambda t, g: ConditionalFactor.from_function(t, g, lambda x: x % 2),
     "random": lambda t, g: ConditionalFactor.random(t, g, np.random.default_rng(0)),
 }
 
@@ -336,27 +324,3 @@ def test_multi_target_factor_block():
     # joint rows reproduce the block rows
     assert np.allclose(j.probs, 0.5 * block.table)
 
-
-def test_conditional_table_round_trip():
-    rng = np.random.default_rng(5)
-    j = random_joint(rng, [2, 3], ["x", "y"])
-    fy = conditional_table(j, ["y"], ["x"])
-    px = marginalize(j, ["x"]).probs
-    rebuilt = px[:, None] * fy.table
-    assert np.allclose(rebuilt, j.probs, atol=1e-12)
-
-
-def test_conditional_table_fills_unreached_rows():
-    p = np.array([[0.5, 0.5], [0.0, 0.0]])
-    j = JointPMF((("x", 2), ("y", 2)), p)
-    f = conditional_table(j, ["y"], ["x"])
-    assert np.allclose(f.table[1], 0.5)  # uniform filler
-
-
-def test_marginalize_reorders():
-    rng = np.random.default_rng(9)
-    j = random_joint(rng, [2, 3, 4], ["a", "b", "c"])
-    m = marginalize(j, ["c", "a"])
-    assert m.labels == ("c", "a")
-    direct = j.probs.sum(axis=1).T
-    assert np.allclose(m.probs, direct)
