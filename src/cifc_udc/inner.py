@@ -18,14 +18,13 @@ from .errors import (
     InadmissibleConstants,
     InvalidFactor,
     MissingVariable,
-    TooLarge,
 )
 from .pmf import (
-    JOINT_CELL_LIMIT,
     ConditionalFactor,
     Information,
     JointPMF,
     _settings,
+    check_cells,
     clip_information,
     joint_from_factors,
 )
@@ -297,9 +296,9 @@ def region_for_distribution(c: InnerConstants) -> Region2D:
     The convex hull of the eight drop cases' polygons; each case pins the
     sub-rates named in its drop condition to zero and removes the rows the
     pin makes unnecessary.  Each case is projected once per process
-    (``_compiled_case``); a call evaluates the projected bounds at ``c``
-    and clips the box by them (``polygon_points``), and a case the binning
-    floors make infeasible adds nothing.  The silent point (0,0) is
+    (``_compiled_case``); a call evaluates its rows at ``c`` and clips
+    the box by them (``polygon_points``), and a case the binning floors
+    make infeasible adds nothing.  The silent point (0,0) is
     always reported achievable, even when every split is infeasible.
     """
     if not admissible(c):
@@ -309,9 +308,9 @@ def region_for_distribution(c: InnerConstants) -> Region2D:
     theta = [getattr(c, name) for name in CONSTANT_NAMES]
     points = []
     for pinned, dropped in DROP_CASES:
-        system = _compiled_case(pinned, dropped).at(theta)
-        if system is not None:
-            points += polygon_points(system, "R1", "R2")[1]
+        rows = _compiled_case(pinned, dropped).at(theta)
+        if rows is not None:
+            points += polygon_points(*rows)[1]
     return region_from_vertices(points or [(0.0, 0.0)])
 
 
@@ -431,17 +430,12 @@ def sample_factorizations(
     followed by a copy with that factor forced constant, so distributions
     rejected by the admissibility gate still contribute their base region.
     Raises ``TooLarge``, before building anything, when the joint would
-    hold more than ``JOINT_CELL_LIMIT`` cells.
+    hold more than ``pmf.JOINT_CELL_LIMIT`` cells.
     """
     cards = dict(cfg.aux_cards())
     for label in ("x1", "x2", "x3", "y2"):
         cards[label] = channel.card(label)
-    cells = _joint_cells(channel, cfg)
-    if cells > JOINT_CELL_LIMIT:
-        raise TooLarge(
-            f"the inner joint would hold {cells} cells, over the budget of "
-            f"{JOINT_CELL_LIMIT}"
-        )
+    check_cells(_joint_cells(channel, cfg), "the inner joint")
     base = list(_corner_catalog(cards))
     for i in range(cfg.num_samples):
         rng = np.random.default_rng([cfg.seed, i])

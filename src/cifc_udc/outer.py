@@ -19,13 +19,13 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import ChannelSpec
-from .errors import CardinalityMismatch, ShapeMismatch, TooLarge
+from .errors import CardinalityMismatch, ShapeMismatch
 from .pmf import (
-    JOINT_CELL_LIMIT,
     Information,
     _cardinalities,
     _normalized,
     _settings,
+    check_cells,
     clip_information,
     point_mass,
 )
@@ -271,11 +271,7 @@ def check_ascent_budget(cards, channel: ChannelSpec) -> None:
     candidate entries, both within the limit once this check passes."""
     n = math.prod(cards)
     cells = n * n * channel.card("y1") * channel.card("y2")
-    if cells > JOINT_CELL_LIMIT:
-        raise TooLarge(
-            f"an ascent sweep over {n} input cells would have {cells} joint cells, "
-            f"over the budget of {JOINT_CELL_LIMIT}"
-        )
+    check_cells(cells, f"an ascent sweep over {n} input cells")
 
 
 def v12_cards(channel: ChannelSpec, cfg: SearchConfig) -> tuple[int, int, int, int]:
@@ -337,13 +333,16 @@ def sample_pool(
 
     The corners come first, then ``cfg.num_samples`` Dirichlet(1) draws
     over ``cards`` (``InputLaw.random``) seeded by (cfg.seed, i), then the
-    extra laws.
+    extra laws.  Raises ``TooLarge``, before any draw, when they would
+    hold more than ``pmf.JOINT_CELL_LIMIT`` cells.
     """
     for d in extra:
         if d.cards != cards:
             raise CardinalityMismatch(
                 f"extra distribution cards {d.cards} do not match {cards}"
             )
+    rows = len(corners) + cfg.num_samples + len(extra)
+    check_cells(rows * math.prod(cards), f"a pool of {rows} laws")
     pool = list(corners)
     for i in range(cfg.num_samples):
         rng = np.random.default_rng([cfg.seed, i])
@@ -370,8 +369,11 @@ def fan_search(
     without it, and every row among the ``REFINE_STARTS`` best of all
     still starts one.  All ascents of the fan run together in one
     ``lockstep_ascent``, ordered by start row.  After the pool, ``caps_of``
-    sees bytewise-distinct rows only.
+    sees bytewise-distinct rows only.  Raises ``TooLarge`` first when the
+    supports, one per direction and row, would hold more than
+    ``pmf.JOINT_CELL_LIMIT`` cells.
     """
+    check_cells(cfg.fan * len(flats), f"a fan of {cfg.fan} over {len(flats)} laws")
     directions = fan_directions(cfg.fan)
     supports = support_of_caps(*caps_of(flats), directions[:, None, :])
     cut = len(flats) - extra

@@ -36,6 +36,7 @@ from .errors import (
     RepeatedTarget,
     ShapeMismatch,
     SumNotOne,
+    TooLarge,
     UnknownLabel,
 )
 
@@ -49,6 +50,15 @@ MI_GUARD = -1e-9
 JOINT_CELL_LIMIT = 2**24
 
 
+def check_cells(cells: int, what: str) -> None:
+    """Raise ``TooLarge`` when ``what`` would hold more than
+    ``JOINT_CELL_LIMIT`` cells."""
+    if cells > JOINT_CELL_LIMIT:
+        raise TooLarge(
+            f"{what} would hold {cells} cells, over the budget of {JOINT_CELL_LIMIT}"
+        )
+
+
 def point_mass(symbols, card: int) -> np.ndarray:
     """One-hot table: ``symbols`` gains a last axis of extent ``card``
     that holds 1.0 at the given symbol and 0.0 elsewhere."""
@@ -57,10 +67,10 @@ def point_mass(symbols, card: int) -> np.ndarray:
 
 def _number(value, integral: bool = False) -> bool:
     """Whether ``value`` may stand where a number belongs: a string, a
-    boolean (numpy's too) or a list may not, whatever it holds.  An
-    ``integral`` one is also whole: 2 and 2.0 are, 2.5, NaN and infinities
-    are not."""
-    if isinstance(value, (str, bool, np.bool_, list)):
+    boolean (numpy's too), a list or a dict may not, whatever it holds.
+    An ``integral`` one is also whole: 2 and 2.0 are, 2.5, NaN and
+    infinities are not."""
+    if isinstance(value, (str, bool, np.bool_, list, dict)):
         return False
     try:
         return not integral or int(value) == value

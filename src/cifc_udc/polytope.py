@@ -314,7 +314,7 @@ def project_to_plane(
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ParametricPlane:
-    """A system over two variables whose bounds are affine in parameters.
+    """Rows over two variables whose bounds are affine in parameters.
 
     At parameters theta, row i reads
     ``ineq_coefs[i] . x <= ineq_multipliers[i] . (theta, 1)``, and the
@@ -324,29 +324,22 @@ class ParametricPlane:
     :func:`project_parametric`; :meth:`at` evaluates it.
     """
 
-    variables: tuple[str, str]
     ineq_coefs: np.ndarray
     ineq_multipliers: np.ndarray
     eq_coefs: np.ndarray
     eq_multipliers: np.ndarray
     trivial: np.ndarray
     trivial_eq: np.ndarray
-    nonnegative: frozenset
 
-    def at(self, theta: Sequence[float]) -> LinearSystem | None:
-        """The two-variable system at parameters ``theta``, or None where
-        a trivial row fails there and the system is empty."""
+    def at(self, theta: Sequence[float]) -> tuple | None:
+        """The rows (ineq_coefs, ineq_bounds, eq_coefs, eq_values) at
+        parameters ``theta``, the inequalities through ``_tidy``, or None
+        where a trivial row fails there and the system is empty."""
         point = np.append(np.asarray(theta, dtype=np.float64), 1.0)
         if _contradicts(self.trivial @ point, self.trivial_eq @ point):
             return None
-        return LinearSystem(
-            self.variables,
-            self.ineq_coefs,
-            self.ineq_multipliers @ point,
-            self.eq_coefs,
-            self.eq_multipliers @ point,
-            self.nonnegative,
-        )
+        ic, ib, _, _ = _tidy(self.ineq_coefs, self.ineq_multipliers @ point)
+        return ic, ib, self.eq_coefs, self.eq_multipliers @ point
 
 
 def project_parametric(
@@ -366,17 +359,16 @@ def project_parametric(
     a parameter vector theta of length ``size``: each bound is a row of
     ``size + 1`` multipliers over (theta, 1), or 0.  The coefficients do
     not depend on theta.  :func:`project_to_plane`'s elimination runs on
-    the multipliers, so ``project_parametric(...).at(theta)`` has the
-    region of ``project_to_plane`` on the system at theta.
+    the multipliers, so ``project_parametric(...).at(theta)`` has the rows,
+    columns (``r1``, ``r2``), of ``project_to_plane`` on the system at theta.
     """
     variables = tuple(variables)
     ic, im = _row_arrays(variables, inequalities, size + 1)
     ec, em = _row_arrays(variables, equalities, size + 1)
-    nonnegative = frozenset(nonnegative)
     ic, im, trivial, _ = _tidy(ic, im)
     ec, em, trivial_eq, _ = _tidy(ec, em, equalities=True)
     ic, im, ec, em, more, more_eq = _eliminate(
-        variables, ic, im, ec, em, nonnegative, r1, r2
+        variables, ic, im, ec, em, frozenset(nonnegative), r1, r2
     )
     arrays = (
         ic, im, ec, em,
@@ -384,7 +376,7 @@ def project_parametric(
     )
     for array in arrays:  # a cached plane is shared by every caller
         array.setflags(write=False)
-    return ParametricPlane((r1, r2), *arrays, nonnegative & {r1, r2})
+    return ParametricPlane(*arrays)
 
 
 # ---------------------------------------------------------------- 2D geometry
@@ -490,10 +482,11 @@ class Region2D:
     """A bounded convex rate region in the nonnegative quadrant.
 
     ``halfplanes`` are (alpha, beta, gamma) rows meaning
-    alpha*R1 + beta*R2 <= gamma, in bits, normalized to max-abs
-    coefficient one, and always including R1 >= 0 and R2 >= 0.
-    ``vertices`` walk the polygon counter-clockwise.  ``empty`` regions
-    carry no vertices.
+    alpha*R1 + beta*R2 <= gamma, in bits.  The constructor is the one
+    place that normalizes them to max-abs coefficient one, drops rows
+    without coefficients, and appends R1 >= 0 and R2 >= 0 where no row
+    within ``ROW_TOL`` says so.  ``vertices`` walk the polygon
+    counter-clockwise.  ``empty`` regions carry no vertices.
     """
 
     halfplanes: tuple
@@ -542,23 +535,17 @@ class Region2D:
 
 
 def _edges_to_halfplanes(hull: list) -> list:
-    """Outward halfplanes of a CCW hull; degenerate hulls get box planes."""
+    """Outward halfplanes of a CCW hull, raw (``Region2D`` normalizes
+    them); degenerate hulls get box planes."""
     if len(hull) == 1:
         (x, y) = hull[0]
         return [(1.0, 0.0, x), (-1.0, 0.0, -x), (0.0, 1.0, y), (0.0, -1.0, -y)]
     if len(hull) == 2:
         (x1, y1), (x2, y2) = hull
         dx, dy = x2 - x1, y2 - y1
-        planes = []
-        for a, b in ((dy, -dx), (-dy, dx)):
-            norm = _normalize_halfplane((a, b, a * x1 + b * y1))
-            if norm is not None:
-                planes.append(norm)
+        planes = [(a, b, a * x1 + b * y1) for a, b in ((dy, -dx), (-dy, dx))]
         for a, b in ((dx, dy), (-dx, -dy)):
-            ref = max(a * x1 + b * y1, a * x2 + b * y2)
-            norm = _normalize_halfplane((a, b, ref))
-            if norm is not None:
-                planes.append(norm)
+            planes.append((a, b, max(a * x1 + b * y1, a * x2 + b * y2)))
         return planes
     planes = []
     m = len(hull)
@@ -566,9 +553,7 @@ def _edges_to_halfplanes(hull: list) -> list:
         x1, y1 = hull[i]
         x2, y2 = hull[(i + 1) % m]
         a, b = y2 - y1, -(x2 - x1)  # outward for CCW order
-        norm = _normalize_halfplane((a, b, a * x1 + b * y1))
-        if norm is not None:
-            planes.append(norm)
+        planes.append((a, b, a * x1 + b * y1))
     return planes
 
 
@@ -581,31 +566,21 @@ def region_from_vertices(points: Sequence) -> Region2D:
     return Region2D(tuple(_edges_to_halfplanes(hull)), np.array(hull))
 
 
-def polygon_points(system: LinearSystem, r1: str, r2: str) -> tuple[list, list]:
-    """(halfplanes, polygon) of a two-variable system.
+def polygon_points(ic, ib, ec, ev) -> tuple[list, list]:
+    """(halfplanes, polygon) of rows ``ic . x <= ib`` and ``ec . x = ev``
+    over the two plotted rates.
 
-    The halfplanes are the system's rows over (``r1``, ``r2``), each
-    equality as two opposing rows, normalized, after R1 >= 0 and R2 >= 0.
-    The polygon is the working box clipped by all of them, in order and
-    counter-clockwise; it is empty when the system is infeasible.  The
-    system must contain exactly the plotted variables; project first.
+    The halfplanes are R1 >= 0 and R2 >= 0, then the inequalities, then
+    each equality as two opposing rows, all normalized, since the clip's
+    ``SNAP`` test reads normalized distances.  The polygon is the working
+    box clipped by all of them, in order and counter-clockwise; it is
+    empty when they cut nothing out of it.
     """
-    if set(system.variables) != {r1, r2}:
-        raise LeftoverVariables(
-            f"system still has variables {system.variables}, expected ({r1}, {r2})"
-        )
-    if not system.feasible:
-        return [], []
-    i1, i2 = system.index_of(r1), system.index_of(r2)
-    rows = [(1.0, row, bound) for row, bound in zip(system.ineq_coefs, system.ineq_bounds)]
-    rows += [
-        (sign, row, value)
-        for row, value in zip(system.eq_coefs, system.eq_values)
-        for sign in (1.0, -1.0)
-    ]
+    rows = [(1.0, row, bound) for row, bound in zip(ic, ib)]
+    rows += [(sign, row, value) for row, value in zip(ec, ev) for sign in (1.0, -1.0)]
     planes = list(NONNEG_HALFPLANES)
-    for sign, row, bound in rows:
-        norm = _normalize_halfplane((sign * row[i1], sign * row[i2], sign * bound))
+    for sign, (a, b), bound in rows:
+        norm = _normalize_halfplane((sign * a, sign * b, sign * bound))
         if norm is not None:
             planes.append(norm)
     points = _clip_all(planes)
@@ -619,11 +594,20 @@ def polygon_points(system: LinearSystem, r1: str, r2: str) -> tuple[list, list]:
 def polygon_extract(system: LinearSystem, r1: str, r2: str) -> Region2D:
     """Turn a two-variable system into an irredundant Region2D.
 
-    One clip of the box (:func:`polygon_points`) gives the vertices; the
-    halfplanes are the rows left after a greedy drop-one prune, plus
-    R1 >= 0 and R2 >= 0, which the rate-region convention always keeps.
+    The system must contain exactly the plotted variables; project first.
+    One clip of the box by its rows (:func:`polygon_points`) gives the
+    vertices; the halfplanes are the rows left after a greedy drop-one
+    prune, to which ``Region2D`` adds R1 >= 0 and R2 >= 0.
     """
-    planes, points = polygon_points(system, r1, r2)
+    if set(system.variables) != {r1, r2}:
+        raise LeftoverVariables(
+            f"system still has variables {system.variables}, expected ({r1}, {r2})"
+        )
+    cols = [system.index_of(r1), system.index_of(r2)]
+    planes, points = polygon_points(
+        system.ineq_coefs[:, cols], system.ineq_bounds,
+        system.eq_coefs[:, cols], system.eq_values,
+    ) if system.feasible else ([], [])
     if not points:
         return Region2D((), np.zeros((0, 2)), empty=True)
 
@@ -642,10 +626,6 @@ def polygon_extract(system: LinearSystem, r1: str, r2: str) -> Region2D:
             kept = trial
         else:
             i += 1
-    # nonnegativity rows are part of the region contract even when redundant
-    for hp in NONNEG_HALFPLANES:
-        if hp not in kept:
-            kept.append(hp)
     return Region2D(tuple(kept), np.array(convex_hull(_dedupe_points(points))))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import _law_reference as reference
 from _systems import union_hull
+from cifc_udc import capacity
 from cifc_udc.capacity import (
     CONDITION_A,
     INPUT_AXES,
@@ -34,6 +35,7 @@ from cifc_udc.errors import (
     NotDegraded,
     NotSemiDeterministic,
     NotZChannel,
+    NumericsError,
     ParseError,
     ShapeMismatch,
     SumNotOne,
@@ -563,6 +565,25 @@ class TestCapacitySemidetHi:
         assert report.falsified and report.seed == 3 and report.samples == 20
         gaps = violation_gaps(report.witness(), channel)
         assert abs(float(max(gaps)) - report.margin) <= 1e-12
+
+    @pytest.mark.parametrize("shift, raises", [(1e-6, True), (1e-10, False)])
+    def test_drop_guard_names_the_first_row_whose_caps_move(
+        self, monkeypatch, shift, raises
+    ):
+        # under the premise the five reduced caps equal the formula's; a
+        # term off by more than DROP_CONSISTENCY_TOL must trip the guard
+        channel = load_channel((CHANNELS / "hi_in_class.json").read_text())
+        real = capacity._reduced_terms_y2
+        monkeypatch.setattr(
+            capacity, "_reduced_terms_y2",
+            lambda info: real(info) + np.array([shift, 0.0, 0.0, 0.0, 0.0]),
+        )
+        cfg = SearchConfig(seed=1, num_samples=2, fan=4)
+        if raises:
+            with pytest.raises(NumericsError, match=r"at sample 0$"):
+                capacity_semidet_hi(channel, cfg)
+        else:
+            capacity_semidet_hi(channel, cfg)
 
 
 def noisy_channel():

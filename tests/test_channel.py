@@ -260,12 +260,12 @@ def test_non_integral_cardinality_is_a_shape_error(entry):
             build(card)
 
 
-@pytest.mark.parametrize("spell", [str, bool, np.bool_, lambda v: [v]],
-                         ids=["string", "bool", "np.bool_", "array"])
+@pytest.mark.parametrize("spell", [str, bool, np.bool_, lambda v: [v], lambda v: {"v": v}],
+                         ids=["string", "bool", "np.bool_", "array", "object"])
 def test_a_string_a_boolean_or_an_array_is_no_number(spell, tmp_path):
-    """Each loader refuses numbers spelled as strings, booleans or one-entry
-    arrays, even ones that keep the document's values (1.0 as "1.0", true
-    or [1.0])."""
+    """Each loader refuses numbers spelled as strings, booleans, one-entry
+    arrays or objects, even ones that keep the document's values (1.0 as
+    "1.0", true, [1.0] or {"v": 1.0})."""
     path = tmp_path / "doc.json"
     doc = doc_for(clean_orthogonal())
     doc["p"] = [spell(v) for v in doc["p"]]

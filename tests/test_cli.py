@@ -410,8 +410,11 @@ def test_inner_joint_over_the_cell_budget():
     assert "Traceback" not in proc.stderr
 
 
-def test_outer_ascent_over_the_cell_budget():
-    proc = run_cli("outer", channel("clean.json"), "--card-v12", 512)
+@pytest.mark.parametrize("option, value", [("--card-v12", 512), ("--fan", 10**11)],
+                         ids=["card-v12", "fan"])
+def test_outer_ascent_over_the_cell_budget(option, value):
+    # an ascent sweep, or the fan's supports over the pool, past the budget
+    proc = run_cli("outer", channel("clean.json"), option, value)
     assert proc.returncode == 1
     assert proc.stderr.startswith("TooLarge:")
     assert "Traceback" not in proc.stderr

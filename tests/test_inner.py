@@ -52,6 +52,7 @@ from cifc_udc.pmf import (
 )
 from cifc_udc.polytope import (
     polygon_extract,
+    polygon_points,
     project_to_plane,
     region_contains,
     region_from_vertices,
@@ -544,11 +545,8 @@ def runtime_case_regions(c):
 def compiled_case_regions(c):
     """Each drop case's region from its once-projected multiplier table."""
     theta = [getattr(c, name) for name in CONSTANT_NAMES]
-    systems = [inner._compiled_case(pinned, dropped).at(theta) for pinned, dropped in DROP_CASES]
-    return [
-        region_from_vertices([]) if s is None else polygon_extract(s, "R1", "R2")
-        for s in systems
-    ]
+    rows = [inner._compiled_case(pinned, dropped).at(theta) for pinned, dropped in DROP_CASES]
+    return [region_from_vertices([] if r is None else polygon_points(*r)[1]) for r in rows]
 
 
 def assert_compiled_matches_runtime(c):

@@ -454,6 +454,17 @@ class TestOuterEstimate:
         with pytest.raises(TooLarge):
             capacity.hi_regime_falsify(clean_channel(), cfg)
 
+    def test_pool_and_fan_over_the_cell_budget_fail_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a law over the budget")
+
+        monkeypatch.setattr(outer.InputLaw, "random", no_draw)
+        for cfg in (SearchConfig(num_samples=10**12), SearchConfig(fan=10**11)):
+            with pytest.raises(TooLarge):
+                outer_region_estimate(clean_channel(), cfg)
+        with pytest.raises(TooLarge):
+            capacity.hi_regime_falsify(clean_channel(), SearchConfig(num_samples=10**12))
+
 
 def test_input_corners_and_wire_v12_match_the_reference():
     """Corner laws and every V12 wiring of them and of random bases (some

@@ -23,6 +23,7 @@ from cifc_udc.polytope import (
     _dedupe_points,
     Region2D,
     polygon_extract,
+    polygon_points,
     project_parametric,
     project_to_plane,
     region_contains,
@@ -331,14 +332,11 @@ def test_parametric_projection_matches_projection_at_each_point():
                 labels, rows_at(ineqs, theta), rows_at(eqs, theta), nonnegative=labels
             )
             want = polygon_extract(project_to_plane(system, "t0", "t1"), "t0", "t1")
-            system = family.at(theta)
-            if system is None:
-                got = region_from_vertices([])
-            else:
-                got = polygon_extract(system, "t0", "t1")
+            rows = family.at(theta)
+            got = region_from_vertices([] if rows is None else polygon_points(*rows)[1])
             assert got.empty == want.empty
             assert regions_close(got, want, tol=1e-9)
-            outcomes.add((system is None, got.empty))
+            outcomes.add((rows is None, got.empty))
     # empty by a trivial row, empty in the plane, and not empty
     assert outcomes == {(True, True), (False, True), (False, False)}
 
@@ -347,7 +345,7 @@ def test_parametric_projection_needs_multiplier_rows():
     # x <= theta and y <= 0: a bare 0 is a row of zero multipliers
     rows = [({"x": 1.0}, np.array([1.0, 0.0])), ({"y": 1.0}, 0)]
     plane = project_parametric(("x", "y"), rows, [], 1, "x", "y")
-    assert np.array_equal(plane.at([0.5]).ineq_bounds, [0.5, 0.0])
+    assert np.array_equal(plane.at([0.5])[1], [0.5, 0.0])
     # a bare number other than 0 cannot say which multiplier it is
     with pytest.raises(errors.ShapeMismatch):
         project_parametric(("x", "y", "z"), [({"x": 1.0}, 1.0)], [], 1, "x", "y")
