@@ -179,17 +179,25 @@ def support_of_caps(r1, r2, s, direction) -> np.ndarray:
     return np.max(la * corners[..., 0] + lb * corners[..., 1], axis=-1)
 
 
-def project_to_simplex(rows: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+def _project_rows(rows: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of ``rows`` onto the probability
+    simplex, written over ``rows``: the bytes of the textbook formula
+    (sort, cumsum, threshold tau), with two temporaries of its size."""
     n = rows.shape[1]
-    u = -np.sort(-rows, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, n + 1)
-    cond = u - css / ks > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(rows.shape[0]), rho] / (rho + 1)
-    return np.maximum(rows - tau[:, None], 0.0)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    # (cumsum - 1) / k, once for the threshold test and for tau; for
+    # doubles u - c > 0 exactly when u > c
+    css = np.cumsum(u, axis=1)
+    css -= 1.0
+    css /= np.arange(1, n + 1)
+    rho = n - 1 - np.argmax((u > css)[:, ::-1], axis=1)
+    rows -= css[np.arange(len(rows)), rho][:, None]
+    return np.maximum(rows, 0.0, out=rows)
+
+
+def project_to_simplex(rows: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row onto the probability simplex, anew."""
+    return _project_rows(np.array(np.atleast_2d(rows), dtype=float))
 
 
 def fan_directions(count: int) -> np.ndarray:
@@ -198,7 +206,7 @@ def fan_directions(count: int) -> np.ndarray:
 
 
 # cap on the walks x n x n candidate entries of a lockstep block: the bumped
-# points and project_to_simplex's temporaries (law_bounds caps the tables)
+# points and _project_rows's two temporaries (law_bounds caps the tables)
 _BLOCK_CELLS = 1 << 14
 
 # a walk moves, and counts as improved, only on a gain above this
@@ -232,8 +240,10 @@ def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarra
         for _ in range(REFINE_SWEEPS):
             if not live.size:
                 break
-            bumped = x[live, None, :] + steps[:, None, None] * np.eye(n)
-            candidates = project_to_simplex(bumped.reshape(-1, n))
+            # walk w's candidate i is its point with entry i bumped by its step
+            candidates = np.repeat(x[live], n, axis=0)
+            candidates.reshape(-1, n, n)[:, range(n), range(n)] += steps[:, None]
+            _project_rows(candidates)
             scores = evaluate(candidates, np.repeat(live, n)).reshape(-1, n)
             # the first candidate within ASCENT_GAIN of the best, so that exact
             # ties (v12 relabelings) do not split on the last bits of a sum

@@ -14,6 +14,10 @@ Also the lift of a batch of input laws to full joint tensors, which the
 library never builds (``Information.of_laws`` scores laws without it): the
 tests wrap it in ``Information(j, labels)`` as the reference for every
 evaluator.
+
+Also ``project_to_simplex`` and ``bumped``, the simplex projection and the
+coordinate-ascent candidates as written before the ascent projected its
+candidates in place.
 """
 
 from __future__ import annotations
@@ -260,3 +264,23 @@ def classify(channel: ChannelSpec, tol: float = 1e-9) -> ClassReport:
         is_degraded=is_degraded,
         is_semi_deterministic=is_semi_deterministic,
     )
+
+
+def project_to_simplex(rows: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row onto the probability simplex."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    n = rows.shape[1]
+    u = -np.sort(-rows, axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    ks = np.arange(1, n + 1)
+    cond = u - css / ks > 0
+    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = css[np.arange(rows.shape[0]), rho] / (rho + 1)
+    return np.maximum(rows - tau[:, None], 0.0)
+
+
+def bumped(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The projected candidates of one ascent sweep: for each row of ``x``,
+    the row with entry i raised by its step, for each i in turn."""
+    n = x.shape[1]
+    return project_to_simplex((x[:, None, :] + steps[:, None, None] * np.eye(n)).reshape(-1, n))

@@ -283,6 +283,64 @@ class TestSimplexProjection:
         q = rng.dirichlet(np.ones(5), size=8)
         assert np.allclose(project_to_simplex(q), q, atol=1e-12)
 
+    @staticmethod
+    def rows_of_every_kind(rng):
+        """Random rows, rows with ties, with zero entries and on the simplex,
+        and the vertices and center of the simplex."""
+        n = 6
+        ties = rng.integers(0, 3, size=(20, n)) / 4.0
+        zeros = rng.normal(size=(20, n)) * (rng.random((20, n)) < 0.5)
+        on = rng.dirichlet(np.ones(n), size=20)
+        return np.concatenate([
+            rng.normal(scale=2.0, size=(20, n)), ties, zeros, on,
+            np.eye(n), np.full((1, n), 1.0 / n),
+        ])
+
+    def test_same_bytes_as_the_old_formula(self):
+        rows = self.rows_of_every_kind(np.random.default_rng(7))
+        got = project_to_simplex(rows)
+        assert reference.same_bytes(got, reference.project_to_simplex(rows))
+        # a new array: the input is left as it was
+        assert reference.same_bytes(rows, self.rows_of_every_kind(np.random.default_rng(7)))
+        assert reference.same_bytes(project_to_simplex(rows[0]), got[:1])
+
+    def test_ascent_candidates_have_the_bytes_of_the_old_bump(self, monkeypatch):
+        # each sweep's candidates against the old bump of the walks' points,
+        # which the test follows by the ascent's own rule
+        rng = np.random.default_rng(8)
+        starts = np.concatenate([rng.dirichlet(np.ones(6), size=6), np.eye(6)[:2]])
+        calls = []
+
+        def score(rows):
+            return -np.sum((rows - 0.2) ** 2, axis=1)
+
+        def evaluate(rows, owner):
+            calls.append((rows.copy(), owner.copy()))
+            return score(rows)
+
+        monkeypatch.setattr(outer, "_BLOCK_CELLS", 3 * 36)
+        lockstep_ascent(starts, evaluate)
+        points, steps, sweeps = {}, {}, 0
+        for rows, owner in calls:
+            if len(owner) == len(set(owner.tolist())):
+                # a block's first call scores the start points of its walks
+                points.update(zip(owner.tolist(), rows))
+                steps.update(dict.fromkeys(owner.tolist(), outer.REFINE_STEP))
+                continue
+            walks = owner[::6].tolist()
+            x = np.stack([points[w] for w in walks])
+            assert reference.same_bytes(rows, reference.bumped(x, np.array([steps[w] for w in walks])))
+            scores = score(rows).reshape(-1, 6)
+            top = scores.max(axis=1, keepdims=True)
+            best = np.argmax(scores >= top - outer.ASCENT_GAIN, axis=1)
+            for i, w in enumerate(walks):
+                if scores[i, best[i]] > score(points[w][None])[0] + outer.ASCENT_GAIN:
+                    points[w] = rows.reshape(-1, 6, 6)[i, best[i]]
+                else:
+                    steps[w] *= 0.5
+            sweeps += 1
+        assert sweeps > 10
+
 
 # each a search config, one of its settings and the least value it takes
 CONFIG_SETTINGS = [

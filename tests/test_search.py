@@ -368,9 +368,15 @@ def fixture(name):
     return load_channel((CHANNELS / f"{name}.json").read_text())
 
 
+# a seeded dense channel at |X| = (3,3,2,3,3) and the benchmark's outer search
+# on such a channel: n = 54, so the default block holds 5 of its 15 walks
+DENSE_CFG = SearchConfig(seed=3, num_samples=10, card_v12=3, fan=3)
+
+
 def search_of(name, cfg):
-    """Pool and caps of the search that runs on a fixture channel."""
-    ch = fixture(name)
+    """Pool and caps of the search that runs on a fixture channel, or of
+    the outer search on the "dense" channel."""
+    ch = noisy_channel((3, 3, 2, 3, 3), seed=25) if name == "dense" else fixture(name)
     if name == "degraded_z":
         cards = ch.cards[:3]
         pool = sample_pool(cards, cfg, input_corners(cards))
@@ -519,17 +525,42 @@ def test_the_ascent_hit_cases_reach_their_witness_by_ascent(case):
 
 def test_one_walk_per_block_matches_the_default_block(monkeypatch):
     cfg = SearchConfig(seed=3, num_samples=5, fan=8)
-    pools = {name: search_of(name, cfg)
-             for name in ("clean", "degraded_z", "hi_in_class")}
-    fans = {name: fan_search(pool, caps_of, cfg)
+    cfgs = {"clean": cfg, "degraded_z": cfg, "hi_in_class": cfg, "dense": DENSE_CFG}
+    pools = {name: search_of(name, c) for name, c in cfgs.items()}
+    fans = {name: fan_search(pool, caps_of, cfgs[name])
             for name, (pool, caps_of) in pools.items()}
     reports = {case: hi_regime_falsify(make(), cfg)
                for case, make in FALSIFIER_CASES.items()}
-    monkeypatch.setattr(outer, "_BLOCK_CELLS", 1)
-    for name, (pool, caps_of) in pools.items():
-        assert_same_fan(fan_search(pool, caps_of, cfg), fans[name])
-    for case, make in FALSIFIER_CASES.items():
-        assert_same_report(hi_regime_falsify(make(), cfg), reports[case])
+    # one walk per block, and a whole fan per block
+    for cells in (1, 1 << 16):
+        monkeypatch.setattr(outer, "_BLOCK_CELLS", cells)
+        for name, (pool, caps_of) in pools.items():
+            assert_same_fan(fan_search(pool, caps_of, cfgs[name]), fans[name])
+        for case, make in FALSIFIER_CASES.items():
+            assert_same_report(hi_regime_falsify(make(), cfg), reports[case])
+
+
+@pytest.mark.parametrize("cells", [None, 100])
+@pytest.mark.parametrize("name", ["dense", "hi_in_class"])
+def test_no_evaluation_holds_more_than_a_block(name, cells, monkeypatch):
+    cfg = DENSE_CFG if name == "dense" else SearchConfig(seed=1, num_samples=20, fan=64)
+    pool, caps_of = search_of(name, cfg)
+    if cells is not None:
+        monkeypatch.setattr(outer, "_BLOCK_CELLS", cells)
+    entries = []
+
+    def counting_ascent(starts, evaluate):
+        def counted(rows, owner):
+            entries.append(rows.size)
+            return evaluate(rows, owner)
+        return lockstep_ascent(starts, counted)
+
+    monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
+    fan_search(pool, caps_of, cfg)
+    n = pool.shape[1]
+    budget = max(outer._BLOCK_CELLS, n * n)
+    # within the budget, and a sweep that fills more than half of it
+    assert budget // 2 < max(entries) <= budget
 
 
 def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
@@ -911,32 +942,30 @@ def test_information_rejects_an_unknown_label():
         info.mi("a", "b", "c")
 
 
-class SumCounted(np.ndarray):
-    """A tensor that records each ``sum`` taken over it."""
-
-    sums: list = []
-
-    def sum(self, *args, **kwargs):
-        self.sums.append(kwargs.get("axis", args[0] if args else None))
-        return np.asarray(self).sum(*args, **kwargs)
-
-
 def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
-    seen = []
-    kernel = pmf.marginal_entropies
+    seen, sources = [], []
+    kernel, marginal_sum = pmf.marginal_entropies, pmf._sum_out
 
     def counted(j, groups, ndim=6):
         seen.extend(groups)
         return kernel(j, groups, ndim)
 
+    def recorded(a, axes):
+        sources.append(a)
+        return marginal_sum(a, axes)
+
+    def root_sums(roots):
+        """How many marginals were summed straight from one of ``roots``."""
+        return sum(any(a is root for root in roots) for a in sources)
+
     j = random_tensors(6, seed=4)
     want = ref_five_bounds(j)
     monkeypatch.setattr(pmf, "marginal_entropies", counted)
-    monkeypatch.setattr(SumCounted, "sums", [])
-    assert_close_terms(five_bounds(Information(j.view(SumCounted), V12_AXES)), want)
+    monkeypatch.setattr(pmf, "_sum_out", recorded)
+    assert_close_terms(five_bounds(Information(j, V12_AXES)), want)
     assert len(seen) == len(set(seen)) == 14
     # only x1 v12 x3 y1 and the two five-axis marginals need the full tensor
-    assert 0 < len(SumCounted.sums) <= 3
+    assert 0 < root_sums([j]) <= 3
 
     # a law table: the four groups that hold x1, x2, x3 and an output come
     # by the chain rule, one sum of p(x) H(S | x) for each of their three S
@@ -944,15 +973,15 @@ def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
     rows = np.random.default_rng(4).dirichlet(np.ones(16), size=3)
     want = ref_five_bounds(lift(rows, (2, 2, 2, 2), ch))
     table = Information.of_laws(rows, (2, 2, 2, 2), V12_AXES, ch)
-    table._marginals = {k: m.view(SumCounted) for k, m in table._marginals.items()}
+    roots = list(table._marginals.values())
     seen.clear()
-    monkeypatch.setattr(SumCounted, "sums", [])
+    sources.clear()
     assert_close_terms(five_bounds(table), want)
     assert len(seen) == len(set(seen)) == 10
     assert len(table._expected) == 3
     # the law gives x1 x2 x3 and x1 v12 x3, and q the three groups with
     # v12 or both outputs; every other marginal sums from a smaller one
-    assert len(SumCounted.sums) == 5
+    assert root_sums(roots) == 5
 
 
 class FullTensorInformation(Information):
