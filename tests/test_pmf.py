@@ -177,10 +177,13 @@ def sum_cases(draw):
     return a, axes
 
 
-# trailing runs below and at 8 cells, after and without other reduced axes,
-# the slice chain and the chunked copy (count 16 over 43200 cells)
+# no axis and every axis; trailing runs below and at 8 cells, after and
+# without other reduced axes; the slice chain and the copy in pieces
+# (16 slices over 43200 cells)
 @settings(max_examples=400, deadline=None)
 @given(sum_cases())
+@example((np.arange(1.0, 61.0).reshape(5, 3, 4) / 7, ()))
+@example((np.arange(1.0, 61.0).reshape(5, 3, 4) / 7, (0, 1, 2)))
 @example((np.arange(1.0, 121.0).reshape(5, 2, 3, 4) / 7, (2, 3)))
 @example((np.arange(1.0, 91.0).reshape(5, 3, 2, 3) / 7, (1, 3)))
 @example((np.linspace(0.1, 3.0, 720).reshape(5, 2, 3, 4, 6) / 7, (1, 3, 4)))
