@@ -11,9 +11,11 @@ region file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+import types
 
 import numpy as np
 
@@ -33,7 +35,9 @@ from .polytope import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="cifc-udc",
         description="Rate regions for the cognitive interference channel "
@@ -59,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
                            default=None, **how)
         p.add_argument("--config", default=None)
-        p.set_defaults(options=options)
+        p.set_defaults(options=types.MappingProxyType(options))
 
     search = {"samples": (int, 0), "seed": (int, 0)}
     output = {"threads": (int, 1), "out": (str, None)}

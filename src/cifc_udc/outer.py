@@ -195,11 +195,6 @@ def _project_rows(rows: np.ndarray) -> np.ndarray:
     return np.maximum(rows, 0.0, out=rows)
 
 
-def project_to_simplex(rows: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex, anew."""
-    return _project_rows(np.array(np.atleast_2d(rows), dtype=float))
-
-
 def fan_directions(count: int) -> np.ndarray:
     angles = np.linspace(0.0, np.pi / 2.0, count)
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -18,6 +18,11 @@ evaluator.
 Also ``project_to_simplex`` and ``bumped``, the simplex projection and the
 coordinate-ascent candidates as written before the ascent projected its
 candidates in place.
+
+Also ``reduce_v12``, a constructive Carathéodory reduction of a law
+p(x1, v12, x2, x3) to |X2| + 2 symbols of V12 that keeps every term the
+library's V12 evaluators read.  The library never reduces a law; the tests
+use it to back the search size of ``outer.v12_cards``.
 """
 
 from __future__ import annotations
@@ -284,3 +289,49 @@ def bumped(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     the row with entry i raised by its step, for each i in turn."""
     n = x.shape[1]
     return project_to_simplex((x[:, None, :] + steps[:, None, None] * np.eye(n)).reshape(-1, n))
+
+
+def _entropy_bits(rows: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of ``rows``, with 0 log 0 = 0."""
+    logs = np.log2(rows, out=np.zeros_like(rows), where=rows > 0)
+    return -np.sum(rows * logs, axis=-1)
+
+
+def reduce_v12(d: V12Joint, channel: ChannelSpec) -> V12Joint:
+    """Reduce p(x1, v12, x2, x3) to |X2| + 2 symbols of V12, slice by slice.
+
+    Fix (x1, x3).  Each v12 of weight w_v = p(x1, v12, x3) > 0 is an atom
+    with the |X2| + 2 numbers p(x2 | x1, v12, x3) for each x2,
+    H(Y1 | x1, v12, x3) and H(Y2 | x1, v12, x3).  The slice's weighted sum
+    of these columns holds p(x1, x2, x3) and the slice's share of
+    H(Y1 | X1, V12, X3) and H(Y2 | X1, V12, X3).  While more atoms remain
+    than rows, a null vector z of the columns exists; since the x2 rows sum
+    to one, z has a positive entry, and w - t z with the largest t that
+    keeps w nonnegative keeps the sum and zeroes one atom.  The survivors
+    take the v12 symbols 0, 1, ... in their order, so one alphabet of
+    |X2| + 2 symbols serves every slice: V12 only ever appears beside X1
+    and X3 in the terms.
+    """
+    cx1, _, cx2, cx3 = d.cards
+    rows = cx2 + 2
+    out = np.zeros((cx1, rows, cx2, cx3))
+    for x1, x3 in itertools.product(range(cx1), range(cx3)):
+        block = d.pmf[x1, :, :, x3]
+        weights = block.sum(axis=1)
+        live = weights > 0
+        w, q = weights[live], block[live] / weights[live, None]
+        columns = np.vstack([
+            q.T,
+            _entropy_bits(q @ channel.output1_given_inputs[x1, :, x3, :]),
+            _entropy_bits(q @ channel.output2_given_inputs[x1, :, x3, :]),
+        ])
+        while len(w) > rows:
+            z = np.linalg.svd(columns)[2][-1]
+            z = z if (z > 0).any() else -z
+            up = np.flatnonzero(z > 0)
+            gone = up[np.argmin(w[up] / z[up])]
+            w = np.maximum(w - w[gone] / z[gone] * z, 0.0)
+            keep = np.arange(len(w)) != gone
+            w, q, columns = w[keep], q[keep], columns[:, keep]
+        out[x1, :len(w), :, x3] = w[:, None] * q
+    return V12Joint((cx1, rows, cx2, cx3), out)

@@ -375,6 +375,32 @@ class TestConfigFile:
             assert from_flag[name] == from_config[name] == want
             assert from_flag == from_config
 
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_parsing_leaves_the_shared_parser_as_it_was(self, capsys, command):
+        parser = cli._build_parser()
+        fresh = cli._build_parser.__wrapped__()
+        assert cli._build_parser() is parser and fresh is not parser
+        prefix, keys = self.KEYS[command]
+        argv = [command, *prefix]
+        defaults = cli._resolve(fresh.parse_args(argv))
+        flags = {"samples": "7", "seed": "5", "card_v12": "3", "fan": "9",
+                 "tol": "0.25", "keep": "t0,t1", "hi_check": None}
+        given = [arg for name in sorted(keys & set(flags))
+                 for arg in ("--" + name.replace("_", "-"), flags[name]) if arg]
+        assert cli._resolve(parser.parse_args(argv + given)) != defaults
+        args = parser.parse_args(argv)
+        assert cli._resolve(args) == defaults
+        with pytest.raises(TypeError):
+            args.options["seed"] = (int, 1)
+        # the help texts of the shared parser, after use, and of a new one
+        texts = []
+        for p in (parser, fresh, parser):
+            for help_argv in (["--help"], [command, "--help"]):
+                with pytest.raises(SystemExit):
+                    p.parse_args(help_argv)
+                texts.append(capsys.readouterr().out)
+        assert texts[:2] == texts[2:4] == texts[4:] and all(texts)
+
 
 @pytest.mark.parametrize("name", [
     "clean.json", "degraded_z.json", "semidet.json",

@@ -31,7 +31,6 @@ from cifc_udc.outer import (
     lockstep_ascent,
     outer_polygon,
     outer_region_estimate,
-    project_to_simplex,
     support_of_caps,
     wire_v12,
 )
@@ -262,6 +261,11 @@ def test_cap_vertices_broadcast():
         cap_vertices(0.5, 0.75, 1.0),
         [[0, 0], [0.5, 0], [0.5, 0.5], [0.25, 0.75], [0, 0.75]],
     )
+
+
+def project_to_simplex(rows) -> np.ndarray:
+    """The library's in-place projection, on a fresh float copy of ``rows``."""
+    return outer._project_rows(np.array(np.atleast_2d(rows), dtype=float))
 
 
 class TestSimplexProjection:
@@ -543,3 +547,19 @@ def test_input_corners_and_wire_v12_match_the_reference():
                 assert len(got) == len(want) == 4
                 for a, b in zip(got, want):
                     assert reference.same_bytes(a, b)
+
+
+@pytest.mark.parametrize("ch_cards", [
+    *((cx1, cx2, 2, 2, 2) for cx1, cx2 in itertools.product((2, 3, 4), repeat=2)),
+    (3, 3, 2, 3, 3),
+], ids=str)
+def test_wire_v12_rules_stay_distinct_at_the_default_v12_card(ch_cards):
+    """v12 = 0, x1, x2 and x1*|X2| + x2, each mod |V12|, wire the uniform
+    input law four different ways at the searches' default |V12|, where
+    the last rule aliases differently than at |X1||X2|: the outer corners
+    and the falsifier probes keep four wirings each."""
+    ch = ChannelSpec(ch_cards, np.full(ch_cards, 1.0 / (ch_cards[3] * ch_cards[4])))
+    cards = outer.v12_cards(ch, SearchConfig())
+    base = input_corners((cards[0], cards[2], cards[3]))[0]
+    assert len(outer._distinct(wire_v12(base, cards[1]))) == 4
+    assert len(outer._distinct(outer._corner_joints(cards))) == 5

@@ -44,3 +44,18 @@ def test_fixture_channels_match_their_generator():
     for name, (cards, rule) in make_channels.FIXTURES.items():
         want = dump_channel(ChannelSpec.from_outputs(cards, rule))
         assert (ROOT / "channels" / name).read_text() == want, name
+
+
+def test_cli_sizes_commands_and_area(tmp_path):
+    """The timed runs read their channels from the given tree, and the
+    reported area is the shoelace area; a full run takes seconds, so only
+    the usage error runs here."""
+    spec = importlib.util.spec_from_file_location("cli_sizes", ROOT / "scripts" / "cli_sizes.py")
+    cli_sizes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_sizes)
+    runs = cli_sizes.commands(ROOT, tmp_path)
+    assert [argv[0] for _, argv in runs] == ["outer"] * 4
+    assert runs[-1][1][1] == str(ROOT / "channels" / "clean.json")
+    assert all(Path(argv[1]).is_file() for _, argv in runs)
+    assert cli_sizes.area([[0, 0], [1, 0], [1, 1], [0, 1]]) == 1.0
+    assert run_script("cli_sizes.py").returncode == 2

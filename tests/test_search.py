@@ -51,19 +51,19 @@ from cifc_udc.outer import (
     V12Joint,
     _caps,
     _corner_joints,
+    _project_rows,
     fan_directions,
     fan_search,
     five_bounds,
     input_corners,
     law_bounds,
     lockstep_ascent,
-    project_to_simplex,
     sample_pool,
     support_of_caps,
     v12_cards,
 )
 from cifc_udc.pmf import Information, clip_information
-from _law_reference import lift
+from _law_reference import lift, reduce_v12
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
@@ -278,7 +278,7 @@ def ref_ascent_refine(start, evaluate, step=0.05, sweeps=50):
     n = x.size
     current = float(evaluate(x[None, :])[0])
     for _ in range(sweeps):
-        candidates = project_to_simplex(x[None, :] + step * np.eye(n))
+        candidates = _project_rows(x[None, :] + step * np.eye(n))
         values = evaluate(candidates)
         best = int(np.argmax(values >= np.max(values) - 1e-12))
         if values[best] > current + 1e-12:
@@ -869,6 +869,30 @@ def test_law_table_matches_the_lifted_table(name, seed, ch_cards, aux):
     table = Information.of_laws(rows, cards, AXES_OF[ndim], ch)
     want = evaluate(Information(lift(rows, cards, ch), AXES_OF[ndim]))
     assert_close_terms(evaluate(table), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ch_cards=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+                          st.integers(1, 3), st.integers(1, 3)),
+       surplus=st.integers(1, 4))
+def test_v12_reduces_to_x2_plus_two_symbols_keeping_every_term(seed, ch_cards, surplus):
+    """The per-slice Carathéodory reduction takes a law with |V12| > |X2| + 2
+    to |X2| + 2 symbols; every V12 evaluator's terms stay within 1e-12 and
+    p(x1, x2, x3) within 1e-15, so a search at that size loses nothing."""
+    rng = np.random.default_rng(seed)
+    ch = ChannelSpec(ch_cards, sparse(rng, ch_cards[3] * ch_cards[4],
+                                      math.prod(ch_cards[:3])).reshape(ch_cards))
+    cx1, cx2, cx3 = ch_cards[:3]
+    cards = (cx1, cx2 + 2 + surplus, cx2, cx3)
+    law = V12Joint(cards, sparse(rng, math.prod(cards), 1).reshape(cards))
+    reduced = reduce_v12(law, ch)
+    assert reduced.cards == (cx1, cx2 + 2, cx2, cx3)
+    assert np.max(np.abs(reduced.pmf.sum(axis=1) - law.pmf.sum(axis=1))) <= 1e-15
+    for evaluate in (five_bounds, semidet_hi_bounds, _gaps, _reduced_terms_y2):
+        before, after = (law_bounds(evaluate, d.pmf.reshape(1, -1), d.cards, ch, V12_AXES)
+                         for d in (law, reduced))
+        assert np.max(np.abs(after - before)) <= 1e-12, evaluate.__name__
 
 
 def test_law_table_groups_without_a_source_raise():
