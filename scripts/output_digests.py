@@ -26,8 +26,8 @@ degraded-z on degraded_z and semidet-hi on hi_in_class at 100 samples and
 the default fan of 64 (where the fan's walks share the most candidate
 rows), capacity degraded-z on degraded_z from its corners alone (0
 samples), capacity semidet-hi on hi_in_class with |V12| = 2 in place of
-the default |X1||X2|, and outer on the benchmark's seeded (3,3,2,3,3)
-channel at a larger auxiliary alphabet.
+the default min(|X1||X2|, |X2| + 1) = 3, and outer on the benchmark's
+seeded (3,3,2,3,3) channel at |V12| = 4, one more than the benchmark's.
 Inner runs on the three fixtures the benchmark leaves out (hi_in_class,
 hi_falsified, hi_degenerate), once on clean.json with ternary V12 and
 V2, so that drop cases the benchmark rarely reaches are covered too, and

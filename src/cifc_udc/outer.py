@@ -259,7 +259,7 @@ class SearchConfig:
 
     seed: int = 0
     num_samples: int = 0
-    card_v12: int = 0  # 0 means |X1| * |X2|
+    card_v12: int = 0  # 0 means min(|X1||X2|, |X2| + 1): see v12_cards
     fan: int = 64
 
     def __post_init__(self):
@@ -280,10 +280,11 @@ def check_ascent_budget(cards, channel: ChannelSpec) -> None:
 
 
 def v12_cards(channel: ChannelSpec, cfg: SearchConfig) -> tuple[int, int, int, int]:
-    """(|X1|, |V12|, |X2|, |X3|) of a search; card_v12 = 0 means |X1||X2|.
+    """(|X1|, |V12|, |X2|, |X3|) of a search; card_v12 = 0 means min(|X1||X2|,
+    |X2| + 1), the size that keeps every V12 term (support lemma; README).
     Raises ``TooLarge`` through ``check_ascent_budget``."""
     cx1, cx2, cx3 = channel.cards[:3]
-    cards = (cx1, cfg.card_v12 or cx1 * cx2, cx2, cx3)
+    cards = (cx1, cfg.card_v12 or min(cx1 * cx2, cx2 + 1), cx2, cx3)
     check_ascent_budget(cards, channel)
     return cards
 

@@ -110,8 +110,12 @@ class TestV12Joint:
             outer_polygon(d, ch)
 
     def test_default_v12_card(self):
-        # card_v12 = 0 stands for |X1| * |X2|
-        assert outer.v12_cards(clean_channel(), SearchConfig()) == (2, 4, 2, 2)
+        # card_v12 = 0 stands for min(|X1| * |X2|, |X2| + 1)
+        assert outer.v12_cards(clean_channel(), SearchConfig()) == (2, 3, 2, 2)
+        for cards, card_v12 in (((3, 3, 2, 3, 3), 4), ((1, 3, 2, 2, 2), 3),
+                                ((2, 1, 2, 2, 2), 2), ((4, 2, 1, 2, 2), 3)):
+            ch = ChannelSpec(cards, np.full(cards, 1.0 / (cards[3] * cards[4])))
+            assert outer.v12_cards(ch, SearchConfig())[1] == card_v12
         assert outer.v12_cards(clean_channel(), SearchConfig(card_v12=3))[1] == 3
 
 
@@ -418,7 +422,7 @@ class TestOuterEstimate:
             sorted([(0, 0), (1, 0), (1, 1), (0, 1)]),
             atol=1e-9,
         )
-        assert caveat["samples"] == 10 and caveat["card_v12"] == 4
+        assert caveat["samples"] == 10 and caveat["card_v12"] == 3
         assert caveat["fan"] == 33 and caveat["seed"] == 0
 
     def test_deterministic_across_runs_and_threads(self):
@@ -458,12 +462,13 @@ class TestOuterEstimate:
         ch = ChannelSpec.from_outputs(
             (2, 2, 2, 3, 2), lambda x1, x2, x3: (x1 + x3, x2)
         )
-        pmf = np.zeros((2, 4, 2, 2))
+        cfg = SearchConfig(seed=5, num_samples=1, fan=9)
+        cards = outer.v12_cards(ch, cfg)
+        pmf = np.zeros(cards)
         # y1 uniform on {0, 1, 2}, x2 uniform and independent, v12 = 0
         pmf[:, 0] = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])[:, None, :] / 2
-        extra = V12Joint((2, 4, 2, 2), pmf)
+        extra = V12Joint(cards, pmf)
         poly = outer_polygon(extra, ch)
-        cfg = SearchConfig(seed=5, num_samples=1, fan=9)
         narrow, _ = outer_region_estimate(ch, cfg)
         assert not region_contains(narrow, poly, tol=1e-9)
         with_extra, caveat = outer_region_estimate(
@@ -494,7 +499,7 @@ class TestOuterEstimate:
             outer_region_estimate(
                 clean_channel(),
                 SearchConfig(num_samples=1),
-                extra_distributions=(V12Joint.uniform((2, 3, 2, 2)),),
+                extra_distributions=(V12Joint.uniform((2, 4, 2, 2)),),
             )
 
     def test_config_validation(self):

@@ -496,7 +496,7 @@ FALSIFIER_CASES = {
     # walks 0, 1, 2 and 4 cross the tolerance, walk 2 the farthest
     "ascent_hit_first": lambda: sparse_channel(23, 0.2),
     # only the last of the five walks crosses it
-    "ascent_hit_last": lambda: sparse_channel(9, 0.5),
+    "ascent_hit_last": lambda: sparse_channel(252, 0.4),
 }
 
 
