@@ -26,7 +26,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
-from perfbench.workloads import large_channel  # noqa: E402
+from perfbench.workloads import area, large_channel  # noqa: E402
 
 
 def commands(src: Path, workdir: Path) -> list:
@@ -43,26 +43,20 @@ def commands(src: Path, workdir: Path) -> list:
     return runs
 
 
-def area(vertices) -> float:
-    """Shoelace area of a counter-clockwise polygon."""
-    pairs = zip(vertices, vertices[1:] + vertices[:1])
-    return 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs)
-
-
 def main(argv) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
         return 2
     src = Path(argv[0]).resolve()
     sys.path.insert(0, str(src / "src"))
-    from cifc_udc import cli
+    from cifc_udc.cli import main as cli_main
 
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, args in commands(src, Path(tmp)):
             out = Path(tmp) / "out.json"
             start = perf_counter()
-            code = cli.main([*args, "--seed", "1", "--out", str(out)])
+            code = cli_main([*args, "--seed", "1", "--out", str(out)])
             seconds = perf_counter() - start
             if code:
                 sys.stderr.write(f"{label}: exit {code}\n")

@@ -46,10 +46,9 @@ def test_fixture_channels_match_their_generator():
         assert (ROOT / "channels" / name).read_text() == want, name
 
 
-def test_cli_sizes_commands_and_area(tmp_path):
-    """The timed runs read their channels from the given tree, and the
-    reported area is the shoelace area; a full run takes seconds, so only
-    the usage error runs here."""
+def test_cli_sizes_commands(tmp_path):
+    """The timed runs read their channels from the given tree; a full run
+    takes seconds, so only the usage error runs here."""
     spec = importlib.util.spec_from_file_location("cli_sizes", ROOT / "scripts" / "cli_sizes.py")
     cli_sizes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_sizes)
@@ -57,5 +56,4 @@ def test_cli_sizes_commands_and_area(tmp_path):
     assert [argv[0] for _, argv in runs] == ["outer"] * 4
     assert runs[-1][1][1] == str(ROOT / "channels" / "clean.json")
     assert all(Path(argv[1]).is_file() for _, argv in runs)
-    assert cli_sizes.area([[0, 0], [1, 0], [1, 1], [0, 1]]) == 1.0
     assert run_script("cli_sizes.py").returncode == 2
