@@ -380,26 +380,26 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     if i is not None:
         return _falsified(cfg, cards, probes, flats[i], gap_a[i], gap_b[i])
 
-    # no direct hit: push the most promising candidates uphill together and
+    # no direct hit: walk the best starts (ties to the larger other gap, as
+    # constant-v12 probes tie on a gap_b = 0 plateau) uphill together and
     # take the first, in start order, that crosses the tolerance
     def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return np.max(law_bounds(_gaps, rows, cards, channel, V12_AXES), axis=-1)
 
-    order = np.argsort(-worst, kind="stable")[:REFINE_STARTS]
+    order = np.lexsort((-np.minimum(gap_a, gap_b), -worst))[:REFINE_STARTS]
     values, refined = lockstep_ascent(flats[order], evaluate)
     i = next(iter(np.flatnonzero(values > VIOLATION_TOL)), None)
     if i is not None:
         ((ga, gb),) = law_bounds(_gaps, refined[i:i + 1], cards, channel, V12_AXES)
         return _falsified(cfg, cards, probes, refined[i], ga, gb)
 
-    best_margin = float(max([np.max(worst), *values]))
     return HiRegimeReport(
         status="no-violation-found",
         samples=cfg.num_samples,
         probes=probes,
         seed=cfg.seed,
         card_v12=cards[1],
-        margin=best_margin,
+        margin=float(max([np.max(worst), *values])),
     )
 
 
