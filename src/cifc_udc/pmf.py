@@ -186,7 +186,7 @@ def marginal_entropies(j: np.ndarray, groups, ndim: int = 6) -> np.ndarray:
             a + batched for a in range(ndim)
             if a not in keep and j.shape[a + batched] > 1
         )
-        m = j.sum(axis=axes) if axes else j
+        m = _sum_out(j, axes) if axes else j
         flat = m.reshape(m.shape[0], -1) if batched else m.reshape(-1)
         # one temporary: p log2 p in place, with log2 1 = 0 where p = 0
         t = np.where(flat > 0, flat, 1.0)
@@ -196,58 +196,17 @@ def marginal_entropies(j: np.ndarray, groups, ndim: int = 6) -> np.ndarray:
     return np.array(out).T  # as np.stack(out, axis=-1), in a fifth of the time
 
 
-# a chain of at most this many slices is summed by slice adds, a longer one
-# through transposed copies of at most _COPY_CELLS cells: on the benchmark's
-# marginals the adds are up to 2.8x as fast at 2-3 slices, up to 9.5x as slow
-# from 12 on; splits from 4 to 12 are within 1 % (BENCH_pr25.json)
-_CHAIN_SLICES = 9
-_COPY_CELLS = 1 << 14
-
-
-def _chain(parts: list) -> np.ndarray:
-    """Left-to-right sum of ``parts``.  Its zeros are +0.0, as numpy's sum,
-    which starts from 0.0, gives them: only an all -0.0 chain adds to -0.0."""
-    acc = parts[0] + parts[1]
-    for part in parts[2:]:
-        acc += part
-    acc += 0.0
-    return acc
-
-
 def _sum_out(a: np.ndarray, axes: tuple) -> np.ndarray:
-    """``a.sum(axis=axes, keepdims=True)`` byte for byte, without the inner
-    loop per block of cells that numpy runs where a reduced axis follows a
-    kept one.
-
-    numpy sums a C-contiguous tensor in this order, and so does this: first
-    the trailing run of reduced axes, after the last kept axis of extent
-    > 1, by its pairwise sum, which runs left to right below 8 cells; then,
-    cell by cell, the other reduced axes, left to right in C order of their
-    indices.  Where the reduced axes lead the tensor, or it is not
-    C-contiguous, numpy's own sum runs."""
-    shape = [n for n in a.shape if n > 1]
-    reduced = [x in axes for x, n in enumerate(a.shape) if n > 1]
-    if not a.flags.c_contiguous or reduced == sorted(reduced, reverse=True):
-        return a.sum(axis=axes, keepdims=True)
-    kept_shape = tuple(1 if x in axes else n for x, n in enumerate(a.shape))
-    last = len(reduced) - reduced[::-1].index(False)
-    a, n = a.reshape(shape[:last] + [-1]), math.prod(shape[last:])
-    a = a.sum(axis=-1) if n >= 8 else _chain([a[..., i] for i in range(n)]) if n > 1 else a[..., 0]
-    inner = [x for x in range(last) if reduced[x]]
-    if not inner:
-        return a.reshape(kept_shape)
-    extents = [shape[x] for x in inner]
-    a = a.transpose(inner + [x for x in range(last) if not reduced[x]])
-    if math.prod(extents) <= _CHAIN_SLICES:
-        return _chain([a[at] for at in np.ndindex(*extents)]).reshape(kept_shape)
-    # copies of pieces of the first kept axis; with no other kept axis, one
-    # piece, since a piece of one cell would take numpy's pairwise sum
-    out = np.empty(a.shape[len(inner):])
-    step = max(1, _COPY_CELLS * len(out) // a.size) if out.ndim > 1 else len(out)
-    for lo in range(0, len(out), step):
-        piece = a[(slice(None),) * len(inner) + (slice(lo, lo + step),)]
-        np.add.reduce(piece.reshape(-1, *out[lo:lo + step].shape), axis=0, out=out[lo:lo + step])
-    return out.reshape(kept_shape)
+    """``a`` summed over ``axes``, kept at extent 1, by one ``np.add.reduce``
+    over the first axis of a (reduced cells, kept cells) matrix.  numpy
+    adds the reduced cells left to right in C order, or pairwise where they
+    lie contiguous (trailing a C-contiguous ``a``) or one cell is kept; a
+    leading batch axis never changes which, so no row's bytes depend on
+    the rows beside it."""
+    kept = [x for x in range(a.ndim) if x not in axes]
+    shape = tuple(1 if x in axes else n for x, n in enumerate(a.shape))
+    flat = a.transpose(list(axes) + kept).reshape(-1, math.prod(shape))
+    return np.add.reduce(flat, axis=0).reshape(shape)
 
 
 @functools.lru_cache(maxsize=256)
