@@ -179,7 +179,7 @@ def sum_cases(draw):
 
 # no axis and every axis; a trailing run of 8 cells, reduced axes before
 # kept ones, between them, and a large batch
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(sum_cases())
 @example((np.arange(1.0, 61.0).reshape(5, 3, 4) / 7, ()))
 @example((np.arange(1.0, 61.0).reshape(5, 3, 4) / 7, (0, 1, 2)))
@@ -202,10 +202,10 @@ def test_marginal_sum_is_numpy_sum_within_roundoff(case):
 
 @st.composite
 def batch_cases(draw):
-    """(batch of 1-9 rows, reduced axes): 1-8 axes of extents 1-5 after the
+    """(batch of 1-9 rows, reduced axes): 1-7 axes of extents 1-4 after the
     batch, some +0.0 and -0.0, a nonempty subset of them reduced, and at
     times one kept cell per row."""
-    inner = draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+    inner = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
     axes = draw(st.sets(st.integers(1, len(inner)), min_size=1).map(sorted))
     if draw(st.booleans()):
         inner = [n if x + 1 in axes else 1 for x, n in enumerate(inner)]
