@@ -11,6 +11,7 @@ the input-law type, the bounds of a batch of laws through the channel, the
 seeded pool and the per-direction coordinate ascent.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -128,19 +129,22 @@ def five_bounds(info: Information) -> np.ndarray:
     return clip_information(np.stack(bounds + sum_caps, axis=-1))
 
 
-def cap_vertices(r1, r2, s) -> np.ndarray:
-    """Corners of {R1, R2 >= 0, R1 <= r1, R2 <= r2, R1+R2 <= s} for caps
-    that broadcast: shape (..., 5, 2), counter-clockwise from the origin.
-    A polygon with fewer than five corners repeats some of them."""
+def _cap_corners(r1, r2, s) -> list:
+    """The five (R1, R2) corners of the ``cap_vertices`` polygon, in its
+    order, as pairs of arrays of the caps' broadcast shape."""
     r1, r2, s = np.broadcast_arrays(r1, r2, s)
     r1, r2 = np.minimum(r1, s), np.minimum(r2, s)
     x_top = np.maximum(np.minimum(r1, s - r2), 0.0)
     y_right = np.maximum(np.minimum(r2, s - r1), 0.0)
     zero = np.zeros(r1.shape)
-    # laid out coordinate-major: the products and the max over corners in
-    # support_of_caps then walk contiguous memory
-    corners = np.array([[zero, r1, r1, x_top, zero], [zero, zero, y_right, r2, r2]])
-    return corners.transpose(*range(2, corners.ndim), 1, 0)
+    return [(zero, zero), (r1, zero), (r1, y_right), (x_top, r2), (zero, r2)]
+
+
+def cap_vertices(r1, r2, s) -> np.ndarray:
+    """Corners of {R1, R2 >= 0, R1 <= r1, R2 <= r2, R1+R2 <= s} for caps
+    that broadcast: shape (..., 5, 2), counter-clockwise from the origin.
+    A polygon with fewer than five corners repeats some of them."""
+    return np.moveaxis(np.array(_cap_corners(r1, r2, s)), (0, 1), (-2, -1))
 
 
 def cap_polygon(r1, r2, s) -> Region2D:
@@ -171,12 +175,13 @@ def _caps(bounds: np.ndarray):
 def support_of_caps(r1, r2, s, direction) -> np.ndarray:
     """max lam . (R1,R2) over the ``cap_vertices`` polygon; ``direction`` is
     one (lam1, lam2) or an array of them broadcasting against the caps."""
-    corners = cap_vertices(r1, r2, s)
     direction = np.asarray(direction, dtype=float)
-    la, lb = direction[..., 0, None], direction[..., 1, None]
-    # elementwise, not a matrix product: a fused multiply-add would move
-    # the last bits of heights that the ascent compares and the documents hold
-    return np.max(la * corners[..., 0] + lb * corners[..., 1], axis=-1)
+    la, lb = direction[..., 0], direction[..., 1]
+    # one corner at a time, not a stack of all five; elementwise, not a
+    # matrix product: a fused multiply-add would move the last bits of
+    # heights that the ascent compares and the documents hold
+    heights = (la * x + lb * y for x, y in _cap_corners(r1, r2, s))
+    return functools.reduce(np.maximum, heights)
 
 
 def _project_rows(rows: np.ndarray) -> np.ndarray:
@@ -200,9 +205,13 @@ def fan_directions(count: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-# cap on the walks x n x n candidate entries of a lockstep block: the bumped
-# points and _project_rows's two temporaries (law_bounds caps the tables)
-_BLOCK_CELLS = 1 << 14
+# cap on the walks x n x n candidate entries of a lockstep block; every fan
+# of the benchmark's searches fits in one (law_bounds caps the tables)
+_BLOCK_CELLS = 1 << 16
+
+# entries of the pieces in which a block is projected and its distinct rows
+# found, so that the temporaries of each stay piece-sized
+_PIECE_CELLS = 1 << 13
 
 # a walk moves, and counts as improved, only on a gain above this
 ASCENT_GAIN = 1e-12
@@ -228,6 +237,7 @@ def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarra
     walks, n = x.shape
     values = np.empty(walks)
     block = max(1, _BLOCK_CELLS // (n * n))
+    piece = max(1, _PIECE_CELLS // n)
     for lo in range(0, walks, block):
         live = np.arange(lo, min(lo + block, walks))
         values[live] = evaluate(x[live], live)
@@ -238,7 +248,8 @@ def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarra
             # walk w's candidate i is its point with entry i bumped by its step
             candidates = np.repeat(x[live], n, axis=0)
             candidates.reshape(-1, n, n)[:, range(n), range(n)] += steps[:, None]
-            _project_rows(candidates)
+            for at in range(0, len(candidates), piece):
+                _project_rows(candidates[at:at + piece])
             scores = evaluate(candidates, np.repeat(live, n)).reshape(-1, n)
             # the first candidate within ASCENT_GAIN of the best, so that exact
             # ties (v12 relabelings) do not split on the last bits of a sum
@@ -273,7 +284,9 @@ def check_ascent_budget(cards, channel: ChannelSpec) -> None:
     joint cells in all, n * |Y1||Y2| each.  The searches hold less: a
     ``law_bounds`` table at most max(``_Q_CELLS``, n / |X2| * |Y1||Y2|) q cells
     beside its laws, a ``lockstep_ascent`` block max(``_BLOCK_CELLS``, n * n)
-    candidate entries, both within the limit once this check passes."""
+    candidate entries, both within the limit once this check passes.  The
+    block's projection and its distinct-row compare hold temporaries of
+    pieces of ``_PIECE_CELLS`` entries (n at least) only."""
     n = math.prod(cards)
     cells = n * n * channel.card("y1") * channel.card("y2")
     check_cells(cells, f"an ascent sweep over {n} input cells")
@@ -287,6 +300,24 @@ def v12_cards(channel: ChannelSpec, cfg: SearchConfig) -> tuple[int, int, int, i
     cards = (cx1, cfg.card_v12 or min(cx1 * cx2, cx2 + 1), cx2, cx3)
     check_ascent_budget(cards, channel)
     return cards
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of ``np.unique`` over the rows' bytes (-0.0 is not
+    0.0) with ``return_index`` and ``return_inverse``, but with no copy of
+    all the keys: a stable argsort of a void view, whose sorted neighbours
+    are compared ``_PIECE_CELLS`` entries at a time."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    order = np.argsort(keys, kind="stable")
+    new = np.ones(len(keys), dtype=bool)
+    piece = max(1, _PIECE_CELLS // rows.shape[1])
+    for lo in range(1, len(keys), piece):
+        at = order[lo - 1:lo + piece]
+        new[lo:lo + piece] = keys[at[1:]] != keys[at[:-1]]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _distinct(tensors) -> list[np.ndarray]:
@@ -374,7 +405,9 @@ def fan_search(
     rows.  So an extra row never displaces a start the search makes
     without it, and every row among the ``REFINE_STARTS`` best of all
     still starts one.  All ascents of the fan run together in one
-    ``lockstep_ascent``, ordered by start row.  After the pool, ``caps_of``
+    ``lockstep_ascent``, ordered by start row; the order matters only for
+    a fan larger than a block, whose blocks then hold the walks from one
+    start together.  After the pool, ``caps_of``
     sees bytewise-distinct rows only.  Raises ``TooLarge`` first when the
     supports, one per direction and row, would hold more than
     ``pmf.JOINT_CELL_LIMIT`` cells.
@@ -387,17 +420,15 @@ def fan_search(
         lo + np.argsort(-supports[:, lo:hi], axis=1, kind="stable")[:, :REFINE_STARTS]
         for lo, hi in ((0, cut), (cut, len(flats)))
     ], axis=1)
-    # walks from one start row run side by side: a block then holds the
-    # walks most likely to share candidates
+    # walks from one start row run side by side: a fan split into blocks
+    # then keeps the walks most likely to share candidates in one
     by_start = np.argsort(order.reshape(-1), kind="stable")
     lam = np.repeat(directions, order.shape[1], axis=0)[by_start]
 
     def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # caps do not depend on the direction: score each bytewise-distinct
-        # row once (a float compare would merge -0.0 with 0.0)
-        row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-        keys = np.ascontiguousarray(rows).view(row_bytes)[:, 0]
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # row once
+        first, inverse = _distinct_rows(rows)
         caps = (c[inverse] for c in caps_of(rows[first]))
         return support_of_caps(*caps, lam[owner])
 

@@ -559,7 +559,12 @@ def _edges_to_halfplanes(hull: list) -> list:
 
 def region_from_vertices(points: Sequence) -> Region2D:
     """Convex hull of the given points as a Region2D."""
-    pts = _dedupe_points(points)
+    # exact repeats go first, each first copy kept in order: the greedy
+    # pass would drop every later copy, since either the first copy was
+    # kept or a point kept before it lies within tol of both, and a
+    # dropped point changes none of the pass's later choices
+    xy = np.asarray(points, dtype=float).reshape(-1, 2).tolist()
+    pts = _dedupe_points(dict.fromkeys(map(tuple, xy)))
     if not pts:
         return Region2D((), np.zeros((0, 2)), empty=True)
     hull = convex_hull(pts)

@@ -19,6 +19,11 @@ Also ``project_to_simplex`` and ``bumped``, the simplex projection and the
 coordinate-ascent candidates as written before the ascent projected its
 candidates in place.
 
+Also ``unique_rows`` and ``stacked_support``, the distinct-row step and the
+support of a cap polygon as ``fan_search`` and ``support_of_caps`` wrote
+them before a block held a whole fan: ``np.unique`` over the rows' void
+keys, and the max over a stack of all five ``cap_vertices`` corners.
+
 Also ``reduce_v12``, a constructive Carathéodory reduction of a law
 p(x1, v12, x2, x3) to |X2| + 2 symbols of V12 that keeps every term the
 library's V12 evaluators read.  The library never reduces a law; the tests
@@ -289,6 +294,28 @@ def bumped(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     the row with entry i raised by its step, for each i in turn."""
     n = x.shape[1]
     return project_to_simplex((x[:, None, :] + steps[:, None, None] * np.eye(n)).reshape(-1, n))
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of ``np.unique`` over the bytes of each row."""
+    row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    keys = np.ascontiguousarray(rows).view(row_bytes)[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def stacked_support(r1, r2, s, direction) -> np.ndarray:
+    """max lam . (R1,R2) over the five cap corners, stacked on one axis."""
+    r1, r2, s = np.broadcast_arrays(r1, r2, s)
+    r1, r2 = np.minimum(r1, s), np.minimum(r2, s)
+    x_top = np.maximum(np.minimum(r1, s - r2), 0.0)
+    y_right = np.maximum(np.minimum(r2, s - r1), 0.0)
+    zero = np.zeros(r1.shape)
+    corners = np.array([[zero, r1, r1, x_top, zero], [zero, zero, y_right, r2, r2]])
+    corners = corners.transpose(*range(2, corners.ndim), 1, 0)
+    direction = np.asarray(direction, dtype=float)
+    la, lb = direction[..., 0, None], direction[..., 1, None]
+    return np.max(la * corners[..., 0] + lb * corners[..., 1], axis=-1)
 
 
 def _entropy_bits(rows: np.ndarray) -> np.ndarray:

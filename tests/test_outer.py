@@ -254,6 +254,39 @@ def test_closed_form_cap_polygon_matches_the_lp_route(kind):
             assert abs(float(support_of_caps(*caps, lam)) - support(want, lam)) < 1e-9
 
 
+def support_cases():
+    """Caps with r1 or r2 above s, zero caps, -0.0 caps and redundant sum
+    caps, drawn per row; and the fan's directions."""
+    rng = np.random.default_rng(21)
+    r1, r2, s = rng.uniform(0.0, 2.0, (3, 400))
+    s[:100] = np.minimum(r1[:100], r2[:100]) * rng.uniform(0.0, 1.0, 100)  # both above s
+    s[100:150] = r1[100:150] * 0.5  # r1 above s
+    s[150:200] = r2[150:200] * 0.5  # r2 above s
+    s[200:250] = r1[200:250] + r2[200:250] + 1.0  # s redundant
+    for caps, (lo, hi) in ((r1, (250, 270)), (r2, (270, 290)), (s, (290, 310))):
+        caps[lo:hi] = 0.0
+        caps[hi:hi + 10] = -0.0
+    return (r1, r2, s), fan_directions(64), rng
+
+
+def test_corner_at_a_time_support_has_the_bytes_of_the_stacked_corners():
+    caps, directions, rng = support_cases()
+    per_row = directions[rng.integers(0, 64, size=len(caps[0]))]
+    # one direction per row (an ascent's candidates), a fan over every row
+    # (a pool's supports), one direction for all rows, one row and one law
+    for got_caps, direction in (
+        (caps, per_row),
+        (caps, directions[:, None, :]),
+        (caps, directions[5]),
+        ([c[:1] for c in caps], directions[:, None, :]),
+        ([float(c[0]) for c in caps], directions[7]),
+    ):
+        got = support_of_caps(*got_caps, direction)
+        want = reference.stacked_support(*got_caps, direction)
+        assert type(got) is type(want)
+        assert reference.same_bytes(np.asarray(got), np.asarray(want))
+
+
 def test_cap_vertices_broadcast():
     r1 = np.array([[0.5], [1.0], [0.0]])
     r2 = np.array([0.75, 0.25])

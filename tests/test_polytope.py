@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _fm_reference as reference
 from _systems import case_system, materialized_rows, random_bounded_system, union_hull
@@ -21,7 +23,9 @@ from cifc_udc.oracle import oracle_projected_vertices
 from cifc_udc.polytope import (
     LinearSystem,
     _dedupe_points,
+    _edges_to_halfplanes,
     Region2D,
+    convex_hull,
     polygon_extract,
     polygon_points,
     project_parametric,
@@ -500,6 +504,38 @@ def test_dedupe_points_matches_the_pointwise_rule(seed, tol):
         assert len(base) < len(want) < len(points)
         assert _dedupe_points(points[order], tol) == want
         assert _dedupe_points(points[order].tolist(), tol) == want
+
+
+def greedy_region_from_vertices(points):
+    """``region_from_vertices`` with the greedy dedupe pass alone, before
+    exact repeats were dropped ahead of it."""
+    pts = _dedupe_points(points)
+    if not pts:
+        return Region2D((), np.zeros((0, 2)), empty=True)
+    hull = convex_hull(pts)
+    return Region2D(tuple(_edges_to_halfplanes(hull)), np.array(hull))
+
+
+# coordinates on a coarse grid, so that draws repeat; plus -0.0, and
+# offsets within and just beyond the dedupe tolerance of 1e-9
+_GRID = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.5])
+_OFFSET = st.sampled_from([0.0, 0.0, 4e-10, -7e-10, 1e-9, 1.2e-9, -2e-9])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_GRID, _GRID, _OFFSET, _OFFSET), max_size=40),
+       st.lists(st.integers(0, 39), max_size=40), st.booleans())
+def test_exact_repeats_leave_the_region_of_the_greedy_pass(draws, repeats, as_array):
+    points = [(x + dx, y + dy) for x, y, dx, dy in draws]
+    points += [points[i] for i in repeats if i < len(points)]
+    if as_array:
+        points = np.array(points, dtype=float).reshape(-1, 2)
+    got, want = region_from_vertices(points), greedy_region_from_vertices(points)
+    assert got.empty == want.empty
+    # bytes, so that a -0.0 kept in place of a 0.0 shows
+    for a, b in ((got.halfplanes, want.halfplanes), (got.vertices, want.vertices)):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_hull_union_examples():

@@ -51,6 +51,7 @@ from cifc_udc.outer import (
     V12Joint,
     _caps,
     _corner_joints,
+    _distinct_rows,
     _project_rows,
     fan_directions,
     fan_search,
@@ -63,7 +64,7 @@ from cifc_udc.outer import (
     v12_cards,
 )
 from cifc_udc.pmf import Information, clip_information
-from _law_reference import lift, reduce_v12
+from _law_reference import lift, reduce_v12, unique_rows
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
@@ -372,7 +373,8 @@ def fixture(name):
 
 
 # a seeded dense channel at |X| = (3,3,2,3,3) and the benchmark's outer search
-# on such a channel: n = 54, so the default block holds 5 of its 15 walks
+# on such a channel: n = 54, so a block of 2^14 entries holds 5 of its 15
+# walks, and the default block all of them
 DENSE_CFG = SearchConfig(seed=3, num_samples=10, card_v12=3, fan=3)
 
 
@@ -537,8 +539,9 @@ def test_one_walk_per_block_matches_the_default_block(monkeypatch):
             for name, (pool, caps_of) in pools.items()}
     reports = {case: hi_regime_falsify(make(), cfg)
                for case, make in FALSIFIER_CASES.items()}
-    # one walk per block, and a whole fan per block
-    for cells in (1, 1 << 16):
+    # one walk per block, and a fan split into blocks (5 walks of 15 on
+    # "dense") at the block size before whole fans
+    for cells in (1, 1 << 14):
         monkeypatch.setattr(outer, "_BLOCK_CELLS", cells)
         for name, (pool, caps_of) in pools.items():
             assert_same_fan(fan_search(pool, caps_of, cfgs[name]), fans[name])
@@ -546,7 +549,7 @@ def test_one_walk_per_block_matches_the_default_block(monkeypatch):
             assert_same_report(hi_regime_falsify(make(), cfg), reports[case])
 
 
-@pytest.mark.parametrize("cells", [None, 100])
+@pytest.mark.parametrize("cells", [None, 1 << 14, 100])
 @pytest.mark.parametrize("name", ["dense", "hi_in_class"])
 def test_no_evaluation_holds_more_than_a_block(name, cells, monkeypatch):
     cfg = DENSE_CFG if name == "dense" else SearchConfig(seed=1, num_samples=20, fan=64)
@@ -567,6 +570,87 @@ def test_no_evaluation_holds_more_than_a_block(name, cells, monkeypatch):
     budget = max(outer._BLOCK_CELLS, n * n)
     # within the budget, and a sweep that fills more than half of it
     assert budget // 2 < max(entries) <= budget
+
+
+# the benchmark's fan searches: (search, config, walks x n x n entries)
+BENCHMARK_FANS = [
+    ("dense", DENSE_CFG, 15 * 54 ** 2),
+    ("clean", SearchConfig(seed=1, num_samples=50, fan=8), 40 * 24 ** 2),
+    ("degraded_z", SearchConfig(seed=1, num_samples=20), 320 * 8 ** 2),
+    ("hi_in_class", SearchConfig(seed=1, num_samples=20), 320 * 12 ** 2),
+]
+
+
+@pytest.mark.parametrize("name,cfg,entries", BENCHMARK_FANS,
+                         ids=[name for name, _, _ in BENCHMARK_FANS])
+def test_each_benchmark_fan_runs_as_one_block(name, cfg, entries, monkeypatch):
+    pool, caps_of = search_of(name, cfg)
+    sizes = []
+
+    def counting_ascent(starts, evaluate):
+        def counted(rows, owner):
+            sizes.append(rows.size)
+            return evaluate(rows, owner)
+        return lockstep_ascent(starts, counted)
+
+    monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
+    fan_search(pool, caps_of, cfg)
+    # the starts, then at most one call per sweep, the first holding every walk
+    assert len(sizes) <= 1 + outer.REFINE_SWEEPS
+    assert sizes[1] == entries <= outer._BLOCK_CELLS
+
+
+def distinct_row_cases():
+    """Rows of every kind the distinct-row step must get right, each with
+    the entries that set how many rows one compare piece holds."""
+    rng = np.random.default_rng(12)
+    n = 6
+    base = rng.integers(0, 3, size=(40, n)) / 4.0
+    repeats = base[rng.integers(0, 40, size=300)]
+    signed = repeats.copy()
+    signed[(rng.random(signed.shape) < 0.3) & (signed == 0.0)] = -0.0
+    many = np.repeat(base, outer._PIECE_CELLS // n // 10, axis=0)[
+        rng.permutation(40 * (outer._PIECE_CELLS // n // 10))]
+    return {
+        "repeats": repeats,
+        "minus-zero": signed,
+        "one-row": base[:1],
+        "all-equal": np.repeat(base[:1], 50, axis=0),
+        "no-rows": np.empty((0, n)),
+        "pieces": many,
+        "strided": repeats[::3, ::2],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(distinct_row_cases()))
+def test_distinct_rows_are_those_of_np_unique(case):
+    rows = distinct_row_cases()[case]
+    if case == "pieces":
+        assert len(rows) > 3 * (outer._PIECE_CELLS // rows.shape[1])
+    first, inverse = _distinct_rows(rows)
+    ref_first, ref_inverse = unique_rows(rows)
+    for got, want in ((first, ref_first), (inverse, ref_inverse)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    if case == "minus-zero":
+        # -0.0 and 0.0 stay apart: more distinct rows than distinct floats
+        assert len(first) > len(np.unique(rows, axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 600),
+       st.integers(1, 40))
+def test_distinct_rows_match_np_unique_in_any_piece_size(seed, n, rows, cells):
+    rng = np.random.default_rng(seed)
+    values = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, np.nan], size=(rows, n))
+    original = outer._PIECE_CELLS
+    try:
+        outer._PIECE_CELLS = cells
+        first, inverse = _distinct_rows(values)
+    finally:
+        outer._PIECE_CELLS = original
+    ref_first, ref_inverse = unique_rows(values)
+    assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
 
 
 def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
