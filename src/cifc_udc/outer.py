@@ -177,9 +177,10 @@ def support_of_caps(r1, r2, s, direction) -> np.ndarray:
     one (lam1, lam2) or an array of them broadcasting against the caps."""
     direction = np.asarray(direction, dtype=float)
     la, lb = direction[..., 0], direction[..., 1]
-    # one corner at a time, not a stack of all five; elementwise, not a
-    # matrix product: a fused multiply-add would move the last bits of
-    # heights that the ascent compares and the documents hold
+    # corner by corner, so that a few arrays of the heights' size live at
+    # once; elementwise, not a matrix product: a fused multiply-add would
+    # move the last bits of heights that the ascent compares and the
+    # documents hold
     heights = (la * x + lb * y for x, y in _cap_corners(r1, r2, s))
     return functools.reduce(np.maximum, heights)
 
@@ -407,10 +408,9 @@ def fan_search(
     still starts one.  All ascents of the fan run together in one
     ``lockstep_ascent``, ordered by start row; the order matters only for
     a fan larger than a block, whose blocks then hold the walks from one
-    start together.  After the pool, ``caps_of``
-    sees bytewise-distinct rows only.  Raises ``TooLarge`` first when the
-    supports, one per direction and row, would hold more than
-    ``pmf.JOINT_CELL_LIMIT`` cells.
+    start together.  After the pool, ``caps_of`` sees bytewise-distinct
+    rows only.  Raises ``TooLarge`` first when the supports, one per
+    direction and row, would hold more than ``pmf.JOINT_CELL_LIMIT`` cells.
     """
     check_cells(cfg.fan * len(flats), f"a fan of {cfg.fan} over {len(flats)} laws")
     directions = fan_directions(cfg.fan)
@@ -426,8 +426,7 @@ def fan_search(
     lam = np.repeat(directions, order.shape[1], axis=0)[by_start]
 
     def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        # caps do not depend on the direction: score each bytewise-distinct
-        # row once
+        # caps do not depend on the direction: score each distinct row once
         first, inverse = _distinct_rows(rows)
         caps = (c[inverse] for c in caps_of(rows[first]))
         return support_of_caps(*caps, lam[owner])

@@ -601,19 +601,22 @@ def test_each_benchmark_fan_runs_as_one_block(name, cfg, entries, monkeypatch):
 
 
 def distinct_row_cases():
-    """Rows of every kind the distinct-row step must get right, each with
-    the entries that set how many rows one compare piece holds."""
+    """Rows of every kind the distinct-row step must get right; "pieces"
+    holds more rows than three compare pieces of the default size."""
     rng = np.random.default_rng(12)
     n = 6
     base = rng.integers(0, 3, size=(40, n)) / 4.0
     repeats = base[rng.integers(0, 40, size=300)]
     signed = repeats.copy()
     signed[(rng.random(signed.shape) < 0.3) & (signed == 0.0)] = -0.0
+    nans = repeats.copy()
+    nans[nans == 0.5] = np.nan
     many = np.repeat(base, outer._PIECE_CELLS // n // 10, axis=0)[
         rng.permutation(40 * (outer._PIECE_CELLS // n // 10))]
     return {
         "repeats": repeats,
         "minus-zero": signed,
+        "nan": nans,
         "one-row": base[:1],
         "all-equal": np.repeat(base[:1], 50, axis=0),
         "no-rows": np.empty((0, n)),
@@ -622,11 +625,15 @@ def distinct_row_cases():
     }
 
 
+@pytest.mark.parametrize("cells", [None, 13])
 @pytest.mark.parametrize("case", sorted(distinct_row_cases()))
-def test_distinct_rows_are_those_of_np_unique(case):
+def test_distinct_rows_are_those_of_np_unique(case, cells, monkeypatch):
     rows = distinct_row_cases()[case]
     if case == "pieces":
         assert len(rows) > 3 * (outer._PIECE_CELLS // rows.shape[1])
+    if cells is not None:
+        # pieces of a few rows, so that many compares span two pieces
+        monkeypatch.setattr(outer, "_PIECE_CELLS", cells)
     first, inverse = _distinct_rows(rows)
     ref_first, ref_inverse = unique_rows(rows)
     for got, want in ((first, ref_first), (inverse, ref_inverse)):
@@ -635,22 +642,6 @@ def test_distinct_rows_are_those_of_np_unique(case):
     if case == "minus-zero":
         # -0.0 and 0.0 stay apart: more distinct rows than distinct floats
         assert len(first) > len(np.unique(rows, axis=0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 600),
-       st.integers(1, 40))
-def test_distinct_rows_match_np_unique_in_any_piece_size(seed, n, rows, cells):
-    rng = np.random.default_rng(seed)
-    values = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, np.nan], size=(rows, n))
-    original = outer._PIECE_CELLS
-    try:
-        outer._PIECE_CELLS = cells
-        first, inverse = _distinct_rows(values)
-    finally:
-        outer._PIECE_CELLS = original
-    ref_first, ref_inverse = unique_rows(values)
-    assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
 
 
 def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
