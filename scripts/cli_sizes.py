@@ -10,7 +10,8 @@ through ``cifc_udc.cli.main`` in this process, timed with
   ``large_channel(3)`` (the benchmark's seeded dense channel at
   |X| = (3,3,2,3,3), from ``perfbench/workloads.py``) at 100 samples and a
   fan of 16;
-- outer on ``channels/clean.json`` at 500 samples and a fan of 64.
+- outer on ``channels/clean.json`` at 500 samples and a fan of 64, and
+  again at a fan of 256, where the envelope's polygon has the most rows.
 
 Prints one JSON object: for each command, its seconds, the |V12| its
 caveat reports and the area of its region.  Run it on two source trees,
@@ -37,9 +38,10 @@ def commands(src: Path, workdir: Path) -> list:
         path.write_text(json.dumps(large_channel(seed)), encoding="utf-8")
         runs.append((f"outer (3,3,2,3,3) large_channel({seed}) --samples 100 --fan 16",
                      ["outer", str(path), "--samples", "100", "--fan", "16"]))
-    runs.append(("outer channels/clean.json --samples 500 --fan 64",
-                 ["outer", str(src / "channels" / "clean.json"),
-                  "--samples", "500", "--fan", "64"]))
+    for fan in ("64", "256"):
+        runs.append((f"outer channels/clean.json --samples 500 --fan {fan}",
+                     ["outer", str(src / "channels" / "clean.json"),
+                      "--samples", "500", "--fan", fan]))
     return runs
 
 

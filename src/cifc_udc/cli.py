@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import types
 
@@ -27,6 +26,7 @@ from .outer import SearchConfig, outer_region_estimate
 from .pmf import _number
 from .polytope import (
     LinearSystem,
+    _check_tolerance,
     polygon_extract,
     project_to_plane,
     region_contains,
@@ -322,12 +322,15 @@ def _cmd_capacity(args, opts: dict) -> int:
 
 
 def _cmd_compare(args, opts: dict) -> int:
-    if not (math.isfinite(opts["tol"]) and opts["tol"] >= 0):
-        raise UsageError(f"--tol must be a finite number >= 0, not {opts['tol']!r}")
+    tol = opts["tol"]
+    try:
+        _check_tolerance(tol)
+    except ShapeMismatch:
+        raise UsageError(f"--tol must be a finite number >= 0, not {tol!r}") from None
     region_a = _load_region_file(args.region_a)
     region_b = _load_region_file(args.region_b)
-    a_in_b = region_contains(region_b, region_a, tol=opts["tol"])
-    b_in_a = region_contains(region_a, region_b, tol=opts["tol"])
+    a_in_b = region_contains(region_b, region_a, tol=tol)
+    b_in_a = region_contains(region_a, region_b, tol=tol)
     sys.stdout.write(
         f"a_contains_b={'true' if b_in_a else 'false'}\n"
         f"b_contains_a={'true' if a_in_b else 'false'}\n"

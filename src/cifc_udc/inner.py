@@ -310,7 +310,7 @@ def region_for_distribution(c: InnerConstants) -> Region2D:
     for pinned, dropped in DROP_CASES:
         rows = _compiled_case(pinned, dropped).at(theta)
         if rows is not None:
-            points += polygon_points(*rows)[1]
+            points += polygon_points(*rows)
     return region_from_vertices(points or [(0.0, 0.0)])
 
 

@@ -30,13 +30,7 @@ from .pmf import (
     clip_information,
     point_mass,
 )
-from .polytope import (
-    SNAP,
-    LinearSystem,
-    Region2D,
-    polygon_extract,
-    region_from_vertices,
-)
+from .polytope import SNAP, Region2D, polygon_points, region_from_vertices
 
 @dataclass(frozen=True)
 class InputLaw:
@@ -458,9 +452,9 @@ def outer_region_estimate(
         return _caps(law_bounds(five_bounds, rows, cards, channel, V12_AXES))
 
     heights, _ = fan_search(flats, caps_of, cfg, extra=len(extra_distributions))
-    system = LinearSystem(("R1", "R2"), fan_directions(cfg.fan), heights,
-                          np.zeros((0, 2)), (), {"R1", "R2"})
-    region = polygon_extract(system, "R1", "R2")
+    if not np.isfinite(heights).all():  # the clip would drop a NaN row's points
+        raise ShapeMismatch("a fan height is NaN or an infinity")
+    region = region_from_vertices(polygon_points(fan_directions(cfg.fan), heights))
     caveat = {
         "kind": "support-envelope estimate",
         "note": (

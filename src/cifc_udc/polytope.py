@@ -7,8 +7,9 @@ nonnegative.  ``_eliminate``, the one front end behind
 variable but the two plotted rates one column at a time, by Fourier-Motzkin
 elimination.  One clip of a working box by the survivor's rows
 (:func:`polygon_points`) gives the polygon they cut out of the nonnegative
-quadrant, and :func:`polygon_extract` turns it into a :class:`Region2D`:
-its counter-clockwise vertices and an irredundant list of halfplanes.
+quadrant.  :func:`region_from_vertices` is the one route from points to a
+:class:`Region2D`: the hull's counter-clockwise vertices and one halfplane
+per hull edge.  :func:`polygon_extract` is that hull of one clip.
 
 All arithmetic is floating point.  Rows are normalized to max-abs
 coefficient one, coefficients below ``SNAP`` are snapped to zero, and
@@ -399,15 +400,6 @@ def _clip(points: list, hp: tuple) -> list:
     return out
 
 
-def _clip_all(halfplanes: Sequence[tuple]) -> list:
-    poly = [(0.0, 0.0), (BOX_LIMIT, 0.0), (BOX_LIMIT, BOX_LIMIT), (0.0, BOX_LIMIT)]
-    for hp in halfplanes:
-        poly = _clip(poly, hp)
-        if not poly:
-            return []
-    return poly
-
-
 def _dedupe_points(points: Sequence, tol: float = 1e-9) -> list:
     """The points in order, less each one within ``tol`` in both
     coordinates of a point kept before it.
@@ -558,84 +550,77 @@ def _edges_to_halfplanes(hull: list) -> list:
 
 
 def region_from_vertices(points: Sequence) -> Region2D:
-    """Convex hull of the given points as a Region2D."""
+    """Convex hull of the given points as a Region2D: its counter-clockwise
+    vertices and one halfplane per edge.  A NaN or an infinity among the
+    points raises ``ShapeMismatch``."""
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(xy).all():
+        raise ShapeMismatch("region holds NaN or an infinity")
     # exact repeats go first, each first copy kept in order: the greedy
     # pass would drop every later copy, since either the first copy was
     # kept or a point kept before it lies within tol of both, and a
     # dropped point changes none of the pass's later choices
-    xy = np.asarray(points, dtype=float).reshape(-1, 2).tolist()
-    pts = _dedupe_points(dict.fromkeys(map(tuple, xy)))
+    pts = _dedupe_points(dict.fromkeys(map(tuple, xy.tolist())))
     if not pts:
         return Region2D((), np.zeros((0, 2)), empty=True)
     hull = convex_hull(pts)
     return Region2D(tuple(_edges_to_halfplanes(hull)), np.array(hull))
 
 
-def polygon_points(ic, ib, ec, ev) -> tuple[list, list]:
-    """(halfplanes, polygon) of rows ``ic . x <= ib`` and ``ec . x = ev``
-    over the two plotted rates.
+def polygon_points(ic, ib, ec=(), ev=()) -> list:
+    """The polygon that rows ``ic . x <= ib`` and ``ec . x = ev`` cut out of
+    the nonnegative quadrant, over the two plotted rates.
 
-    The halfplanes are R1 >= 0 and R2 >= 0, then the inequalities, then
-    each equality as two opposing rows, all normalized, since the clip's
-    ``SNAP`` test reads normalized distances.  The polygon is the working
-    box clipped by all of them, in order and counter-clockwise; it is
-    empty when they cut nothing out of it.
+    The working box is clipped by the inequalities, then by each equality
+    as two opposing rows, each normalized first, since the clip's ``SNAP``
+    test reads normalized distances.  The points walk the polygon
+    counter-clockwise; there are none when the rows cut nothing out of the
+    box.
     """
     rows = [(1.0, row, bound) for row, bound in zip(ic, ib)]
     rows += [(sign, row, value) for row, value in zip(ec, ev) for sign in (1.0, -1.0)]
-    planes = list(NONNEG_HALFPLANES)
+    points = [(0.0, 0.0), (BOX_LIMIT, 0.0), (BOX_LIMIT, BOX_LIMIT), (0.0, BOX_LIMIT)]
     for sign, (a, b), bound in rows:
-        norm = _normalize_halfplane((sign * a, sign * b, sign * bound))
-        if norm is not None:
-            planes.append(norm)
-    points = _clip_all(planes)
+        hp = _normalize_halfplane((sign * a, sign * b, sign * bound))
+        if hp is not None:
+            points = _clip(points, hp)
     if points and max(max(abs(x), abs(y)) for x, y in points) > UNBOUNDED_AT:
         raise NumericsError(
             "projected system is unbounded; add cap rows before extracting"
         )
-    return planes, points
+    return points
 
 
 def polygon_extract(system: LinearSystem, r1: str, r2: str) -> Region2D:
-    """Turn a two-variable system into an irredundant Region2D.
+    """Turn a two-variable system into a Region2D.
 
     The system must contain exactly the plotted variables; project first.
     One clip of the box by its rows (:func:`polygon_points`) gives the
-    vertices; the halfplanes are the rows left after a greedy drop-one
-    prune, to which ``Region2D`` adds R1 >= 0 and R2 >= 0.
+    polygon, and :func:`region_from_vertices` its hull: the vertices, and
+    one halfplane per hull edge, which every vertex meets to roundoff.
     """
     if set(system.variables) != {r1, r2}:
         raise LeftoverVariables(
             f"system still has variables {system.variables}, expected ({r1}, {r2})"
         )
     cols = [system.index_of(r1), system.index_of(r2)]
-    planes, points = polygon_points(
+    points = polygon_points(
         system.ineq_coefs[:, cols], system.ineq_bounds,
         system.eq_coefs[:, cols], system.eq_values,
-    ) if system.feasible else ([], [])
-    if not points:
-        return Region2D((), np.zeros((0, 2)), empty=True)
+    ) if system.feasible else []
+    return region_from_vertices(points)
 
-    # planes with strict slack over the whole polygon can never bind
-    arr, pts = np.array(planes)[:, :, None], np.array(points).T
-    slack = arr[:, 0] * pts[0] + arr[:, 1] * pts[1] - arr[:, 2]
-    kept = [planes[i] for i in np.flatnonzero(np.max(slack, axis=1) > -1e-6)]
 
-    # greedy drop-one pruning among the near-active survivors
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1 :]
-        poly = _clip_all(trial)
-        hp = kept[i]
-        if poly and max(hp[0] * x + hp[1] * y - hp[2] for x, y in poly) <= ROW_TOL:
-            kept = trial
-        else:
-            i += 1
-    return Region2D(tuple(kept), np.array(convex_hull(_dedupe_points(points))))
+def _check_tolerance(tol: float) -> None:
+    """A comparison tolerance must be a finite number >= 0; else ``ShapeMismatch``."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ShapeMismatch(f"tolerance must be a finite number >= 0, not {tol!r}")
 
 
 def region_contains(outer: Region2D, inner: Region2D, tol: float = 1e-9) -> bool:
-    """True iff every inner vertex satisfies every outer halfplane within tol."""
+    """True iff every inner vertex satisfies every outer halfplane within
+    tol, a finite number >= 0 (see ``_check_tolerance``)."""
+    _check_tolerance(tol)
     if inner.empty:
         return True
     if outer.empty:
@@ -657,6 +642,8 @@ def support(region: Region2D, direction: Sequence[float]) -> float:
     if region.empty:
         raise EmptyRegion("support of an empty region")
     d1, d2 = float(direction[0]), float(direction[1])
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise ShapeMismatch("support direction holds NaN or an infinity")
     if abs(d1) < SNAP and abs(d2) < SNAP:
         raise ZeroDirection("support direction is zero")
     return float(np.max(d1 * region.vertices[:, 0] + d2 * region.vertices[:, 1]))

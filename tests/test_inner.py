@@ -546,7 +546,7 @@ def compiled_case_regions(c):
     """Each drop case's region from its once-projected multiplier table."""
     theta = [getattr(c, name) for name in CONSTANT_NAMES]
     rows = [inner._compiled_case(pinned, dropped).at(theta) for pinned, dropped in DROP_CASES]
-    return [region_from_vertices([] if r is None else polygon_points(*r)[1]) for r in rows]
+    return [region_from_vertices([] if r is None else polygon_points(*r)) for r in rows]
 
 
 def assert_compiled_matches_runtime(c):

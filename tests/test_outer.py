@@ -453,6 +453,19 @@ class TestOuterEstimate:
         assert caveat["samples"] == 10 and caveat["card_v12"] == 3
         assert caveat["fan"] == 33 and caveat["seed"] == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_height_is_an_error_not_a_clipped_polygon(
+        self, monkeypatch, bad
+    ):
+        def fan_search(flats, caps_of, cfg, extra):
+            heights = np.ones(cfg.fan)
+            heights[1] = bad
+            return heights, flats
+
+        monkeypatch.setattr(outer, "fan_search", fan_search)
+        with pytest.raises(ShapeMismatch, match="NaN or an infinity"):
+            outer_region_estimate(clean_channel(), SearchConfig(num_samples=1, fan=4))
+
     def test_deterministic_across_runs_and_threads(self):
         cfg = SearchConfig(seed=3, num_samples=12, fan=9)
         ch = xor_channel()

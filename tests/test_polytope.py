@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import _fm_reference as reference
 from _systems import case_system, materialized_rows, random_bounded_system, union_hull
-from cifc_udc import errors
+from cifc_udc import errors, polytope
 from cifc_udc.channel import load_channel
 from cifc_udc.inner import (
     DROP_CASES,
@@ -20,6 +20,7 @@ from cifc_udc.inner import (
     sample_factorizations,
 )
 from cifc_udc.oracle import oracle_projected_vertices
+from cifc_udc.outer import fan_directions
 from cifc_udc.polytope import (
     LinearSystem,
     _dedupe_points,
@@ -337,7 +338,7 @@ def test_parametric_projection_matches_projection_at_each_point():
             )
             want = polygon_extract(project_to_plane(system, "t0", "t1"), "t0", "t1")
             rows = family.at(theta)
-            got = region_from_vertices([] if rows is None else polygon_points(*rows)[1])
+            got = region_from_vertices([] if rows is None else polygon_points(*rows))
             assert got.empty == want.empty
             assert regions_close(got, want, tol=1e-9)
             outcomes.add((rows is None, got.empty))
@@ -460,6 +461,38 @@ def test_nearly_concurrent_lines_add_no_vertex_outside_a_halfplane():
     assert_vertices_satisfy_every_row(sys_, region)
 
 
+def test_extracted_halfplanes_hold_every_vertex_to_roundoff():
+    rng = np.random.default_rng(29)
+    regions = 0
+    for _ in range(200):
+        region = polygon_extract(random_bounded_system(rng, n_vars=2), "t0", "t1")
+        if region.empty:
+            continue
+        regions += 1
+        planes = np.array(region.halfplanes)
+        slack = region.vertices @ planes[:, :2].T - planes[:, 2]
+        assert np.max(slack) <= 1e-12
+    assert regions > 150
+
+
+def test_fan_envelope_clips_the_box_once_and_keeps_one_halfplane_per_edge(monkeypatch):
+    # the fan envelope of the ellipse with semi-axes 2 and 1
+    directions = fan_directions(256)
+    heights = np.hypot(2 * directions[:, 0], directions[:, 1])
+    system = LinearSystem(
+        ("R1", "R2"), directions, heights, np.zeros((0, 2)), (), {"R1", "R2"}
+    )
+    clip, clips = polytope._clip, []
+    monkeypatch.setattr(
+        polytope, "_clip", lambda points, hp: clips.append(hp) or clip(points, hp)
+    )
+    region = polygon_extract(system, "R1", "R2")
+    assert len(clips) == 256
+    assert len(region.halfplanes) == len(region.vertices) > 200
+    for direction, height in zip(directions, heights):
+        assert support(region, direction) <= height + 1e-9
+
+
 # ------------------------------------------------------- regions and support
 
 
@@ -472,6 +505,16 @@ def test_region_contains_examples():
     empty = Region2D((), np.zeros((0, 2)), empty=True)
     assert region_contains(square, empty, 1e-9)
     assert not region_contains(empty, square, 1e-9)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_a_tolerance_must_be_finite_and_nonnegative(tol):
+    square = unit_square()
+    big = region_from_vertices([(0, 0), (5, 0), (5, 5), (0, 5)])
+    for check in (region_contains, regions_close):
+        with pytest.raises(errors.ShapeMismatch, match="finite number >= 0"):
+            check(square, big, tol)
+    assert region_contains(square, square, 0.0)
 
 
 def quadratic_dedupe(points, tol):
@@ -580,6 +623,12 @@ def test_support_examples():
         support(empty, (1.0, 0.0))
 
 
+@pytest.mark.parametrize("direction", [(np.nan, 0.0), (np.inf, 1.0), (0.0, -np.inf)])
+def test_support_rejects_a_non_finite_direction(direction):
+    with pytest.raises(errors.ShapeMismatch, match="NaN or an infinity"):
+        support(unit_square(), direction)
+
+
 def test_support_matches_boundary_sampling():
     rng = np.random.default_rng(3)
     region = region_from_vertices(rng.uniform(0, 2, (6, 2)))
@@ -629,6 +678,12 @@ def test_region_invariant_enforced():
         Region2D(((1.0, 0.0, 1.0),), np.array([[2.0, 0.0]]))
     with pytest.raises(errors.ShapeMismatch):
         Region2D((), np.zeros((0, 2)), empty=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_region_from_vertices_rejects_a_non_finite_point(bad):
+    with pytest.raises(errors.ShapeMismatch, match="NaN or an infinity"):
+        region_from_vertices([(0, 0), (1, bad), (1, 1)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
