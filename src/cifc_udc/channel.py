@@ -63,13 +63,16 @@ class ChannelSpec:
         return self.transition.sum(axis=3)
 
     def as_factor(self) -> ConditionalFactor:
-        """The channel as a conditional factor (y1,y2) given (x1,x2,x3)."""
-        c = self.cards
-        return ConditionalFactor(
-            (("y1", c[3]), ("y2", c[4])),
-            (("x1", c[0]), ("x2", c[1]), ("x3", c[2])),
-            self.transition,
-        )
+        """The channel as a conditional factor (y1,y2) given (x1,x2,x3),
+        built on first use and held, with a read-only table."""
+        return self._factor
+
+    @functools.cached_property
+    def _factor(self) -> ConditionalFactor:
+        pairs = tuple(zip(AXES, self.cards))
+        factor = ConditionalFactor(pairs[3:], pairs[:3], self.transition)
+        factor.table.setflags(write=False)
+        return factor
 
     @classmethod
     def from_outputs(cls, cards: Sequence[int], fn) -> "ChannelSpec":

@@ -7,12 +7,13 @@ to the plane and unioning over factorizations gives the inner bound estimate.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelSpec
+from .channel import AXES, ChannelSpec
 from .errors import (
     CardinalityMismatch,
     InadmissibleConstants,
@@ -23,6 +24,7 @@ from .pmf import (
     ConditionalFactor,
     Information,
     JointPMF,
+    _mode_table,
     _settings,
     check_cells,
     clip_information,
@@ -67,7 +69,7 @@ class InnerFactorization:
     """Nine conditional factors in the canonical chain order.
 
     Auxiliary cardinalities are implied by the factor tables; the factors
-    must use exactly the canonical target/conditioning signatures.
+    must use exactly the canonical signatures, and batched ones make a batch.
     """
 
     factors: tuple[ConditionalFactor, ...]
@@ -97,19 +99,15 @@ class InnerFactorization:
     @property
     def cards(self) -> dict[str, int]:
         """Cardinalities of every variable the factor chain mentions."""
-        out: dict[str, int] = {}
-        for factor in self.factors:
-            for label, card in factor.targets:
-                out[label] = card
-        out["y2"] = dict(self.factors[8].given)["y2"]
-        return out
+        targets = itertools.chain.from_iterable(f.targets for f in self.factors)
+        return {**dict(targets), "y2": dict(self.factors[8].given)["y2"]}
 
 
 def assemble_joint(factorization: InnerFactorization, channel: ChannelSpec) -> JointPMF:
-    """Multiply the factor chain and the channel into the 13-variable joint.
-
-    The channel factor p(y1,y2|x1,x2,x3) enters right before the output
-    estimate factor, which conditions on y2.
+    """Multiply the factor chain and the channel into the 13-variable joint
+    (one per row of a batched factorization).  The channel factor
+    p(y1,y2|x1,x2,x3) enters right before the output estimate factor,
+    which conditions on y2.
     """
     cards = factorization.cards
     for label in ("x1", "x2", "x3", "y2"):
@@ -336,8 +334,11 @@ class SamplerConfig:
         cards = {f"card_{name}": 1 for name in AUX_LABELS}
         _settings(self, {"seed": 0, "num_samples": 0, **cards})
 
-    def aux_cards(self) -> dict[str, int]:
-        return {name: getattr(self, f"card_{name}") for name in AUX_LABELS}
+    def cards(self, channel: ChannelSpec) -> dict[str, int]:
+        """Cardinalities of the joint's variables: the auxiliaries, then
+        ``channel``'s inputs and outputs."""
+        aux = {name: getattr(self, f"card_{name}") for name in AUX_LABELS}
+        return {**aux, **dict(zip(AXES, channel.cards))}
 
 
 def _signature_pairs(index: int, cards: dict[str, int]):
@@ -348,77 +349,90 @@ def _signature_pairs(index: int, cards: dict[str, int]):
     )
 
 
-def _mode_factor(index: int, cards: dict[str, int], modes) -> ConditionalFactor:
-    """Factor ``index`` of the signature built by ``ConditionalFactor.from_modes``."""
-    return ConditionalFactor.from_modes(*_signature_pairs(index, cards), modes)
+# the nine factors' modes in chain order, then each corner's changes to them
+_DEFAULT_MODES = {
+    "u1p": "const", "u1": "const", "v1": "const", "u2p": "const",
+    "block": ("const", "const", "const"),
+    "x1": "uniform", "x2": "uniform", "x3": "const", "yh2": "const",
+}
+
+# structured corner factorizations covering the main coding routes
+_CORNERS = (
+    # inputs on, every auxiliary silent
+    {},
+    # private messages ride V1 and V2 straight onto the inputs
+    dict(v1="uniform", x1=("copy", "v1"),
+         block=("const", "const", "uniform"), x2=("copy", "v2")),
+    # public primary message on U1, both decoders can track it
+    dict(u1="uniform", x1=("copy", "u1")),
+    # relay route: destination 2 repeats the primary public layer
+    dict(u1p="uniform", x1=("copy", "u1p"), x3=("copy", "u1p")),
+    # interference forwarding of the cognitive public layer
+    dict(u2p="uniform", x2=("copy", "u2p"), x3=("copy", "u2p")),
+    # binned broadcast layer V12 carried by the cognitive input
+    dict(block=("const", "uniform", ("copy", "v12")), x2=("copy", "v12")),
+    # cognitive split: U2 public against the primary private V1
+    dict(v1="uniform", x1=("copy", "v1"),
+         block=("uniform", "const", "const"), x2=("copy", "u2")),
+    # quantize-and-forward of Y2 with active X3
+    dict(v1="uniform", x1=("copy", "v1"),
+         block=("const", "const", "uniform"), x2=("copy", "v2"),
+         x3="uniform", yh2=("copy", "y2")),
+    # everything uniform
+    dict(u1p="uniform", u1="uniform", v1="uniform", u2p="uniform",
+         block=("uniform", "uniform", "uniform"), x1="uniform", x2="uniform",
+         x3="uniform", yh2="uniform"),
+)
 
 
-def _build(cards: dict[str, int], **modes) -> InnerFactorization:
-    defaults = {
-        "u1p": "const", "u1": "const", "v1": "const", "u2p": "const",
-        "block": ("const", "const", "const"),
-        "x1": "uniform", "x2": "uniform", "x3": "const", "yh2": "const",
-    }
-    defaults.update(modes)
-    keys = ("u1p", "u1", "v1", "u2p", "block", "x1", "x2", "x3", "yh2")
-    factors = tuple(
-        _mode_factor(i, cards, defaults[key]) for i, key in enumerate(keys)
+@functools.lru_cache(maxsize=8)
+def _corner_tables(cards: tuple) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The nine tables of each of ``_CORNERS`` over the (label, cardinality)
+    pairs ``cards``, before normalization: read-only, and held for the last
+    eight cards tuples, so a process builds them once per cards."""
+    cards, catalog = dict(cards), []
+    for corner in _CORNERS:
+        modes = {**_DEFAULT_MODES, **corner}.values()
+        catalog.append(tuple(
+            _mode_table(*_signature_pairs(i, cards), m) for i, m in enumerate(modes)
+        ))
+    for table in itertools.chain(*catalog):
+        table.setflags(write=False)
+    return tuple(catalog)
+
+
+def _random_tables(cards: dict[str, int], seed) -> tuple[np.ndarray, ...]:
+    """Nine tables over ``cards``, each row a flat Dirichlet(1) draw on
+    ``default_rng(seed)`` (a generator is its own seed), drawn as
+    ``ConditionalFactor.random`` draws them."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        rng.dirichlet(np.ones(math.prod(map(cards.get, t))), math.prod(map(cards.get, g)))
+        .reshape([cards[l] for l in g + t])
+        for t, g in FACTOR_SIGNATURES
     )
-    return InnerFactorization(factors)
 
 
-def _corner_catalog(cards: dict[str, int]) -> tuple[InnerFactorization, ...]:
-    """Structured corner factorizations covering the main coding routes."""
-    return (
-        # inputs on, every auxiliary silent
-        _build(cards),
-        # private messages ride V1 and V2 straight onto the inputs
-        _build(cards, v1="uniform", x1=("copy", "v1"),
-               block=("const", "const", "uniform"), x2=("copy", "v2")),
-        # public primary message on U1, both decoders can track it
-        _build(cards, u1="uniform", x1=("copy", "u1")),
-        # relay route: destination 2 repeats the primary public layer
-        _build(cards, u1p="uniform", x1=("copy", "u1p"), x3=("copy", "u1p")),
-        # interference forwarding of the cognitive public layer
-        _build(cards, u2p="uniform", x2=("copy", "u2p"), x3=("copy", "u2p")),
-        # binned broadcast layer V12 carried by the cognitive input
-        _build(cards, block=("const", "uniform", ("copy", "v12")),
-               x2=("copy", "v12")),
-        # cognitive split: U2 public against the primary private V1
-        _build(cards, v1="uniform", x1=("copy", "v1"),
-               block=("uniform", "const", "const"), x2=("copy", "u2")),
-        # quantize-and-forward of Y2 with active X3
-        _build(cards, v1="uniform", x1=("copy", "v1"),
-               block=("const", "const", "uniform"), x2=("copy", "v2"),
-               x3="uniform", yh2=("copy", "y2")),
-        # everything uniform
-        _build(cards, u1p="uniform", u1="uniform", v1="uniform",
-               u2p="uniform", block=("uniform", "uniform", "uniform"),
-               x1="uniform", x2="uniform", x3="uniform", yh2="uniform"),
-    )
+def _stream(cards: dict[str, int], cfg: SamplerConfig):
+    """Each factorization's nine tables over ``cards``, before normalization,
+    in ``sample_factorizations``' order.  Raises ``TooLarge`` before any
+    table is built when a joint would exceed ``pmf.JOINT_CELL_LIMIT`` cells."""
+    check_cells(math.prod(cards.values()), "the inner joint")
+    const = _mode_table(*_signature_pairs(8, cards), "const")
+    draws = (_random_tables(cards, [cfg.seed, i]) for i in range(cfg.num_samples))
+    for tables in itertools.chain(_corner_tables(tuple(cards.items())), draws):
+        yield tables
+        if not np.array_equal(tables[8], const):
+            yield tables[:8] + (const,)
 
 
-def _yhat_constant_variant(f: InnerFactorization) -> InnerFactorization | None:
-    const = ConditionalFactor.from_modes(f.factors[8].targets, f.factors[8].given, "const")
-    if np.array_equal(f.factors[8].table, const.table):
-        return None
-    return InnerFactorization(f.factors[:8] + (const,))
-
-
-def _random_factorization(
-    cards: dict[str, int], rng: np.random.Generator
-) -> InnerFactorization:
-    factors = tuple(
-        ConditionalFactor.random(*_signature_pairs(i, cards), rng)
-        for i in range(len(FACTOR_SIGNATURES))
-    )
-    return InnerFactorization(factors)
-
-
-def _joint_cells(channel: ChannelSpec, cfg: SamplerConfig) -> int:
-    """Cells of each joint that ``assemble_joint`` makes of ``cfg``'s
-    auxiliaries and ``channel``."""
-    return math.prod(cfg.aux_cards().values()) * math.prod(channel.cards)
+def _factorization(cards: dict[str, int], tables) -> InnerFactorization:
+    """The factorization of nine tables over ``cards``: each one factor's,
+    or a stack of them, which makes a batch (checked once)."""
+    return InnerFactorization(tuple(
+        ConditionalFactor(*_signature_pairs(i, cards), table)
+        for i, table in enumerate(tables)
+    ))
 
 
 def sample_factorizations(
@@ -429,40 +443,28 @@ def sample_factorizations(
     Every entry whose output-estimate factor is not already constant is
     followed by a copy with that factor forced constant, so distributions
     rejected by the admissibility gate still contribute their base region.
+    The corners' tables are built once per process per cardinalities, and
+    sample i is drawn on ``default_rng([seed, i])``.  Each entry is one row
+    of the tables ``inner_region`` stacks, built by the same constructors.
     Raises ``TooLarge``, before building anything, when the joint would
     hold more than ``pmf.JOINT_CELL_LIMIT`` cells.
     """
-    cards = dict(cfg.aux_cards())
-    for label in ("x1", "x2", "x3", "y2"):
-        cards[label] = channel.card(label)
-    check_cells(_joint_cells(channel, cfg), "the inner joint")
-    base = list(_corner_catalog(cards))
-    for i in range(cfg.num_samples):
-        rng = np.random.default_rng([cfg.seed, i])
-        base.append(_random_factorization(cards, rng))
-    out: list[InnerFactorization] = []
-    for f in base:
-        out.append(f)
-        if (variant := _yhat_constant_variant(f)) is not None:
-            out.append(variant)
-    return tuple(out)
+    cards = cfg.cards(channel)
+    return tuple(_factorization(cards, tables) for tables in _stream(cards, cfg))
 
 
 def _sample_record(index: int, adm: bool, c: InnerConstants, vertices: int) -> str:
     parts = [f"sample={index}", f"admissible={1 if adm else 0}"]
-    parts.extend(
-        f"{name}={getattr(c, name):.12g}" for name in CONSTANT_NAMES
-    )
+    parts.extend(f"{name}={getattr(c, name):.12g}" for name in CONSTANT_NAMES)
     parts.append(f"vertices={vertices}")
     return " ".join(parts)
 
 
-def _chunk_constants(
-    chunk: tuple[InnerFactorization, ...], channel: ChannelSpec
-) -> np.ndarray:
-    """The constants of each factorization in ``chunk``, one row each, from
-    one ``Information`` table over their stacked joints."""
-    joints = np.stack([assemble_joint(f, channel).probs for f in chunk])
+def _chunk_constants(rows, cards: dict[str, int], channel: ChannelSpec) -> np.ndarray:
+    """The constants of each factorization in ``rows`` (``_stream``'s), one
+    row each: each link is stacked, checked and normalized once, the chain
+    multiplied once over the batch, and one ``Information`` table scores it."""
+    joints = assemble_joint(_factorization(cards, map(np.stack, zip(*rows))), channel).probs
     return _constant_rows(Information(joints, " ".join(JOINT_LABELS)))
 
 
@@ -473,18 +475,19 @@ def inner_region(
 
     Inadmissible samples contribute nothing but are logged.  The result
     only grows as samples are added and never loses the silent point.
-    The constants are scored a chunk at a time, each chunk one table of
-    at most ``_INNER_CELLS`` joint cells (one joint at least); a row's
-    constants do not depend on the rows beside it, so the chunking moves
-    no byte.
+    The stream's tables are scored a chunk at a time, each chunk at most
+    ``_INNER_CELLS`` joint cells (one joint at least): per chain link, one
+    stack of the chunk's tables, checked and normalized once, and one
+    product over the batch; then one normalization of all its joints and
+    one table of constants (``_chunk_constants``).  No row's bytes depend
+    on the rows beside it, so the chunking moves no byte.
     """
-    factorizations = sample_factorizations(channel, cfg)
-    size = max(1, _INNER_CELLS // _joint_cells(channel, cfg))
-    lines = []
-    points = []
-    for lo in range(0, len(factorizations), size):
-        rows = _chunk_constants(factorizations[lo:lo + size], channel)
-        for index, row in enumerate(rows, lo):
+    cards = cfg.cards(channel)
+    rows = _stream(cards, cfg)
+    size = max(1, _INNER_CELLS // math.prod(cards.values()))
+    lines, points = [], []
+    for chunk in iter(lambda: tuple(itertools.islice(rows, size)), ()):
+        for index, row in enumerate(_chunk_constants(chunk, cards, channel), len(lines)):
             c = InnerConstants(*map(float, row))
             if not admissible(c):
                 lines.append(_sample_record(index, False, c, 0))

@@ -118,32 +118,38 @@ def _factor_pairs(targets, given):
     return pairs[:len(targets)], pairs[len(targets):]
 
 
-def _clean_tensor(table: np.ndarray, what: str) -> np.ndarray:
-    """Clip tiny negatives to zero; NaN, infinities and larger negatives
-    are errors."""
-    table = np.asarray(table, dtype=np.float64)
-    if not np.isfinite(table).all():
-        raise NegativeEntry(f"{what} has a non-finite entry")
-    low = float(table.min()) if table.size else 0.0
-    if low < -NEG_TOL:
-        raise NegativeEntry(f"{what} has negative entry {low!r}")
-    return np.clip(table, 0.0, None)
+def _batch(table, shape: tuple) -> tuple:
+    """(n,) when ``table`` has one more leading axis than ``shape``, else ()."""
+    return np.shape(table)[:1] if np.ndim(table) == len(shape) + 1 else ()
+
+
+def _row(index, shape: tuple, given: int) -> str:
+    """' row (i, ...)', the first ``given`` axes of flat ``index`` in ``shape``."""
+    row = np.unravel_index(int(index), shape)[:given]
+    return f" row {tuple(int(i) for i in row)}" if given else ""
 
 
 def _normalized(table, shape: tuple, given: int, what: str, error=SumNotOne) -> np.ndarray:
-    """``table`` cleaned, checked to have ``shape`` and divided by the sums
-    of its rows, one row per cell of the first ``given`` axes.  A row sum
-    further than ``SUM_TOL`` from one raises ``error`` naming the row."""
-    table = _clean_tensor(table, what)
+    """``table`` as float64 with tiny negatives clipped to zero, checked to
+    have ``shape`` and divided by the sums of its rows, one row per cell of
+    the first ``given`` axes; a leading batch axis is one more of them.
+    NaN, an infinity or an entry below ``-NEG_TOL`` raises ``NegativeEntry``,
+    and a row sum further than ``SUM_TOL`` from one raises ``error``; both
+    name the row."""
+    table = np.asarray(table, dtype=np.float64)
+    if not np.isfinite(table).all() or table.min(initial=0.0) < -NEG_TOL:
+        bad = int(np.argmin(np.isfinite(table) & (table >= -NEG_TOL)))
+        at = _row(bad, table.shape, given)
+        raise NegativeEntry(f"{what}{at} has bad entry {float(table.flat[bad])!r}")
     if table.shape != shape:
         raise ShapeMismatch(f"{what} shape {table.shape} does not match {shape}")
+    table = np.clip(table, 0.0, None)
     sums = table.sum(axis=tuple(range(given, table.ndim)), keepdims=True)
     worst = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums.flat[worst] - 1.0) > SUM_TOL:
-        row = tuple(int(i) for i in np.unravel_index(worst, sums.shape)[:given])
-        at = f" row {row}" if given else ""
+        at = _row(worst, sums.shape, given)
         raise error(f"{what}{at} sums to {float(sums.flat[worst])!r}")
-    return table / sums
+    return np.divide(table, sums, out=table)  # in place: the clipped copy is ours
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -152,7 +158,7 @@ class JointPMF:
 
     ``variables`` pairs each axis label with its cardinality, in axis
     order.  ``probs`` holds the probabilities, normalized exactly to one
-    at construction time.
+    at construction time, or a batch of joints on one more leading axis.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -161,8 +167,10 @@ class JointPMF:
     def __post_init__(self):
         variables = _labeled(self.variables, "variable")
         shape = tuple(c for _, c in variables)
+        lead = _batch(self.probs, shape)
+        probs = _normalized(self.probs, lead + shape, len(lead), "joint pmf")
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "probs", _normalized(self.probs, shape, 0, "joint pmf"))
+        object.__setattr__(self, "probs", probs)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -358,7 +366,8 @@ class ConditionalFactor:
     """Conditional distribution p(targets | given) as a dense table.
 
     ``table`` has one axis per conditioning variable followed by one axis
-    per target variable; every conditioning row sums to one.
+    per target variable; every conditioning row sums to one.  One more
+    leading axis makes a batch of factors.
     """
 
     targets: tuple[tuple[str, int], ...]
@@ -370,7 +379,8 @@ class ConditionalFactor:
             raise EmptyList("factor needs at least one target variable")
         targets, given = _factor_pairs(self.targets, self.given)
         shape = tuple(c for _, c in given + targets)
-        table = _normalized(self.table, shape, len(given), "factor table")
+        lead = _batch(self.table, shape)
+        table = _normalized(self.table, lead + shape, len(lead + given), "factor table")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "table", table)
@@ -394,32 +404,7 @@ class ConditionalFactor:
         a conditioner or an earlier target, reduced modulo the target's
         cardinality.  Any other source raises ``UnknownLabel``; an unknown
         mode, or a mode count other than the target count, ``InvalidFactor``."""
-        targets, given = _factor_pairs(targets, given)
-        if isinstance(modes, str) or modes[:1] == ("copy",):
-            modes = (modes,) * len(targets)
-        if len(modes) != len(targets):
-            raise InvalidFactor(f"{len(modes)} modes for {len(targets)} targets")
-        labels = [l for l, _ in given + targets]
-        shape = tuple(c for _, c in given + targets)
-        if all(m == "uniform" for m in modes):
-            # one division: a product of per-target shares moves the last
-            # bit of some tables, such as targets of cards (3, 5, 6)
-            size = math.prod(shape[len(given):])
-            return cls(targets, given, np.full(shape, 1.0 / size))
-        grid = np.indices(shape, sparse=True)
-        table = np.ones(shape)
-        for axis, mode in enumerate(modes, len(given)):
-            if mode == "uniform":
-                table *= 1.0 / shape[axis]
-            elif mode == "const":
-                table *= grid[axis] == 0
-            elif isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "copy":
-                if mode[1] not in labels[:axis]:
-                    raise UnknownLabel(f"copy source {mode[1]!r} is no earlier label")
-                table *= grid[axis] == grid[labels.index(mode[1])] % shape[axis]
-            else:
-                raise InvalidFactor(f"unknown mode {mode!r} for {labels[axis]!r}")
-        return cls(targets, given, table)
+        return cls(targets, given, _mode_table(targets, given, modes))
 
     @classmethod
     def random(
@@ -436,17 +421,49 @@ class ConditionalFactor:
         return cls(targets, given, rows.reshape(g_shape + t_shape))
 
 
+def _mode_table(targets, given, modes) -> np.ndarray:
+    """The table of ``ConditionalFactor.from_modes``, before it is normalized."""
+    targets, given = _factor_pairs(targets, given)
+    if isinstance(modes, str) or modes[:1] == ("copy",):
+        modes = (modes,) * len(targets)
+    if len(modes) != len(targets):
+        raise InvalidFactor(f"{len(modes)} modes for {len(targets)} targets")
+    labels = [l for l, _ in given + targets]
+    shape = tuple(c for _, c in given + targets)
+    if all(m == "uniform" for m in modes):
+        # one division: a product of per-target shares moves the last
+        # bit of some tables, such as targets of cards (3, 5, 6)
+        size = math.prod(shape[len(given):])
+        return np.full(shape, 1.0 / size)
+    grid = np.indices(shape, sparse=True)
+    table = np.ones(shape)
+    for axis, mode in enumerate(modes, len(given)):
+        if mode == "uniform":
+            table *= 1.0 / shape[axis]
+        elif mode == "const":
+            table *= grid[axis] == 0
+        elif isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "copy":
+            if mode[1] not in labels[:axis]:
+                raise UnknownLabel(f"copy source {mode[1]!r} is no earlier label")
+            table *= grid[axis] == grid[labels.index(mode[1])] % shape[axis]
+        else:
+            raise InvalidFactor(f"unknown mode {mode!r} for {labels[axis]!r}")
+    return table
+
+
 def joint_from_factors(factors: Sequence[ConditionalFactor]) -> JointPMF:
     """Multiply a chain of conditional factors into one joint.
 
     Each factor may condition only on variables introduced by earlier
-    factors and may not re-introduce an existing variable.
+    factors and may not re-introduce an existing variable.  Factors that
+    hold a batch (of one size) make a batch of joints, one product each.
     """
     if not factors:
         raise EmptyList("need at least one factor")
     variables: list[tuple[str, int]] = []
     axis_of: dict[str, int] = {}
-    probs = np.ones(())
+    # einsum subscripts: 0 is a batch axis, i + 1 the axis of variables[i]
+    probs, held = np.ones(()), []
     for factor in factors:
         for label, card in factor.given:
             if label not in axis_of:
@@ -462,15 +479,15 @@ def joint_from_factors(factors: Sequence[ConditionalFactor]) -> JointPMF:
         for label, _ in factor.targets:
             if label in axis_of:
                 raise RepeatedTarget(f"variable {label!r} introduced twice")
-        joint_subs = list(range(len(variables)))
-        fac_subs = [axis_of[l] for l, _ in factor.given]
-        new_subs = list(
-            range(len(variables), len(variables) + len(factor.targets))
-        )
-        out_subs = joint_subs + new_subs
-        probs = np.einsum(probs, joint_subs, factor.table, fac_subs + new_subs, out_subs)
+        rows = [0] * (factor.table.ndim - len(factor.given) - len(factor.targets))
+        if rows and 0 in held and len(factor.table) != len(probs):
+            raise ShapeMismatch(f"a batch of {len(factor.table)} after one of {len(probs)}")
+        subs = rows + [axis_of[l] + 1 for l, _ in factor.given]
         for label, card in factor.targets:
             axis_of[label] = len(variables)
             variables.append((label, card))
+            subs.append(len(variables))
+        out = sorted(set(held + subs))
+        probs, held = np.einsum(probs, held, factor.table, subs, out), out
     return JointPMF(tuple(variables), probs)
 

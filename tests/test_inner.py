@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,9 @@ from cifc_udc.errors import (
     InadmissibleConstants,
     InvalidFactor,
     MissingVariable,
+    NegativeEntry,
+    ShapeMismatch,
+    SumNotOne,
     TooLarge,
 )
 from cifc_udc import inner, polytope
@@ -33,11 +37,14 @@ from cifc_udc.inner import (
     inner_region,
     region_for_distribution,
     sample_factorizations,
+    _CORNERS,
+    _DEFAULT_MODES,
     _constant_rows,
-    _corner_catalog,
-    _mode_factor,
-    _random_factorization,
+    _corner_tables,
+    _factorization,
+    _random_tables,
     _signature_pairs,
+    _stream,
 )
 from cifc_udc.oracle import (
     oracle_assemble_joint,
@@ -45,6 +52,7 @@ from cifc_udc.oracle import (
     oracle_projected_vertices,
 )
 from cifc_udc.pmf import (
+    SUM_TOL,
     ConditionalFactor,
     Information,
     JointPMF,
@@ -79,6 +87,23 @@ def random_channel(rng, cards=(2, 2, 2, 2, 2)):
     return ChannelSpec(cards, t)
 
 
+def corner_catalog(cards):
+    """The corner factorizations over ``cards``, one object each."""
+    return [_factorization(cards, t) for t in _corner_tables(tuple(cards.items()))]
+
+
+def random_factorization(cards, rng):
+    """One factorization drawn on ``rng``, as the stream draws a sample."""
+    return _factorization(cards, _random_tables(cards, rng))
+
+
+def yhat_constant(f):
+    """``f`` with its output-estimate factor forced constant."""
+    yh2 = f.factors[8]
+    const = ConditionalFactor.from_modes(yh2.targets, yh2.given, "const")
+    return InnerFactorization(f.factors[:8] + (const,))
+
+
 def constants_with(**values):
     base = {name: 0.0 for name in CONSTANT_NAMES}
     base.update(values)
@@ -90,7 +115,7 @@ def constants_with(**values):
 def test_signature_validation():
     ch = clean_channel()
     cards = default_cards(ch)
-    corner = _corner_catalog(cards)[0]
+    corner = corner_catalog(cards)[0]
     # swap the output-estimate factor for one conditioning on y1 instead of y2
     targets = (("yh2", 2),)
     bad_given = tuple(
@@ -103,7 +128,7 @@ def test_signature_validation():
 
 def test_wrong_factor_count():
     ch = clean_channel()
-    corner = _corner_catalog(default_cards(ch))[0]
+    corner = corner_catalog(default_cards(ch))[0]
     with pytest.raises(InvalidFactor):
         InnerFactorization(corner.factors[:8])
 
@@ -111,7 +136,7 @@ def test_wrong_factor_count():
 def test_cross_factor_cardinality_clash():
     ch = clean_channel()
     cards = default_cards(ch)
-    corner = _corner_catalog(cards)[0]
+    corner = corner_catalog(cards)[0]
     # v1 factor says card 3 while every other factor says card 2
     targets, given = _signature_pairs(2, dict(cards, v1=3))
     odd = ConditionalFactor.from_modes(targets, given, "uniform")
@@ -122,7 +147,7 @@ def test_cross_factor_cardinality_clash():
 def test_channel_cardinality_check():
     ch = clean_channel()
     wide = ChannelSpec.from_outputs((3, 2, 2, 3, 2), lambda a, b, c: (a, b))
-    corner = _corner_catalog(default_cards(ch))[0]
+    corner = corner_catalog(default_cards(ch))[0]
     with pytest.raises(CardinalityMismatch):
         assemble_joint(corner, wide)
 
@@ -157,7 +182,7 @@ def test_constant_aux_uniform_inputs_joint():
 
 def test_direct_corner_joint_matches_loop_oracle():
     ch = clean_channel()
-    f = _corner_catalog(default_cards(ch))[1]
+    f = corner_catalog(default_cards(ch))[1]
     joint = assemble_joint(f, ch)
     chain = [(fac.targets, fac.given, fac.table) for fac in f.factors[:8]]
     chf = ch.as_factor()
@@ -180,7 +205,7 @@ def test_direct_corner_joint_matches_loop_oracle():
 
 def test_clean_corner_constants_and_region():
     ch = clean_channel()
-    f = _corner_catalog(default_cards(ch))[1]
+    f = corner_catalog(default_cards(ch))[1]
     c = inner_constants(assemble_joint(f, ch))
     expect = dict(
         A=0, B=0, C=0, D=1, E=1, F=1, G=1, H=0, I=0, J=0,
@@ -195,7 +220,7 @@ def test_clean_corner_constants_and_region():
 
 def test_missing_variable():
     ch = clean_channel()
-    f = _corner_catalog(default_cards(ch))[0]
+    f = corner_catalog(default_cards(ch))[0]
     joint = assemble_joint(f, ch)
     v2 = joint.labels.index("v2")
     variables = joint.variables[:v2] + joint.variables[v2 + 1:]
@@ -207,7 +232,7 @@ def test_constants_match_definition_oracle():
     for trial in range(12):
         rng = np.random.default_rng([31, trial])
         ch = random_channel(rng)
-        f = _random_factorization(default_cards(ch), rng)
+        f = random_factorization(default_cards(ch), rng)
         joint = assemble_joint(f, ch)
         c = inner_constants(joint)
         groups = {
@@ -278,8 +303,9 @@ def test_inner_region_matches_the_pmf_path(monkeypatch):
     channels = [load_channel((CHANNELS / f"{name}.json").read_text())
                 for name in ("clean", "degraded_z", "semidet")]
     got = [inner_region(ch, cfg) for ch in channels]
-    monkeypatch.setattr(inner, "_chunk_constants", lambda chunk, ch: np.array([
-        dataclasses.astuple(pmf_constants(assemble_joint(f, ch))) for f in chunk
+    monkeypatch.setattr(inner, "_chunk_constants", lambda rows, cards, ch: np.array([
+        dataclasses.astuple(pmf_constants(assemble_joint(_factorization(cards, t), ch)))
+        for t in rows
     ]))
     for (region, lines), ch in zip(got, channels):
         want_region, want_lines = inner_region(ch, cfg)
@@ -358,6 +384,97 @@ def test_each_table_holds_one_chunk_of_joints(name, ch, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(stacked, joints))
 
 
+def chunk_rows(ch, cfg, count=None):
+    """The joint's cardinalities and the first ``count`` rows of the stream."""
+    cards = cfg.cards(ch)
+    return cards, list(itertools.islice(_stream(cards, cfg), count))
+
+
+@pytest.mark.parametrize("name,ch", CHUNK_CHANNELS, ids=[n for n, _ in CHUNK_CHANNELS])
+def test_each_row_of_a_batched_joint_is_its_joint_alone(name, ch):
+    cfg = chunk_config(name, 7)
+    cards, rows = chunk_rows(ch, cfg)
+    batched = assemble_joint(_factorization(cards, map(np.stack, zip(*rows))), ch)
+    alone = [assemble_joint(f, ch) for f in sample_factorizations(ch, cfg)]
+    assert batched.probs.shape == (len(alone),) + alone[0].probs.shape
+    for probs, joint in zip(batched.probs, alone, strict=True):
+        assert joint.variables == batched.variables
+        assert reference.same_bytes(probs, joint.probs)
+    # a corner, its constant-estimate copy and a draw against the loop oracle
+    chf = ch.as_factor()
+    for index in (7, 8, len(alone) - 2)[:1 if name == "dense" else 3]:
+        f = sample_factorizations(ch, cfg)[index]
+        chain = [(x.targets, x.given, x.table) for x in f.factors[:8]]
+        chain += [(chf.targets, chf.given, chf.table), (f.factors[8].targets,
+                  f.factors[8].given, f.factors[8].table)]
+        variables, probs = oracle_assemble_joint(chain)
+        assert variables == batched.variables
+        assert np.max(np.abs(batched.probs[index] - probs)) <= 1e-15
+
+
+BAD_ENTRIES = {
+    "nan": (lambda t: np.nan, NegativeEntry),
+    "negative": (lambda t: -1e-6, NegativeEntry),
+    "row off one": (lambda t: t + 2 * SUM_TOL + 0.25, SumNotOne),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+def test_a_chunk_checks_every_table_and_names_the_row(bad):
+    """One bad factorization fails its chunk as it fails alone, and the
+    message names the factorization in the chunk and the row."""
+    change, error = BAD_ENTRIES[bad]
+    ch = clean_channel()
+    cards, rows = chunk_rows(ch, SamplerConfig(seed=3, num_samples=2), 13)
+    table = np.array(rows[12][2])  # p(v1 | u1p, u1) of the second draw
+    table[1, 0, 1] = change(table[1, 0, 1])
+    rows[12] = rows[12][:2] + (table,) + rows[12][3:]
+    with pytest.raises(error, match=re.escape("row (12, 1, 0)")):
+        inner._chunk_constants(rows, cards, ch)
+    with pytest.raises(error, match=re.escape("row (1, 0)")):
+        _factorization(cards, rows[12])
+
+
+def test_a_batched_factorization_keeps_the_signature_and_card_checks():
+    ch = clean_channel()
+    cards, rows = chunk_rows(ch, SamplerConfig(seed=3, num_samples=2), 6)
+    stacked = [np.stack(link) for link in zip(*rows)]
+    f = _factorization(cards, stacked)
+    assert [x.table.shape[0] for x in f.factors] == [6] * 9
+    # the output estimate conditioned on y1 in place of y2
+    yh2 = f.factors[8]
+    given = tuple(("y1" if l == "y2" else l, c) for l, c in yh2.given)
+    with pytest.raises(InvalidFactor):
+        InnerFactorization(f.factors[:8] + (ConditionalFactor(yh2.targets, given, stacked[8]),))
+    # v1 of cardinality 3 where every other factor says 2
+    targets, given = _signature_pairs(2, dict(cards, v1=3))
+    odd = ConditionalFactor(targets, given, np.full((6, 2, 2, 3), 1 / 3))
+    with pytest.raises(CardinalityMismatch):
+        InnerFactorization(f.factors[:2] + (odd,) + f.factors[3:])
+    wide = ChannelSpec.from_outputs((3, 2, 2, 3, 2), lambda a, b, c: (a, b))
+    with pytest.raises(CardinalityMismatch):
+        assemble_joint(f, wide)
+    # a batch of five after one of six
+    short = ConditionalFactor(yh2.targets, yh2.given, stacked[8][:5])
+    with pytest.raises(ShapeMismatch):
+        assemble_joint(InnerFactorization(f.factors[:8] + (short,)), ch)
+
+
+def test_the_cached_tables_are_read_only():
+    ch = clean_channel()
+    key = tuple(SamplerConfig().cards(ch).items())
+    tables = _corner_tables(key)
+    assert _corner_tables(key) is tables
+    for table in itertools.chain(*tables):
+        with pytest.raises(ValueError):
+            table[...] = 0.5
+    factor = ch.as_factor()
+    assert ch.as_factor() is factor
+    with pytest.raises(ValueError):
+        factor.table[...] = 0.5
+    np.testing.assert_array_equal(factor.table, ch.transition)
+
+
 def assert_same_factors(got, want):
     for f, g in zip(got, want, strict=True):
         assert f.targets == g.targets and f.given == g.given
@@ -365,17 +482,17 @@ def assert_same_factors(got, want):
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CHANNELS.glob("*.json")))
-def test_corner_catalog_matches_the_reference(name, monkeypatch):
+def test_corner_catalog_matches_the_reference(name):
+    """Each corner's factors, normalized from the cached tables as a chunk
+    normalizes them, against the reference mode factors of its modes."""
     ch = load_channel((CHANNELS / f"{name}.json").read_text())
-    draws = []
     for draw in range(4):
         aux = np.random.default_rng([13, draw]).integers(1, 4, len(AUX_LABELS))
-        draws.append(default_cards(ch, **dict(zip(AUX_LABELS, aux.tolist()))))
-    got = [_corner_catalog(cards) for cards in draws]
-    monkeypatch.setattr(inner, "_mode_factor", reference._mode_factor)
-    for cards, catalog in zip(draws, got):
-        for f, want in zip(catalog, _corner_catalog(cards), strict=True):
-            assert_same_factors(f.factors, want.factors)
+        cards = default_cards(ch, **dict(zip(AUX_LABELS, aux.tolist())))
+        for corner, f in zip(_CORNERS, corner_catalog(cards), strict=True):
+            modes = {**_DEFAULT_MODES, **corner}.values()
+            want = [reference._mode_factor(i, cards, m) for i, m in enumerate(modes)]
+            assert_same_factors(f.factors, want)
 
 
 @pytest.mark.parametrize("card", [2, 3])
@@ -388,9 +505,8 @@ def test_block_modes_match_the_reference(card):
     for modes in itertools.product(
         options, options + (("copy", "u2"),), options + (("copy", "u2"), ("copy", "v12"))
     ):
-        assert_same_factors(
-            [_mode_factor(4, cards, modes)], [reference._mode_factor(4, cards, modes)]
-        )
+        got = ConditionalFactor.from_modes(*_signature_pairs(4, cards), modes)
+        assert_same_factors([got], [reference._mode_factor(4, cards, modes)])
 
 
 def test_constant_orderings_random():
@@ -398,7 +514,7 @@ def test_constant_orderings_random():
     for trial in range(40):
         rng = np.random.default_rng([77, trial])
         ch = random_channel(rng)
-        f = _random_factorization(default_cards(ch), rng)
+        f = random_factorization(default_cards(ch), rng)
         c = inner_constants(assemble_joint(f, ch))
         assert c.D >= c.E - tol >= c.H - 2 * tol >= c.P - 3 * tol
         assert c.F >= c.I - tol
@@ -416,13 +532,11 @@ def test_admissible_examples():
     assert not admissible(constants_with(C=0.5, P=0.1, B=0.2))
     assert admissible(constants_with(C=0.3, P=0.1, B=0.2))  # boundary
     ch = clean_channel()
-    f = _corner_catalog(default_cards(ch))[7]  # quantize-and-forward corner
+    f = corner_catalog(default_cards(ch))[7]  # quantize-and-forward corner
     variant_cfg = SamplerConfig(num_samples=0)
     c = inner_constants(assemble_joint(f, ch))
     # forcing the estimate constant always passes the gate
-    from cifc_udc.inner import _yhat_constant_variant
-
-    v = _yhat_constant_variant(f)
+    v = yhat_constant(f)
     cv = inner_constants(assemble_joint(v, ch))
     assert cv.B == pytest.approx(0, abs=1e-12)
     assert cv.C == pytest.approx(0, abs=1e-12)
@@ -446,7 +560,7 @@ def test_union_contains_undropped_case():
     for trial in range(15):
         rng = np.random.default_rng([911, trial])
         ch = random_channel(rng)
-        f = _random_factorization(default_cards(ch), rng)
+        f = random_factorization(default_cards(ch), rng)
         c = inner_constants(assemble_joint(f, ch))
         if not admissible(c):
             continue
@@ -459,7 +573,7 @@ def test_union_contains_undropped_case():
 
 def test_case_projection_matches_vertex_oracle():
     ch = clean_channel()
-    catalog = _corner_catalog(default_cards(ch))
+    catalog = corner_catalog(default_cards(ch))
     for f in (catalog[1], catalog[5]):
         c = inner_constants(assemble_joint(f, ch))
         case_regions = []
@@ -490,12 +604,10 @@ def test_origin_always_achievable():
     for trial in range(80):
         rng = np.random.default_rng([13, trial])
         ch = random_channel(rng)
-        f = _random_factorization(default_cards(ch), rng)
+        f = random_factorization(default_cards(ch), rng)
         c = inner_constants(assemble_joint(f, ch))
         if not admissible(c):
-            from cifc_udc.inner import _yhat_constant_variant
-
-            f = _yhat_constant_variant(f)
+            f = yhat_constant(f)
             c = inner_constants(assemble_joint(f, ch))
         assert admissible(c)
         region = region_for_distribution(c)
@@ -515,7 +627,7 @@ def test_constant_aux_collapse():
         px3 = rng.dirichlet([1.0, 1.0])
         cards = default_cards(ch)
         modes = {}
-        f = _corner_catalog(cards)[0]
+        f = corner_catalog(cards)[0]
         # replace the x3 factor with the sampled marginal
         targets, given = _signature_pairs(7, cards)
         shape = tuple(c for _, c in given) + (2,)
@@ -718,10 +830,8 @@ def test_inner_region_threads_identical():
 
 def test_compress_forward_ablation():
     ch = clean_channel()
-    f = _corner_catalog(default_cards(ch))[7]
-    from cifc_udc.inner import _yhat_constant_variant
-
-    v = _yhat_constant_variant(f)
+    f = corner_catalog(default_cards(ch))[7]
+    v = yhat_constant(f)
     cv = inner_constants(assemble_joint(v, ch))
     ablated = region_for_distribution(cv)
     c = inner_constants(assemble_joint(f, ch))
@@ -750,15 +860,18 @@ def test_joint_cell_budget_is_checked_before_any_table(monkeypatch):
     def never(*args):
         raise AssertionError("a factor table was built")
 
-    monkeypatch.setattr(inner, "_corner_catalog", lambda cards: ())
-    monkeypatch.setattr(inner, "_random_factorization", never)
+    monkeypatch.setattr(inner, "_corner_tables", lambda cards: ())
+    monkeypatch.setattr(inner, "_random_tables", never)
     # 2**5 channel cells times 2**7 * 2**12 auxiliary cells: at the budget
     assert sample_factorizations(ch, SamplerConfig(card_u1=2**12)) == ()
-    monkeypatch.setattr(inner, "_corner_catalog", never)
+    for name in ("_corner_tables", "_mode_table"):
+        monkeypatch.setattr(inner, name, never)
     for cfg in (SamplerConfig(card_u1=2**12 + 1),
                 SamplerConfig(card_u1=1000, card_u2=1000)):
         with pytest.raises(TooLarge):
             sample_factorizations(ch, cfg)
+        with pytest.raises(TooLarge):
+            inner_region(ch, cfg)
 
 
 @pytest.mark.xfail(
