@@ -11,10 +11,14 @@ through ``cifc_udc.cli.main`` in this process, timed with
   |X| = (3,3,2,3,3), from ``perfbench/workloads.py``) at 100 samples and a
   fan of 16;
 - outer on ``channels/clean.json`` at 500 samples and a fan of 64, and
-  again at a fan of 256, where the envelope's polygon has the most rows.
+  again at a fan of 256, where the envelope's polygon has the most rows;
+- capacity degraded-z on ``channels/degraded_z.json`` and semidet-hi on
+  ``channels/hi_in_class.json`` at 100 samples and the default fan of 64,
+  where the walks of a fan share the most candidates.
 
 Prints one JSON object: for each command, its seconds, the |V12| its
-caveat reports and the area of its region.  Run it on two source trees,
+caveat or its report names (None for degraded-z, which has no V12) and
+the area of its region.  Run it on two source trees,
 one after the other on the same host, to compare them.
 """
 
@@ -42,6 +46,10 @@ def commands(src: Path, workdir: Path) -> list:
         runs.append((f"outer channels/clean.json --samples 500 --fan {fan}",
                      ["outer", str(src / "channels" / "clean.json"),
                       "--samples", "500", "--fan", fan]))
+    for klass, name in (("degraded-z", "degraded_z"), ("semidet-hi", "hi_in_class")):
+        runs.append((f"capacity channels/{name}.json --class {klass} --samples 100",
+                     ["capacity", str(src / "channels" / f"{name}.json"),
+                      "--class", klass, "--samples", "100"]))
     return runs
 
 
@@ -66,7 +74,7 @@ def main(argv) -> int:
             doc = json.loads(out.read_text(encoding="utf-8"))
             report[label] = {
                 "seconds": round(seconds, 3),
-                "card_v12": doc["caveat"]["card_v12"],
+                "card_v12": (doc.get("caveat") or doc.get("report") or {}).get("card_v12"),
                 "area": area(doc["region"]["vertices"]),
             }
     print(json.dumps(report, indent=2))

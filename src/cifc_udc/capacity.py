@@ -383,8 +383,8 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
     # no direct hit: walk the best starts (ties to the larger other gap, as
     # constant-v12 probes tie on a gap_b = 0 plateau) uphill together and
     # take the first, in start order, that crosses the tolerance
-    def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return np.max(law_bounds(_gaps, rows, cards, channel, V12_AXES), axis=-1)
+    def evaluate(rows: np.ndarray, take: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return np.max(law_bounds(_gaps, rows, cards, channel, V12_AXES), axis=-1)[take]
 
     order = np.lexsort((-np.minimum(gap_a, gap_b), -worst))[:REFINE_STARTS]
     values, refined = lockstep_ascent(flats[order], evaluate)

@@ -204,8 +204,8 @@ def fan_directions(count: int) -> np.ndarray:
 # of the benchmark's searches fits in one (law_bounds caps the tables)
 _BLOCK_CELLS = 1 << 16
 
-# entries of the pieces in which a block is projected and its distinct rows
-# found, so that the temporaries of each stay piece-sized
+# entries of the pieces in which a block's candidates are projected, so
+# that the projection's temporaries stay piece-sized
 _PIECE_CELLS = 1 << 13
 
 # a walk moves, and counts as improved, only on a gain above this
@@ -221,12 +221,16 @@ REFINE_SWEEPS = 50
 def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarray]:
     """Greedy coordinate ascents, one per row of ``starts``, in lockstep.
 
-    ``evaluate(rows, owner)`` scores candidates; ``owner[i]`` is the walk
-    of row i.  Each sweep bumps every entry of a live walk by its own step,
-    first ``REFINE_STEP``, projects onto the simplex and keeps the walk's
-    first candidate within ``ASCENT_GAIN`` of its best if that gains over
-    ``ASCENT_GAIN``, else halves the step.  A walk ends at a step below
-    1e-3 or after ``REFINE_SWEEPS`` sweeps.  Returns (values, points).
+    ``evaluate(rows, take, owner)`` scores the walks ``owner``: it returns
+    an array shaped like ``take``, whose entry [k, i] scores the row
+    ``take[k, i]``, walk ``owner[k]``'s candidate i (its point when ``take``
+    has one column).  Walks at the same point with the same step, compared
+    bytewise (-0.0 is not 0.0), share their rows.  Each sweep bumps every
+    entry of a live walk by its own step, first ``REFINE_STEP``, projects
+    onto the simplex and keeps the walk's first candidate within
+    ``ASCENT_GAIN`` of its best if that gains over ``ASCENT_GAIN``, else
+    halves the step.  A walk ends at a step below 1e-3 or after
+    ``REFINE_SWEEPS`` sweeps.  Returns (values, points).
     """
     x = np.array(starts, dtype=float)
     walks, n = x.shape
@@ -235,24 +239,32 @@ def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarra
     piece = max(1, _PIECE_CELLS // n)
     for lo in range(0, walks, block):
         live = np.arange(lo, min(lo + block, walks))
-        values[live] = evaluate(x[live], live)
         steps = np.full(live.size, float(REFINE_STEP))
-        for _ in range(REFINE_SWEEPS):
+        for sweep in range(REFINE_SWEEPS + 1):
             if not live.size:
                 break
+            # walks whose (point, step) bytes match share rows: those of the
+            # first such walk, found by np.unique; sweep 0 scores the starts
+            keys = np.column_stack([x[live], steps])
+            keys = keys.view(np.dtype((np.void, keys.itemsize * (n + 1))))[:, 0]
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            if not sweep:
+                values[live] = evaluate(x[live[first]], inverse[:, None], live)[:, 0]
+                continue
             # walk w's candidate i is its point with entry i bumped by its step
-            candidates = np.repeat(x[live], n, axis=0)
-            candidates.reshape(-1, n, n)[:, range(n), range(n)] += steps[:, None]
+            candidates = np.repeat(x[live[first]], n, axis=0)
+            candidates.reshape(-1, n, n)[:, range(n), range(n)] += steps[first, None]
             for at in range(0, len(candidates), piece):
                 _project_rows(candidates[at:at + piece])
-            scores = evaluate(candidates, np.repeat(live, n)).reshape(-1, n)
+            take = inverse[:, None] * n + np.arange(n)
+            scores = evaluate(candidates, take, live)
             # the first candidate within ASCENT_GAIN of the best, so that exact
             # ties (v12 relabelings) do not split on the last bits of a sum
             top = np.max(scores, axis=1, keepdims=True)
             best = np.argmax(scores >= top - ASCENT_GAIN, axis=1)
             top = scores[np.arange(live.size), best]
             up = top > values[live] + ASCENT_GAIN
-            x[live[up]] = candidates.reshape(-1, n, n)[up, best[up]]
+            x[live[up]] = candidates[take[up, best[up]]]
             values[live[up]] = top[up]
             steps[~up] *= 0.5
             live, steps = live[steps >= 1e-3], steps[steps >= 1e-3]
@@ -280,8 +292,8 @@ def check_ascent_budget(cards, channel: ChannelSpec) -> None:
     ``law_bounds`` table at most max(``_Q_CELLS``, n / |X2| * |Y1||Y2|) q cells
     beside its laws, a ``lockstep_ascent`` block max(``_BLOCK_CELLS``, n * n)
     candidate entries, both within the limit once this check passes.  The
-    block's projection and its distinct-row compare hold temporaries of
-    pieces of ``_PIECE_CELLS`` entries (n at least) only."""
+    block's projection holds temporaries of pieces of ``_PIECE_CELLS``
+    entries (n at least) only."""
     n = math.prod(cards)
     cells = n * n * channel.card("y1") * channel.card("y2")
     check_cells(cells, f"an ascent sweep over {n} input cells")
@@ -295,24 +307,6 @@ def v12_cards(channel: ChannelSpec, cfg: SearchConfig) -> tuple[int, int, int, i
     cards = (cx1, cfg.card_v12 or min(cx1 * cx2, cx2 + 1), cx2, cx3)
     check_ascent_budget(cards, channel)
     return cards
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of ``np.unique`` over the rows' bytes (-0.0 is not
-    0.0) with ``return_index`` and ``return_inverse``, but with no copy of
-    all the keys: a stable argsort of a void view, whose sorted neighbours
-    are compared ``_PIECE_CELLS`` entries at a time."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    order = np.argsort(keys, kind="stable")
-    new = np.ones(len(keys), dtype=bool)
-    piece = max(1, _PIECE_CELLS // rows.shape[1])
-    for lo in range(1, len(keys), piece):
-        at = order[lo - 1:lo + piece]
-        new[lo:lo + piece] = keys[at[1:]] != keys[at[:-1]]
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
 
 
 def _distinct(tensors) -> list[np.ndarray]:
@@ -402,8 +396,9 @@ def fan_search(
     still starts one.  All ascents of the fan run together in one
     ``lockstep_ascent``, ordered by start row; the order matters only for
     a fan larger than a block, whose blocks then hold the walks from one
-    start together.  After the pool, ``caps_of`` sees bytewise-distinct
-    rows only.  Raises ``TooLarge`` first when the supports, one per
+    start together.  After the pool, ``caps_of`` sees each distinct walk's
+    candidates once; a row that two walks reach from different points may
+    be scored twice.  Raises ``TooLarge`` first when the supports, one per
     direction and row, would hold more than ``pmf.JOINT_CELL_LIMIT`` cells.
     """
     check_cells(cfg.fan * len(flats), f"a fan of {cfg.fan} over {len(flats)} laws")
@@ -419,11 +414,9 @@ def fan_search(
     by_start = np.argsort(order.reshape(-1), kind="stable")
     lam = np.repeat(directions, order.shape[1], axis=0)[by_start]
 
-    def evaluate(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        # caps do not depend on the direction: score each distinct row once
-        first, inverse = _distinct_rows(rows)
-        caps = (c[inverse] for c in caps_of(rows[first]))
-        return support_of_caps(*caps, lam[owner])
+    def evaluate(rows: np.ndarray, take: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        # caps do not depend on the direction: each walk reads its rows' caps
+        return support_of_caps(*(c[take] for c in caps_of(rows)), lam[owner, None])
 
     reached, ends = lockstep_ascent(flats[order.reshape(-1)[by_start]], evaluate)
     undo = np.argsort(by_start)

@@ -19,10 +19,11 @@ Also ``project_to_simplex`` and ``bumped``, the simplex projection and the
 coordinate-ascent candidates as written before the ascent projected its
 candidates in place.
 
-Also ``unique_rows`` and ``stacked_support``, the distinct-row step and the
-support of a cap polygon as ``fan_search`` and ``support_of_caps`` wrote
-them before a block held a whole fan: ``np.unique`` over the rows' void
-keys, and the max over a stack of all five ``cap_vertices`` corners.
+Also ``unique_rows``, ``np.unique`` over the bytes of each row, against
+which the tests check which ascent walks share candidates; and
+``stacked_support``, the support of a cap polygon as ``support_of_caps``
+wrote it before a block held a whole fan: the max over a stack of all
+five ``cap_vertices`` corners.
 
 Also ``reduce_v12``, a constructive Carathéodory reduction of a law
 p(x1, v12, x2, x3) to |X2| + 2 symbols of V12 that keeps every term the

@@ -341,41 +341,43 @@ class TestSimplexProjection:
         assert reference.same_bytes(outer._project_rows(rows[:1].copy()), got[:1])
 
     def test_ascent_candidates_have_the_bytes_of_the_old_bump(self, monkeypatch):
-        # each sweep's candidates against the old bump of the walks' points,
-        # which the test follows by the ascent's own rule
+        # each walk's candidates against the old bump of its point, which the
+        # test follows by the ascent's own rule; the starts repeat within a
+        # block of three walks, and walks from one start share every sweep
         rng = np.random.default_rng(8)
         starts = np.concatenate([rng.dirichlet(np.ones(6), size=6), np.eye(6)[:2]])
+        starts = starts[[0, 0, 1, 2, 3, 3, 4, 5, 6, 7, 7]]
         calls = []
 
         def score(rows):
             return -np.sum((rows - 0.2) ** 2, axis=1)
 
-        def evaluate(rows, owner):
-            calls.append((rows.copy(), owner.copy()))
-            return score(rows)
+        def evaluate(rows, take, owner):
+            calls.append((rows.copy(), take.copy(), owner.copy()))
+            return score(rows)[take]
 
         monkeypatch.setattr(outer, "_BLOCK_CELLS", 3 * 36)
         lockstep_ascent(starts, evaluate)
         points, steps, sweeps = {}, {}, 0
-        for rows, owner in calls:
-            if len(owner) == len(set(owner.tolist())):
+        for rows, take, owner in calls:
+            if take.shape[1] == 1:
                 # a block's first call scores the start points of its walks
-                points.update(zip(owner.tolist(), rows))
+                points.update(zip(owner.tolist(), rows[take[:, 0]]))
                 steps.update(dict.fromkeys(owner.tolist(), outer.REFINE_STEP))
                 continue
-            walks = owner[::6].tolist()
-            x = np.stack([points[w] for w in walks])
-            assert reference.same_bytes(rows, reference.bumped(x, np.array([steps[w] for w in walks])))
-            scores = score(rows).reshape(-1, 6)
-            top = scores.max(axis=1, keepdims=True)
-            best = np.argmax(scores >= top - outer.ASCENT_GAIN, axis=1)
-            for i, w in enumerate(walks):
-                if scores[i, best[i]] > score(points[w][None])[0] + outer.ASCENT_GAIN:
-                    points[w] = rows.reshape(-1, 6, 6)[i, best[i]]
+            for k, w in enumerate(owner.tolist()):
+                candidates = rows[take[k]]
+                want = reference.bumped(points[w][None], np.array([steps[w]]))
+                assert reference.same_bytes(candidates, want)
+                scores = score(candidates)
+                best = np.argmax(scores >= scores.max() - outer.ASCENT_GAIN)
+                if scores[best] > score(points[w][None])[0] + outer.ASCENT_GAIN:
+                    points[w] = candidates[best]
                 else:
                     steps[w] *= 0.5
             sweeps += 1
         assert sweeps > 10
+        assert sum(len(rows) < take.size for rows, take, _ in calls) > 10
 
 
 # each a search config, one of its settings and the least value it takes
@@ -410,7 +412,7 @@ class TestAscent:
         v0 = float(evaluate(start[None, :])[0])
 
         def walk():
-            return lockstep_ascent(start[None], lambda rows, owner: evaluate(rows))
+            return lockstep_ascent(start[None], lambda rows, take, owner: evaluate(rows)[take])
 
         (v1,), (x1,) = walk()
         (v2,), (x2,) = walk()
@@ -426,7 +428,7 @@ class TestAscent:
         monkeypatch.setattr(outer, "REFINE_SWEEPS", 0)
         start = np.array([0.25, 0.75])
         (value,), (x,) = lockstep_ascent(
-            start[None], lambda rows, owner: evaluate(rows)
+            start[None], lambda rows, take, owner: evaluate(rows)[take]
         )
         assert value == 0.25 and np.array_equal(x, start)
 

@@ -53,8 +53,12 @@ def test_cli_sizes_commands(tmp_path):
     cli_sizes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_sizes)
     runs = cli_sizes.commands(ROOT, tmp_path)
-    assert [argv[0] for _, argv in runs] == ["outer"] * 5
-    assert [argv[1] for _, argv in runs[-2:]] == [str(ROOT / "channels" / "clean.json")] * 2
-    assert [argv[-1] for _, argv in runs[-2:]] == ["64", "256"]
+    assert [argv[0] for _, argv in runs] == ["outer"] * 5 + ["capacity"] * 2
+    assert [argv[1] for _, argv in runs[3:5]] == [str(ROOT / "channels" / "clean.json")] * 2
+    assert [argv[-1] for _, argv in runs[3:5]] == ["64", "256"]
+    assert [argv[1:4:2] for _, argv in runs[5:]] == [
+        [str(ROOT / "channels" / "degraded_z.json"), "degraded-z"],
+        [str(ROOT / "channels" / "hi_in_class.json"), "semidet-hi"],
+    ]
     assert all(Path(argv[1]).is_file() for _, argv in runs)
     assert run_script("cli_sizes.py").returncode == 2

@@ -51,7 +51,6 @@ from cifc_udc.outer import (
     V12Joint,
     _caps,
     _corner_joints,
-    _distinct_rows,
     _project_rows,
     fan_directions,
     fan_search,
@@ -64,7 +63,7 @@ from cifc_udc.outer import (
     v12_cards,
 )
 from cifc_udc.pmf import Information, clip_information
-from _law_reference import lift, reduce_v12, unique_rows
+from _law_reference import lift, reduce_v12, same_bytes, unique_rows
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
@@ -415,10 +414,15 @@ def assert_same_report(got, want):
     assert got.to_dict() == want.to_dict()
 
 
-def quantized_targets(rows, owner, targets):
-    """Squared distance to each walk's target, rounded so that ties and
-    stalls happen."""
-    return np.round(-np.sum((rows - targets[owner]) ** 2, axis=1), 3)
+def quantized_targets(rows, take, owner, targets):
+    """Squared distance of each walk's rows to its target, rounded so that
+    ties and stalls happen: the ``lockstep_ascent`` callback."""
+    return np.round(-np.sum((rows[take] - targets[owner][:, None]) ** 2, axis=-1), 3)
+
+
+def one_walk(targets, w):
+    """The ``ref_ascent_refine`` score of walk ``w``'s rows."""
+    return lambda r: quantized_targets(r, np.arange(len(r))[None], np.array([w]), targets)[0]
 
 
 @pytest.mark.parametrize("walks,n,sweeps", [(1, 3, 50), (7, 5, 50),
@@ -427,21 +431,51 @@ def test_lockstep_ascent_matches_sequential_walks(walks, n, sweeps, monkeypatch)
     rng = np.random.default_rng(walks * 100 + n)
     starts = rng.dirichlet(np.ones(n), size=walks)
     targets = rng.dirichlet(np.full(n, 0.5), size=walks)
+    # each start twice more, shuffled: once chasing a new target, so that
+    # walks share a point and a step but not a target, and once its own,
+    # so that two walks share every sweep
+    again = rng.permutation(walks)
+    starts = np.concatenate([starts, starts[again], starts[again]])
+    targets = np.concatenate([
+        targets, rng.dirichlet(np.full(n, 0.5), size=walks), targets[again]])
     monkeypatch.setattr(outer, "REFINE_SWEEPS", sweeps)
     for step in (0.05, 0.3):
         monkeypatch.setattr(outer, "REFINE_STEP", step)
         values, rows = lockstep_ascent(
-            starts, lambda r, o: quantized_targets(r, o, targets)
+            starts, lambda r, t, o: quantized_targets(r, t, o, targets)
         )
-        assert values.shape == (walks,) and rows.shape == (walks, n)
-        for w in range(walks):
+        assert values.shape == (3 * walks,) and rows.shape == (3 * walks, n)
+        for w in range(3 * walks):
             ref_value, ref_row = ref_ascent_refine(
-                starts[w],
-                lambda r: quantized_targets(r, np.full(len(r), w), targets),
-                step, sweeps,
+                starts[w], one_walk(targets, w), step, sweeps
             )
             assert values[w] == ref_value
             assert np.array_equal(rows[w], ref_row)
+
+
+def test_walks_apart_by_the_sign_of_a_zero_share_no_rows():
+    # walk 1 starts at walk 0's point but for a -0.0 in place of a 0.0; walk
+    # 2 starts at walk 0's point exactly
+    starts = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, -0.0], [0.5, 0.5, 0.0]])
+    targets = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+    calls = []
+
+    def evaluate(rows, take, owner):
+        calls.append((rows.copy(), take.copy()))
+        return quantized_targets(rows, take, owner, targets)
+
+    values, ends = lockstep_ascent(starts, evaluate)
+    # the starts, then the first sweep: walk 2 reads walk 0's rows, walk 1
+    # rows of its own
+    for rows, take in calls[:2]:
+        assert np.array_equal(take[2], take[0])
+        assert not set(take[1].tolist()) & set(take[0].tolist())
+    rows, take = calls[0]
+    assert same_bytes(rows[take[1, 0]], starts[1])
+    for w in range(3):
+        ref_value, ref_row = ref_ascent_refine(starts[w], one_walk(targets, w))
+        assert values[w] == ref_value
+        assert same_bytes(ends[w], ref_row)
 
 
 def test_lockstep_ascent_without_walks():
@@ -452,11 +486,11 @@ def test_lockstep_ascent_without_walks():
 def test_ascent_ties_go_to_the_first_candidate():
     # bumping x1 or x2 scores the same: the walk takes x1 each time, and a
     # 1e-15 nudge toward x2 candidates, far below ASCENT_GAIN, changes nothing
-    def tied(rows, owner):
-        return rows[:, 1] + rows[:, 2]
+    def tied(rows, take, owner):
+        return (rows[:, 1] + rows[:, 2])[take]
 
-    def nudged(rows, owner):
-        return tied(rows, owner) + 1e-15 * (rows[:, 2] > rows[:, 1])
+    def nudged(rows, take, owner):
+        return (rows[:, 1] + rows[:, 2] + 1e-15 * (rows[:, 2] > rows[:, 1]))[take]
 
     start = np.full((1, 3), 1 / 3)
     values, ends = lockstep_ascent(start, tied)
@@ -556,17 +590,19 @@ def test_no_evaluation_holds_more_than_a_block(name, cells, monkeypatch):
     pool, caps_of = search_of(name, cfg)
     if cells is not None:
         monkeypatch.setattr(outer, "_BLOCK_CELLS", cells)
+    n = pool.shape[1]
     entries = []
 
     def counting_ascent(starts, evaluate):
-        def counted(rows, owner):
-            entries.append(rows.size)
-            return evaluate(rows, owner)
+        def counted(rows, take, owner):
+            # walks x n x n in a sweep; the rows built are at most as many
+            entries.append(take.size * n)
+            assert rows.size <= take.size * n
+            return evaluate(rows, take, owner)
         return lockstep_ascent(starts, counted)
 
     monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
     fan_search(pool, caps_of, cfg)
-    n = pool.shape[1]
     budget = max(outer._BLOCK_CELLS, n * n)
     # within the budget, and a sweep that fills more than half of it
     assert budget // 2 < max(entries) <= budget
@@ -585,24 +621,30 @@ BENCHMARK_FANS = [
                          ids=[name for name, _, _ in BENCHMARK_FANS])
 def test_each_benchmark_fan_runs_as_one_block(name, cfg, entries, monkeypatch):
     pool, caps_of = search_of(name, cfg)
-    sizes = []
+    n = pool.shape[1]
+    sizes, distinct = [], []
 
     def counting_ascent(starts, evaluate):
-        def counted(rows, owner):
-            sizes.append(rows.size)
-            return evaluate(rows, owner)
+        distinct.append(len({row.tobytes() for row in starts}))
+
+        def counted(rows, take, owner):
+            sizes.append((take.size * n, rows.size))
+            return evaluate(rows, take, owner)
         return lockstep_ascent(starts, counted)
 
     monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
     fan_search(pool, caps_of, cfg)
-    # the starts, then at most one call per sweep, the first holding every walk
+    # the starts, then at most one call per sweep, the first holding every
+    # walk and building the candidates of each distinct start once
     assert len(sizes) <= 1 + outer.REFINE_SWEEPS
-    assert sizes[1] == entries <= outer._BLOCK_CELLS
+    assert sizes[1] == (entries, distinct[0] * n * n)
+    assert distinct[0] * n * n < entries <= outer._BLOCK_CELLS
 
 
 def distinct_row_cases():
-    """Rows of every kind the distinct-row step must get right; "pieces"
-    holds more rows than three compare pieces of the default size."""
+    """Start points of every kind the walk keys must get right; "pieces"
+    holds more rows than three projection pieces of the default size, and
+    more walks than a block."""
     rng = np.random.default_rng(12)
     n = 6
     base = rng.integers(0, 3, size=(40, n)) / 4.0
@@ -628,20 +670,35 @@ def distinct_row_cases():
 @pytest.mark.parametrize("cells", [None, 13])
 @pytest.mark.parametrize("case", sorted(distinct_row_cases()))
 def test_distinct_rows_are_those_of_np_unique(case, cells, monkeypatch):
+    """The walks of a block that share rows, at their starts and in their
+    first sweep, are those of ``np.unique`` over the bytes of (point, step)."""
     rows = distinct_row_cases()[case]
+    n = rows.shape[1]
     if case == "pieces":
-        assert len(rows) > 3 * (outer._PIECE_CELLS // rows.shape[1])
+        assert len(rows) > 3 * (outer._PIECE_CELLS // n)
+        assert len(rows) > outer._BLOCK_CELLS // (n * n)
     if cells is not None:
-        # pieces of a few rows, so that many compares span two pieces
+        # projection pieces of a few rows
         monkeypatch.setattr(outer, "_PIECE_CELLS", cells)
-    first, inverse = _distinct_rows(rows)
-    ref_first, ref_inverse = unique_rows(rows)
-    for got, want in ((first, ref_first), (inverse, ref_inverse)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
-    if case == "minus-zero":
-        # -0.0 and 0.0 stay apart: more distinct rows than distinct floats
-        assert len(first) > len(np.unique(rows, axis=0))
+    monkeypatch.setattr(outer, "REFINE_SWEEPS", 1)
+    calls = []
+
+    def record(points, take, owner):
+        calls.append((points.copy(), take.copy(), owner.copy()))
+        return np.zeros(take.shape)
+
+    lockstep_ascent(rows, record)
+    assert len(calls) == 2 * -(-len(rows) // (outer._BLOCK_CELLS // (n * n)))
+    for (points, first_take, owner), (candidates, take, _) in zip(calls[::2], calls[1::2]):
+        keys = np.column_stack([rows[owner], np.full(len(owner), outer.REFINE_STEP)])
+        first, inverse = unique_rows(keys)
+        assert same_bytes(points, np.ascontiguousarray(rows[owner][first]))
+        assert np.array_equal(first_take, inverse[:, None])
+        assert candidates.shape == (len(first) * n, n)
+        assert np.array_equal(take, inverse[:, None] * n + np.arange(n))
+        if case == "minus-zero":
+            # -0.0 and 0.0 stay apart: more distinct walks than distinct floats
+            assert len(first) > len(np.unique(rows[owner], axis=0))
 
 
 def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
@@ -669,15 +726,18 @@ def test_one_row_lift_chunk_matches_the_default_chunk(monkeypatch):
 
 
 def ref_lockstep_fan(flats, caps_of, cfg):
-    """``fan_search`` with an ``evaluate`` that scores every candidate."""
+    """``fan_search`` with an ``evaluate`` that scores every walk's
+    candidates apart, sharing no row between walks."""
     directions = fan_directions(cfg.fan)
     supports = support_of_caps(*caps_of(flats), directions[:, None, :])
     order = np.argsort(-supports, axis=1, kind="stable")[:, :outer.REFINE_STARTS]
     lam = np.repeat(directions, order.shape[1], axis=0)
-    reached, rows = lockstep_ascent(
-        flats[order.reshape(-1)],
-        lambda rows, owner: support_of_caps(*caps_of(rows), lam[owner]),
-    )
+
+    def evaluate(rows, take, owner):
+        caps = caps_of(rows[take].reshape(-1, rows.shape[1]))
+        return support_of_caps(*(c.reshape(take.shape) for c in caps), lam[owner, None])
+
+    reached, rows = lockstep_ascent(flats[order.reshape(-1)], evaluate)
     reached = reached.reshape(order.shape)
     rows = rows.reshape(order.shape + flats.shape[1:])
     return fan_result(flats, [
@@ -688,35 +748,37 @@ def ref_lockstep_fan(flats, caps_of, cfg):
 
 
 @pytest.mark.parametrize("name", ["clean", "degraded_z", "hi_in_class"])
-def test_distinct_row_scoring_matches_scoring_every_row(name):
+def test_shared_walk_scoring_matches_scoring_every_walk(name):
     cfg = SearchConfig(seed=1, num_samples=20, fan=64)
     pool, caps_of = search_of(name, cfg)
     assert_same_fan(fan_search(pool, caps_of, cfg),
                     ref_lockstep_fan(pool, caps_of, cfg))
 
 
-def test_caps_of_sees_each_distinct_row_once(monkeypatch):
+def test_caps_of_sees_each_distinct_walk_once(monkeypatch):
     cfg = SearchConfig(seed=1, num_samples=20, fan=64)
     pool, caps_of = search_of("hi_in_class", cfg)
-    calls, candidates = [], []
+    n = pool.shape[1]
+    calls, walk_rows = [], []
 
     def recording_caps(rows):
-        calls.append(len(rows))
-        keys = {row.tobytes() for row in rows}
-        assert len(keys) == len(rows)
+        calls.append(rows.copy())
         return caps_of(rows)
 
     def counting_ascent(starts, evaluate):
-        def counted(rows, owner):
-            candidates.append(len(rows))
-            return evaluate(rows, owner)
+        def counted(rows, take, owner):
+            walk_rows.append(take.size)
+            return evaluate(rows, take, owner)
         return lockstep_ascent(starts, counted)
 
     monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
     fan_search(pool, recording_caps, cfg)
-    # the first call scores the pool and every later one an ascent evaluation
-    assert calls[0] == len(pool) and len(calls) == len(candidates) + 1
-    assert sum(calls[1:]) <= 0.25 * sum(candidates)
+    # the first call scores the pool and every later one an ascent evaluation:
+    # the distinct starts, then the n candidates of each distinct walk
+    assert calls[0].shape == pool.shape and len(calls) == len(walk_rows) + 1
+    for rows, size in zip(calls[1:], [1] + [n] * len(calls)):
+        assert len({rows[i:i + size].tobytes() for i in range(0, len(rows), size)}) * size == len(rows)
+    assert sum(len(rows) for rows in calls[1:]) <= 0.25 * sum(walk_rows)
 
 
 # ------------------------------------------------------- information terms
