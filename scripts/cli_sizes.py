@@ -10,6 +10,9 @@ through ``cifc_udc.cli.main`` in this process, timed with
   ``large_channel(3)`` (the benchmark's seeded dense channel at
   |X| = (3,3,2,3,3), from ``perfbench/workloads.py``) at 100 samples and a
   fan of 16;
+- inner on ``large_channel(1)`` from its corners alone (0 samples), once
+  with every auxiliary card at 2 and once with every one but |Yhat2| at 3,
+  where a joint holds 708,588 cells;
 - outer on ``channels/clean.json`` at 500 samples and a fan of 64, and
   again at a fan of 256, where the envelope's polygon has the most rows;
 - capacity degraded-z on ``channels/degraded_z.json`` and semidet-hi on
@@ -42,6 +45,13 @@ def commands(src: Path, workdir: Path) -> list:
         path.write_text(json.dumps(large_channel(seed)), encoding="utf-8")
         runs.append((f"outer (3,3,2,3,3) large_channel({seed}) --samples 100 --fan 16",
                      ["outer", str(path), "--samples", "100", "--fan", "16"]))
+    large = str(workdir / "large-1.json")
+    runs.append(("inner (3,3,2,3,3) large_channel(1) --samples 0",
+                 ["inner", large, "--samples", "0"]))
+    threes = [arg for name in ("u1p", "u1", "v1", "u2p", "u2", "v12", "v2")
+              for arg in (f"--card-{name}", "3")]
+    runs.append(("inner (3,3,2,3,3) large_channel(1) --samples 0, auxiliary cards 3 but yh2",
+                 ["inner", large, "--samples", "0", *threes]))
     for fan in ("64", "256"):
         runs.append((f"outer channels/clean.json --samples 500 --fan {fan}",
                      ["outer", str(src / "channels" / "clean.json"),

@@ -14,7 +14,7 @@ per hull edge.  :func:`polygon_extract` is that hull of one clip.
 All arithmetic is floating point.  Rows are normalized to max-abs
 coefficient one, coefficients below ``SNAP`` are snapped to zero, and
 duplicate or pairwise-dominated rows are dropped after every elimination
-step to keep the quadratic growth of elimination in check.
+step, where the bounds are numbers, to keep elimination's growth in check.
 """
 
 from __future__ import annotations
@@ -52,33 +52,34 @@ def _contradicts(trivial: np.ndarray, trivial_eq: np.ndarray) -> bool:
     return bool((trivial < -ROW_TOL).any() or (np.abs(trivial_eq) > ROW_TOL).any())
 
 
+def _key_order(coefs: np.ndarray, *ties: np.ndarray):
+    """The rows' stable order by coefficients rounded to ``ROW_TOL``, then by
+    ``ties``; and whether each row in that order starts a new rounded row."""
+    keys = np.round(coefs / ROW_TOL).astype(np.int64)
+    order = np.lexsort(ties + tuple(keys.T[::-1]))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    return order, first
+
+
 def _tidy(coefs: np.ndarray, bounds: np.ndarray, equalities: bool = False):
     """The row normal form: snap, scale to max-abs 1, drop trivial rows.
 
     ``bounds`` is a vector, or a block with one row of bound multipliers
-    per row (see :func:`project_parametric`).  Inequalities are also
-    pruned: rows are grouped by their coefficient vectors rounded to the
-    row tolerance and only the smallest bound of each group survives.  A
-    multiplier block has no order, so there only rows equal in both
-    coefficients and multipliers merge.  Returns (coefs, bounds, bounds of
-    the trivial rows, indices of the surviving input rows, in input
-    order); :func:`_contradicts` reads the trivial bounds.
+    per row (see :func:`project_parametric`), which has no order and is not
+    pruned.  Inequalities with a vector of bounds keep only the smallest
+    bound of each group of rows equal to ``ROW_TOL`` (:func:`_key_order`).
+    Returns (coefs, bounds, bounds of the trivial rows, indices of the
+    surviving input rows, in input order); :func:`_contradicts` reads the
+    trivial bounds.
     """
     coefs = np.where(np.abs(coefs) < SNAP, 0.0, coefs)
     scale = np.max(np.abs(coefs), axis=1, initial=0.0)
     trivial = bounds[scale == 0.0]
     keep = np.flatnonzero(scale > 0.0)
     coefs, bounds = coefs[keep] / scale[keep, None], bounds[keep] / _per_row(scale[keep], bounds)
-    if not equalities and keep.size > 1:
-        keys = np.round(coefs / ROW_TOL).astype(np.int64)
-        # sort by coefficient key, ties by bound: first of each group is tightest
-        order = np.lexsort(tuple(bounds.reshape(keep.size, -1).T) + tuple(keys.T[::-1]))
-        ks = keys[order]
-        first = np.ones(keep.size, dtype=bool)
-        first[1:] = np.any(ks[1:] != ks[:-1], axis=1)
-        if bounds.ndim > 1:
-            bs = bounds[order]
-            first[1:] |= np.any(bs[1:] != bs[:-1], axis=1)
+    if not equalities and bounds.ndim == 1 and keep.size > 1:
+        order, first = _key_order(coefs, bounds)  # first of a group is tightest
         idx = np.sort(order[first])
         keep, coefs, bounds = keep[idx], coefs[idx], bounds[idx]
     return coefs, bounds, trivial, keep
@@ -317,30 +318,26 @@ def project_to_plane(
 class ParametricPlane:
     """Rows over two variables whose bounds are affine in parameters.
 
-    At parameters theta, row i reads
-    ``ineq_coefs[i] . x <= ineq_multipliers[i] . (theta, 1)``, and the
-    equalities likewise.  ``trivial`` and ``trivial_eq`` hold the
-    multipliers of rows left with no coefficients: the system is
-    empty at theta where one of them fails.  Built by
+    At parameters theta, direction i reads ``directions[i] . x <= b``,
+    where b is the least of its forms ``forms[j] . (theta, 1)``, j from
+    ``starts[i]`` up to the next direction's start.  ``trivial`` holds the
+    forms of rows left with no coefficients, each read ``0 <= form``: the
+    system is empty at theta where one of them fails.  Built by
     :func:`project_parametric`; :meth:`at` evaluates it.
     """
 
-    ineq_coefs: np.ndarray
-    ineq_multipliers: np.ndarray
-    eq_coefs: np.ndarray
-    eq_multipliers: np.ndarray
+    directions: np.ndarray
+    forms: np.ndarray
+    starts: np.ndarray
     trivial: np.ndarray
-    trivial_eq: np.ndarray
 
     def at(self, theta: Sequence[float]) -> tuple | None:
-        """The rows (ineq_coefs, ineq_bounds, eq_coefs, eq_values) at
-        parameters ``theta``, the inequalities through ``_tidy``, or None
+        """The rows (directions, bounds) at parameters ``theta``, or None
         where a trivial row fails there and the system is empty."""
         point = np.append(np.asarray(theta, dtype=np.float64), 1.0)
-        if _contradicts(self.trivial @ point, self.trivial_eq @ point):
+        if (self.trivial @ point < -ROW_TOL).any():
             return None
-        ic, ib, _, _ = _tidy(self.ineq_coefs, self.ineq_multipliers @ point)
-        return ic, ib, self.eq_coefs, self.eq_multipliers @ point
+        return self.directions, np.minimum.reduceat(self.forms @ point, self.starts)
 
 
 def project_parametric(
@@ -360,8 +357,9 @@ def project_parametric(
     a parameter vector theta of length ``size``: each bound is a row of
     ``size + 1`` multipliers over (theta, 1), or 0.  The coefficients do
     not depend on theta.  :func:`project_to_plane`'s elimination runs on
-    the multipliers, so ``project_parametric(...).at(theta)`` has the rows,
-    columns (``r1``, ``r2``), of ``project_to_plane`` on the system at theta.
+    the multipliers, an equality then is two opposing rows, and rows are
+    grouped by direction (:func:`_key_order`), so ``.at(theta)`` cuts out
+    the polygon of ``project_to_plane`` on the system at theta.
     """
     variables = tuple(variables)
     ic, im = _row_arrays(variables, inequalities, size + 1)
@@ -371,10 +369,10 @@ def project_parametric(
     ic, im, ec, em, more, more_eq = _eliminate(
         variables, ic, im, ec, em, frozenset(nonnegative), r1, r2
     )
-    arrays = (
-        ic, im, ec, em,
-        np.concatenate([trivial, more]), np.concatenate([trivial_eq, more_eq]),
-    )
+    ic, im = np.vstack([ic, ec, -ec]), np.vstack([im, em, -em])
+    order, first = _key_order(ic)
+    trivial = np.concatenate([trivial, more, trivial_eq, more_eq, -trivial_eq, -more_eq])
+    arrays = ic[order[first]], im[order], np.flatnonzero(first), trivial
     for array in arrays:  # a cached plane is shared by every caller
         array.setflags(write=False)
     return ParametricPlane(*arrays)

@@ -1,7 +1,9 @@
 """The elimination code as it stood before the shared row-tidy, substitute
 and combine helpers: verbatim copies of the old ``LinearSystem``,
 ``fm_eliminate`` and ``project_to_plane`` with their row helpers.  Tests
-compare the library against these under ``np.array_equal``.
+compare the library against these under ``np.array_equal``.  Also the
+per-call rule of the inner drop cases from before their rows were grouped
+by direction (``drop_case_union``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from cifc_udc.errors import ShapeMismatch, UnknownVariable
-from cifc_udc.polytope import ROW_TOL, SNAP
+from cifc_udc.polytope import ROW_TOL, SNAP, Region2D, polygon_points, region_from_vertices
 
 
 def _normalize_rows(coefs: np.ndarray, bounds: np.ndarray):
@@ -366,3 +368,23 @@ def project_to_plane(
         current.nonnegative & {r1, r2},
         feasible,
     )
+
+
+def drop_case_union(cases, theta: Sequence[float]) -> Region2D:
+    """The inner region at constants ``theta`` of the drop cases' ungrouped
+    multiplier rows, each case (inequality coefficients, multipliers,
+    equality coefficients, multipliers, trivial multipliers, trivial
+    equality multipliers), by the rule each call followed before the rows
+    were grouped by direction.  A case whose trivial rows fail at theta adds
+    nothing.  Otherwise its inequalities at theta are normalized and pruned,
+    and the box is clipped by them and then by the equalities, kept apart.
+    The region is the hull of every case's points, or the origin.
+    """
+    point = np.append(np.asarray(theta, dtype=np.float64), 1.0)
+    points = []
+    for ic, im, ec, em, trivial, trivial_eq in cases:
+        if np.any(trivial @ point < -ROW_TOL) or np.any(np.abs(trivial_eq @ point) > ROW_TOL):
+            continue
+        coefs, bounds, _ = _normalize_rows(ic, im @ point)
+        points += polygon_points(*_prune_rows(coefs, bounds), ec, em @ point)
+    return region_from_vertices(points or [(0.0, 0.0)])

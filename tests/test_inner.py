@@ -1,6 +1,7 @@
 """Inner-bound pipeline: factorizations, constants, drop-case regions, sampling."""
 
 import dataclasses
+import functools
 import itertools
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _fm_reference as fm_reference
 import _law_reference as reference
 from _systems import case_system, materialized_rows, union_hull
 from cifc_udc.channel import ChannelSpec, load_channel
@@ -722,21 +724,114 @@ def ref_sampled_case(pinned, dropped):
     return ic, im, ec, em, np.concatenate([trivial, more]), np.concatenate([trivial_eq, more_eq])
 
 
+def grouped(ic, im, ec, em, trivial, trivial_eq):
+    """Ungrouped rows as a ``ParametricPlane`` holds them: each equality as
+    two opposing rows, then one coefficient row per direction (rows equal
+    once rounded to ``ROW_TOL``, directions sorted, column 0 first), each
+    direction's forms in row order and where they start, and the trivial
+    rows, each trivial equality as two."""
+    coefs, forms = np.vstack([ic, ec, -ec]), np.vstack([im, em, -em])
+    keys = [tuple(np.round(row / polytope.ROW_TOL).astype(int)) for row in coefs]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    starts = [i for i, k in enumerate(order) if i == 0 or keys[k] != keys[order[i - 1]]]
+    directions = coefs[[order[i] for i in starts]].reshape(-1, 2)
+    return directions, forms[order], starts, np.vstack([trivial, trivial_eq, -trivial_eq])
+
+
 def test_compiled_cases_match_the_sampled_multipliers():
     for pinned, dropped in DROP_CASES:
         plane = inner._compiled_case(pinned, dropped)
-        got = (plane.ineq_coefs, plane.ineq_multipliers, plane.eq_coefs,
-               plane.eq_multipliers, plane.trivial, plane.trivial_eq)
+        got = (plane.directions, plane.forms, plane.starts, plane.trivial)
         # equal as numbers: a multiplier may be -0.0 where the differences gave 0.0
-        for g, w in zip(got, ref_sampled_case(pinned, dropped)):
-            assert np.array_equal(g, w), (pinned, dropped)
+        for g, w in zip(got, grouped(*ref_sampled_case(pinned, dropped))):
+            assert np.shape(g) == np.shape(w) and np.array_equal(g, w), (pinned, dropped)
+
+
+@functools.cache
+def ref_sampled_cases():
+    return [ref_sampled_case(pinned, dropped) for pinned, dropped in DROP_CASES]
+
+
+def ungrouped_pair(c):
+    """``region_for_distribution`` at ``c``, and the region of the sampled
+    multiplier rows under the per-call rule they had before they were
+    grouped by direction (``_fm_reference.drop_case_union``)."""
+    theta = [getattr(c, name) for name in CONSTANT_NAMES]
+    return region_for_distribution(c), fm_reference.drop_case_union(ref_sampled_cases(), theta)
+
+
+def same_bytes(got, want):
+    return (got.vertices.tobytes() == want.vertices.tobytes()
+            and np.array(got.halfplanes).tobytes() == np.array(want.halfplanes).tobytes())
+
+
+def test_grouped_cases_match_the_ungrouped_rule_on_fixture_factorizations():
+    checked = 0
+    for path in sorted(CHANNELS.glob("*.json")):
+        ch = load_channel(path.read_text())
+        for f in sample_factorizations(ch, SamplerConfig(seed=21, num_samples=6)):
+            c = inner_constants(assemble_joint(f, ch))
+            if admissible(c):
+                assert same_bytes(*ungrouped_pair(c))
+                checked += 1
+    assert checked > 50
+
+
+def test_grouped_cases_match_the_ungrouped_rule_on_random_constants():
+    """Grouping changes the order in which the box is clipped (key order in
+    place of the order of each direction's tightest row), so a vertex that
+    lies near the middle of two points of the hull grid can round to the
+    other one: byte-equal regions but for at most 1 in 100, and those one
+    grid step apart."""
+    rng = np.random.default_rng([2024, 32])
+    checked = unequal = 0
+    while checked < 200:
+        values = dict(zip(CONSTANT_NAMES, rng.uniform(0.0, 1.0, len(CONSTANT_NAMES))))
+        if checked % 2:  # no binning floors
+            values.update(A=0.0, N1=0.0, N2=0.0)
+        c = InnerConstants(**values)
+        if not admissible(c):
+            continue
+        got, want = ungrouped_pair(c)
+        if not same_bytes(got, want):
+            unequal += 1
+            assert got.vertices.shape == want.vertices.shape
+            assert np.abs(got.vertices - want.vertices).max() <= 1.5 * polytope.HULL_QUANT
+            assert regions_close(got, want, tol=1e-9)
+        checked += 1
+    assert unequal <= 2, unequal
+
+
+def direction_rows(cell):
+    """A README cell such as ``-R1, R1+2R2`` as coefficient rows over
+    (R1, R2), each scaled to max-abs 1."""
+    rows = []
+    for label in cell.split(", "):
+        row = np.zeros(2)
+        for sign, k, i in re.findall(r"([+-]?)(\d*)R([12])", label):
+            row[int(i) - 1] = (-1.0 if sign == "-" else 1.0) * int(k or 1)
+        rows.append(row / np.abs(row).max())
+    return np.array(rows)
+
+
+def test_readme_drop_case_table_reads_the_compiled_cases():
+    readme = (CHANNELS.parent / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| pinned sub-rates |"):].split("\n\n")[0].splitlines()[2:]
+    cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+    names = lambda cell: () if cell == "none" else tuple(cell.split(", "))
+    assert len(cells) == len(DROP_CASES)
+    for (pinned, dropped), (pins, drops, directions, forms, trivial) in zip(DROP_CASES, cells):
+        plane = inner._compiled_case(pinned, dropped)
+        assert (names(pins), names(drops)) == (pinned, dropped)
+        assert np.array_equal(direction_rows(directions), plane.directions), dropped
+        assert (int(forms), int(trivial)) == (len(plane.forms), len(plane.trivial)), dropped
 
 
 def test_a_second_inner_region_call_eliminates_nothing(monkeypatch):
     """The drop cases are projected once per process: after the first run,
     a run calls no elimination (``polytope._eliminate``, behind both
-    projection front ends), and the regions come from clipped points, not
-    from ``polygon_extract``."""
+    projection front ends) and no row normal form (``polytope._tidy``),
+    and the regions come from clipped points, not from ``polygon_extract``."""
     ch = load_channel((CHANNELS / "clean.json").read_text())
     cfg = SamplerConfig(seed=1, num_samples=5)
     inner._compiled_case.cache_clear()
@@ -749,7 +844,7 @@ def test_a_second_inner_region_call_eliminates_nothing(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_eliminate", "polygon_extract"):
+    for name in ("_eliminate", "_tidy", "polygon_extract"):
         monkeypatch.setattr(polytope, name, counted(getattr(polytope, name)))
     second = inner_region(ch, cfg)
     assert calls == []

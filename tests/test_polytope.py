@@ -350,10 +350,21 @@ def test_parametric_projection_needs_multiplier_rows():
     # x <= theta and y <= 0: a bare 0 is a row of zero multipliers
     rows = [({"x": 1.0}, np.array([1.0, 0.0])), ({"y": 1.0}, 0)]
     plane = project_parametric(("x", "y"), rows, [], 1, "x", "y")
-    assert np.array_equal(plane.at([0.5])[1], [0.5, 0.0])
+    directions, bounds = plane.at([0.5])
+    assert bounds[np.all(directions == [1.0, 0.0], axis=1)].tolist() == [0.5]
+    assert bounds[np.all(directions == [0.0, 1.0], axis=1)].tolist() == [0.0]
     # a bare number other than 0 cannot say which multiplier it is
     with pytest.raises(errors.ShapeMismatch):
         project_parametric(("x", "y", "z"), [({"x": 1.0}, 1.0)], [], 1, "x", "y")
+
+
+def test_parametric_plane_without_forms_has_no_rows():
+    # no row at all, and a row with no coefficients that holds at theta
+    for rows in ([], [({"x": 0.0}, np.array([1.0, 1.0]))]):
+        plane = project_parametric(("x", "y"), rows, [], 1, "x", "y")
+        directions, bounds = plane.at([0.5])
+        assert directions.shape == (0, 2) and bounds.shape == (0,)
+    assert plane.at([-2.0]) is None
 
 
 # ----------------------------------------------------------- polygon_extract

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cifc_udc import ChannelSpec, dump_channel
+from cifc_udc import ChannelSpec, cli, dump_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,17 +48,28 @@ def test_fixture_channels_match_their_generator():
 
 def test_cli_sizes_commands(tmp_path):
     """The timed runs read their channels from the given tree; a full run
-    takes seconds, so only the usage error runs here."""
+    takes seconds, so only the two inner runs (under a second together)
+    and the usage error run here."""
     spec = importlib.util.spec_from_file_location("cli_sizes", ROOT / "scripts" / "cli_sizes.py")
     cli_sizes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_sizes)
     runs = cli_sizes.commands(ROOT, tmp_path)
-    assert [argv[0] for _, argv in runs] == ["outer"] * 5 + ["capacity"] * 2
-    assert [argv[1] for _, argv in runs[3:5]] == [str(ROOT / "channels" / "clean.json")] * 2
-    assert [argv[-1] for _, argv in runs[3:5]] == ["64", "256"]
-    assert [argv[1:4:2] for _, argv in runs[5:]] == [
+    assert [argv[0] for _, argv in runs] == ["outer"] * 3 + ["inner"] * 2 + ["outer"] * 2 + [
+        "capacity"] * 2
+    # inner on large_channel(1) from its corners, with the auxiliary cards
+    # at 2 and then all but |Yhat2| at 3
+    assert [argv[1:4] for _, argv in runs[3:5]] == [[runs[0][1][1], "--samples", "0"]] * 2
+    cards = dict(zip(runs[4][1][4::2], runs[4][1][5::2]))
+    assert runs[3][1][4:] == [] and cards == {
+        f"--card-{name}": "3" for name in ("u1p", "u1", "v1", "u2p", "u2", "v12", "v2")
+    }
+    assert [argv[1] for _, argv in runs[5:7]] == [str(ROOT / "channels" / "clean.json")] * 2
+    assert [argv[-1] for _, argv in runs[5:7]] == ["64", "256"]
+    assert [argv[1:4:2] for _, argv in runs[7:]] == [
         [str(ROOT / "channels" / "degraded_z.json"), "degraded-z"],
         [str(ROOT / "channels" / "hi_in_class.json"), "semidet-hi"],
     ]
     assert all(Path(argv[1]).is_file() for _, argv in runs)
+    for _, argv in runs[3:5]:
+        assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path / "out.json")]) == 0
     assert run_script("cli_sizes.py").returncode == 2
