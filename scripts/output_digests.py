@@ -34,12 +34,18 @@ V2, so that drop cases the benchmark rarely reaches are covered too, and
 once, corners only, on clean.json with ternary V1, U1p and Yhat2, whose
 corner factors reduce a ternary auxiliary onto a binary input (x1 = v1
 mod 2, x3 = u1p mod 2) and copy the binary y2 into a ternary yh2.
+Inner at 5 samples and outer at 5 samples and a fan of 8 run on each
+known-capacity channel of ``tests/test_reductions.py`` (dead inputs, a
+degraded relay, an XOR cognitive channel), which this script's own tree
+writes into the workdir with ``dump_channel``, so both trees read the
+same files and a fix to the inner bound shows as drift there.
 Then ``fm`` projects four seeded systems (two with an equality) onto
 (t0, t1) and onto (t1, t0), and ``compare`` checks the clean.json inner
 region of the benchmark run against the 100-sample outer region.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -51,17 +57,34 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT))
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
+from cifc_udc import dump_channel  # noqa: E402
 from perfbench.workloads import WHY, large_channel, prepare  # noqa: E402
 
 SEEDS = (3, 11)
+
+
+def _reduction_channels() -> dict:
+    """The known-capacity channels of ``tests/test_reductions.py``, by name."""
+    spec = importlib.util.spec_from_file_location(
+        "test_reductions", ROOT / "tests" / "test_reductions.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: channel for name, (channel, _) in module.REDUCTIONS.items()}
+
+
+REDUCTIONS = _reduction_channels()
 
 
 def extra_commands(src: Path, seed: int, workdir: Path) -> list:
     """(label, argv) of the runs the benchmark workloads leave out."""
     large = workdir / "large.json"
     large.write_text(json.dumps(large_channel(seed)), encoding="utf-8")
+    reductions = {name: workdir / f"{name}.json" for name in REDUCTIONS}
+    for name, path in reductions.items():
+        path.write_text(dump_channel(REDUCTIONS[name]), encoding="utf-8")
     config = workdir / "outer.cfg"
     config.write_text("samples = 20\nfan = 16\n", encoding="utf-8")
     channel = lambda name: str(src / "channels" / name)
@@ -95,6 +118,14 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
                             "--card-v2", "3", "--samples", "40"]),
         ("inner-clean-aux3", ["inner", channel("clean.json"), "--card-v1", "3",
                               "--card-u1p", "3", "--card-yh2", "3"]),
+        *(
+            (f"inner-{name}", ["inner", str(path), "--samples", "5"])
+            for name, path in reductions.items()
+        ),
+        *(
+            (f"outer-{name}", ["outer", str(path), "--samples", "5", "--fan", "8"])
+            for name, path in reductions.items()
+        ),
     ]
     runs = [
         (label, argv + ["--seed", str(seed), "--out", str(workdir / f"{label}.json")])

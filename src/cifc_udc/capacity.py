@@ -22,7 +22,7 @@ from .errors import (
     NotZChannel,
     NumericsError,
 )
-from .inner import InnerFactorization
+from .inner import InnerFactorization, _factorization, _signature_pairs
 from .outer import (
     REFINE_STARTS,
     V12_AXES,
@@ -43,7 +43,7 @@ from .outer import (
     v12_cards,
     wire_v12,
 )
-from .pmf import ConditionalFactor, Information, clip_information, point_mass
+from .pmf import Information, _mode_table, clip_information, point_mass
 from .polytope import Region2D, region_from_vertices
 
 VIOLATION_TOL = 1e-9
@@ -258,48 +258,23 @@ def reduction_factorization(
     """
     cx1, cv12, cv2, cx2, cx3 = d.cards
     check_input_cards(d.cards, channel)
-    cy2 = channel.card("y2")
+    cards = dict(u1p=cx3, u1=cx1, v1=1, u2p=1, u2=1, v12=cv12, v2=cv2, yh2=1,
+                 x1=cx1, x2=cx2, x3=cx3, y2=channel.card("y2"))
+    mode = lambda i, m: _mode_table(*_signature_pairs(i, cards), m)
     # (x3, x1, v12, v2, x2): each conditional conditions on a prefix
     p = d.pmf.transpose(4, 0, 1, 2, 3)
-    p_x3 = _prefix_conditional(p, 0, 1)
-    p_x1 = _prefix_conditional(p, 1, 2)
-    p_block = _prefix_conditional(p, 2, 4)
-    p_x2 = _prefix_conditional(p, 4, 5)
-
-    factors = (
-        ConditionalFactor((("u1p", cx3),), (), p_x3),
-        ConditionalFactor((("u1", cx1),), (("u1p", cx3),), p_x1),
-        ConditionalFactor.from_modes((("v1", 1),), (("u1p", cx3), ("u1", cx1)), "const"),
-        ConditionalFactor.from_modes((("u2p", 1),), (("u1p", cx3),), "const"),
-        ConditionalFactor(
-            (("u2", 1), ("v12", cv12), ("v2", cv2)),
-            (("u1p", cx3), ("u1", cx1), ("v1", 1), ("u2p", 1)),
-            p_block.reshape(cx3, cx1, 1, 1, 1, cv12, cv2),
-        ),
-        ConditionalFactor.from_modes(
-            (("x1", cx1),), (("u1p", cx3), ("u1", cx1), ("v1", 1)), ("copy", "u1")
-        ),
-        ConditionalFactor(
-            (("x2", cx2),),
-            (
-                ("u1p", cx3), ("u1", cx1), ("v1", 1), ("u2p", 1),
-                ("u2", 1), ("v12", cv12), ("v2", cv2),
-            ),
-            p_x2.reshape(cx3, cx1, 1, 1, 1, cv12, cv2, cx2),
-        ),
-        ConditionalFactor.from_modes(
-            (("x3", cx3),), (("u1p", cx3), ("u2p", 1)), ("copy", "u1p")
-        ),
-        ConditionalFactor.from_modes(
-            (("yh2", 1),),
-            (
-                ("u1p", cx3), ("u1", cx1), ("u2p", 1), ("u2", 1),
-                ("x3", cx3), ("y2", cy2),
-            ),
-            "const",
-        ),
+    tables = (
+        _prefix_conditional(p, 0, 1),
+        _prefix_conditional(p, 1, 2),
+        mode(2, "const"),
+        mode(3, "const"),
+        _prefix_conditional(p, 2, 4).reshape(cx3, cx1, 1, 1, 1, cv12, cv2),
+        mode(5, ("copy", "u1")),
+        _prefix_conditional(p, 4, 5).reshape(cx3, cx1, 1, 1, 1, cv12, cv2, cx2),
+        mode(7, ("copy", "u1p")),
+        mode(8, "const"),
     )
-    return InnerFactorization(factors)
+    return _factorization(cards, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,11 @@ class LinearSystem:
         if len(set(variables)) != len(variables):
             raise ShapeMismatch(f"duplicate variables in {variables}")
         n = len(variables)
-        ic = np.asarray(self.ineq_coefs, dtype=np.float64).reshape(-1, n)
         ib = np.asarray(self.ineq_bounds, dtype=np.float64).reshape(-1)
-        ec = np.asarray(self.eq_coefs, dtype=np.float64).reshape(-1, n)
         ev = np.asarray(self.eq_values, dtype=np.float64).reshape(-1)
+        # over no variables (-1, 0) names no shape: there are as many rows as bounds
+        ic = np.asarray(self.ineq_coefs, dtype=np.float64).reshape(-1 if n else ib.size, n)
+        ec = np.asarray(self.eq_coefs, dtype=np.float64).reshape(-1 if n else ev.size, n)
         if ic.shape[0] != ib.shape[0] or ec.shape[0] != ev.shape[0]:
             raise ShapeMismatch("coefficient rows and bounds disagree in count")
         if not all(np.isfinite(a).all() for a in (ic, ib, ec, ev)):

@@ -287,6 +287,17 @@ class TestFm:
             assert proc.returncode == 2, keep
             assert proc.stderr.startswith("UsageError:"), keep
 
+    @pytest.mark.parametrize("variables", [[], ["R1"]])
+    def test_a_system_without_both_kept_labels_is_a_usage_error(self, tmp_path, variables):
+        # no variables at all is the same usage error as one
+        path = tmp_path / "system.json"
+        width = len(variables) + 1
+        path.write_text(json.dumps({"variables": variables, "inequalities": [[1] * width]}))
+        proc = run_cli("fm", path, "--keep", "R1,R2")
+        assert proc.returncode == 2
+        missing = "R2" if variables else "R1"
+        assert proc.stderr == f"UsageError: --keep label {missing!r} not in the system\n"
+
 
 class TestUsage:
     def test_unknown_subcommand(self):

@@ -102,6 +102,15 @@ def test_infeasible_constant_row_detected():
     assert not sys2.feasible
 
 
+def test_a_system_over_no_variables_holds_its_trivial_rows():
+    held = LinearSystem.from_rows([], [({}, 1.0)], [({}, 0.0)])
+    assert held.feasible and held.variables == ()
+    assert held.ineq_coefs.shape == (0, 0) and held.eq_coefs.shape == (0, 0)
+    assert not LinearSystem.from_rows([], [({}, -1.0)]).feasible
+    assert not LinearSystem.from_rows([], [], [({}, 1.0)]).feasible
+    assert LinearSystem((), np.zeros((2, 0)), [1.0, 2.0], [], [], frozenset()).feasible
+
+
 def test_infeasible_system_materializes_a_contradiction():
     sys_ = LinearSystem.from_rows(
         ("x", "y"), [({"x": 0}, -1.0), ({"x": 1}, 2.0)], nonnegative=("x", "y")
