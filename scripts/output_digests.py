@@ -36,7 +36,8 @@ corner factors reduce a ternary auxiliary onto a binary input (x1 = v1
 mod 2, x3 = u1p mod 2) and copy the binary y2 into a ternary yh2.
 Inner at 5 samples and outer at 5 samples and a fan of 8 run on each
 known-capacity channel of ``tests/test_reductions.py`` (dead inputs, a
-degraded relay, an XOR cognitive channel), which this script's own tree
+degraded relay, an XOR cognitive channel, a degraded binary broadcast
+channel), which this script's own tree
 writes into the workdir with ``dump_channel``, so both trees read the
 same files and a fix to the inner bound shows as drift there.
 Then ``fm`` projects four seeded systems (two with an equality) onto

@@ -362,7 +362,7 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
         return np.max(law_bounds(_gaps, rows, cards, channel, V12_AXES), axis=-1)[take]
 
     order = np.lexsort((-np.minimum(gap_a, gap_b), -worst))[:REFINE_STARTS]
-    values, refined = lockstep_ascent(flats[order], evaluate)
+    values, refined = lockstep_ascent(flats[order], worst[order], evaluate)
     i = next(iter(np.flatnonzero(values > VIOLATION_TOL)), None)
     if i is not None:
         ((ga, gb),) = law_bounds(_gaps, refined[i:i + 1], cards, channel, V12_AXES)

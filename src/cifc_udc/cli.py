@@ -135,6 +135,12 @@ def _config(kind, **fields):
         raise UsageError(str(exc)) from exc
 
 
+def _search_config(opts: dict) -> SearchConfig:
+    """The ``SearchConfig`` of a search command, with ``fan`` where it has ``--fan``."""
+    fields = {"seed": "seed", "num_samples": "samples", "card_v12": "card_v12", "fan": "fan"}
+    return _config(SearchConfig, **{f: opts[o] for f, o in fields.items() if o in opts})
+
+
 def _load_channel_file(path: str):
     with open(path, encoding="utf-8") as handle:
         return load_channel(handle.read())
@@ -241,13 +247,7 @@ def _cmd_classify(args, opts: dict) -> int:
         + ("true" if report.is_semi_deterministic else "false"),
     ]
     if opts["hi_check"]:
-        cfg = _config(
-            SearchConfig,
-            seed=opts["seed"],
-            num_samples=opts["samples"],
-            card_v12=opts["card_v12"],
-        )
-        hi = hi_regime_falsify(channel, cfg)
+        hi = hi_regime_falsify(channel, _search_config(opts))
         lines.append(f"hi_regime={hi.status}")
         lines.append(f"hi_margin={hi.margin:.12g}")
         if hi.condition is not None:
@@ -280,14 +280,7 @@ def _cmd_inner(args, opts: dict) -> int:
 
 def _cmd_outer(args, opts: dict) -> int:
     channel = _load_channel_file(args.channel)
-    cfg = _config(
-        SearchConfig,
-        seed=opts["seed"],
-        num_samples=opts["samples"],
-        card_v12=opts["card_v12"],
-        fan=opts["fan"],
-    )
-    region, caveat = outer_region_estimate(channel, cfg)
+    region, caveat = outer_region_estimate(channel, _search_config(opts))
     doc = {"region": region_to_dict(region), "caveat": caveat}
     _emit(doc, opts["out"])
     return 0
@@ -295,12 +288,7 @@ def _cmd_outer(args, opts: dict) -> int:
 
 def _cmd_capacity(args, opts: dict) -> int:
     channel = _load_channel_file(args.channel)
-    cfg = _config(
-        SearchConfig,
-        seed=opts["seed"],
-        num_samples=opts["samples"],
-        card_v12=opts["card_v12"],
-    )
+    cfg = _search_config(opts)
     report = None
     if opts["klass"] == "degraded-z":
         region, evaluated = capacity_degraded_z(channel, cfg)

@@ -200,8 +200,9 @@ def fan_directions(count: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-# cap on the walks x n x n candidate entries of a lockstep block; every fan
-# of the benchmark's searches fits in one (law_bounds caps the tables)
+# cap on the candidate entries (distinct walks x n x n) that one evaluation
+# of a lockstep sweep scores; every fan of the benchmark's searches fits in
+# one (law_bounds caps the tables)
 _BLOCK_CELLS = 1 << 16
 
 # entries of the pieces in which a block's candidates are projected, so
@@ -218,56 +219,59 @@ REFINE_STEP = 0.05
 REFINE_SWEEPS = 50
 
 
-def lockstep_ascent(starts: np.ndarray, evaluate) -> tuple[np.ndarray, np.ndarray]:
+def lockstep_ascent(starts, values, evaluate) -> tuple[np.ndarray, np.ndarray]:
     """Greedy coordinate ascents, one per row of ``starts``, in lockstep.
 
-    ``evaluate(rows, take, owner)`` scores the walks ``owner``: it returns
-    an array shaped like ``take``, whose entry [k, i] scores the row
-    ``take[k, i]``, walk ``owner[k]``'s candidate i (its point when ``take``
-    has one column).  Walks at the same point with the same step, compared
+    ``values`` holds each start's score.  ``evaluate(rows, take, owner)``
+    scores the walks ``owner``: it returns an array shaped like ``take``,
+    whose entry [k, i] scores the row ``take[k, i]``, walk ``owner[k]``'s
+    candidate i.  Walks at the same point with the same step, compared
     bytewise (-0.0 is not 0.0), share their rows.  Each sweep bumps every
-    entry of a live walk by its own step, first ``REFINE_STEP``, projects
-    onto the simplex and keeps the walk's first candidate within
+    entry of every live walk by its own step, first ``REFINE_STEP``,
+    projects onto the simplex and keeps the walk's first candidate within
     ``ASCENT_GAIN`` of its best if that gains over ``ASCENT_GAIN``, else
-    halves the step.  A walk ends at a step below 1e-3 or after
-    ``REFINE_SWEEPS`` sweeps.  Returns (values, points).
+    halves the step.  A sweep scores its distinct walks' candidates in
+    blocks of at most max(``_BLOCK_CELLS``, n * n) entries, one
+    ``evaluate`` call each; the blocks split no walk's path.  A walk ends
+    at a step below 1e-3 or after ``REFINE_SWEEPS`` sweeps.  Returns
+    (values, points).
     """
     x = np.array(starts, dtype=float)
+    values = np.array(values, dtype=float)
     walks, n = x.shape
-    values = np.empty(walks)
+    live = np.arange(walks)
+    steps = np.full(walks, float(REFINE_STEP))
     block = max(1, _BLOCK_CELLS // (n * n))
     piece = max(1, _PIECE_CELLS // n)
-    for lo in range(0, walks, block):
-        live = np.arange(lo, min(lo + block, walks))
-        steps = np.full(live.size, float(REFINE_STEP))
-        for sweep in range(REFINE_SWEEPS + 1):
-            if not live.size:
-                break
-            # walks whose (point, step) bytes match share rows: those of the
-            # first such walk, found by np.unique; sweep 0 scores the starts
-            keys = np.column_stack([x[live], steps])
-            keys = keys.view(np.dtype((np.void, keys.itemsize * (n + 1))))[:, 0]
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            if not sweep:
-                values[live] = evaluate(x[live[first]], inverse[:, None], live)[:, 0]
-                continue
+    for _ in range(REFINE_SWEEPS):
+        if not live.size:
+            break
+        # walks whose (point, step) bytes match share rows: those of the
+        # first such walk, found by np.unique
+        keys = np.column_stack([x[live], steps])
+        keys = keys.view(np.dtype((np.void, keys.itemsize * (n + 1))))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        for lo in range(0, len(first), block):
+            heads = first[lo:lo + block]
+            mine = np.flatnonzero((inverse >= lo) & (inverse < lo + block))
+            owner = live[mine]
             # walk w's candidate i is its point with entry i bumped by its step
-            candidates = np.repeat(x[live[first]], n, axis=0)
-            candidates.reshape(-1, n, n)[:, range(n), range(n)] += steps[first, None]
+            candidates = np.repeat(x[live[heads]], n, axis=0)
+            candidates.reshape(-1, n, n)[:, range(n), range(n)] += steps[heads, None]
             for at in range(0, len(candidates), piece):
                 _project_rows(candidates[at:at + piece])
-            take = inverse[:, None] * n + np.arange(n)
-            scores = evaluate(candidates, take, live)
+            take = (inverse[mine, None] - lo) * n + np.arange(n)
+            scores = evaluate(candidates, take, owner)
             # the first candidate within ASCENT_GAIN of the best, so that exact
             # ties (v12 relabelings) do not split on the last bits of a sum
             top = np.max(scores, axis=1, keepdims=True)
             best = np.argmax(scores >= top - ASCENT_GAIN, axis=1)
-            top = scores[np.arange(live.size), best]
-            up = top > values[live] + ASCENT_GAIN
-            x[live[up]] = candidates[take[up, best[up]]]
-            values[live[up]] = top[up]
-            steps[~up] *= 0.5
-            live, steps = live[steps >= 1e-3], steps[steps >= 1e-3]
+            top = scores[np.arange(mine.size), best]
+            up = top > values[owner] + ASCENT_GAIN
+            x[owner[up]] = candidates[take[up, best[up]]]
+            values[owner[up]] = top[up]
+            steps[mine[~up]] *= 0.5
+        live, steps = live[steps >= 1e-3], steps[steps >= 1e-3]
     return values, x
 
 
@@ -286,14 +290,14 @@ class SearchConfig:
 
 
 def check_ascent_budget(cards, channel: ChannelSpec) -> None:
-    """Raise ``TooLarge`` when the n candidates of one ascent sweep over laws
+    """Raise ``TooLarge`` when the n candidates of one ascent walk over laws
     on ``cards`` (n their product) would have more than ``pmf.JOINT_CELL_LIMIT``
     joint cells in all, n * |Y1||Y2| each.  The searches hold less: a
     ``law_bounds`` table at most max(``_Q_CELLS``, n / |X2| * |Y1||Y2|) q cells
-    beside its laws, a ``lockstep_ascent`` block max(``_BLOCK_CELLS``, n * n)
-    candidate entries, both within the limit once this check passes.  The
-    block's projection holds temporaries of pieces of ``_PIECE_CELLS``
-    entries (n at least) only."""
+    beside its laws, the block a ``lockstep_ascent`` sweep scores at once
+    max(``_BLOCK_CELLS``, n * n) candidate entries, both within the limit
+    once this check passes.  The block's projection holds temporaries of
+    pieces of ``_PIECE_CELLS`` entries (n at least) only."""
     n = math.prod(cards)
     cells = n * n * channel.card("y1") * channel.card("y2")
     check_cells(cells, f"an ascent sweep over {n} input cells")
@@ -394,9 +398,8 @@ def fan_search(
     rows.  So an extra row never displaces a start the search makes
     without it, and every row among the ``REFINE_STARTS`` best of all
     still starts one.  All ascents of the fan run together in one
-    ``lockstep_ascent``, ordered by start row; the order matters only for
-    a fan larger than a block, whose blocks then hold the walks from one
-    start together.  After the pool, ``caps_of`` sees each distinct walk's
+    ``lockstep_ascent``, direction by direction, from their starts'
+    supports.  After the pool, ``caps_of`` sees each distinct walk's
     candidates once; a row that two walks reach from different points may
     be scored twice.  Raises ``TooLarge`` first when the supports, one per
     direction and row, would hold more than ``pmf.JOINT_CELL_LIMIT`` cells.
@@ -409,20 +412,16 @@ def fan_search(
         lo + np.argsort(-supports[:, lo:hi], axis=1, kind="stable")[:, :REFINE_STARTS]
         for lo, hi in ((0, cut), (cut, len(flats)))
     ], axis=1)
-    # walks from one start row run side by side: a fan split into blocks
-    # then keeps the walks most likely to share candidates in one
-    by_start = np.argsort(order.reshape(-1), kind="stable")
-    lam = np.repeat(directions, order.shape[1], axis=0)[by_start]
+    starts = np.take_along_axis(supports, order, axis=1)
+    lam = np.repeat(directions, order.shape[1], axis=0)
 
     def evaluate(rows: np.ndarray, take: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # caps do not depend on the direction: each walk reads its rows' caps
         return support_of_caps(*(c[take] for c in caps_of(rows)), lam[owner, None])
 
-    reached, ends = lockstep_ascent(flats[order.reshape(-1)[by_start]], evaluate)
-    undo = np.argsort(by_start)
-    reached, ends = reached[undo].reshape(order.shape), ends[undo]
+    reached, ends = lockstep_ascent(flats[order.reshape(-1)], starts.reshape(-1), evaluate)
+    reached = reached.reshape(order.shape)
     heights = np.max(np.hstack([supports, reached]), axis=1)
-    starts = np.take_along_axis(supports, order, axis=1)
     gained = ends[(reached > starts + ASCENT_GAIN).reshape(-1)]
     return heights, np.concatenate([flats, gained])
 

@@ -193,11 +193,12 @@ class LinearSystem:
         n = len(variables)
         ib = np.asarray(self.ineq_bounds, dtype=np.float64).reshape(-1)
         ev = np.asarray(self.eq_values, dtype=np.float64).reshape(-1)
-        # over no variables (-1, 0) names no shape: there are as many rows as bounds
-        ic = np.asarray(self.ineq_coefs, dtype=np.float64).reshape(-1 if n else ib.size, n)
-        ec = np.asarray(self.eq_coefs, dtype=np.float64).reshape(-1 if n else ev.size, n)
-        if ic.shape[0] != ib.shape[0] or ec.shape[0] != ev.shape[0]:
+        # one row of n coefficients per bound, checked before the reshape
+        ic = np.asarray(self.ineq_coefs, dtype=np.float64)
+        ec = np.asarray(self.eq_coefs, dtype=np.float64)
+        if ic.size != ib.size * n or ec.size != ev.size * n:
             raise ShapeMismatch("coefficient rows and bounds disagree in count")
+        ic, ec = ic.reshape(ib.size, n), ec.reshape(ev.size, n)
         if not all(np.isfinite(a).all() for a in (ic, ib, ec, ev)):
             raise ShapeMismatch("a coefficient or bound is NaN or an infinity")
         bad = frozenset(self.nonnegative) - set(variables)

@@ -342,8 +342,8 @@ class TestSimplexProjection:
 
     def test_ascent_candidates_have_the_bytes_of_the_old_bump(self, monkeypatch):
         # each walk's candidates against the old bump of its point, which the
-        # test follows by the ascent's own rule; the starts repeat within a
-        # block of three walks, and walks from one start share every sweep
+        # test follows by the ascent's own rule; a block holds three distinct
+        # walks, and walks from one start share every sweep
         rng = np.random.default_rng(8)
         starts = np.concatenate([rng.dirichlet(np.ones(6), size=6), np.eye(6)[:2]])
         starts = starts[[0, 0, 1, 2, 3, 3, 4, 5, 6, 7, 7]]
@@ -357,14 +357,11 @@ class TestSimplexProjection:
             return score(rows)[take]
 
         monkeypatch.setattr(outer, "_BLOCK_CELLS", 3 * 36)
-        lockstep_ascent(starts, evaluate)
-        points, steps, sweeps = {}, {}, 0
+        lockstep_ascent(starts, score(starts), evaluate)
+        points = dict(enumerate(starts))
+        steps, sweeps = dict.fromkeys(points, outer.REFINE_STEP), 0
         for rows, take, owner in calls:
-            if take.shape[1] == 1:
-                # a block's first call scores the start points of its walks
-                points.update(zip(owner.tolist(), rows[take[:, 0]]))
-                steps.update(dict.fromkeys(owner.tolist(), outer.REFINE_STEP))
-                continue
+            assert take.shape[1] == 6
             for k, w in enumerate(owner.tolist()):
                 candidates = rows[take[k]]
                 want = reference.bumped(points[w][None], np.array([steps[w]]))
@@ -412,7 +409,9 @@ class TestAscent:
         v0 = float(evaluate(start[None, :])[0])
 
         def walk():
-            return lockstep_ascent(start[None], lambda rows, take, owner: evaluate(rows)[take])
+            return lockstep_ascent(
+                start[None], evaluate(start[None]), lambda rows, take, owner: evaluate(rows)[take]
+            )
 
         (v1,), (x1,) = walk()
         (v2,), (x2,) = walk()
@@ -428,7 +427,7 @@ class TestAscent:
         monkeypatch.setattr(outer, "REFINE_SWEEPS", 0)
         start = np.array([0.25, 0.75])
         (value,), (x,) = lockstep_ascent(
-            start[None], lambda rows, take, owner: evaluate(rows)[take]
+            start[None], evaluate(start[None]), lambda rows, take, owner: evaluate(rows)[take]
         )
         assert value == 0.25 and np.array_equal(x, start)
 

@@ -153,6 +153,15 @@ def test_non_finite_rows_rejected(bad):
         LinearSystem.from_rows(("x", "y"), [], [({"x": 1.0}, bad)])
 
 
+@pytest.mark.parametrize("variables,coefs", [(("x", "y"), [1.0, 2.0, 3.0]), ((), [[1.0]])],
+                         ids=["three-coefficients-over-two", "a-coefficient-over-none"])
+def test_coefficients_that_fill_no_row_per_bound_rejected(variables, coefs):
+    with pytest.raises(errors.ShapeMismatch, match="disagree in count"):
+        LinearSystem(variables, coefs, [1.0], [], [], frozenset())
+    with pytest.raises(errors.ShapeMismatch, match="disagree in count"):
+        LinearSystem(variables, [], [], coefs, [1.0], frozenset())
+
+
 def test_unknown_variable_errors():
     sys_ = LinearSystem.from_rows(("x", "z", "y"), [({"x": 1, "y": 1}, 1.0)])
     with pytest.raises(errors.UnknownVariable):

@@ -2,7 +2,8 @@
 
 Each entry reduces the CIFC-UDC to a network whose capacity is known in
 closed form: a channel whose senders have no inputs, a physically
-degraded relay channel and a cognitive channel with a noiseless XOR link.
+degraded relay channel, a cognitive channel with a noiseless XOR link and
+a degraded binary broadcast channel.
 In every direction of an 8-direction fan, at 0 and 5 samples (seed 1),
 the inner region stays within the capacity and the outer estimate
 reaches it.  Where the inner bound misses today, the check is a strict
@@ -45,6 +46,38 @@ def degraded_relay() -> ChannelSpec:
     return ChannelSpec((2, 1, 2, 4, 2), table)
 
 
+def bsc(crossover: float) -> np.ndarray:
+    """p(y | x) of a binary symmetric channel."""
+    return np.array([[1 - crossover, crossover], [crossover, 1 - crossover]])
+
+
+def h(p):
+    """Binary entropy in bits."""
+    p = np.asarray(p, dtype=float)
+    return -sum(q * np.log2(q, out=np.zeros_like(q), where=q > 0) for q in (p, 1 - p))
+
+
+BC_CROSSOVERS = (0.05, 0.2)
+# the superposition cloud's flip probability, on a grid fine enough that the
+# maximum of the support over it is exact within INNER_TOL
+BC_ALPHA = np.linspace(0.0, 0.5, 200_001)
+
+
+def degraded_bc() -> ChannelSpec:
+    """Only sender 2 has an input (|X1| = |X3| = 1): Y1 = BSC(0.05)(X2) and
+    Y2 = BSC(0.2)(X2), with independent noise."""
+    p1, p2 = (bsc(c) for c in BC_CROSSOVERS)
+    return ChannelSpec((1, 2, 1, 2, 2), np.einsum("ab,ac->abc", p1, p2)[None, :, None])
+
+
+def degraded_bc_support(lam) -> float:
+    """max over alpha in [0, 1/2] of lam1 (h(alpha*p1) - h(p1)) +
+    lam2 (1 - h(alpha*p2)), where alpha*p = alpha (1 - p) + (1 - alpha) p:
+    the superposition region (Cover 1972; Bergmans 1973)."""
+    (r1, r2) = (h(BC_ALPHA * (1 - p) + (1 - BC_ALPHA) * p) for p in BC_CROSSOVERS)
+    return float(np.max(lam[0] * (r1 - h(BC_CROSSOVERS[0])) + lam[1] * (1 - r2)))
+
+
 # name -> (channel, support of its capacity region along (lam1, lam2))
 REDUCTIONS = {
     # |X1| = |X2| = 1: no sender has an input, so the capacity is {(0, 0)}
@@ -60,6 +93,9 @@ REDUCTIONS = {
         ChannelSpec.from_outputs((2, 2, 1, 2, 2), lambda x1, x2, x3: (x1, x1 ^ x2)),
         lambda lam: lam[0] + lam[1],
     ),
+    # |X1| = |X3| = 1: sender 2 carries both messages to a better and a
+    # worse receiver, so the capacity is the superposition region
+    "degraded_bc": (degraded_bc(), degraded_bc_support),
 }
 
 ITEM_1 = pytest.mark.xfail(
@@ -89,6 +125,7 @@ def regions(name: str, samples: int):
     pytest.param("dead_inputs", marks=ITEM_1),
     pytest.param("degraded_relay", marks=ITEM_1),
     "xor_cognitive",
+    "degraded_bc",
 ])
 def test_inner_stays_within_the_capacity(name, samples):
     inner, _ = regions(name, samples)

@@ -63,7 +63,7 @@ from cifc_udc.outer import (
     v12_cards,
 )
 from cifc_udc.pmf import Information, clip_information
-from _law_reference import lift, reduce_v12, same_bytes, unique_rows
+from _law_reference import bumped, lift, reduce_v12, same_bytes, unique_rows
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
@@ -420,6 +420,13 @@ def quantized_targets(rows, take, owner, targets):
     return np.round(-np.sum((rows[take] - targets[owner][:, None]) ** 2, axis=-1), 3)
 
 
+def start_values(starts, evaluate):
+    """Each start's score by the ``lockstep_ascent`` callback ``evaluate``,
+    one walk per start."""
+    walks = np.arange(len(starts))
+    return evaluate(starts, walks[:, None], walks)[:, 0]
+
+
 def one_walk(targets, w):
     """The ``ref_ascent_refine`` score of walk ``w``'s rows."""
     return lambda r: quantized_targets(r, np.arange(len(r))[None], np.array([w]), targets)[0]
@@ -441,9 +448,10 @@ def test_lockstep_ascent_matches_sequential_walks(walks, n, sweeps, monkeypatch)
     monkeypatch.setattr(outer, "REFINE_SWEEPS", sweeps)
     for step in (0.05, 0.3):
         monkeypatch.setattr(outer, "REFINE_STEP", step)
-        values, rows = lockstep_ascent(
-            starts, lambda r, t, o: quantized_targets(r, t, o, targets)
-        )
+        def evaluate(r, t, o):
+            return quantized_targets(r, t, o, targets)
+
+        values, rows = lockstep_ascent(starts, start_values(starts, evaluate), evaluate)
         assert values.shape == (3 * walks,) and rows.shape == (3 * walks, n)
         for w in range(3 * walks):
             ref_value, ref_row = ref_ascent_refine(
@@ -464,14 +472,14 @@ def test_walks_apart_by_the_sign_of_a_zero_share_no_rows():
         calls.append((rows.copy(), take.copy()))
         return quantized_targets(rows, take, owner, targets)
 
-    values, ends = lockstep_ascent(starts, evaluate)
-    # the starts, then the first sweep: walk 2 reads walk 0's rows, walk 1
-    # rows of its own
-    for rows, take in calls[:2]:
-        assert np.array_equal(take[2], take[0])
-        assert not set(take[1].tolist()) & set(take[0].tolist())
+    values = start_values(starts, lambda r, t, o: quantized_targets(r, t, o, targets))
+    values, ends = lockstep_ascent(starts, values, evaluate)
+    # the first sweep: walk 2 reads walk 0's rows, walk 1 rows of its own,
+    # the bump of its point
     rows, take = calls[0]
-    assert same_bytes(rows[take[1, 0]], starts[1])
+    assert np.array_equal(take[2], take[0])
+    assert not set(take[1].tolist()) & set(take[0].tolist())
+    assert same_bytes(rows[take[1]], bumped(starts[1:2], np.array([outer.REFINE_STEP])))
     for w in range(3):
         ref_value, ref_row = ref_ascent_refine(starts[w], one_walk(targets, w))
         assert values[w] == ref_value
@@ -479,7 +487,7 @@ def test_walks_apart_by_the_sign_of_a_zero_share_no_rows():
 
 
 def test_lockstep_ascent_without_walks():
-    values, rows = lockstep_ascent(np.empty((0, 4)), None)
+    values, rows = lockstep_ascent(np.empty((0, 4)), np.empty(0), None)
     assert values.shape == (0,) and rows.shape == (0, 4)
 
 
@@ -493,9 +501,9 @@ def test_ascent_ties_go_to_the_first_candidate():
         return (rows[:, 1] + rows[:, 2] + 1e-15 * (rows[:, 2] > rows[:, 1]))[take]
 
     start = np.full((1, 3), 1 / 3)
-    values, ends = lockstep_ascent(start, tied)
+    values, ends = lockstep_ascent(start, start_values(start, tied), tied)
     assert np.array_equal(ends, [[0.0, 1.0, 0.0]])
-    nudged_values, nudged_ends = lockstep_ascent(start, nudged)
+    nudged_values, nudged_ends = lockstep_ascent(start, start_values(start, nudged), nudged)
     assert np.array_equal(nudged_ends, ends)
     assert np.array_equal(nudged_values, values)
 
@@ -591,21 +599,32 @@ def test_no_evaluation_holds_more_than_a_block(name, cells, monkeypatch):
     if cells is not None:
         monkeypatch.setattr(outer, "_BLOCK_CELLS", cells)
     n = pool.shape[1]
-    entries = []
+    sweeps = []
 
-    def counting_ascent(starts, evaluate):
+    def counting_ascent(starts, values, evaluate):
         def counted(rows, take, owner):
-            # walks x n x n in a sweep; the rows built are at most as many
-            entries.append(take.size * n)
-            assert rows.size <= take.size * n
+            # the candidate rows of a block's distinct walks, n entries each;
+            # a sweep's blocks own disjoint walks, and a sweep's first block
+            # owns a walk of the sweep before
+            assert rows.shape[1] == n
+            if not sweeps or sweeps[-1][1] & set(owner.tolist()):
+                sweeps.append(([], set()))
+            sweeps[-1][0].append(rows.size)
+            sweeps[-1][1].update(owner.tolist())
             return evaluate(rows, take, owner)
-        return lockstep_ascent(starts, counted)
+        return lockstep_ascent(starts, values, counted)
 
     monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
     fan_search(pool, caps_of, cfg)
     budget = max(outer._BLOCK_CELLS, n * n)
-    # within the budget, and a sweep that fills more than half of it
-    assert budget // 2 < max(entries) <= budget
+    # within the budget, and a sweep splits only into blocks that, but its
+    # last, fill more than half of it
+    sizes = [size for entries, _ in sweeps for size in entries]
+    assert max(sizes) <= budget
+    assert all(budget // 2 < size for entries, _ in sweeps for size in entries[:-1])
+    # hi_in_class's fan has 11 distinct walks (1584 entries): it fills more
+    # than half a block only at a block of one walk
+    assert (budget // 2 < max(sizes)) == (name == "dense" or cells == 100)
 
 
 # the benchmark's fan searches: (search, config, walks x n x n entries)
@@ -624,20 +643,20 @@ def test_each_benchmark_fan_runs_as_one_block(name, cfg, entries, monkeypatch):
     n = pool.shape[1]
     sizes, distinct = [], []
 
-    def counting_ascent(starts, evaluate):
+    def counting_ascent(starts, values, evaluate):
         distinct.append(len({row.tobytes() for row in starts}))
 
         def counted(rows, take, owner):
             sizes.append((take.size * n, rows.size))
             return evaluate(rows, take, owner)
-        return lockstep_ascent(starts, counted)
+        return lockstep_ascent(starts, values, counted)
 
     monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
     fan_search(pool, caps_of, cfg)
-    # the starts, then at most one call per sweep, the first holding every
-    # walk and building the candidates of each distinct start once
-    assert len(sizes) <= 1 + outer.REFINE_SWEEPS
-    assert sizes[1] == (entries, distinct[0] * n * n)
+    # at most one call per sweep, the first holding every walk and building
+    # the candidates of each distinct start once
+    assert len(sizes) <= outer.REFINE_SWEEPS
+    assert sizes[0] == (entries, distinct[0] * n * n)
     assert distinct[0] * n * n < entries <= outer._BLOCK_CELLS
 
 
@@ -670,8 +689,8 @@ def distinct_row_cases():
 @pytest.mark.parametrize("cells", [None, 13])
 @pytest.mark.parametrize("case", sorted(distinct_row_cases()))
 def test_distinct_rows_are_those_of_np_unique(case, cells, monkeypatch):
-    """The walks of a block that share rows, at their starts and in their
-    first sweep, are those of ``np.unique`` over the bytes of (point, step)."""
+    """The walks of a block that share rows in their first sweep are those
+    of ``np.unique`` over the bytes of (point, step)."""
     rows = distinct_row_cases()[case]
     n = rows.shape[1]
     if case == "pieces":
@@ -687,13 +706,14 @@ def test_distinct_rows_are_those_of_np_unique(case, cells, monkeypatch):
         calls.append((points.copy(), take.copy(), owner.copy()))
         return np.zeros(take.shape)
 
-    lockstep_ascent(rows, record)
-    assert len(calls) == 2 * -(-len(rows) // (outer._BLOCK_CELLS // (n * n)))
-    for (points, first_take, owner), (candidates, take, _) in zip(calls[::2], calls[1::2]):
-        keys = np.column_stack([rows[owner], np.full(len(owner), outer.REFINE_STEP)])
-        first, inverse = unique_rows(keys)
-        assert same_bytes(points, np.ascontiguousarray(rows[owner][first]))
-        assert np.array_equal(first_take, inverse[:, None])
+    lockstep_ascent(rows, np.zeros(len(rows)), record)
+    keys = np.column_stack([rows, np.full(len(rows), outer.REFINE_STEP)])
+    assert len(calls) == -(-len(unique_rows(keys)[0]) // (outer._BLOCK_CELLS // (n * n)))
+    for candidates, take, owner in calls:
+        first, inverse = unique_rows(keys[owner])
+        # the bump of each distinct walk's point, by the ascent's projection
+        bump = rows[owner][first][:, None, :] + outer.REFINE_STEP * np.eye(n)
+        assert same_bytes(candidates, outer._project_rows(bump.reshape(-1, n)))
         assert candidates.shape == (len(first) * n, n)
         assert np.array_equal(take, inverse[:, None] * n + np.arange(n))
         if case == "minus-zero":
@@ -737,7 +757,8 @@ def ref_lockstep_fan(flats, caps_of, cfg):
         caps = caps_of(rows[take].reshape(-1, rows.shape[1]))
         return support_of_caps(*(c.reshape(take.shape) for c in caps), lam[owner, None])
 
-    reached, rows = lockstep_ascent(flats[order.reshape(-1)], evaluate)
+    starts = flats[order.reshape(-1)]
+    reached, rows = lockstep_ascent(starts, start_values(starts, evaluate), evaluate)
     reached = reached.reshape(order.shape)
     rows = rows.reshape(order.shape + flats.shape[1:])
     return fan_result(flats, [
@@ -765,20 +786,64 @@ def test_caps_of_sees_each_distinct_walk_once(monkeypatch):
         calls.append(rows.copy())
         return caps_of(rows)
 
-    def counting_ascent(starts, evaluate):
+    def counting_ascent(starts, values, evaluate):
         def counted(rows, take, owner):
             walk_rows.append(take.size)
             return evaluate(rows, take, owner)
-        return lockstep_ascent(starts, counted)
+        return lockstep_ascent(starts, values, counted)
 
     monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
     fan_search(pool, recording_caps, cfg)
     # the first call scores the pool and every later one an ascent evaluation:
-    # the distinct starts, then the n candidates of each distinct walk
+    # the n candidates of each distinct walk
     assert calls[0].shape == pool.shape and len(calls) == len(walk_rows) + 1
-    for rows, size in zip(calls[1:], [1] + [n] * len(calls)):
+    for rows, size in zip(calls[1:], [n] * len(calls)):
         assert len({rows[i:i + size].tobytes() for i in range(0, len(rows), size)}) * size == len(rows)
     assert sum(len(rows) for rows in calls[1:]) <= 0.25 * sum(walk_rows)
+
+
+def test_no_evaluation_scores_a_start(monkeypatch):
+    """The searches hand ``lockstep_ascent`` their starts' scores: every
+    ``evaluate`` call scores the n candidates of its walks."""
+    widths = []
+
+    def counting_ascent(*args):
+        # every argument but the last, evaluate, passes through as given
+        *given, evaluate = args
+
+        def counted(rows, take, owner):
+            widths.append((take.shape[1], rows.shape[1]))
+            return evaluate(rows, take, owner)
+        return lockstep_ascent(*given, counted)
+
+    monkeypatch.setattr(outer, "lockstep_ascent", counting_ascent)
+    monkeypatch.setattr(capacity, "lockstep_ascent", counting_ascent)
+    cfg = SearchConfig(seed=3, num_samples=5, fan=8)
+    for name in ("clean", "degraded_z", "hi_in_class"):
+        fan_search(*search_of(name, cfg), cfg)
+    for case in ("ascent_hit_first", "ascent_hit_last", "ascent_hit_tie"):
+        hi_regime_falsify(FALSIFIER_CASES[case](), SearchConfig(seed=0))
+    assert widths and all(width == n for width, n in widths)
+
+
+def test_caps_of_sees_the_same_rows_at_every_block_size(monkeypatch):
+    """Every sweep keys all live walks at once, so the block size decides
+    only how a sweep's candidates are split, not which rows are scored."""
+    cfg = SearchConfig(seed=1, num_samples=20, fan=64)
+    pool, caps_of = search_of("clean", cfg)
+    n = pool.shape[1]
+    seen = {}
+    for cells in (1 << 16, 1 << 12, n * n):
+        monkeypatch.setattr(outer, "_BLOCK_CELLS", cells)
+        rows = []
+
+        def recording_caps(batch):
+            rows.extend(row.tobytes() for row in batch)
+            return caps_of(batch)
+
+        fan_search(pool, recording_caps, cfg)
+        seen[cells] = sorted(rows)
+    assert seen[1 << 12] == seen[1 << 16] and seen[n * n] == seen[1 << 16]
 
 
 # ------------------------------------------------------- information terms
