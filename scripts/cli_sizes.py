@@ -15,6 +15,8 @@ through ``cifc_udc.cli.main`` in this process, timed with
   where a joint holds 708,588 cells;
 - outer on ``channels/clean.json`` at 500 samples and a fan of 64, and
   again at a fan of 256, where the envelope's polygon has the most rows;
+  and from its corners alone (0 samples) at a fan of 4096, where a sweep
+  holds the most walks;
 - capacity degraded-z on ``channels/degraded_z.json`` and semidet-hi on
   ``channels/hi_in_class.json`` at 100 samples and the default fan of 64,
   where the walks of a fan share the most candidates.
@@ -52,10 +54,10 @@ def commands(src: Path, workdir: Path) -> list:
               for arg in (f"--card-{name}", "3")]
     runs.append(("inner (3,3,2,3,3) large_channel(1) --samples 0, auxiliary cards 3 but yh2",
                  ["inner", large, "--samples", "0", *threes]))
-    for fan in ("64", "256"):
-        runs.append((f"outer channels/clean.json --samples 500 --fan {fan}",
+    for samples, fan in (("500", "64"), ("500", "256"), ("0", "4096")):
+        runs.append((f"outer channels/clean.json --samples {samples} --fan {fan}",
                      ["outer", str(src / "channels" / "clean.json"),
-                      "--samples", "500", "--fan", fan]))
+                      "--samples", samples, "--fan", fan]))
     for klass, name in (("degraded-z", "degraded_z"), ("semidet-hi", "hi_in_class")):
         runs.append((f"capacity channels/{name}.json --class {klass} --samples 100",
                      ["capacity", str(src / "channels" / f"{name}.json"),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, ParseError, RowSumError, ShapeMismatch
 from .pmf import (
-    ConditionalFactor, _cardinalities, _normalized, _number, marginal_entropies,
+    ConditionalFactor, Information, _cardinalities, _normalized, _number,
 )
 
 AXES = ("x1", "x2", "x3", "y1", "y2")
@@ -48,9 +48,8 @@ class ChannelSpec:
     def output_entropies(self) -> np.ndarray:
         """H(Y1|x), H(Y2|x) and H(Y1,Y2|x) in bits on a last axis, for each
         input x: shape (x1, x2, x3, 3).  Computed on first use."""
-        rows = self.transition.reshape(-1, *self.cards[3:])
-        h = marginal_entropies(rows, [{0}, {1}, {0, 1}], 2)
-        return h.reshape(*self.cards[:3], 3)
+        table = Information(self.transition.reshape(-1, *self.cards[3:]), "y1 y2")
+        return np.stack(table.h("y1", "y2", "y1 y2"), axis=-1).reshape(*self.cards[:3], 3)
 
     @property
     def output1_given_inputs(self) -> np.ndarray:

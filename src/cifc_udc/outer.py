@@ -251,9 +251,12 @@ def lockstep_ascent(starts, values, evaluate) -> tuple[np.ndarray, np.ndarray]:
         keys = np.column_stack([x[live], steps])
         keys = keys.view(np.dtype((np.void, keys.itemsize * (n + 1))))[:, 0]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # walks ordered by key, so that a block's walks are one slice
+        by_key = np.argsort(inverse, kind="stable")
+        sorted_keys = inverse[by_key]
         for lo in range(0, len(first), block):
             heads = first[lo:lo + block]
-            mine = np.flatnonzero((inverse >= lo) & (inverse < lo + block))
+            mine = by_key[slice(*np.searchsorted(sorted_keys, [lo, lo + block]))]
             owner = live[mine]
             # walk w's candidate i is its point with entry i bumped by its step
             candidates = np.repeat(x[live[heads]], n, axis=0)
@@ -416,8 +419,14 @@ def fan_search(
     lam = np.repeat(directions, order.shape[1], axis=0)
 
     def evaluate(rows: np.ndarray, take: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        # caps do not depend on the direction: each walk reads its rows' caps
-        return support_of_caps(*(c[take] for c in caps_of(rows)), lam[owner, None])
+        # caps do not depend on the direction: each walk reads its rows'
+        # caps, in chunks of at most max(_BLOCK_CELLS, n) entries
+        caps, out = caps_of(rows), np.empty(take.shape)
+        chunk = max(1, _BLOCK_CELLS // take.shape[1])
+        for lo in range(0, len(take), chunk):
+            at = slice(lo, lo + chunk)
+            out[at] = support_of_caps(*(c[take[at]] for c in caps), lam[owner[at], None])
+        return out
 
     reached, ends = lockstep_ascent(flats[order.reshape(-1)], starts.reshape(-1), evaluate)
     reached = reached.reshape(order.shape)

@@ -180,30 +180,6 @@ class JointPMF:
 # ---------------------------------------------------------------------------
 # the entropy engine; supports a leading batch axis
 
-def marginal_entropies(j: np.ndarray, groups, ndim: int = 6) -> np.ndarray:
-    """Entropy in bits of several marginals of a joint tensor.
-
-    ``groups`` lists the axis sets to keep; a tensor with one extra leading
-    axis is treated as a batch. Returns shape (batch?, len(groups)).
-    """
-    batched = j.ndim == ndim + 1
-    out = []
-    for keep in groups:
-        # a dropped axis of extent 1 needs no sum
-        axes = tuple(
-            a + batched for a in range(ndim)
-            if a not in keep and j.shape[a + batched] > 1
-        )
-        m = _sum_out(j, axes) if axes else j
-        flat = m.reshape(m.shape[0], -1) if batched else m.reshape(-1)
-        # one temporary: p log2 p in place, with log2 1 = 0 where p = 0
-        t = np.where(flat > 0, flat, 1.0)
-        np.log2(t, out=t)
-        t *= flat
-        out.append(-np.sum(t, axis=-1))
-    return np.array(out).T  # as np.stack(out, axis=-1), in a fifth of the time
-
-
 def _sum_out(a: np.ndarray, axes: tuple) -> np.ndarray:
     """``a`` summed over ``axes``, kept at extent 1, by one ``np.add.reduce``
     over the first axis of a (reduced cells, kept cells) matrix.  numpy
@@ -236,9 +212,9 @@ class Information:
     The marginals summed so far are held, keyed by axis set, with the
     tensor itself as the root.  New groups are summed largest first, each
     from the held marginal of fewest cells whose axes contain it (the
-    first held on ties), and each marginal entropy is computed once, by
-    ``marginal_entropies``.  ``of_laws`` builds a table with two roots in
-    place of the tensor."""
+    first held on ties), and each marginal entropy is computed once, from
+    its held marginal.  ``of_laws`` builds a table with two roots in place
+    of the tensor."""
 
     def __init__(self, j: np.ndarray, labels: str):
         self.names = tuple(labels.split())
@@ -299,7 +275,12 @@ class Information:
             if m is None:
                 h = self._through_channel(keep)
             else:
-                (h,) = marginal_entropies(m, [keep], len(self.names)).T
+                flat = m.reshape((len(m), -1) if self._batch else -1)
+                # one temporary: p log2 p in place, with log2 1 = 0 where p = 0
+                t = np.where(flat > 0, flat, 1.0)
+                np.log2(t, out=t)
+                t *= flat
+                h = -np.sum(t, axis=-1)
             self._h[keep] = h
         return h
 

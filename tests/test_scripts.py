@@ -54,7 +54,7 @@ def test_cli_sizes_commands(tmp_path):
     cli_sizes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_sizes)
     runs = cli_sizes.commands(ROOT, tmp_path)
-    assert [argv[0] for _, argv in runs] == ["outer"] * 3 + ["inner"] * 2 + ["outer"] * 2 + [
+    assert [argv[0] for _, argv in runs] == ["outer"] * 3 + ["inner"] * 2 + ["outer"] * 3 + [
         "capacity"] * 2
     # inner on large_channel(1) from its corners, with the auxiliary cards
     # at 2 and then all but |Yhat2| at 3
@@ -63,9 +63,12 @@ def test_cli_sizes_commands(tmp_path):
     assert runs[3][1][4:] == [] and cards == {
         f"--card-{name}": "3" for name in ("u1p", "u1", "v1", "u2p", "u2", "v12", "v2")
     }
-    assert [argv[1] for _, argv in runs[5:7]] == [str(ROOT / "channels" / "clean.json")] * 2
-    assert [argv[-1] for _, argv in runs[5:7]] == ["64", "256"]
-    assert [argv[1:4:2] for _, argv in runs[7:]] == [
+    assert [argv[1] for _, argv in runs[5:8]] == [str(ROOT / "channels" / "clean.json")] * 3
+    assert [argv[2:] for _, argv in runs[5:8]] == [
+        ["--samples", "500", "--fan", "64"], ["--samples", "500", "--fan", "256"],
+        ["--samples", "0", "--fan", "4096"],
+    ]
+    assert [argv[1:4:2] for _, argv in runs[8:]] == [
         [str(ROOT / "channels" / "degraded_z.json"), "degraded-z"],
         [str(ROOT / "channels" / "hi_in_class.json"), "semidet-hi"],
     ]

@@ -469,14 +469,15 @@ def test_walks_apart_by_the_sign_of_a_zero_share_no_rows():
     calls = []
 
     def evaluate(rows, take, owner):
-        calls.append((rows.copy(), take.copy()))
+        calls.append((rows.copy(), take.copy(), owner.copy()))
         return quantized_targets(rows, take, owner, targets)
 
     values = start_values(starts, lambda r, t, o: quantized_targets(r, t, o, targets))
     values, ends = lockstep_ascent(starts, values, evaluate)
     # the first sweep: walk 2 reads walk 0's rows, walk 1 rows of its own,
-    # the bump of its point
-    rows, take = calls[0]
+    # the bump of its point; walk w's rows are those of its entry in owner
+    rows, take, owner = calls[0]
+    take = take[np.argsort(owner)]
     assert np.array_equal(take[2], take[0])
     assert not set(take[1].tolist()) & set(take[0].tolist())
     assert same_bytes(rows[take[1]], bumped(starts[1:2], np.array([outer.REFINE_STEP])))
@@ -625,6 +626,28 @@ def test_no_evaluation_holds_more_than_a_block(name, cells, monkeypatch):
     # hi_in_class's fan has 11 distinct walks (1584 entries): it fills more
     # than half a block only at a block of one walk
     assert (budget // 2 < max(sizes)) == (name == "dense" or cells == 100)
+
+
+def test_fan_supports_are_scored_a_chunk_at_a_time(monkeypatch):
+    """With a block of one distinct walk, every support computation after
+    the pool's holds at most max(``_BLOCK_CELLS``, n) entries, though a
+    walk's key is shared by more than two walks, and no height moves."""
+    cfg = SearchConfig(seed=1, num_samples=5, fan=16)
+    pool, caps_of = search_of("clean", cfg)
+    n = pool.shape[1]
+    want = fan_search(pool, caps_of, cfg)
+    sizes, support = [], outer.support_of_caps
+
+    def recorded(r1, r2, s, direction):
+        sizes.append(np.size(r1))
+        return support(r1, r2, s, direction)
+
+    monkeypatch.setattr(outer, "_BLOCK_CELLS", 2 * n)
+    monkeypatch.setattr(outer, "support_of_caps", recorded)
+    heights, rows = fan_search(pool, caps_of, cfg)
+    assert len(sizes) > 1 and max(sizes[1:]) <= 2 * n
+    assert heights.tobytes() == want[0].tobytes()
+    assert rows.tobytes() == want[1].tobytes()
 
 
 # the benchmark's fan searches: (search, config, walks x n x n entries)
@@ -857,6 +880,17 @@ LATTICE_TOL = 1e-12
 _X1, _V12, _X2, _X3, _Y1, _Y2 = range(6)
 
 
+def root_entropies(j, groups, ndim=6):
+    """H of each group of axes of ``j`` (one extra leading axis a batch),
+    each from a fresh ``Information`` table, so that every marginal sums
+    straight from ``j``; shape (batch?, len(groups))."""
+    names = [f"a{i}" for i in range(ndim)]
+    return np.stack([
+        Information(j, " ".join(names)).h(" ".join(names[a] for a in g))[0]
+        for g in groups
+    ], axis=-1)
+
+
 def ref_five_bounds(j):
     groups = (
         (_X1, _X2, _X3),                 # 0
@@ -874,7 +908,7 @@ def ref_five_bounds(j):
         (_X1, _V12, _X3, _Y2),           # 12
         (_X1, _V12, _X2, _X3, _Y2),      # 13
     )
-    h = pmf.marginal_entropies(j, groups)
+    h = root_entropies(j, groups)
     b1 = h[..., 0] + h[..., 1] - h[..., 2]
     b2 = h[..., 3] + h[..., 1] - h[..., 4]
     b3 = h[..., 0] + h[..., 7] - h[..., 5] - h[..., 6]
@@ -897,7 +931,7 @@ def ref_degraded_z_bounds(j):
         (2,),              # 6: x3
         (2, 4),            # 7: x3 y2
     )
-    h = pmf.marginal_entropies(j, groups, ndim=5)
+    h = root_entropies(j, groups, ndim=5)
     a = h[..., 0] + h[..., 1] - h[..., 2]
     b = h[..., 3] + h[..., 4] - h[..., 0] - h[..., 5]
     c = h[..., 3] + h[..., 7] - h[..., 6] - h[..., 5]
@@ -913,7 +947,7 @@ def ref_semidet_hi_bounds(j):
         (0, 3),            # 4: x1 x3
         (0, 1, 3, 5),      # 5: x1 v12 x3 y2
     )
-    h = pmf.marginal_entropies(j, groups, ndim=6)
+    h = root_entropies(j, groups, ndim=6)
     a = h[..., 0] + h[..., 1] - h[..., 2]
     h2 = h[..., 3] - h[..., 4]
     hv = h[..., 5] - h[..., 0]
@@ -934,7 +968,7 @@ def ref_reduced_terms_v2(j):
         (4,),              # 9: x3
         (4, 6),            # 10: x3 y2
     )
-    h = pmf.marginal_entropies(j, groups, ndim=7)
+    h = root_entropies(j, groups, ndim=7)
     a = h[..., 0] + h[..., 1] - h[..., 2]
     delta = h[..., 0] + h[..., 4] - h[..., 3] - h[..., 2]
     b = h[..., 5] + h[..., 6] - h[..., 3] - h[..., 7]
@@ -955,7 +989,7 @@ def ref_reduced_terms_y2(j):
         (3,),              # 7: x3
         (3, 5),            # 8: x3 y2
     )
-    h = pmf.marginal_entropies(j, groups, ndim=6)
+    h = root_entropies(j, groups, ndim=6)
     a = h[..., 0] + h[..., 1] - h[..., 2]
     delta = h[..., 0] + h[..., 4] - h[..., 3] - h[..., 2]
     m = h[..., 0] + h[..., 5] - h[..., 3] - h[..., 6]
@@ -976,7 +1010,7 @@ def ref_violation_gaps(j):
         (0, 1, 3, 4),      # 7: x1 v12 x3 y1
         (0, 1, 3, 5),      # 8: x1 v12 x3 y2
     )
-    h = pmf.marginal_entropies(j, groups, ndim=6)
+    h = root_entropies(j, groups, ndim=6)
     i_y2_x1 = h[..., 0] + h[..., 1] - h[..., 2] - h[..., 3]
     i_y1_x1x3 = h[..., 0] + h[..., 4] - h[..., 5]
     i_y1_v12 = h[..., 6] + h[..., 5] - h[..., 0] - h[..., 7]
@@ -1140,7 +1174,7 @@ def test_lattice_matches_full_tensor_sums(ndim):
             for batch in np.array_split(order, 5):
                 got += info.h(*(" ".join(names[a] for a in groups[i])
                                 for i in batch))
-            want = pmf.marginal_entropies(j, [groups[i] for i in order], ndim)
+            want = root_entropies(j, [groups[i] for i in order], ndim)
             assert np.shape(got[0]) == np.shape(want[..., 0])
             assert np.max(np.abs(np.stack(got, axis=-1) - want)) <= LATTICE_TOL
 
@@ -1148,8 +1182,10 @@ def test_lattice_matches_full_tensor_sums(ndim):
 def test_information_names_its_axes():
     j = random_tensors(6, seed=9)[0]
     info = Information(j, "x1 v12 x2 x3 y1 y2")
+    # marginals held without y1 leave the tensor its only source
+    info.h("x1 x3", "v12 x2 y2")
     (h_y1,) = info.h("y1")
-    assert np.array_equal(h_y1, pmf.marginal_entropies(j, [(4,)])[0])
+    assert np.array_equal(h_y1, root_entropies(j, [(4,)])[0])
     # group order and spacing do not matter; each marginal is computed once
     assert info.h("x3 x1", " x1  x3 ") == info.h("x1 x3", "x1 x3")
     assert np.array_equal(info.cond("y2", "x1 x3"), info.h("x1 x3 y2")[0]
@@ -1176,13 +1212,16 @@ def test_information_rejects_an_unknown_label():
         info.mi("a", "b", "c")
 
 
-def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
+def test_each_marginal_entropy_is_computed_once(monkeypatch):
     seen, sources = [], []
-    kernel, marginal_sum = pmf.marginal_entropies, pmf._sum_out
+    marginal_sum = pmf._sum_out
 
-    def counted(j, groups, ndim=6):
-        seen.extend(groups)
-        return kernel(j, groups, ndim)
+    class Recorded(dict):
+        """A table's entropies, recording each group as it is stored."""
+
+        def __setitem__(self, key, value):
+            seen.append(key)
+            super().__setitem__(key, value)
 
     def recorded(a, axes):
         sources.append(a)
@@ -1194,10 +1233,13 @@ def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
 
     j = random_tensors(6, seed=4)
     want = ref_five_bounds(j)
-    monkeypatch.setattr(pmf, "marginal_entropies", counted)
     monkeypatch.setattr(pmf, "_sum_out", recorded)
-    assert_close_terms(five_bounds(Information(j, V12_AXES)), want)
+    table = Information(j, V12_AXES)
+    table._h = Recorded()
+    assert_close_terms(five_bounds(table), want)
     assert len(seen) == len(set(seen)) == 14
+    # each from its held marginal
+    assert set(seen) <= set(table._marginals)
     # only x1 v12 x3 y1 and the two five-axis marginals need the full tensor
     assert 0 < root_sums([j]) <= 3
 
@@ -1207,11 +1249,14 @@ def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
     rows = np.random.default_rng(4).dirichlet(np.ones(16), size=3)
     want = ref_five_bounds(lift(rows, (2, 2, 2, 2), ch))
     table = Information.of_laws(rows, (2, 2, 2, 2), V12_AXES, ch)
+    table._h = Recorded()
     roots = list(table._marginals.values())
     seen.clear()
     sources.clear()
     assert_close_terms(five_bounds(table), want)
-    assert len(seen) == len(set(seen)) == 10
+    assert len(seen) == len(set(seen)) == 14
+    # ten from held marginals, the other four by the chain rule
+    assert sum(key in table._marginals for key in seen) == 10
     assert len(table._expected) == 3
     # the law gives x1 x2 x3 and x1 v12 x3, and q the three groups with
     # v12 or both outputs; every other marginal sums from a smaller one
@@ -1220,8 +1265,7 @@ def test_marginal_entropies_runs_once_per_marginal(monkeypatch):
 
 class FullTensorInformation(Information):
     """The table before the lattice and before the lift-free roots: the new
-    marginals of each call summed straight from the full lifted tensor, in
-    one kernel call."""
+    marginals of each call summed straight from the full lifted tensor."""
 
     def __init__(self, j, labels):
         self.j, self.names, self._h = j, tuple(labels.split()), {}
@@ -1230,7 +1274,7 @@ class FullTensorInformation(Information):
         keys = [pmf._axis_set(self.names, g) for g in groups]
         new = [k for k in dict.fromkeys(keys) if k not in self._h]
         if new:
-            values = pmf.marginal_entropies(self.j, new, len(self.names))
+            values = root_entropies(self.j, [sorted(k) for k in new], len(self.names))
             self._h.update(zip(new, values.T))
         return [self._h[k] for k in keys]
 
