@@ -21,7 +21,9 @@ The commands are every command of the benchmark workloads, as
 ``perfbench/workloads.py`` builds them, plus larger and failing searches:
 outer on clean.json at 100 samples and a fan of 64, outer on degraded_z and
 hi_in_class, outer on clean.json with its samples and fan read from a
-config file, capacity semidet-hi on hi_falsified (exit 1), capacity
+config file, outer on clean.json from its corners alone (0 samples) at a
+fan of 1024, whose lines share the envelope's vertices, capacity
+semidet-hi on hi_falsified (exit 1), capacity
 degraded-z on degraded_z and semidet-hi on hi_in_class at 100 samples and
 the default fan of 64 (where the fan's walks share the most candidate
 rows), capacity degraded-z on degraded_z from its corners alone (0
@@ -98,6 +100,8 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
                                "--samples", "20", "--fan", "16"]),
         ("outer-clean-config", ["outer", channel("clean.json"),
                                 "--config", str(config)]),
+        ("outer-clean-fan-1024", ["outer", channel("clean.json"),
+                                  "--samples", "0", "--fan", "1024"]),
         ("capacity-hi_falsified", ["capacity", channel("hi_falsified.json"),
                                    "--class", "semidet-hi", "--samples", "20"]),
         ("capacity-degraded_z-100", ["capacity", channel("degraded_z.json"),

@@ -433,13 +433,15 @@ def capacity_semidet_hi(
 
     pool = sample_pool(cards, cfg, _corner_joints(cards))
     _, rows = fan_search(pool, caps_of, cfg)
-    caps = caps_of(rows)
 
     def screen(info) -> np.ndarray:
-        """Per row: the two premise gaps, then the five reduced terms."""
-        return np.concatenate([_gaps(info), _reduced_terms_y2(info)], axis=-1)
+        """Per row: the formula's three caps, summed first as in
+        ``caps_of``, the two premise gaps, then the five reduced terms."""
+        parts = (semidet_hi_bounds(info), _gaps(info), _reduced_terms_y2(info))
+        return np.concatenate(parts, axis=-1)
 
-    gap_a, gap_b, *terms = law_bounds(screen, rows, cards, channel, V12_AXES).T
+    table = law_bounds(screen, rows, cards, channel, V12_AXES).T
+    caps, (gap_a, gap_b), terms = table[:3], table[3:5], table[5:]
     worst = np.maximum(gap_a, gap_b)
     i = next(iter(np.flatnonzero(worst > VIOLATION_TOL)), None)
     if not force and i is not None:

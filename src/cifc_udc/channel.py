@@ -120,11 +120,8 @@ def load_channel(text: str) -> ChannelSpec:
         raise ParseError(f"channel document lacks field {exc.args[0]!r}") from exc
     if not all(_number(c, integral=True) for c in cards):
         raise ParseError(f"channel cardinalities must be integers: {cards}")
-    cards = tuple(int(c) for c in cards)
-    if min(cards) < 1:
-        raise ShapeMismatch(
-            f"channel cardinalities must be >= 1: {dict(zip(AXES, cards))}"
-        )
+    what = f"channel cardinalities must be >= 1: {dict(zip(AXES, cards))}"
+    cards = _cardinalities(cards, what, 5)
     if not isinstance(flat, list) or not all(_number(v) for v in flat):
         raise ParseError('channel field "p" must be a flat array of numbers')
     expected = math.prod(cards)

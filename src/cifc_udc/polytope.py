@@ -384,42 +384,21 @@ def project_parametric(
 
 
 def _clip(points: list, hp: tuple) -> list:
-    """Sutherland-Hodgman: keep the part of a convex polygon with a.x <= c."""
+    """Sutherland-Hodgman: keep the part of a convex polygon with a.x <= c.
+    A point within ``SNAP`` of the line is kept, and only an edge that
+    crosses that band adds one, so a line through a vertex copies none."""
     a, b, c = hp
     dist = [a * x + b * y - c for x, y in points]
     out = []
     for i, cur in enumerate(points):
         prev, d_prev, d_cur = points[i - 1], dist[i - 1], dist[i]
-        if (d_cur <= SNAP) != (d_prev <= SNAP):
+        if max(d_prev, d_cur) > SNAP and min(d_prev, d_cur) < -SNAP:
             t = d_prev / (d_prev - d_cur)
             out.append(
                 (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
             )
         if d_cur <= SNAP:
             out.append(cur)
-    return out
-
-
-def _dedupe_points(points: Sequence, tol: float = 1e-9) -> list:
-    """The points in order, less each one within ``tol`` in both
-    coordinates of a point kept before it.
-
-    Kept points are filed by cell of side 2 * tol, so a match lies in the
-    3 x 3 cells around a point's own even where the division rounds.
-    """
-    out, cells = [], {}
-    for p in points:
-        x, y = float(p[0]), float(p[1])
-        cx, cy = math.floor(x / (2 * tol)), math.floor(y / (2 * tol))
-        near = (
-            q
-            for i in (cx - 1, cx, cx + 1)
-            for j in (cy - 1, cy, cy + 1)
-            for q in cells.get((i, j), ())
-        )
-        if all(abs(x - q[0]) > tol or abs(y - q[1]) > tol for q in near):
-            out.append((x, y))
-            cells.setdefault((cx, cy), []).append((x, y))
     return out
 
 
@@ -551,19 +530,16 @@ def _edges_to_halfplanes(hull: list) -> list:
 
 def region_from_vertices(points: Sequence) -> Region2D:
     """Convex hull of the given points as a Region2D: its counter-clockwise
-    vertices and one halfplane per edge.  A NaN or an infinity among the
-    points raises ``ShapeMismatch``."""
+    vertices and one halfplane per edge.  The hull's ``HULL_QUANT`` grid is
+    the one rule that merges points, so the region does not depend on
+    their order and holds each of them to within one grid step.  A NaN or
+    an infinity among the points raises ``ShapeMismatch``."""
     xy = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.isfinite(xy).all():
         raise ShapeMismatch("region holds NaN or an infinity")
-    # exact repeats go first, each first copy kept in order: the greedy
-    # pass would drop every later copy, since either the first copy was
-    # kept or a point kept before it lies within tol of both, and a
-    # dropped point changes none of the pass's later choices
-    pts = _dedupe_points(dict.fromkeys(map(tuple, xy.tolist())))
-    if not pts:
+    if not len(xy):
         return Region2D((), np.zeros((0, 2)), empty=True)
-    hull = convex_hull(pts)
+    hull = convex_hull(xy.tolist())
     return Region2D(tuple(_edges_to_halfplanes(hull)), np.array(hull))
 
 

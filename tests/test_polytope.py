@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _fm_reference as reference
@@ -22,11 +22,11 @@ from cifc_udc.inner import (
 from cifc_udc.oracle import oracle_projected_vertices
 from cifc_udc.outer import fan_directions
 from cifc_udc.polytope import (
+    BOX_LIMIT,
+    HULL_QUANT,
+    NONNEG_HALFPLANES,
     LinearSystem,
-    _dedupe_points,
-    _edges_to_halfplanes,
     Region2D,
-    convex_hull,
     polygon_extract,
     polygon_points,
     project_parametric,
@@ -546,68 +546,54 @@ def test_a_tolerance_must_be_finite_and_nonnegative(tol):
     assert region_contains(square, square, 0.0)
 
 
-def quadratic_dedupe(points, tol):
-    """The dedupe rule pointwise: drop a point within ``tol`` in both
-    coordinates of any point kept before it."""
-    out = []
-    for p in points:
-        if all(abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol for q in out):
-            out.append((float(p[0]), float(p[1])))
-    return out
-
-
-@pytest.mark.parametrize("tol", [1e-9, 1e-7])
-@pytest.mark.parametrize("seed", range(4))
-def test_dedupe_points_matches_the_pointwise_rule(seed, tol):
-    rng = np.random.default_rng([seed, 7])
-    base = rng.uniform(-1.0, 3.0, (30, 2))
-    base[:10] = np.round(base[:10] / (2 * tol)) * (2 * tol)  # on cell edges
-    near = [1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]  # in multiples of tol
-    parts = [base, base[:10]]  # exact repeats
-    for scale in near:
-        for sx, sy in ((1, 0), (0, -1), (-1, 1), (1, 1)):
-            parts.append(base + tol * scale * np.array([sx, sy]))
-    # chains: each link within tol of the one before, the ends apart
-    links = rng.uniform(0.6, 0.9, (30, 6, 1)) * tol * rng.choice([-1, 1], (30, 6, 2))
-    parts.extend(np.swapaxes(base[:, None, :] + np.cumsum(links, axis=1), 0, 1))
-    points = np.concatenate(parts)
-    for order in (np.arange(len(points)), rng.permutation(len(points))):
-        want = quadratic_dedupe(points[order], tol)
-        assert len(base) < len(want) < len(points)
-        assert _dedupe_points(points[order], tol) == want
-        assert _dedupe_points(points[order].tolist(), tol) == want
-
-
-def greedy_region_from_vertices(points):
-    """``region_from_vertices`` with the greedy dedupe pass alone, before
-    exact repeats were dropped ahead of it."""
-    pts = _dedupe_points(points)
-    if not pts:
-        return Region2D((), np.zeros((0, 2)), empty=True)
-    hull = convex_hull(pts)
-    return Region2D(tuple(_edges_to_halfplanes(hull)), np.array(hull))
+def region_bytes(region):
+    """A region's flag, halfplanes and vertices, as bytes, so that a -0.0
+    kept in place of a 0.0 shows."""
+    planes = np.asarray(region.halfplanes, dtype=float).reshape(-1, 3)
+    vertices = region.vertices
+    return region.empty, planes.tobytes(), vertices.shape, vertices.tobytes()
 
 
 # coordinates on a coarse grid, so that draws repeat; plus -0.0, and
-# offsets within and just beyond the dedupe tolerance of 1e-9
+# offsets within and beyond 1e-9
 _GRID = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.5])
 _OFFSET = st.sampled_from([0.0, 0.0, 4e-10, -7e-10, 1e-9, 1.2e-9, -2e-9])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_GRID, _GRID, _OFFSET, _OFFSET), max_size=40),
-       st.lists(st.integers(0, 39), max_size=40), st.booleans())
-def test_exact_repeats_leave_the_region_of_the_greedy_pass(draws, repeats, as_array):
+       st.lists(st.integers(0, 39), max_size=40), st.permutations(range(80)),
+       st.booleans())
+@example([(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+          (1.0, 0.0, 5e-10, 0.0)], [], list(range(79, -1, -1)), False)
+def test_a_region_holds_its_points_in_any_order(draws, repeats, order, as_array):
     points = [(x + dx, y + dy) for x, y, dx, dy in draws]
     points += [points[i] for i in repeats if i < len(points)]
+    shuffled = [points[i] for i in order if i < len(points)]
     if as_array:
         points = np.array(points, dtype=float).reshape(-1, 2)
-    got, want = region_from_vertices(points), greedy_region_from_vertices(points)
-    assert got.empty == want.empty
-    # bytes, so that a -0.0 kept in place of a 0.0 shows
-    for a, b in ((got.halfplanes, want.halfplanes), (got.vertices, want.vertices)):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    region = region_from_vertices(points)
+    assert region_bytes(region) == region_bytes(region_from_vertices(shuffled))
+    assert region.empty == (len(points) == 0)
+    # the quadrant's own rows aside: an offset below zero breaks them
+    planes = [p for p in region.halfplanes if p not in NONNEG_HALFPLANES]
+    if planes:
+        planes = np.array(planes)
+        slack = np.asarray(points) @ planes[:, :2].T - planes[:, 2]
+        assert np.max(slack) <= HULL_QUANT
+
+
+def test_lines_through_a_vertex_add_no_copy_of_it():
+    # every fan line touches the unit square at its corner (1, 1)
+    directions = fan_directions(4096)
+    points = polygon_points(directions, directions.sum(axis=1))
+    assert len(points) <= 5
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    assert region_from_vertices(points).vertices.tolist() == square
+    # a row through the corner (BOX_LIMIT, BOX_LIMIT) cuts the box
+    box = [(0.0, 0.0), (BOX_LIMIT, 0.0), (BOX_LIMIT, BOX_LIMIT), (0.0, BOX_LIMIT)]
+    clipped = polytope._clip(box, (1.0, -0.5, 0.5 * BOX_LIMIT))
+    assert clipped == [box[0], (0.5 * BOX_LIMIT, 0.0), box[2], box[3]]
 
 
 def test_hull_union_examples():
