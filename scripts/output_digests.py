@@ -42,6 +42,8 @@ degraded relay, an XOR cognitive channel, a degraded binary broadcast
 channel), which this script's own tree
 writes into the workdir with ``dump_channel``, so both trees read the
 same files and a fix to the inner bound shows as drift there.
+``classify --hi-check`` runs from the falsifier's probes alone (0 samples)
+on hi_falsified and hi_degenerate, so that a pool without draws is covered.
 Then ``fm`` projects four seeded systems (two with an equality) onto
 (t0, t1) and onto (t1, t0), and ``compare`` checks the clean.json inner
 region of the benchmark run against the 100-sample outer region.
@@ -135,6 +137,11 @@ def extra_commands(src: Path, seed: int, workdir: Path) -> list:
     runs = [
         (label, argv + ["--seed", str(seed), "--out", str(workdir / f"{label}.json")])
         for label, argv in runs
+    ]
+    runs += [
+        (f"classify-{name}-corners", ["classify", channel(f"{name}.json"), "--hi-check",
+                                      "--samples", "0", "--seed", str(seed)])
+        for name in ("hi_falsified", "hi_degenerate")
     ]
     for index in range(4):
         system = workdir / f"system-{index}.json"

@@ -10,6 +10,7 @@ connecting the general inner bound to the five-bound reduced region via
 a copy-factor specialization.
 """
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -314,13 +315,19 @@ class HiRegimeReport:
         return doc
 
 
-def _falsifier_probes(cards: tuple[int, int, int, int]) -> list[np.ndarray]:
-    """Degenerate joints that make premise violations hand-checkable."""
+@functools.lru_cache(maxsize=8)
+def _falsifier_probes(cards: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
+    """Degenerate joints that make premise violations hand-checkable:
+    read-only, and held for the last eight cards tuples, so a process
+    builds them once per cards."""
     cx1, cv12, cx2, cx3 = cards
     wired = [
         d for base in input_corners((cx1, cx2, cx3)) for d in wire_v12(base, cv12)
     ]
-    return _distinct(wired + [np.full(cards, 1.0 / int(np.prod(cards)))])
+    probes = _distinct(wired + [np.full(cards, 1.0 / int(np.prod(cards)))])
+    for probe in probes:
+        probe.setflags(write=False)
+    return tuple(probes)
 
 
 def _falsified(cfg, cards, probes, flat, gap_a, gap_b) -> HiRegimeReport:
@@ -383,11 +390,12 @@ def hi_regime_falsify(channel: ChannelSpec, cfg: SearchConfig) -> HiRegimeReport
 
 def capacity_degraded_z(
     channel: ChannelSpec, cfg: SearchConfig
-) -> tuple[Region2D, tuple[InputJoint, ...]]:
+) -> tuple[Region2D, np.ndarray]:
     """Sampled capacity region of a degraded Z-geometry channel.
 
-    Returns the polygon union and every input distribution whose polygon
-    entered it, so callers can replay the same sample set elsewhere.
+    Returns the polygon union and the laws whose polygons entered it, as
+    the (rows, n) array of flat laws over (|X1|, |X2|, |X3|) it scored, so
+    callers can replay the same sample set elsewhere.
     """
     _require_degraded_z(channel)
     cards = channel.cards[:3]
@@ -401,21 +409,23 @@ def capacity_degraded_z(
     caps = caps_of(rows)
     # the hull of the union is the hull of every row's corners
     region = region_from_vertices(cap_vertices(*caps).reshape(-1, 2))
-    return region, tuple(InputJoint(cards, row.reshape(cards)) for row in rows)
+    return region, rows
 
 
 def capacity_semidet_hi(
     channel: ChannelSpec,
     cfg: SearchConfig,
     force: bool = False,
-) -> tuple[Region2D, HiRegimeReport, tuple[V12Joint, ...]]:
+) -> tuple[Region2D, HiRegimeReport, np.ndarray]:
     """Sampled capacity region of a semi-deterministic hi-regime channel.
 
     Runs the premise falsifier first and refuses falsified channels unless
     forced.  Every evaluated distribution is re-screened against the
     premise, and the formula's caps are checked against the full five-bound
     reduced caps at each of them (the two extra bounds must be redundant
-    wherever the premise holds).
+    wherever the premise holds).  Returns the region, the falsifier's
+    report and the evaluated laws as the (rows, n) array of flat laws over
+    ``v12_cards`` it scored.
     """
     _require_semidet(channel)
     report = hi_regime_falsify(channel, cfg)
@@ -462,4 +472,4 @@ def capacity_semidet_hi(
             f"dropping the premise-redundant bounds changed a cap at sample {bad[0]}"
         )
     region = region_from_vertices(cap_vertices(*caps).reshape(-1, 2))
-    return region, report, tuple(V12Joint(cards, row.reshape(cards)) for row in rows)
+    return region, report, rows

@@ -365,23 +365,28 @@ def sample_pool(
     """The laws a search evaluates, one flat law per row.
 
     The corners come first, then ``cfg.num_samples`` Dirichlet(1) draws
-    over ``cards`` (``InputLaw.random``) seeded by (cfg.seed, i), then the
-    extra laws.  Raises ``TooLarge``, before any draw, when they would
-    hold more than ``pmf.JOINT_CELL_LIMIT`` cells.
+    over ``cards`` seeded by (cfg.seed, i), then the extra laws.  The draws
+    are checked and normalized as one table, each row by the same sum and
+    division as ``InputLaw.random``'s law.  Raises ``TooLarge``, before
+    any draw, when they would hold more than ``pmf.JOINT_CELL_LIMIT`` cells.
     """
     for d in extra:
         if d.cards != cards:
             raise CardinalityMismatch(
                 f"extra distribution cards {d.cards} do not match {cards}"
             )
+    n = math.prod(cards)
     rows = len(corners) + cfg.num_samples + len(extra)
-    check_cells(rows * math.prod(cards), f"a pool of {rows} laws")
-    pool = list(corners)
-    for i in range(cfg.num_samples):
-        rng = np.random.default_rng([cfg.seed, i])
-        pool.append(InputLaw.random(cards, rng).pmf)
-    pool.extend(d.pmf for d in extra)
-    return np.stack([p.reshape(-1) for p in pool], axis=0)
+    check_cells(rows * n, f"a pool of {rows} laws")
+    draws = np.zeros((0, n))
+    if cfg.num_samples:  # _normalized names its worst row, which 0 rows lack
+        draws = _normalized([
+            np.random.default_rng([cfg.seed, i]).dirichlet(np.ones(n))
+            for i in range(cfg.num_samples)
+        ], (cfg.num_samples, n), 1, "input law")
+    return np.concatenate([
+        np.reshape(corners, (-1, n)), draws, np.reshape([d.pmf for d in extra], (-1, n))
+    ])
 
 
 def fan_search(

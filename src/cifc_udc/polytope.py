@@ -532,11 +532,15 @@ def region_from_vertices(points: Sequence) -> Region2D:
     """Convex hull of the given points as a Region2D: its counter-clockwise
     vertices and one halfplane per edge.  The hull's ``HULL_QUANT`` grid is
     the one rule that merges points, so the region does not depend on
-    their order and holds each of them to within one grid step.  A NaN or
-    an infinity among the points raises ``ShapeMismatch``."""
+    their order and holds each of them to within one grid step.  A
+    coordinate at most ``VERTEX_TOL`` below zero counts as zero, so that no
+    vertex breaks the region's R1 >= 0 and R2 >= 0 rows; one further below
+    still raises ``NumericsError``.  A NaN or an infinity among the points
+    raises ``ShapeMismatch``."""
     xy = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.isfinite(xy).all():
         raise ShapeMismatch("region holds NaN or an infinity")
+    xy = np.where((xy < 0.0) & (xy >= -VERTEX_TOL), 0.0, xy)
     if not len(xy):
         return Region2D((), np.zeros((0, 2)), empty=True)
     hull = convex_hull(xy.tolist())

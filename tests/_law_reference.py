@@ -29,11 +29,18 @@ Also ``reduce_v12``, a constructive Carathéodory reduction of a law
 p(x1, v12, x2, x3) to |X2| + 2 symbols of V12 that keeps every term the
 library's V12 evaluators read.  The library never reduces a law; the tests
 use it to back the search size of ``outer.v12_cards``.
+
+Also ``sum_out``, the marginal-sum kernel as one ``np.add.reduce`` over a
+(reduced cells, kept cells) matrix for every layout, before ``pmf._sum_out``
+added a short trailing run column by column; and ``drawn_pool``, the
+pool with each Dirichlet draw checked as one ``InputLaw.random``, before
+``outer.sample_pool`` checked them as one table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -42,7 +49,7 @@ from cifc_udc.capacity import InputJoint, V12Joint, V12V2Joint, y2_output_map
 from cifc_udc.channel import ChannelSpec, ClassReport
 from cifc_udc.errors import UnknownLabel
 from cifc_udc.inner import _signature_pairs
-from cifc_udc.outer import _distinct, check_input_cards
+from cifc_udc.outer import InputLaw, _distinct, check_input_cards
 from cifc_udc.pmf import ConditionalFactor
 
 
@@ -363,3 +370,24 @@ def reduce_v12(d: V12Joint, channel: ChannelSpec) -> V12Joint:
             w, q, columns = w[keep], q[keep], columns[:, keep]
         out[x1, :len(w), :, x3] = w[:, None] * q
     return V12Joint((cx1, rows, cx2, cx3), out)
+
+
+def sum_out(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """``a`` summed over ``axes``, kept at extent 1, by one ``np.add.reduce``
+    over the first axis of a (reduced cells, kept cells) matrix."""
+    kept = [x for x in range(a.ndim) if x not in axes]
+    shape = tuple(1 if x in axes else n for x, n in enumerate(a.shape))
+    flat = a.transpose(list(axes) + kept).reshape(-1, math.prod(shape))
+    return np.add.reduce(flat, axis=0).reshape(shape)
+
+
+def drawn_pool(cards, cfg, corners, extra=()) -> np.ndarray:
+    """The laws of ``outer.sample_pool`` one draw at a time: the corners,
+    then the ``cfg.num_samples`` Dirichlet(1) laws over ``cards`` seeded by
+    (cfg.seed, i), each through ``InputLaw.random``, then the extra laws;
+    one flat law per row."""
+    pool = list(corners)
+    for i in range(cfg.num_samples):
+        pool.append(InputLaw.random(cards, np.random.default_rng([cfg.seed, i])).pmf)
+    pool.extend(d.pmf for d in extra)
+    return np.reshape([p.reshape(-1) for p in pool], (-1, math.prod(cards)))

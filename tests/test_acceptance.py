@@ -215,9 +215,10 @@ def test_criterion_6_capacity_sandwich():
     channel = z_fixture()
     card_v12 = 4
 
-    capacity, evaluated = capacity_degraded_z(
+    capacity, rows = capacity_degraded_z(
         channel, SearchConfig(seed=6, num_samples=50)
     )
+    evaluated = [InputJoint((2, 2, 2), row.reshape(2, 2, 2)) for row in rows]
     assert regions_close(capacity, UNIT_SQUARE, tol=1e-3)
 
     inner, _ = inner_region(channel, SamplerConfig(seed=6, num_samples=50))

@@ -266,7 +266,8 @@ class TestCapacityDegradedZ:
     def test_every_evaluated_polygon_contained(self):
         cfg = SearchConfig(seed=1, num_samples=10, fan=9)
         ch = z_fixture()
-        reg, evaluated = capacity_degraded_z(ch, cfg)
+        reg, rows = capacity_degraded_z(ch, cfg)
+        evaluated = [InputJoint((2, 2, 2), row.reshape(2, 2, 2)) for row in rows]
         for d in evaluated:
             assert region_contains(reg, degraded_z_polygon(d, ch), tol=1e-7)
 
@@ -276,6 +277,7 @@ class TestCapacityDegradedZ:
         a, ea = capacity_degraded_z(ch, cfg)
         b, eb = capacity_degraded_z(ch, cfg)
         c, ec = capacity_degraded_z(ch, cfg)
+        ea, ec = ([InputJoint((2, 2, 2), row.reshape(2, 2, 2)) for row in e] for e in (ea, ec))
         assert region_to_dict(a) == region_to_dict(b) == region_to_dict(c)
         assert len(ea) == len(eb) == len(ec)
         for da, dc in zip(ea, ec):

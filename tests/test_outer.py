@@ -567,7 +567,7 @@ class TestOuterEstimate:
         def no_draw(*args):
             raise AssertionError("drew a law over the budget")
 
-        monkeypatch.setattr(outer.InputLaw, "random", no_draw)
+        monkeypatch.setattr(outer.np.random, "default_rng", no_draw)
         for cfg in (SearchConfig(num_samples=10**12), SearchConfig(fan=10**11)):
             with pytest.raises(TooLarge):
                 outer_region_estimate(clean_channel(), cfg)

@@ -200,6 +200,29 @@ def test_marginal_sum_is_numpy_sum_within_roundoff(case):
     )
 
 
+# every layout of the kernel, against the frozen one-reduce kernel: a
+# trailing run of 2-7 cells with and without a batch, one of 8 and more,
+# reduced axes leading and between, one kept cell per row, -0.0 entries
+# alone and among others, and a transposed (not C-contiguous) view
+@settings(max_examples=400, deadline=None)
+@given(sum_cases(), st.booleans())
+@example((np.arange(1.0, 61.0).reshape(5, 3, 4) / 7, (2,)), False)
+@example((np.arange(1.0, 61.0).reshape(5, 3, 4) / 7, (1, 2)), False)
+@example((np.arange(1.0, 61.0).reshape(3, 4, 5) / 7, (0,)), False)
+@example((np.arange(1.0, 61.0).reshape(3, 4, 5) / 7, (1,)), False)
+@example((np.arange(1.0, 121.0).reshape(5, 2, 3, 4) / 7, (2, 3)), True)
+@example((np.random.default_rng(1).random((7, 2, 1, 3)), (1, 3)), False)
+@example((np.random.default_rng(1).random((1, 3, 2)), (1, 2)), False)
+@example((np.random.default_rng(1).random((1, 1, 7)), (2,)), False)
+@example((np.full((4, 1, 3), -0.0), (2,)), False)
+@example((np.array([[-0.0, 0.0, -0.0], [2.0, -0.0, -2.0]]), (1,)), False)
+def test_marginal_sum_is_the_one_reduce_kernel_byte_for_byte(case, transposed):
+    a, axes = case
+    if transposed:
+        a, axes = a.T, tuple(a.ndim - 1 - x for x in reversed(axes))
+    assert reference.same_bytes(pmf._sum_out(a, axes), reference.sum_out(a, axes))
+
+
 @st.composite
 def batch_cases(draw):
     """(batch of 1-9 rows, reduced axes): 1-7 axes of extents 1-4 after the

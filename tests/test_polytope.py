@@ -24,7 +24,6 @@ from cifc_udc.outer import fan_directions
 from cifc_udc.polytope import (
     BOX_LIMIT,
     HULL_QUANT,
-    NONNEG_HALFPLANES,
     LinearSystem,
     Region2D,
     polygon_extract,
@@ -575,12 +574,24 @@ def test_a_region_holds_its_points_in_any_order(draws, repeats, order, as_array)
     region = region_from_vertices(points)
     assert region_bytes(region) == region_bytes(region_from_vertices(shuffled))
     assert region.empty == (len(points) == 0)
-    # the quadrant's own rows aside: an offset below zero breaks them
-    planes = [p for p in region.halfplanes if p not in NONNEG_HALFPLANES]
-    if planes:
-        planes = np.array(planes)
-        slack = np.asarray(points) @ planes[:, :2].T - planes[:, 2]
-        assert np.max(slack) <= HULL_QUANT
+    # each point as the region takes it, raised to zero from below (every
+    # draw lies within VERTEX_TOL of the quadrant), meets every row, the
+    # quadrant's own among them
+    planes = np.array(region.halfplanes)
+    held = np.maximum(np.asarray(points, dtype=float).reshape(-1, 2), 0.0)
+    slack = held @ planes[:, :2].T - planes[:, 2]
+    assert np.max(slack, initial=0.0) <= HULL_QUANT
+
+
+def test_a_point_just_below_zero_keeps_every_vertex_in_the_regions_rows():
+    region = region_from_vertices([(-5e-8, 0), (1, 0), (0, 1)])
+    planes = np.array(region.halfplanes)
+    assert region.vertices.min() >= 0.0
+    assert np.max(region.vertices @ planes[:, :2].T - planes[:, 2]) <= HULL_QUANT
+    assert region_bytes(region) == region_bytes(region_from_vertices([(0, 0), (1, 0), (0, 1)]))
+    # further below than VERTEX_TOL the point is no roundoff: it raises
+    with pytest.raises(errors.NumericsError):
+        region_from_vertices([(-1e-6, 0), (1, 0), (0, 1)])
 
 
 def test_lines_through_a_vertex_add_no_copy_of_it():

@@ -63,7 +63,7 @@ from cifc_udc.outer import (
     v12_cards,
 )
 from cifc_udc.pmf import Information, clip_information
-from _law_reference import bumped, lift, reduce_v12, same_bytes, unique_rows
+from _law_reference import bumped, drawn_pool, lift, reduce_v12, same_bytes, unique_rows
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
@@ -147,15 +147,6 @@ def ref_falsifier_probes(cards):
     if uniform.tobytes() not in seen:
         probes.append(uniform)
     return probes
-
-
-def ref_pool(law, cards, cfg, corners, extra=()):
-    pool = list(corners)
-    for i in range(cfg.num_samples):
-        rng = np.random.default_rng([cfg.seed, i])
-        pool.append(law.random(cards, rng).pmf)
-    pool.extend(d.pmf for d in extra)
-    return np.stack([p.reshape(-1) for p in pool], axis=0)
 
 
 # ------------------------------------------------------------------ lift
@@ -243,23 +234,62 @@ def test_corner_sets_match_the_replaced_loops(cards):
             assert np.array_equal(a, b)
 
 
+def test_falsifier_probes_are_read_only_and_built_once_per_cards(monkeypatch):
+    channel = load_channel((CHANNELS / "hi_degenerate.json").read_text())
+    cfg = SearchConfig(seed=2, num_samples=3)
+    wirings, wire = [], capacity.wire_v12
+    monkeypatch.setattr(capacity, "wire_v12", lambda *a: wirings.append(a) or wire(*a))
+    _falsifier_probes.cache_clear()
+    first = hi_regime_falsify(channel, cfg)
+    built = len(wirings)
+    assert built > 0
+    assert hi_regime_falsify(channel, cfg) == first
+    assert len(wirings) == built
+    probes = _falsifier_probes(v12_cards(channel, cfg))
+    assert len(probes) == first.probes
+    for probe in probes:
+        with pytest.raises(ValueError):
+            probe.flat[0] = 0.5
+
+
 @pytest.mark.parametrize("cards", V12_CARDS)
 @pytest.mark.parametrize("with_corners", [True, False])
 def test_sample_pool_matches_the_replaced_loops(cards, with_corners):
     cfg = SearchConfig(seed=5, num_samples=6)
     cards3 = (cards[0], cards[2], cards[3])
-    for law, law_cards, corners in (
-        (V12Joint, cards, ref_corner_joints(cards)),
-        (V12Joint, cards, ref_falsifier_probes(cards)),
-        (InputJoint, cards3, ref_product_corners(cards3)),
+    for law_cards, corners in (
+        (cards, ref_corner_joints(cards)),
+        (cards, ref_falsifier_probes(cards)),
+        (cards3, ref_product_corners(cards3)),
     ):
         corners = corners if with_corners else []
         got = sample_pool(law_cards, cfg, corners)
-        assert np.array_equal(got, ref_pool(law, law_cards, cfg, corners))
+        assert np.array_equal(got, drawn_pool(law_cards, cfg, corners))
     extra = (V12Joint.uniform(cards),)
     got = sample_pool(cards, cfg, ref_corner_joints(cards), extra)
-    want = ref_pool(V12Joint, cards, cfg, ref_corner_joints(cards), extra)
+    want = drawn_pool(cards, cfg, ref_corner_joints(cards), extra)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cards", V12_CARDS)
+@pytest.mark.parametrize("samples", [0, 1, 50])
+def test_sample_pool_draws_as_one_table_keep_the_per_draw_bytes(cards, samples):
+    # one check and division for all draws, row by row the bytes of one
+    # InputLaw per draw: alone, after corners and before extra laws
+    cfg = SearchConfig(seed=7, num_samples=samples)
+    cards3 = (cards[0], cards[2], cards[3])
+    rng = np.random.default_rng(samples)
+    extra = (V12Joint.uniform(cards), V12Joint.random(cards, rng))
+    for law_cards, corners, laws in (
+        (cards, [], ()),
+        (cards, ref_corner_joints(cards), extra),
+        (cards, _falsifier_probes(cards), ()),
+        (cards3, ref_product_corners(cards3), (InputJoint.random(cards3, rng),)),
+    ):
+        got = sample_pool(law_cards, cfg, corners, laws)
+        want = drawn_pool(law_cards, cfg, corners, laws)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        assert len(got) == len(corners) + samples + len(laws)
 
 
 def test_sample_pool_guards():
